@@ -356,8 +356,8 @@ def cmd_massey(args, started):
               "order": args.order}
     if sorted(dims) == [3, 3, 12]:
         sH = GradedVectorSpace([("sa", -2), ("sb", -2), ("sc", -11)])
-        words = {w for w in enumerate_words(sH, 5)
-                 if len(w) == 5 and all(lab != "sc" for lab in w)}
+        words = [w for w in enumerate_words(sH, 5)
+                 if len(w) == 5 and all(lab != "sc" for lab in w)]
         theta = _parse_theta(args, words)
         try:
             instance, morgan = morgan_example(args.order, theta=theta)

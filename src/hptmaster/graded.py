@@ -191,25 +191,16 @@ def hom_differential(phi, d_src, d_tgt):
 def koszul_sign(permutation, degrees):
     """Sign of permuting homogeneous factors of the given degrees.
 
-    permutation[i] = original position of the element now at slot i.  Each
-    adjacent transposition of two odd-degree factors contributes -1; all
-    other transpositions contribute +1.
+    permutation[i] = original position of the element now at slot i.  The
+    sign is (-1)^k with k the number of inversions (i < j, permutation[i] >
+    permutation[j]) in which both factors have odd degree.
     """
     perm = list(permutation)
     if sorted(perm) != list(range(len(degrees))):
         raise ValueError("malformed permutation")
-    sign = 1
-    # bubble sort; each adjacent swap of originals a, b contributes
-    # (-1)^{deg(a) deg(b)}
-    arr = perm[:]
-    n = len(arr)
-    for i in range(n):
-        for j in range(n - 1 - i):
-            if arr[j] > arr[j + 1]:
-                if (degrees[arr[j]] % 2) and (degrees[arr[j + 1]] % 2):
-                    sign = -sign
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-    return Fraction(sign)
+    odd = [p for p in perm if degrees[p] % 2]
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return -ONE if inversions % 2 else ONE
 
 
 def suspend_space(space, shift=1, prefix="s"):

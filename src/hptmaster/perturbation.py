@@ -1,151 +1,124 @@
 """Coalgebra lifts of contractions and the basic perturbation lemma.
 
-A contraction of complexes lifts to the tensor coalgebra by the side
-homotopy formula and descends to the symmetric coalgebra through the
-invariants embedding.  The perturbation lemma then transfers a word-length
-lowering perturbation of the big differential across any contraction, with
-all series finite by the filtration argument.
+A contraction (nabla, pi, h) of complexes lifts to the truncated symmetric
+coalgebras on the suspended spaces by closed formulas on canonical words.
+Write mult(w) for the product of the factorials of the repeat counts of a
+word w; sorting a product of letters into a canonical word gives a Koszul
+sign, and a repeated odd letter kills the term.
+
+  * nabla_c and pi_c are multiplicative: e_w goes to the sum, over one
+    image term per letter, of the sorted product times the image
+    coefficients, the sorting sign and mult(target) / mult(w).
+  * h_c(e_w), with n = |w|, is the sum over a position x and a subset S
+    of the other positions: letters in S are kept, x goes to h, and the
+    remaining letters go to nabla pi.  A term carries the Koszul sign of
+    the arrangement (S, x, rest), (-1)^{deg S} for moving h past S, the
+    weight |S|! (n-1-|S|)! / (n! mult(w)) and, once sorted, the sorting
+    sign and mult(target).
+
+These are the invariant parts of the tensor-coalgebra lift with the side
+homotopy sum_k Id^k (x) h (x) (nabla pi)^{rest}: the weight is the share of
+arrangements in which S precedes x.  The perturbation lemma then transfers
+a word-length lowering perturbation of the big differential across any
+contraction, with all series finite by the filtration argument.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, groupby, product as iproduct
+from math import factorial, prod
 
 from .complexes import ChainComplex, Contraction, normalize_homotopy
-from .graded import (GradedMap, GradedVectorSpace, koszul_sign, suspend_map,
-                     ONE, ZERO)
+from .graded import GradedMap, koszul_sign, suspend_map, ONE, ZERO
 from .words import TruncatedSymCoalgebra, sort_factors
 
-from itertools import permutations, product as iproduct
-from math import factorial
+
+def _multiplicity(word):
+    """mult(w): the product of the factorials of the repeat counts."""
+    return prod(factorial(len(list(run))) for _, run in groupby(word))
 
 
-def tensor_word_label(word):
-    return "<" + "|".join(word) + ">" if word else "<>"
+def _columns(f):
+    """Columns of a generator map as lists of (target label, coefficient)."""
+    cols = [[] for _ in range(f.source.dim)]
+    labels = f.target.labels
+    for (t, s), c in f.entries.items():
+        cols[s].append((labels[t], c))
+    return cols
 
 
-class TruncatedTensorCoalgebra:
-    """T^c[gen_space] truncated at word length N.
-
-    Basis words are arbitrary sequences of generator labels (repeats of odd
-    generators are allowed here, unlike the symmetric quotient).
-    """
-
-    def __init__(self, gen_space, max_word_length):
-        self.gen_space = gen_space
-        self.N = int(max_word_length)
-        words = [()]
-        layer = [()]
-        for _ in range(self.N):
-            layer = [w + (lab,) for w in layer for lab in gen_space.labels]
-            words.extend(layer)
-        self.words = words
-        self.windex = {w: i for i, w in enumerate(words)}
-        self.space = GradedVectorSpace(
-            [(tensor_word_label(w),
-              sum(gen_space.degree_of(lab) for lab in w)) for w in words])
-
-    def word_length(self, index):
-        return len(self.words[index])
+def _sorter(sym):
+    """sort_factors on the generators of sym, memoized per letter tuple."""
+    return lru_cache(maxsize=None)(
+        lambda letters: sort_factors(letters, sym.gen_space))
 
 
-def tensor_lift(f, src_tc, tgt_tc):
-    """T^c f for a degree-0 generator map f: applies f in every slot."""
-    if f.degree != 0:
-        raise ValueError("only degree-0 maps lift slotwise without signs")
-    ent = {}
-    tgt_labels = f.target.labels
-    for wi, w in enumerate(src_tc.words):
-        images = []
-        for lab in w:
-            img = f.apply_basis(f.source.index[lab])
-            images.append(list(img.items()))
-        for combo in iproduct(*images):
-            word = tuple(tgt_labels[g] for g, _ in combo)
-            coeff = ONE
-            for _, c in combo:
-                coeff *= c
-            key = (tgt_tc.windex[word], wi)
-            ent[key] = ent.get(key, ZERO) + coeff
-    ent = {k: v for k, v in ent.items() if v != 0}
-    return GradedMap(src_tc.space, tgt_tc.space, 0, ent)
-
-
-def tensor_homotopy(h, nabla_pi, tc):
-    """The side homotopy T^c h = sum_k Id^{k} (x) h (x) (nabla pi)^{rest}.
-
-    h is the degree +1 homotopy on the generators and nabla_pi the
-    composite nabla o pi (both endomorphisms of tc.gen_space).
-    """
-    space = tc.gen_space
-    ent = {}
-    for wi, w in enumerate(tc.words):
-        if not w:
-            continue
-        for k in range(len(w)):
-            front_deg = sum(space.degree_of(lab) for lab in w[:k])
-            sign = -ONE if front_deg % 2 else ONE
-            slot_imgs = []
-            for pos, lab in enumerate(w):
-                g = space.index[lab]
-                if pos < k:
-                    slot_imgs.append([(g, ONE)])
-                elif pos == k:
-                    slot_imgs.append(list(h.apply_basis(g).items()))
-                else:
-                    slot_imgs.append(list(nabla_pi.apply_basis(g).items()))
-            for combo in iproduct(*slot_imgs):
-                word = tuple(space.labels[g] for g, _ in combo)
-                coeff = sign
-                for _, c in combo:
-                    coeff *= c
-                if coeff == 0:
-                    continue
-                key = (tc.windex[word], wi)
-                ent[key] = ent.get(key, ZERO) + coeff
-    ent = {k: v for k, v in ent.items() if v != 0}
-    return GradedMap(tc.space, tc.space, 1, ent)
-
-
-def sym_to_tensor(sym, tc):
-    """The invariants embedding e_w -> sum of distinct arrangements."""
-    space = sym.gen_space
-    ent = {}
-    for wi, w in enumerate(sym.words):
-        degs = [space.degree_of(lab) for lab in w]
-        seen = set()
-        for perm in permutations(range(len(w))):
-            arr = tuple(w[p] for p in perm)
-            if arr in seen:
-                continue
-            seen.add(arr)
-            sign = koszul_sign(list(perm), degs)
-            ent[(tc.windex[arr], wi)] = sign
-    return GradedMap(sym.space, tc.space, 0, ent)
-
-
-def tensor_to_sym(tc, sym):
-    """The invariant projection, inverse to the embedding on invariants.
-
-    A tensor word maps to (prod multiplicities! / len!) times the sorted
-    symmetric word with the sorting Koszul sign; words with a repeated odd
-    generator die.
-    """
-    space = sym.gen_space
-    ent = {}
-    for wi, w in enumerate(tc.words):
-        word, sign = sort_factors(w, space)
+def _accumulate(acc, sort, kept, slots, coeff):
+    """Add to acc coeff times each sorted product of the kept letters with
+    one (letter, coefficient) term per slot."""
+    for combo in iproduct(*slots):
+        word, sign = sort(kept + tuple(lab for lab, _ in combo))
         if word is None:
             continue
-        mult = ONE
-        run = 1
-        for i in range(1, len(word) + 1):
-            if i < len(word) and word[i] == word[i - 1]:
-                run += 1
-            else:
-                mult *= factorial(run)
-                run = 1
-        coeff = sign * mult / factorial(max(len(word), 1))
-        ent[(sym.windex[word], wi)] = coeff
-    return GradedMap(tc.space, sym.space, 0, ent)
+        c = coeff if sign > 0 else -coeff
+        for _, x in combo:
+            c *= x
+        acc[word] = acc.get(word, ZERO) + c
+
+
+def _store(ent, acc, wi, w, tgt):
+    """File the column of word w, scaled by mult(target) / mult(w)."""
+    mult_w = _multiplicity(w)
+    for word, c in acc.items():
+        if c != 0:
+            ent[(tgt.windex[word], wi)] = c * _multiplicity(word) / mult_w
+
+
+def _lift_multiplicative(f, src, tgt):
+    """The coalgebra map Sigma^c f of a degree-0 generator map f."""
+    cols = _columns(f)
+    index = src.gen_space.index
+    sort = _sorter(tgt)
+    ent = {}
+    for wi, w in enumerate(src.words):
+        acc = {}
+        _accumulate(acc, sort, (), [cols[index[lab]] for lab in w], ONE)
+        _store(ent, acc, wi, w, tgt)
+    return GradedMap(src.space, tgt.space, 0, ent, check=False)
+
+
+def _lift_homotopy(h, nabla_pi, sym):
+    """The symmetrized side homotopy built from h and nabla o pi."""
+    h_cols, np_cols = _columns(h), _columns(nabla_pi)
+    index = sym.gen_space.index
+    degrees = sym.gen_space.degrees
+    sort = _sorter(sym)
+    ent = {}
+    for wi, w in enumerate(sym.words):
+        n = len(w)
+        gens = [index[lab] for lab in w]
+        degs = [degrees[g] for g in gens]
+        weights = [Fraction(factorial(k) * factorial(n - 1 - k), factorial(n))
+                   for k in range(n)]
+        acc = {}
+        for x in range(n):
+            if not h_cols[gens[x]]:
+                continue
+            others = [p for p in range(n) if p != x]
+            for k in range(n):
+                for S in combinations(others, k):
+                    rest = [p for p in others if p not in S]
+                    slots = ([h_cols[gens[x]]]
+                             + [np_cols[gens[p]] for p in rest])
+                    if not all(slots):
+                        continue
+                    sign = koszul_sign(list(S) + [x] + rest, degs)
+                    if sum(degs[p] for p in S) % 2:
+                        sign = -sign
+                    _accumulate(acc, sort, tuple(w[p] for p in S), slots,
+                                sign * weights[k])
+        _store(ent, acc, wi, w, sym)
+    return GradedMap(sym.space, sym.space, 1, ent, check=False)
 
 
 def symmetric_coalgebra_contraction(con, N, fix_side_conditions=True):
@@ -153,9 +126,11 @@ def symmetric_coalgebra_contraction(con, N, fix_side_conditions=True):
 
     The input contracts (M, d) onto (H, d_H); the output contracts
     Sigma^c[sM] with the coderivation of the suspended differential onto
-    Sigma^c[sH].  The homotopy is the symmetrization of the tensor side
-    homotopy; when a side condition fails after symmetrization the standard
-    normalization is applied (the projections and inclusion are unchanged).
+    Sigma^c[sH].  nabla_c and pi_c are the multiplicative lifts and h_c
+    the symmetrized side homotopy, built on canonical words by the closed
+    forms in the module docstring.  When a side condition fails the
+    standard normalization is applied (the projections and inclusion are
+    unchanged).
 
     Returns (contraction on word spaces, big_sym, small_sym).
     """
@@ -167,18 +142,10 @@ def symmetric_coalgebra_contraction(con, N, fix_side_conditions=True):
 
     big_sym = TruncatedSymCoalgebra(sV, N, gen_differential=suspend_map(con.big.d))
     small_sym = TruncatedSymCoalgebra(sH, N, gen_differential=suspend_map(con.small.d))
-    big_tc = TruncatedTensorCoalgebra(sV, N)
-    small_tc = TruncatedTensorCoalgebra(sH, N)
 
-    incl_big = sym_to_tensor(big_sym, big_tc)
-    proj_big = tensor_to_sym(big_tc, big_sym)
-    incl_small = sym_to_tensor(small_sym, small_tc)
-    proj_small = tensor_to_sym(small_tc, small_sym)
-
-    nabla_c = proj_big.compose(tensor_lift(nabla_s, small_tc, big_tc)).compose(incl_small)
-    pi_c = proj_small.compose(tensor_lift(pi_s, big_tc, small_tc)).compose(incl_big)
-    h_tensor = tensor_homotopy(h_s, nabla_s.compose(pi_s), big_tc)
-    h_c = proj_big.compose(h_tensor).compose(incl_big)
+    nabla_c = _lift_multiplicative(nabla_s, small_sym, big_sym)
+    pi_c = _lift_multiplicative(pi_s, big_sym, small_sym)
+    h_c = _lift_homotopy(h_s, nabla_s.compose(pi_s), big_sym)
 
     big_cx = ChainComplex(big_sym.space, big_sym.d1)
     small_cx = ChainComplex(small_sym.space, small_sym.d1)

@@ -1,6 +1,10 @@
 """Problem-file parsing, run reports, exit codes, byte determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -182,6 +186,19 @@ def test_massey_seeded_theta_deterministic(capsys):
     assert out1 == out2
     doc = report_of(out1)
     assert not doc["report"]["formal"]
+
+
+def test_massey_seeded_theta_independent_of_hash_seed():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hptmaster.cli", "massey", "--seed", "0"],
+            env=env, capture_output=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_massey_general_wedge(capsys):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hptmaster.graded import (GradedMap, GradedVectorSpace, hom_differential,
@@ -22,11 +23,22 @@ def bubble_sign(perm, degrees):
     return sign
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.permutations(range(4)),
-       st.lists(st.integers(-2, 3), min_size=4, max_size=4))
-def test_koszul_sign_matches_bubble_oracle(perm, degrees):
+def _perm_and_degrees(n):
+    return st.tuples(st.permutations(range(n)),
+                     st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(_perm_and_degrees))
+def test_koszul_sign_matches_bubble_oracle(case):
+    perm, degrees = case
     assert koszul_sign(perm, degrees) == bubble_sign(perm, degrees)
+
+
+def test_koszul_sign_rejects_malformed_permutation():
+    for perm, degrees in (([0, 0], [1, 1]), ([0, 2], [1, 1]), ([0], [1, 1])):
+        with pytest.raises(ValueError):
+            koszul_sign(perm, degrees)
 
 
 @settings(max_examples=100, deadline=None)

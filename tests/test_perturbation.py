@@ -7,11 +7,10 @@ import pytest
 from hptmaster import instances
 from hptmaster.complexes import ChainComplex, build_contraction
 from hptmaster.graded import GradedMap, GradedVectorSpace
-from hptmaster.perturbation import (TruncatedTensorCoalgebra, geometric_series,
-                                    perturbation_lemma, sym_to_tensor,
-                                    symmetric_coalgebra_contraction,
-                                    tensor_to_sym)
-from hptmaster.words import TruncatedSymCoalgebra
+from hptmaster.perturbation import (geometric_series, perturbation_lemma,
+                                    symmetric_coalgebra_contraction)
+
+from tensor_oracle import tensor_path_lift
 
 F = Fraction
 
@@ -22,13 +21,49 @@ def small_contraction():
     return build_contraction(ChainComplex(V, d))
 
 
-def test_invariants_projection_retracts_embedding():
-    gen = GradedVectorSpace([("p", 0), ("u", 1), ("v", 1)])
-    sym = TruncatedSymCoalgebra(gen, 3)
-    tc = TruncatedTensorCoalgebra(gen, 3)
-    emb = sym_to_tensor(sym, tc)
-    proj = tensor_to_sym(tc, sym)
-    assert proj.compose(emb) == GradedMap.identity(sym.space)
+def assert_lift_matches_oracle(con, N):
+    """The direct lift equals the tensor-coalgebra lift, entry for entry.
+
+    Returns the lift and the oracle's invariants embedding and projection.
+    """
+    lifted, _, _ = symmetric_coalgebra_contraction(
+        con, N, fix_side_conditions=False)
+    nabla_c, pi_c, h_c, emb, proj = tensor_path_lift(con, N)
+    assert lifted.nabla.entries == nabla_c.entries
+    assert lifted.pi.entries == pi_c.entries
+    assert lifted.h.entries == h_c.entries
+    return lifted, emb, proj
+
+
+def test_direct_lift_matches_tensor_oracle_on_corpus(corpus):
+    for _, _, con, _ in corpus:
+        for N in (1, 2, 3):
+            assert_lift_matches_oracle(con, N)
+
+
+def test_direct_lift_matches_tensor_oracle_six_dim_at_n4(corpus):
+    picked = [con for _, g, con, _ in corpus
+              if g.space.dim == 6 and not g.is_abelian()][:3]
+    assert len(picked) == 3
+    for con in picked:
+        assert_lift_matches_oracle(con, 4)
+
+
+def test_direct_lift_matches_tensor_oracle_divided_powers_and_signs():
+    # suspended: sa, su even, sp, sq odd; h sends sa to a multiple of the
+    # odd sc and nabla pi sends sa to a multiple of su, so words that repeat
+    # sa beside sp and sq hit divided powers and Koszul signs at once
+    V = GradedVectorSpace([("c", 2), ("a", 1), ("u", 1), ("p", 0), ("q", 0)])
+    d = GradedMap(V, V, -1, {(1, 0): F(2), (2, 0): F(-1)})
+    con = build_contraction(ChainComplex(V, d))
+    lifted, emb, proj = assert_lift_matches_oracle(con, 4)
+    assert lifted.identity_failures() == []
+    assert proj.compose(emb) == GradedMap.identity(lifted.big.space)
+    labels = lifted.big.space.labels
+    src = labels.index("(sp*sq*sa*sa)")
+    image = {labels[t]: c for (t, s), c in lifted.h.entries.items()
+             if s == src}
+    assert image == {"(sp*sq*su*sc)": F(1, 8), "(sp*sq*sa*sc)": F(1, 4)}
 
 
 def test_lifted_contraction_identities():
