@@ -11,8 +11,8 @@ regraded side.
 from fractions import Fraction
 
 from . import linalg
-from .complexes import (ChainComplex, Contraction, build_contraction,
-                        contraction_extending_projection, is_quasi_iso)
+from .complexes import (ChainComplex, contraction_extending_projection,
+                        is_quasi_iso)
 from .dgla import DgLieAlgebra
 from .graded import GradedMap, GradedVectorSpace, ONE, ZERO
 from .transfer import theorem_29_pipeline

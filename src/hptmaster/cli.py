@@ -49,6 +49,37 @@ def frac_str(value):
     return "%d/%d" % (value.numerator, value.denominator)
 
 
+def _parse_json(raw, path):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: byte %d: not UTF-8 text" % (path, exc.start))
+    except json.JSONDecodeError as exc:
+        raise InputError("%s: line %d column %d: %s"
+                         % (path, exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise InputError("%s: JSON nested too deeply" % path)
+
+
+def _rows(doc, section):
+    """A list-valued section of the problem document (absent means empty)."""
+    rows = doc.get(section, [])
+    if not isinstance(rows, list):
+        raise InputError("%s: expected a list of rows" % section)
+    return rows
+
+
+def _is_row(entry, length):
+    return isinstance(entry, list) and len(entry) == length
+
+
+def _label(value, where):
+    if not isinstance(value, str):
+        raise InputError("%s: label must be a string, not %s"
+                         % (where, json.dumps(value)))
+    return value
+
+
 def load_problem(path):
     """Parse a problem file into ("dgla", DgLieAlgebra) or ("bv", BVData)."""
     try:
@@ -56,11 +87,7 @@ def load_problem(path):
             raw = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError("%s: line %d column %d: %s"
-                         % (path, exc.lineno, exc.colno, exc.msg))
+    doc = _parse_json(raw, path)
     if not isinstance(doc, dict) or "basis" not in doc:
         raise InputError("%s: missing 'basis' section" % path)
     digest = hashlib.sha256(raw).hexdigest()
@@ -71,11 +98,12 @@ def load_problem(path):
         raise InputError("grading must be homological or cohomological")
 
     basis = []
-    for entry in doc["basis"]:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not isinstance(entry[1], int)):
-            raise InputError("basis entries must be [label, integer degree]")
-        basis.append((str(entry[0]), entry[1]))
+    for pos, entry in enumerate(_rows(doc, "basis")):
+        where = "basis[%d]" % pos
+        if (not _is_row(entry, 2) or not isinstance(entry[1], int)
+                or isinstance(entry[1], bool)):
+            raise InputError("%s: expected [label, integer degree]" % where)
+        basis.append((_label(entry[0], where), entry[1]))
     if len({lab for lab, _ in basis}) != len(basis):
         raise InputError("duplicate basis labels")
     # internal conventions: dgLa homological, BV cohomological
@@ -87,15 +115,15 @@ def load_problem(path):
     index = space.index
 
     def look(label, where):
-        if label not in index:
+        if _label(label, where) not in index:
             raise InputError("%s: unknown label %r" % (where, label))
         return index[label]
 
     def sparse_map(section, degree):
         entries = {}
-        for pos, entry in enumerate(doc.get(section, [])):
+        for pos, entry in enumerate(_rows(doc, section)):
             where = "%s[%d]" % (section, pos)
-            if len(entry) != 3:
+            if not _is_row(entry, 3):
                 raise InputError("%s: expected [src, dst, coefficient]"
                                  % where)
             src, dst = look(entry[0], where), look(entry[1], where)
@@ -109,9 +137,9 @@ def load_problem(path):
 
     def bilinear_table(section, shift, symmetric):
         table = {}
-        for pos, entry in enumerate(doc.get(section, [])):
+        for pos, entry in enumerate(_rows(doc, section)):
             where = "%s[%d]" % (section, pos)
-            if len(entry) != 4:
+            if not _is_row(entry, 4):
                 raise InputError("%s: expected [x, y, dst, coefficient]"
                                  % where)
             i, j = look(entry[0], where), look(entry[1], where)
@@ -330,12 +358,12 @@ def _parse_theta(args, words):
         return theta
     try:
         with open(args.theta, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+            raw = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (args.theta, exc))
-    except json.JSONDecodeError as exc:
-        raise InputError("%s: line %d column %d: %s"
-                         % (args.theta, exc.lineno, exc.colno, exc.msg))
+    doc = _parse_json(raw, args.theta)
+    if not isinstance(doc, dict):
+        raise InputError("theta: expected an object of word -> rational")
     theta = {}
     for key, value in doc.items():
         word = tuple(sorted(key.split("*")))

@@ -9,9 +9,8 @@ products produce a positive-dimensional family of structures.
 from fractions import Fraction
 
 from .graded import GradedVectorSpace, ONE
-from .words import (CoderivationSpec, LInfinityStructure,
-                    TruncatedSymCoalgebra, check_sh_lie, enumerate_words,
-                    extract_brackets)
+from .words import (CoderivationSpec, TruncatedSymCoalgebra, check_sh_lie,
+                    enumerate_words, extract_brackets)
 
 
 class MCVariety:

@@ -129,15 +129,24 @@ class DgLieAlgebra:
 
 
 def validate_dgla(g):
-    """Exact report on antisymmetry, Jacobi, and the chain-map condition."""
+    """Exact report on antisymmetry, Jacobi, and the chain-map condition.
+
+    Jacobi is checked on triples i <= j <= k only.  The bracket is graded
+    antisymmetric by construction, so its Jacobiator
+    J(x, y, z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] is totally
+    graded antisymmetric: permuting the arguments changes J by a sign only.
+    Hence a triple fails exactly when its sorted form does, and the
+    lexicographically first failing triple, reported as the witness, is
+    sorted.
+    """
     space = g.space
     degs = space.degrees
     antisym = True   # canonical storage plus the even-diagonal guard
     jacobi = True
     jacobi_witness = None
     for i in range(space.dim):
-        for j in range(space.dim):
-            for k in range(space.dim):
+        for j in range(i, space.dim):
+            for k in range(j, space.dim):
                 lhs = _bracket_sparse(g, {i: ONE}, g.bracket_basis(j, k))
                 rhs1 = _bracket_sparse(g, g.bracket_basis(i, j), {k: ONE})
                 sgn = -ONE if (degs[i] % 2 and degs[j] % 2) else ONE
@@ -194,61 +203,11 @@ def _bracket_sparse(g, u, v):
     return out
 
 
-class DgAlgebra:
-    """Augmented differential graded algebra with explicit constants."""
-
-    def __init__(self, complex_, product_table, unit_index, augmentation=None):
-        self.complex = complex_
-        space = complex_.space
-        self.product_table = {}
-        for (i, j), val in product_table.items():
-            val = {k: Fraction(c) for k, c in val.items() if c != 0}
-            for k in val:
-                if space.degrees[k] != space.degrees[i] + space.degrees[j]:
-                    raise ValueError("product constant not of degree zero")
-            if val:
-                self.product_table[(i, j)] = val
-        self.unit_index = unit_index
-        if augmentation is None:
-            augmentation = {unit_index: ONE}
-        self.augmentation = {i: Fraction(c) for i, c in augmentation.items()
-                             if c != 0}
-
-    @property
-    def space(self):
-        return self.complex.space
-
-    @property
-    def d(self):
-        return self.complex.d
-
-    def product_basis(self, i, j):
-        u = self.unit_index
-        if i == u:
-            return {j: ONE}
-        if j == u:
-            return {i: ONE}
-        return dict(self.product_table.get((i, j), {}))
-
-    def multiply(self, u, v):
-        out = [ZERO] * self.space.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                for k, c in self.product_basis(i, j).items():
-                    out[k] += a * b * c
-        return out
-
-
 class TwistingCochainHom:
-    """A degree -1 map from a truncated symmetric coalgebra to g (or A).
+    """A degree -1 map from a truncated symmetric coalgebra to g.
 
-    hom is a single GradedMap from the word space; components by word
-    length are views of it.  The composite with the coaugmentation must be
-    zero (no entries on the empty word).
+    hom is a single GradedMap from the word space.  The composite with the
+    coaugmentation must be zero (no entries on the empty word).
     """
 
     def __init__(self, source, target, hom):
@@ -261,38 +220,23 @@ class TwistingCochainHom:
         if any(s == unit for (_, s) in hom.entries):
             raise ValueError("composite with the coaugmentation is nonzero")
 
-    def component(self, b):
-        return self.hom.restrict_source(lambda s: self.source.word_length(s) == b)
-
-    def component_lengths(self):
-        return sorted({self.source.word_length(s)
-                       for (_, s) in self.hom.entries})
-
     def value(self, word):
         return self.hom.apply_basis(self.source.windex[tuple(word)])
 
 
-def cup_bracket(a, b, coalg, target):
+def cup_bracket(a, b, coalg, target, length=None):
     """[a, b] = bracket o (a (x) b) o Delta, with Koszul signs.
 
     a, b are GradedMaps from the coalgebra word space into the target Lie
-    algebra's space.
+    algebra's space.  When length is given only words of that length are
+    evaluated, and the columns of all other words are zero.
     """
-    return _cup(a, b, coalg, target.bracket)
-
-
-def cup_product(a, b, coalg, target):
-    """a ~ b = mu o (a (x) b) o Delta for an algebra target."""
-    return _cup(a, b, coalg, target.multiply)
-
-
-def _cup(a, b, coalg, pairing):
-    tgt = a.target
     ent = {}
-    deg = a.degree + b.degree
     odd_b = b.degree % 2
     for wi, w in enumerate(coalg.words):
-        acc = None
+        if length is not None and len(w) != length:
+            continue
+        acc = {}
         for A, B, sign in coalg.diagonal(w):
             va = a.apply_basis(coalg.windex[A])
             if not va:
@@ -300,26 +244,14 @@ def _cup(a, b, coalg, pairing):
             vb = b.apply_basis(coalg.windex[B])
             if not vb:
                 continue
-            sgn = sign
             if odd_b and word_degree(A, coalg.gen_space) % 2:
-                sgn = -sgn
-            ua = [ZERO] * tgt.dim
-            for t, c in va.items():
-                ua[t] = c
-            ub = [ZERO] * tgt.dim
-            for t, c in vb.items():
-                ub[t] = c
-            val = pairing(ua, ub)
-            if acc is None:
-                acc = [ZERO] * tgt.dim
-            for t, c in enumerate(val):
-                if c != 0:
-                    acc[t] += sgn * c
-        if acc:
-            for t, c in enumerate(acc):
-                if c != 0:
-                    ent[(t, wi)] = c
-    return GradedMap(coalg.space, tgt, deg, ent)
+                sign = -sign
+            for t, c in _bracket_sparse(target, va, vb).items():
+                acc[t] = acc.get(t, ZERO) + sign * c
+        for t in sorted(acc):
+            if acc[t] != 0:
+                ent[(t, wi)] = acc[t]
+    return GradedMap(coalg.space, a.target, a.degree + b.degree, ent)
 
 
 def universal_twisting_cochain(g, coalg=None, N=4):
@@ -382,7 +314,7 @@ def _length_one_splittings(w, coalg):
 
 
 def is_twisting_cochain(t, mode="lie", max_len=None):
-    """Exact check of Dt = (1/2)[t,t] (lie) or Dt = t ~ t (algebra).
+    """Exact check of the Lie master equation Dt = (1/2)[t,t].
 
     The Hom-differential uses the full source differential (including any
     perturbation).  Returns a report with the first failing word length.
@@ -391,12 +323,9 @@ def is_twisting_cochain(t, mode="lie", max_len=None):
     target = t.target
     D_src = coalg.differential
     Dt = target.d.compose(t.hom) + t.hom.compose(D_src)
-    if mode == "lie":
-        rhs = cup_bracket(t.hom, t.hom, coalg, target).scale(Fraction(1, 2))
-    elif mode == "algebra":
-        rhs = cup_product(t.hom, t.hom, coalg, target)
-    else:
-        raise ValueError("mode must be 'lie' or 'algebra'")
+    if mode != "lie":
+        raise ValueError("mode must be 'lie'")
+    rhs = cup_bracket(t.hom, t.hom, coalg, target).scale(Fraction(1, 2))
     diff = Dt - rhs
     bad_lengths = sorted({coalg.word_length(s) for (_, s) in diff.entries
                           if max_len is None or coalg.word_length(s) <= max_len})

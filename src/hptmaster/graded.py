@@ -59,6 +59,10 @@ class GradedMap:
 
     entries maps (target_index, source_index) -> Fraction.  Every nonzero
     entry must satisfy deg(target) = deg(source) + degree.
+
+    entries is immutable after construction: every operation returns a
+    new map.  apply_basis relies on this, since it indexes the entries by
+    source column on first use and keeps that index on the map.
     """
 
     def __init__(self, source, target, degree, entries=None, check=True):
@@ -66,6 +70,7 @@ class GradedMap:
         self.target = target
         self.degree = int(degree)
         self.entries = {}
+        self._columns = None
         if entries:
             for (t, s), c in entries.items():
                 c = Fraction(c)
@@ -109,13 +114,22 @@ class GradedMap:
                 out[t] += c * vec[s]
         return out
 
+    def _by_column(self):
+        """source index -> {target index: coeff}, built once per map."""
+        if self._columns is None:
+            columns = {}
+            for (t, s), c in self.entries.items():
+                columns.setdefault(s, {})[t] = c
+            self._columns = columns
+        return self._columns
+
     def apply_basis(self, s):
-        """Image of the s-th source basis vector as a sparse dict t -> coeff."""
-        return {t: c for (t, ss), c in self.entries.items() if ss == s}
+        """Image of the s-th source basis vector as a fresh dict t -> coeff."""
+        return dict(self._by_column().get(s, ()))
 
     def column(self, s):
         col = [ZERO] * self.target.dim
-        for t, c in self.apply_basis(s).items():
+        for t, c in self._by_column().get(s, {}).items():
             col[t] = c
         return col
 
@@ -124,11 +138,9 @@ class GradedMap:
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
         ent = {}
-        by_source = {}
-        for (t, s), c in self.entries.items():
-            by_source.setdefault(s, []).append((t, c))
+        columns = self._by_column()
         for (m, s), c in other.entries.items():
-            for (t, c2) in by_source.get(m, ()):
+            for t, c2 in columns.get(m, {}).items():
                 key = (t, s)
                 ent[key] = ent.get(key, ZERO) + c * c2
         ent = {k: v for k, v in ent.items() if v != 0}
@@ -169,11 +181,6 @@ class GradedMap:
         for (t, s), c in self.entries.items():
             M[t][s] = c
         return M
-
-    def restrict_source(self, predicate):
-        """Zero out columns whose source index fails the predicate."""
-        ent = {k: c for k, c in self.entries.items() if predicate(k[1])}
-        return GradedMap(self.source, self.target, self.degree, ent, check=False)
 
     def __repr__(self):
         return (f"GradedMap(deg={self.degree}, "

@@ -101,25 +101,6 @@ def solve(M, b) -> Optional[list]:
     return x
 
 
-def mat_mul(A, B):
-    m = len(A)
-    k = len(B)
-    n = len(B[0]) if k else 0
-    C = zeros(m, n)
-    for i in range(m):
-        Ai = A[i]
-        Ci = C[i]
-        for t in range(k):
-            a = Ai[t]
-            if a == 0:
-                continue
-            Bt = B[t]
-            for j in range(n):
-                if Bt[j] != 0:
-                    Ci[j] += a * Bt[j]
-    return C
-
-
 def columns(M):
     if not M:
         return []

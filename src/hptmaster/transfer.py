@@ -19,9 +19,8 @@ are cup brackets over the unperturbed diagonal.
 
 from fractions import Fraction
 
-from .complexes import Contraction
-from .dgla import (TwistingCochainHom, cup_bracket, universal_twisting_cochain,
-                   is_twisting_cochain, ce_coalgebra)
+from .dgla import (TwistingCochainHom, cup_bracket, is_twisting_cochain,
+                   ce_coalgebra)
 from .graded import GradedMap, suspend_map, ONE, ZERO
 from .perturbation import symmetric_coalgebra_contraction, perturbation_lemma
 from .words import (TruncatedSymCoalgebra, CoderivationSpec,
@@ -89,8 +88,7 @@ def transfer(g, con, N):
 
     spec = CoderivationSpec(coalg.gen_space)
     for b in range(2, N + 1):
-        cb = cup_bracket(tau_hom, tau_hom, coalg, g).restrict_source(
-            lambda s: coalg.word_length(s) == b)
+        cb = cup_bracket(tau_hom, tau_hom, coalg, g, length=b)
         # D h = nabla pi - Id forces the minus sign here: with
         # tau^b = -h (1/2)[tau, tau] the master equation closes lengthwise.
         tau_hom = tau_hom - con.h.compose(cb).scale(HALF)

@@ -59,28 +59,36 @@ def splittings(word, gen_space, left_size=None):
     each splitting is produced exactly once (the divided-power diagonal).
     When left_size is given only splittings with len(A) == left_size are
     produced.
+
+    The sign is that of moving the letters of A in front of those of B:
+    (-1)^k, where k counts the pairs of odd letters with the B letter
+    before the A letter in the word.  Within a run the A copies come
+    first, so k is counted run by run while the split is built: each odd
+    A letter pairs with every odd B letter of the earlier runs.
     """
-    degs = [gen_space.degree_of(lab) for lab in word]
     runs = []
     i = 0
     while i < len(word):
         j = i
         while j < len(word) and word[j] == word[i]:
             j += 1
-        runs.append((i, j - i))
+        runs.append((word[i], j - i, gen_space.degree_of(word[i]) % 2))
         i = j
-    choices = [range(cnt + 1) for _, cnt in runs]
-    for take in iproduct(*choices):
-        a_pos = []
-        for (start, cnt), t in zip(runs, take):
-            a_pos.extend(range(start, start + t))
-        if left_size is not None and len(a_pos) != left_size:
+    for take in iproduct(*[range(cnt + 1) for _, cnt, _ in runs]):
+        if left_size is not None and sum(take) != left_size:
             continue
-        a_set = set(a_pos)
-        b_pos = [p for p in range(len(word)) if p not in a_set]
-        sign = koszul_sign(a_pos + b_pos, degs)
-        yield (tuple(word[p] for p in a_pos),
-               tuple(word[p] for p in b_pos), sign)
+        a_word = []
+        b_word = []
+        odd_b = 0
+        inversions = 0
+        for (lab, cnt, odd), t in zip(runs, take):
+            a_word.extend((lab,) * t)
+            b_word.extend((lab,) * (cnt - t))
+            if odd:
+                inversions += t * odd_b
+                odd_b += cnt - t
+        yield (tuple(a_word), tuple(b_word),
+               -ONE if inversions % 2 else ONE)
 
 
 def enumerate_words(gen_space, max_len):
@@ -233,11 +241,6 @@ def coderivation_operator(spec, coalg):
                     ent[key] = ent.get(key, ZERO) + mult * sign * c * sign2
     ent = {k: v for k, v in ent.items() if v != 0}
     return GradedMap(coalg.space, coalg.space, -1, ent)
-
-
-def coderivation_from_components(spec, coalg):
-    """Spec-facing alias for the coderivation extension."""
-    return coderivation_operator(spec, coalg)
 
 
 def commutes_with_diagonal(op, coalg, max_len=None):

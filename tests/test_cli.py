@@ -1,13 +1,18 @@
 """Problem-file parsing, run reports, exit codes, byte determinism."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hptmaster import cli
 
@@ -50,6 +55,123 @@ def test_validate_bad_rational_exit_two(fixture_dir, capsys):
     assert code == 2
     assert out == ""
     assert "bad rational" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"basis": [["x", 0]], "differential": 5}',
+     "differential: expected a list of rows"),
+    ('{"basis": 3}', "basis: expected a list of rows"),
+    ('{"basis": [["x", true]]}', "basis[0]: expected [label, integer degree]"),
+    ('{"basis": [[["x"], 0]]}', "basis[0]: label must be a string"),
+    ('{"basis": [["a", 0], ["b", 0], ["c", 0]], "differential": ["abc"]}',
+     "differential[0]: expected [src, dst, coefficient]"),
+    ('{"basis": [["x", 0]], "bracket": [[["x"], "x", "x", "1"]]}',
+     "bracket[0]: label must be a string"),
+    ('{"basis": [["x", 0]], "unit": ["x"], "product": []}',
+     "unit: label must be a string"),
+    ("[" * 100000 + "]" * 100000, "nested too deeply"),
+], ids=["differential-number", "basis-number", "bool-degree", "list-label",
+        "string-row", "list-label-in-row", "list-unit", "deep-nesting"])
+def test_malformed_sections_exit_two_with_location(text, message, tmp_path,
+                                                   capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_non_utf8_input_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"basis": [["\xff", 0]]}')
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+LABELS = ["a", "b", "c"]
+json_leaves = (st.none() | st.booleans() | st.integers(-3, 3)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.text(max_size=4) | st.sampled_from(LABELS))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=10)
+coefficients = st.sampled_from(["1", "-1", "1/2", "2", 3])
+ROW_WIDTHS = {"differential": 3, "bracket": 4, "product": 4, "delta": 3}
+
+
+@st.composite
+def well_formed_documents(draw):
+    """Documents of the problem schema; their verdicts may still fail."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, unique=True))
+    doc = {"basis": [[lab, draw(st.integers(-1, 2))] for lab in labels]}
+    degrees = {"differential": -1, "bracket": 0}
+    if draw(st.booleans()):
+        degrees = {"differential": 1, "product": 0, "delta": -1}
+        doc["unit"] = labels[0]
+    cohomological = "delta" in degrees
+    if draw(st.booleans()):
+        doc["grading"] = draw(st.sampled_from(["homological",
+                                               "cohomological"]))
+        if (doc["grading"] == "cohomological") != cohomological:
+            degrees = {key: -deg for key, deg in degrees.items()}
+    deg = dict(doc["basis"])
+    for key, shift in degrees.items():
+        # rows of the right degree, so that some documents pass
+        fits = [row for row in itertools.product(
+                    labels, repeat=ROW_WIDTHS[key] - 1)
+                if deg[row[-1]] == sum(deg[lab] for lab in row[:-1]) + shift]
+        if fits:
+            doc[key] = draw(st.lists(
+                st.tuples(st.sampled_from(fits), coefficients)
+                .map(lambda rc: list(rc[0]) + [rc[1]]), max_size=3))
+    return doc
+
+
+@st.composite
+def damaged_documents(draw):
+    """A schema document with one section, row or cell replaced."""
+    doc = draw(well_formed_documents())
+    key = draw(st.sampled_from(sorted(doc) + ["unit", "grading"]))
+    value = doc.get(key)
+    if isinstance(value, list) and value and draw(st.booleans()):
+        row = draw(st.integers(0, len(value) - 1))
+        if isinstance(value[row], list) and draw(st.booleans()):
+            cell = draw(st.integers(0, len(value[row]) - 1))
+            value[row][cell] = draw(json_values)
+        else:
+            value[row] = draw(json_values)
+    else:
+        doc[key] = draw(json_values)
+    return doc
+
+
+documents = well_formed_documents() | damaged_documents() | json_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_validate_fuzz_exit_code_contract(doc):
+    # 0 and 1 come with a verdict in the report, 2 with a message and no
+    # report; an exception escaping main would be a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    else:
+        verdict = report_of(out.getvalue())["verdict"]
+        assert verdict["passed"] == (code == 0)
 
 
 def test_parse_error_reports_location(tmp_path, capsys):
@@ -207,6 +329,14 @@ def test_massey_general_wedge(capsys):
     doc = report_of(out)
     assert doc["free_lie"]["dimensions_by_length"]["5"] == 6
     assert not doc["free_lie"]["experimental_odd_generators"]
+
+
+def test_massey_theta_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(["massey", "--theta", str(path)], capsys)
+    assert code == 2
+    assert "theta: expected an object" in err
 
 
 def test_massey_bad_input_exit_two(capsys):

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import word_oracle
 from hptmaster import instances
 from hptmaster.complexes import ChainComplex
 from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
@@ -46,6 +48,44 @@ def test_validate_leibniz_witness():
     report = validate_dgla(broken)
     assert not report["passed"]
     assert not report["chain_map"]
+
+
+COEFFS = [F(0), F(0), F(1), F(-1), F(2), F(1, 2)]
+
+
+@st.composite
+def bracket_tables(draw):
+    """Degrees, a differential with at most one entry, random constants."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=4))
+    n = len(degrees)
+    d_ent = {}
+    pairs = [(t, s) for s in range(n) for t in range(n)
+             if degrees[t] == degrees[s] - 1]
+    if pairs and draw(st.booleans()):
+        d_ent[draw(st.sampled_from(pairs))] = draw(st.sampled_from(COEFFS))
+    table = {}
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and degrees[i] % 2 == 0:
+                continue
+            for k in range(n):
+                if degrees[k] == degrees[i] + degrees[j]:
+                    c = draw(st.sampled_from(COEFFS))
+                    if c:
+                        table.setdefault((i, j), {})[k] = c
+    return degrees, d_ent, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_tables())
+@example(([0, 0, 0], {},
+          {(0, 1): {2: F(1)}, (0, 2): {0: F(-3)}, (1, 2): {1: F(2)}}))
+@example(([1, 1, 2], {}, {(0, 1): {2: F(1)}, (1, 1): {2: F(1)}}))
+def test_validate_dgla_matches_full_cube_oracle(case):
+    degrees, d_ent, table = case
+    V = GradedVectorSpace([("x%d" % i, d) for i, d in enumerate(degrees)])
+    g = DgLieAlgebra(ChainComplex(V, GradedMap(V, V, -1, d_ent)), table)
+    assert validate_dgla(g) == word_oracle.validate_dgla(g)
 
 
 def test_odd_self_bracket_allowed():

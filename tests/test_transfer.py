@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import word_oracle
 from hptmaster import instances
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
@@ -20,6 +21,15 @@ def test_transfer_requires_valid_truncation():
     con = build_contraction(g.complex)
     with pytest.raises(ValueError):
         transfer(g, con, 1)
+
+
+def test_lengthwise_recursion_matches_full_cup_oracle(corpus):
+    for _, g, con, res4 in corpus:
+        for N in (2, 3, 4):
+            res = res4 if N == 4 else transfer(g, con, N)
+            tau, D = word_oracle.transfer_tau_and_D(g, con, N)
+            assert res.tau.hom.entries == tau.entries
+            assert res.D.components == D.components
 
 
 def test_engineered_l3_hand_values():

@@ -4,7 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import word_oracle
 from hptmaster.graded import GradedVectorSpace, koszul_sign
 from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
                              check_sh_lie, coderivation_operator,
@@ -73,6 +75,28 @@ def test_splittings_odd_letter_sign():
     got = {(A, B): sign for A, B, sign in splittings(word, MIXED)}
     assert got[(("u",), ("v",))] == 1
     assert got[(("v",), ("u",))] == -1
+
+
+@st.composite
+def spaces_and_sequences(draw):
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    space = GradedVectorSpace(
+        [("g%d" % i, d) for i, d in enumerate(degrees)])
+    seqs = draw(st.lists(
+        st.lists(st.sampled_from(space.labels), max_size=5), max_size=5))
+    return space, [tuple(seq) for seq in seqs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces_and_sequences())
+def test_splittings_match_koszul_oracle(case):
+    # every canonical word of length <= 5, plus unsorted sequences in which
+    # an odd letter may repeat or recur after other letters
+    space, sequences = case
+    for word in enumerate_words(space, 5) + sequences:
+        for left_size in [None] + list(range(len(word) + 1)):
+            assert (list(splittings(word, space, left_size)) ==
+                    list(word_oracle.splittings(word, space, left_size)))
 
 
 def test_diagonal_coassociative():
