@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -35,7 +36,16 @@ class InputError(Exception):
     pass
 
 
+# the whole coefficient grammar: an integer, a decimal or p/q with ASCII
+# digits; Fraction alone would also take exponents (unbounded work for
+# "1e1000000"), spaces and, from Python 3.11 on, underscores
+_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def _frac(text, where):
+    if not _RATIONAL.fullmatch(str(text)):
+        raise InputError("%s: bad rational %r (expected an integer, a "
+                         "decimal or p/q)" % (where, text))
     try:
         value = Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -59,6 +69,9 @@ def _parse_json(raw, path):
                          % (path, exc.lineno, exc.colno, exc.msg))
     except RecursionError:
         raise InputError("%s: JSON nested too deeply" % path)
+    except ValueError as exc:
+        # an integer literal past the interpreter's int-string limit
+        raise InputError("%s: %s" % (path, exc))
 
 
 def _rows(doc, section):
@@ -392,9 +405,9 @@ def cmd_massey(args, started):
         except ValueError as exc:
             raise InputError(str(exc))
         report["report"] = _plain(morgan)
-        report["theta"] = {
-            _word_key(w): frac_str(sum(v.values()))
-            for w, v in sorted(instance.theta.component.items())}
+        theta = instance.coalg.perturbation.components.get(5, {})
+        report["theta"] = {_word_key(w): frac_str(sum(v.values()))
+                           for w, v in sorted(theta.items())}
         report["mc_equations"] = serialize_mc(instance.mc)
         _emit(report, args, started)
         return EXIT_OK if morgan["sh_lie"] else EXIT_VERIFY

@@ -76,9 +76,6 @@ class Contraction:
             errs.append("nabla not a chain map")
         return errs
 
-    def is_valid(self):
-        return not self.identity_failures()
-
 
 def homology(C):
     """A chosen basis of ker d / im d, as a GradedVectorSpace.
@@ -100,19 +97,17 @@ def homology(C):
         rows = [[C.d.entries.get((t, s), ZERO) for s in idx_n]
                 for t in space.indices_in_degree(n - 1)]
         kern = linalg.kernel_basis(rows, len(idx_n))
-        # image of d from degree n+1, in degree-n coordinates
-        im_cols = []
-        for s in space.indices_in_degree(n + 1):
-            col = [C.d.entries.get((t, s), ZERO) for t in idx_n]
-            if any(c != 0 for c in col):
-                im_cols.append(col)
-        # echelon rows spanning the image; extend by kernel vectors
-        span_rows, _ = linalg.rref(im_cols) if im_cols else ([], [])
-        span_rows = [r for r in span_rows if any(c != 0 for c in r)]
+        # echelon rows spanning the image of d from degree n+1, in
+        # degree-n coordinates; extend by kernel vectors
+        span_rows = linalg.echelon_basis(
+            [[C.d.entries.get((t, s), ZERO) for t in idx_n]
+             for s in space.indices_in_degree(n + 1)])
         k = 0
         for v in kern:
-            resid = _reduce_against(v, span_rows)
+            resid = linalg.reduce_against(v, span_rows)
             if resid is not None:
+                lead = next(c for c in resid if c != 0)
+                resid = [x / lead for x in resid]
                 span_rows.append(resid)
                 full = [ZERO] * space.dim
                 for j, c in zip(idx_n, resid):
@@ -122,20 +117,6 @@ def homology(C):
                 k += 1
     H = GradedVectorSpace(labels)
     return H, reps
-
-
-def _reduce_against(v, echelon_rows):
-    """Reduce v against echelon rows; return normalized remainder or None."""
-    v = v[:]
-    for row in echelon_rows:
-        lead = next(i for i, c in enumerate(row) if c != 0)
-        if v[lead] != 0:
-            f = v[lead] / row[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    for c in v:
-        if c != 0:
-            return [x / c for x in v]
-    return None
 
 
 def build_contraction(C):
@@ -268,9 +249,9 @@ def contraction_extending_projection(C, pi, small_space):
     sub_basis = []
     for deg in sorted({d for d, _ in comp_cols}):
         sub_basis.extend(
-            _echelon_columns([c for d, c in comp_cols if d == deg]))
+            linalg.echelon_basis([c for d, c in comp_cols if d == deg]))
     sub_space = GradedVectorSpace(
-        [("c%d" % i, _degree_of_vector(space, v)) for i, v in enumerate(sub_basis)])
+        [("c%d" % i, space.vector_degree(v)) for i, v in enumerate(sub_basis)])
     d_sub_ent = {}
     M_sub = [[sub_basis[c][r] for c in range(len(sub_basis))]
              for r in range(space.dim)]
@@ -307,21 +288,6 @@ def contraction_extending_projection(C, pi, small_space):
     return Contraction(C, small, nabla, pi, h)
 
 
-def _echelon_columns(cols):
-    """Deterministic echelon basis of the span of the given columns."""
-    if not cols:
-        return []
-    rows, _ = linalg.rref([list(c) for c in cols])
-    return [r for r in rows if any(x != 0 for x in r)]
-
-
-def _degree_of_vector(space, v):
-    degs = {space.degrees[i] for i, c in enumerate(v) if c != 0}
-    if len(degs) != 1:
-        raise ValueError("inhomogeneous vector")
-    return degs.pop()
-
-
 def induced_map_on_homology(f, C_src, C_tgt):
     """The matrix of H(f) with respect to the chosen homology bases.
 
@@ -331,18 +297,10 @@ def induced_map_on_homology(f, C_src, C_tgt):
     H_src, reps_src = homology(C_src)
     H_tgt, reps_tgt = homology(C_tgt)
     # express f(rep) in homology of the target: solve against [reps | im d]
-    cols = [list(r) for r in reps_tgt]
-    im_cols = []
-    for s in range(C_tgt.space.dim):
-        col = C_tgt.d.column(s)
-        if any(c != 0 for c in col):
-            im_cols.append(col)
-    M = [[(cols + im_cols)[c][r] for c in range(len(cols) + len(im_cols))]
-         for r in range(C_tgt.space.dim)]
+    im_cols = [C_tgt.d.column(s) for s in range(C_tgt.space.dim)]
     out = [[ZERO] * H_src.dim for _ in range(H_tgt.dim)]
     for k, rep in enumerate(reps_src):
-        v = f(rep)
-        coords = linalg.solve(M, v)
+        coords = linalg.coordinates(f(rep), reps_tgt, im_cols)
         if coords is None:
             raise ValueError("f(cycle) is not a cycle mod boundaries")
         for t in range(H_tgt.dim):

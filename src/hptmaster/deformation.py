@@ -207,40 +207,15 @@ def necklace_count(rank, length):
 
 # -- the S^3 v S^3 v S^12 example --------------------------------------------
 
-class MasseyPerturbation:
-    """A single higher operation theta_k: k+2 homology classes to one.
+class MorganInstance:
+    """The perturbed minimal model data for S^3 v S^3 v S^12.
 
-    component maps canonical suspended words of length k + 2 to sparse
-    dicts over the suspended generator indices; the target must be a
-    single homogeneous line.
+    theta is the arity-5 component of coalg.perturbation.
     """
 
-    def __init__(self, k, component, gen_space):
-        self.k = k
-        self.arity = k + 2
-        self.component = {}
-        target_degrees = set()
-        for word, val in component.items():
-            if len(word) != self.arity:
-                raise ValueError("component word of wrong length")
-            val = {g: Fraction(c) for g, c in val.items() if c != 0}
-            if val:
-                self.component[word] = val
-                target_degrees.update(gen_space.degrees[g] for g in val)
-        if len(target_degrees) > 1:
-            raise ValueError("perturbation target must be homogeneous")
-
-    def is_zero(self):
-        return not self.component
-
-
-class MorganInstance:
-    """The perturbed minimal model data for S^3 v S^3 v S^12."""
-
-    def __init__(self, homology, coalg, theta, brackets, mc):
+    def __init__(self, homology, coalg, brackets, mc):
         self.homology = homology
         self.coalg = coalg
-        self.theta = theta
         self.brackets = brackets
         self.mc = mc
 
@@ -274,7 +249,6 @@ def morgan_example(N=5, theta=None):
     for w in component:
         if tuple(sorted(w)) not in param_words:
             raise ValueError("theta word outside the parameter space")
-    pert = MasseyPerturbation(3, component, sH)
     spec = CoderivationSpec(sH, {5: component} if component else None)
     coalg = TruncatedSymCoalgebra(sH, N, perturbation=spec)
     sh = check_sh_lie(coalg)
@@ -307,5 +281,5 @@ def morgan_example(N=5, theta=None):
         "witness": 4 if component else None,
         "distinguishes_family": len(param_words) - aut_dim >= 1,
     }
-    instance = MorganInstance(H, coalg, pert, brackets, mc)
+    instance = MorganInstance(H, coalg, brackets, mc)
     return instance, report

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from . import linalg
 from .complexes import ChainComplex
-from .graded import (GradedMap, GradedVectorSpace, suspend_space, suspend_map,
-                     ONE, ZERO)
+from .graded import (GradedMap, GradedVectorSpace, bilinear, suspend_space,
+                     suspend_map, ONE, ZERO)
 from .words import (TruncatedSymCoalgebra, CoderivationSpec, EMPTY,
-                    word_degree)
+                    splittings, word_degree)
 
 
 class DgLieAlgebra:
@@ -59,16 +59,7 @@ class DgLieAlgebra:
 
     def bracket(self, u, v):
         """Bracket of dense coefficient vectors."""
-        out = [ZERO] * self.space.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += a * b * c
-        return out
+        return bilinear(u, v, self.bracket_basis)
 
     def is_abelian(self):
         return not self.bracket_table
@@ -91,11 +82,9 @@ class DgLieAlgebra:
         basis_vecs = []
         basis_degs = []
         for deg in sorted(by_deg):
-            rows, _ = linalg.rref(by_deg[deg])
-            for r in rows:
-                if any(c != 0 for c in r):
-                    basis_vecs.append(r)
-                    basis_degs.append(deg)
+            rows = linalg.echelon_basis(by_deg[deg])
+            basis_vecs.extend(rows)
+            basis_degs.extend([deg] * len(rows))
         sub_space = GradedVectorSpace(
             [("m%d" % i, d) for i, d in enumerate(basis_degs)])
         M = [[basis_vecs[c][r] for c in range(len(basis_vecs))]
@@ -220,9 +209,6 @@ class TwistingCochainHom:
         if any(s == unit for (_, s) in hom.entries):
             raise ValueError("composite with the coaugmentation is nonzero")
 
-    def value(self, word):
-        return self.hom.apply_basis(self.source.windex[tuple(word)])
-
 
 def cup_bracket(a, b, coalg, target, length=None):
     """[a, b] = bracket o (a (x) b) o Delta, with Koszul signs.
@@ -296,7 +282,7 @@ def ce_coalgebra(g, N):
 def _half_self_bracket(w, coalg, g):
     """(1/2)[tau^1, tau^1] evaluated on a length-2 word, valued in g."""
     acc = [ZERO] * g.space.dim
-    for A, B, sign in _length_one_splittings(w, coalg):
+    for A, B, sign in splittings(w, coalg.gen_space, left_size=1):
         x = A[0][1:] if A[0].startswith("s") else A[0]
         y = B[0][1:] if B[0].startswith("s") else B[0]
         sgn = sign
@@ -307,13 +293,7 @@ def _half_self_bracket(w, coalg, g):
     return acc
 
 
-def _length_one_splittings(w, coalg):
-    for A, B, sign in coalg.diagonal(w, reduced=True):
-        if len(A) == 1 and len(B) == 1:
-            yield A, B, sign
-
-
-def is_twisting_cochain(t, mode="lie", max_len=None):
+def is_twisting_cochain(t):
     """Exact check of the Lie master equation Dt = (1/2)[t,t].
 
     The Hom-differential uses the full source differential (including any
@@ -323,12 +303,9 @@ def is_twisting_cochain(t, mode="lie", max_len=None):
     target = t.target
     D_src = coalg.differential
     Dt = target.d.compose(t.hom) + t.hom.compose(D_src)
-    if mode != "lie":
-        raise ValueError("mode must be 'lie'")
     rhs = cup_bracket(t.hom, t.hom, coalg, target).scale(Fraction(1, 2))
     diff = Dt - rhs
-    bad_lengths = sorted({coalg.word_length(s) for (_, s) in diff.entries
-                          if max_len is None or coalg.word_length(s) <= max_len})
+    bad_lengths = sorted({coalg.word_length(s) for (_, s) in diff.entries})
     return {
         "passed": not bad_lengths,
         "first_failure": bad_lengths[0] if bad_lengths else None,
@@ -336,24 +313,22 @@ def is_twisting_cochain(t, mode="lie", max_len=None):
     }
 
 
-def twisted_differential(gamma, target, mode="lie"):
-    """d_Gamma(a) = d a - [Gamma, a] (or d a - Gamma a) for a MC solution.
+def twisted_differential(gamma, target):
+    """d_Gamma(a) = d a - [Gamma, a] for a Maurer-Cartan solution.
 
     gamma is a dense degree -1 element of the target; refuses input that
     does not solve the master equation, since the result would not square
     to zero.
     """
     space = target.space
-    pair = target.bracket if mode == "lie" else target.multiply
     d_gamma = target.d(gamma)
-    gg = pair(gamma, gamma)
-    half = Fraction(1, 2) if mode == "lie" else ONE
-    if any(a - half * b != 0 for a, b in zip(d_gamma, gg)):
+    gg = target.bracket(gamma, gamma)
+    if any(a - b / 2 != 0 for a, b in zip(d_gamma, gg)):
         raise ValueError("element does not solve the master equation")
     ent = {}
     for s in range(space.dim):
         e = [ONE if i == s else ZERO for i in range(space.dim)]
-        col = [a - b for a, b in zip(target.d(e), pair(gamma, e))]
+        col = [a - b for a, b in zip(target.d(e), target.bracket(gamma, e))]
         for tix, c in enumerate(col):
             if c != 0:
                 ent[(tix, s)] = c

@@ -47,6 +47,13 @@ class GradedVectorSpace:
     def indices_in_degree(self, deg):
         return [i for i, d in enumerate(self.degrees) if d == deg]
 
+    def vector_degree(self, v):
+        """Degree of a nonzero homogeneous dense vector."""
+        degs = {self.degrees[i] for i, c in enumerate(v) if c != 0}
+        if len(degs) != 1:
+            raise ValueError("inhomogeneous vector")
+        return degs.pop()
+
     def __eq__(self, other):
         return isinstance(other, GradedVectorSpace) and self.basis == other.basis
 
@@ -176,15 +183,24 @@ class GradedMap:
                 and self.source == other.source and self.target == other.target
                 and self.degree == other.degree and self.entries == other.entries)
 
-    def to_dense(self):
-        M = [[ZERO] * self.source.dim for _ in range(self.target.dim)]
-        for (t, s), c in self.entries.items():
-            M[t][s] = c
-        return M
-
     def __repr__(self):
         return (f"GradedMap(deg={self.degree}, "
                 f"{len(self.entries)} entries)")
+
+
+def bilinear(u, v, basis_fn):
+    """Dense bilinear product from the products basis_fn(i, j) of basis
+    vectors (sparse dicts), for a product of a space with itself."""
+    out = [ZERO] * len(u)
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b == 0:
+                continue
+            for k, c in basis_fn(i, j).items():
+                out[k] += a * b * c
+    return out
 
 
 def hom_differential(phi, d_src, d_tgt):
@@ -210,23 +226,19 @@ def koszul_sign(permutation, degrees):
     return -ONE if inversions % 2 else ONE
 
 
-def suspend_space(space, shift=1, prefix="s"):
-    """The suspension (shift=+1) or desuspension (shift=-1) of a space.
-
-    Labels are prefixed so that sM and M never collide.
-    """
-    return GradedVectorSpace([(prefix + lab, deg + shift)
-                              for lab, deg in space.basis])
+def suspend_space(space):
+    """The suspension sM; labels are prefixed with "s" so that sM and M
+    never collide."""
+    return GradedVectorSpace([("s" + lab, deg + 1) for lab, deg in space.basis])
 
 
-def suspension_iso(space, shift=1, prefix="s"):
-    """The canonical degree-`shift` isomorphism M -> sM (entries all 1)."""
-    target = suspend_space(space, shift, prefix)
+def suspension_iso(space):
+    """The canonical degree-1 isomorphism M -> sM (entries all 1)."""
     ent = {(i, i): ONE for i in range(space.dim)}
-    return GradedMap(space, target, shift, ent, check=False)
+    return GradedMap(space, suspend_space(space), 1, ent, check=False)
 
 
-def suspend_map(phi, prefix="s"):
+def suspend_map(phi):
     """Induced map s o phi o s^{-1} on the suspended spaces.
 
     The Koszul rule for moving phi past one s contributes (-1)^{|phi|}, so
@@ -234,8 +246,8 @@ def suspend_map(phi, prefix="s"):
     differential d acquires a global -1, matching the convention that the
     differential on sM is -s d s^{-1}.
     """
-    src = suspend_space(phi.source, 1, prefix)
-    tgt = suspend_space(phi.target, 1, prefix)
+    src = suspend_space(phi.source)
+    tgt = suspend_space(phi.target)
     sign = -1 if phi.degree % 2 else 1
     ent = {k: c * sign for k, c in phi.entries.items()}
     return GradedMap(src, tgt, phi.degree, ent, check=False)

@@ -52,6 +52,16 @@ def lie_tensor_dgla(kind="sl2"):
     result has nonzero differential and nonzero brackets with homology
     equal to the original Lie algebra.
     """
+    return _lie_tensor(kind, (("c", "c", "c"), ("c", "u", "u"),
+                              ("c", "v", "v")))
+
+
+def _lie_tensor(kind, products):
+    """g (x) B for B spanned by c, u (degree 1), v with d(u) = v.
+
+    products lists the nonzero products (a1, a2, a1 a2) of B; the bracket
+    is [x (x) a1, y (x) a2] = [x, y] (x) a1 a2.
+    """
     base = _lie3_tables()[kind]
     gens = ("e", "f", "h")
     space = GradedVectorSpace(
@@ -69,8 +79,7 @@ def lie_tensor_dgla(kind="sl2"):
     table = {}
     for g1 in gens:
         for g2 in gens:
-            for a1, a2, a3 in (("c", "c", "c"), ("c", "u", "u"),
-                               ("c", "v", "v")):
+            for a1, a2, a3 in products:
                 i, j = idx["%s_%s" % (g1, a1)], idx["%s_%s" % (g2, a2)]
                 if i == j:
                     continue
@@ -80,7 +89,12 @@ def lie_tensor_dgla(kind="sl2"):
                     continue
                 if i > j:
                     i, j = j, i
-                    val = {k: -c for k, c in val.items()}
+                    sign = -ONE
+                    if space.degrees[i] % 2 and space.degrees[j] % 2:
+                        sign = ONE
+                    val = {k: sign * c for k, c in val.items()}
+                # ordered (g1, g2) pairs hit each symmetric-slot key twice
+                # with the same value, so plain assignment deduplicates
                 table[(i, j)] = val
     d_ent = {}
     for g in gens:
@@ -114,46 +128,7 @@ def commuting_lifts_dgla(kind="sl2"):
     nonzero brackets.  Both degeneration hypotheses (projected bracket
     zero; lifted brackets zero) hold exactly.
     """
-    base = _lie3_tables()[kind]
-    gens = ("e", "f", "h")
-    space = GradedVectorSpace(
-        [("%s_%s" % (g, a), 1 if a == "u" else 0)
-         for g in gens for a in ("c", "u", "v")])
-    idx = space.index
-
-    def br(g1, g2):
-        if (g1, g2) in base:
-            return base[(g1, g2)]
-        if (g2, g1) in base:
-            return {k: -c for k, c in base[(g2, g1)].items()}
-        return {}
-
-    # products on B: v v = v, u v = u, everything with c zero
-    table = {}
-    for g1 in gens:
-        for g2 in gens:
-            for a1, a2, a3 in (("v", "v", "v"), ("u", "v", "u")):
-                i, j = idx["%s_%s" % (g1, a1)], idx["%s_%s" % (g2, a2)]
-                if i == j:
-                    continue
-                val = {idx["%s_%s" % (k, a3)]: Fraction(c)
-                       for k, c in br(g1, g2).items()}
-                if not val:
-                    continue
-                if i > j:
-                    i, j = j, i
-                    sign = -ONE
-                    if space.degrees[i] % 2 and space.degrees[j] % 2:
-                        sign = ONE
-                    val = {k: sign * c for k, c in val.items()}
-                # ordered (g1, g2) pairs hit each symmetric-slot key twice
-                # with the same value, so plain assignment deduplicates
-                table[(i, j)] = val
-    d_ent = {}
-    for g in gens:
-        d_ent[(idx["%s_v" % g], idx["%s_u" % g])] = ONE
-    return DgLieAlgebra(
-        ChainComplex(space, GradedMap(space, space, -1, d_ent)), table)
+    return _lie_tensor(kind, (("v", "v", "v"), ("u", "v", "u")))
 
 
 def kahler_bv_instance():

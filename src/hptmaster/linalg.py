@@ -84,6 +84,25 @@ def kernel_basis(M, n_cols):
     return basis
 
 
+def echelon_basis(vectors):
+    """The nonzero rows of rref: an echelon basis of the span of vectors."""
+    rows, _ = rref([list(v) for v in vectors])
+    return [r for r in rows if any(x != 0 for x in r)]
+
+
+def reduce_against(v, echelon_rows):
+    """Clear the lead entry of each echelon row from v in turn.
+
+    Returns the remainder, or None when it is zero (v lies in the span).
+    """
+    for row in echelon_rows:
+        lead = next(i for i, c in enumerate(row) if c != 0)
+        if v[lead] != 0:
+            f = v[lead] / row[lead]
+            v = [a - f * b for a, b in zip(v, row)]
+    return None if all(c == 0 for c in v) else list(v)
+
+
 def solve(M, b) -> Optional[list]:
     """One solution x of M x = b, or None when inconsistent.
 
@@ -99,6 +118,17 @@ def solve(M, b) -> Optional[list]:
     for r, p in enumerate(pivots):
         x[p] = R[r][n_cols]
     return x
+
+
+def coordinates(v, basis, modulo):
+    """Coefficients of v over basis, modulo the span of the vectors modulo.
+
+    None when v lies outside the span of both lists.  The coefficients are
+    unique when basis is independent modulo that span.
+    """
+    cols = list(basis) + list(modulo)
+    x = solve([[col[r] for col in cols] for r in range(len(v))], v)
+    return None if x is None else x[:len(basis)]
 
 
 def columns(M):

@@ -172,7 +172,7 @@ def geometric_series(step, max_terms):
     raise ValueError("perturbation series does not terminate")
 
 
-def perturbation_lemma(con, delta, max_terms=None):
+def perturbation_lemma(con, delta):
     """Transfer a nilpotent perturbation of the big differential.
 
     delta is a degree -1 endomorphism of the big space with
@@ -184,8 +184,8 @@ def perturbation_lemma(con, delta, max_terms=None):
     d_new = big.d + delta
     if not d_new.compose(d_new).is_zero():
         raise ValueError("perturbed differential does not square to zero")
-    if max_terms is None:
-        max_terms = big.space.dim + 1
+    # a nilpotent endomorphism of an n-dimensional space has step^n = 0
+    max_terms = big.space.dim + 1
     series = geometric_series(con.h.compose(delta), max_terms)
     series_r = geometric_series(delta.compose(con.h), max_terms)
     nabla_p = series.compose(con.nabla)

@@ -144,9 +144,6 @@ class CoderivationSpec:
     def is_zero(self):
         return not self.components
 
-    def component_value(self, word):
-        return self.components.get(len(word), {}).get(word, {})
-
 
 class TruncatedSymCoalgebra:
     """Sigma^c[gen_space] truncated at word length N.
@@ -202,18 +199,17 @@ class TruncatedSymCoalgebra:
     def differential(self):
         return self.d1 + self.perturbation_operator
 
-    def element(self, word):
-        v = [ZERO] * self.space.dim
-        v[self.windex[word]] = ONE
-        return v
+    def diagonal(self, word):
+        """Splittings of a basis word."""
+        return list(splittings(word, self.gen_space))
 
-    def diagonal(self, word, reduced=False):
-        """Splittings of a basis word, optionally dropping the unit parts."""
-        out = []
-        for A, B, sign in splittings(word, self.gen_space):
-            if reduced and (not A or not B):
-                continue
-            out.append((A, B, sign))
+    def diagonal_of_column(self, column):
+        """Delta of a sparse column {word index: coefficient}, as a dict
+        {(A, B): coefficient}."""
+        out = {}
+        for t, c in column.items():
+            for A, B, sign in self.diagonal(self.words[t]):
+                out[(A, B)] = out.get((A, B), ZERO) + c * sign
         return out
 
 
@@ -243,7 +239,7 @@ def coderivation_operator(spec, coalg):
     return GradedMap(coalg.space, coalg.space, -1, ent)
 
 
-def commutes_with_diagonal(op, coalg, max_len=None):
+def commutes_with_diagonal(op, coalg):
     """Does Delta o D = (D (x) Id + Id (x) D) o Delta exactly?
 
     op must be a homogeneous operator of odd degree (a candidate
@@ -252,27 +248,17 @@ def commutes_with_diagonal(op, coalg, max_len=None):
     odd = op.degree % 2 == 1
     bad = []
     for wi, w in enumerate(coalg.words):
-        if max_len is not None and len(w) > max_len:
-            continue
-        lhs = {}
-        for t, c in op.apply_basis(wi).items():
-            for A, B, sign in coalg.diagonal(coalg.words[t]):
-                key = (A, B)
-                lhs[key] = lhs.get(key, ZERO) + c * sign
-        rhs = {}
+        diff = coalg.diagonal_of_column(op.apply_basis(wi))
         for A, B, sign in coalg.diagonal(w):
             # D (x) Id
             for t, c in op.apply_basis(coalg.windex[A]).items():
                 key = (coalg.words[t], B)
-                rhs[key] = rhs.get(key, ZERO) + sign * c
+                diff[key] = diff.get(key, ZERO) - sign * c
             # Id (x) D, with the Koszul sign for moving D past e_A
             sgn = -1 if (odd and word_degree(A, coalg.gen_space) % 2) else 1
             for t, c in op.apply_basis(coalg.windex[B]).items():
                 key = (A, coalg.words[t])
-                rhs[key] = rhs.get(key, ZERO) + sign * c * sgn
-        diff = dict(lhs)
-        for k, c in rhs.items():
-            diff[k] = diff.get(k, ZERO) - c
+                diff[key] = diff.get(key, ZERO) - sign * c * sgn
         if any(c != 0 for c in diff.values()):
             bad.append(w)
     return bad
@@ -320,25 +306,15 @@ class LInfinityStructure:
         return sorted(k for k, tbl in self.brackets.items()
                       if any(v for v in tbl.values()))
 
-    def value(self, k, word):
-        """l_k on a canonical suspended word (sparse dict, may be empty)."""
-        return self.brackets.get(k, {}).get(tuple(word), {})
 
-
-def extract_brackets(coalg, underlying=None, desusp_prefix="s"):
+def extract_brackets(coalg, underlying):
     """Extract the l_k family from the coalgebra's perturbation components.
 
-    The generators of coalg are the suspension of `underlying`; when
-    `underlying` is None it is reconstructed by stripping the prefix and
-    shifting degrees down by one.  The sign dictionary is the decalage
-    convention pinned so that l_2(x, y) agrees with the transferred binary
-    bracket pi[nabla x, nabla y].
+    The generators of coalg are the suspension of `underlying`.  The sign
+    dictionary is the decalage convention pinned so that l_2(x, y) agrees
+    with the transferred binary bracket pi[nabla x, nabla y].
     """
     gen_space = coalg.gen_space
-    if underlying is None:
-        underlying = GradedVectorSpace(
-            [(lab[len(desusp_prefix):] if lab.startswith(desusp_prefix) else lab,
-              deg - 1) for lab, deg in gen_space.basis])
     brackets = {}
     if coalg.gen_differential is not None and not coalg.gen_differential.is_zero():
         tbl = {}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hptmaster import instances
+from hptmaster import bv as bv_module, instances
 from hptmaster.bv import (BVData, GerstenhaberAlgebra,
                           addendum_382_flat_identity, bracket_from_generator,
                           kahler_formality_check, koszul_identity_check,
@@ -146,3 +146,19 @@ def test_addendum_382_rejects_fat_degree_zero():
                 GradedMap.zero(space, space, -1))
     with pytest.raises(ValueError):
         addendum_382_flat_identity(bv, 3)
+
+
+def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch):
+    calls = []
+    kernel = bv_module._kernel_subspace
+
+    def counting(op, space):
+        calls.append(op)
+        return kernel(op, space)
+
+    monkeypatch.setattr(bv_module, "_kernel_subspace", counting)
+    bv = instances.kahler_bv_instance()
+    theorem_38_pipeline(bv, 3)
+    assert len(calls) == 1
+    addendum_382_flat_identity(bv, 3)
+    assert len(calls) == 2

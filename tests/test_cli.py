@@ -1,6 +1,7 @@
 """Problem-file parsing, run reports, exit codes, byte determinism."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -70,8 +71,16 @@ def test_validate_bad_rational_exit_two(fixture_dir, capsys):
     ('{"basis": [["x", 0]], "unit": ["x"], "product": []}',
      "unit: label must be a string"),
     ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    ('{"basis": [["x", 1%s]]}' % ("0" * 4300), "integer string conversion"),
+    ('{"basis": [["x", 0], ["y", 1]], "differential": [["y", "x", 1%s]]}'
+     % ("0" * 4300), "integer string conversion"),
+    ('{"basis": [["x", 0], ["y", 1]], "differential": [["y", "x", '
+     '"1e1000000"]]}', "differential[0]: bad rational '1e1000000'"),
+    ('{"basis": [["x", 0], ["y", 1]], "differential": [["y", "x", "1_000"]]}',
+     "differential[0]: bad rational '1_000'"),
 ], ids=["differential-number", "basis-number", "bool-degree", "list-label",
-        "string-row", "list-label-in-row", "list-unit", "deep-nesting"])
+        "string-row", "list-label-in-row", "list-unit", "deep-nesting",
+        "long-int-degree", "long-int-coefficient", "exponent", "underscore"])
 def test_malformed_sections_exit_two_with_location(text, message, tmp_path,
                                                    capsys):
     path = tmp_path / "bad.json"
@@ -221,6 +230,30 @@ def test_transfer_byte_determinism(fixture_dir, tmp_path, capsys):
              "--output", str(out)], capsys)
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+GOLDEN_SHA256 = [
+    (["bv", "--pipeline", "full", "kahler_bv.json"],
+     "1339c794f4e53840f981a11f00cd78128e586e1a0e01f01601fb6640e61aa7a9"),
+    (["bv", "--pipeline", "flat-unit", "unit_bv.json"],
+     "76016701bc62c68238f52164d0f6c0b3e086e976d29d3a1a1f39793b7e057f53"),
+    (["transfer", "--check", "l3.json"],
+     "5e73b62e913934ced95fff3f1ca7ab9170c65c71475a2f73d75b64d31526a508"),
+    (["massey"],
+     "1e6064aec102cea0835b7c91782101e7751d3e619eb7391aec1b7792b5a48530"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SHA256,
+                         ids=["bv-full", "bv-flat-unit", "transfer-check",
+                              "massey"])
+def test_report_bytes_golden(argv, digest, fixture_dir, capsys):
+    # the reports carry the input digest, not the path, so the bytes
+    # depend only on the program and the fixture contents
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_cohomological_grading_flip(tmp_path, capsys):

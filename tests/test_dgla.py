@@ -130,7 +130,7 @@ def test_universal_twisting_cochain_master():
     for g in (instances.sl2(), instances.nonzero_l3_dgla()):
         coalg = ce_coalgebra(g, 3)
         tau = universal_twisting_cochain(g, coalg)
-        report = is_twisting_cochain(tau, mode="lie")
+        report = is_twisting_cochain(tau)
         assert report["passed"], report
 
 
@@ -145,7 +145,7 @@ def test_is_twisting_cochain_detects_mutation():
     entries[(g.space.index["u"], wi)] = F(1)
     broken = GradedMap(coalg.space, g.space, -1, entries)
     bad = TwistingCochainHom(coalg, g, broken)
-    assert not is_twisting_cochain(bad, mode="lie")["passed"]
+    assert not is_twisting_cochain(bad)["passed"]
 
 
 def test_twisted_differential_maurer_cartan():
@@ -155,7 +155,7 @@ def test_twisted_differential_maurer_cartan():
     V = GradedVectorSpace([("x", -1), ("y", -1), ("z", -2)])
     g = DgLieAlgebra(ChainComplex(V), {(0, 1): {2: F(1)}})
     gamma = [F(1), F(0), F(0)]  # [x, x] = 0, d = 0: Maurer-Cartan
-    dtw = twisted_differential(gamma, g, mode="lie")
+    dtw = twisted_differential(gamma, g)
     # d_gamma(y) = -[x, y] = -z
     assert dtw.apply_basis(1) == {2: F(-1)}
     assert dtw.compose(dtw).is_zero()
@@ -165,7 +165,7 @@ def test_twisted_differential_rejects_non_mc():
     V = GradedVectorSpace([("x", -1), ("z", -2)])
     g = DgLieAlgebra(ChainComplex(V), {(0, 0): {1: F(2)}})
     with pytest.raises(ValueError):
-        twisted_differential([F(1), F(0)], g, mode="lie")
+        twisted_differential([F(1), F(0)], g)
 
 
 def test_sub_algebra_inclusion():

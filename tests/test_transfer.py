@@ -80,7 +80,7 @@ def test_master_fails_when_component_zeroed():
     stripped = TwistingCochainHom(
         res.coalg, g, GradedMap(res.coalg.space, g.space, -1, entries))
     from hptmaster.dgla import is_twisting_cochain
-    assert not is_twisting_cochain(stripped, mode="lie")["passed"]
+    assert not is_twisting_cochain(stripped)["passed"]
 
 
 def test_identity_contraction_reproduces_ce():
