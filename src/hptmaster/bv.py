@@ -9,6 +9,7 @@ regraded side.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .complexes import (ChainComplex, contraction_extending_projection,
@@ -335,7 +336,24 @@ def kahler_formality_check(bv):
     reported separately.  Homology ranks are computed exactly after the
     homological regrading of all three complexes.
     """
-    return _formality_report(bv, _delta_splitting(bv))
+    return _Formality(bv).report
+
+
+class _Formality:
+    """The Delta-splitting of a BV algebra and the formality report read
+    from it, each computed on first use and then shared, so that one bv
+    run computes them once."""
+
+    def __init__(self, bv):
+        self.bv = bv
+
+    @cached_property
+    def split(self):
+        return _delta_splitting(self.bv)
+
+    @cached_property
+    def report(self):
+        return _formality_report(self.bv, self.split)
 
 
 def _formality_report(bv, split):
@@ -391,16 +409,17 @@ def theorem_38_pipeline(bv, N):
     (ii) pi tau is the universal twisting cochain, (iii) the values of the
     components tau_k, k >= 2, lie in im Delta.
     """
-    result, report, _ = _transfer_in_kernel(bv, N, _delta_splitting(bv))
+    result, report, _ = _transfer_in_kernel(bv, N, _Formality(bv))
     return result, report
 
 
-def _transfer_in_kernel(bv, N, split):
-    """theorem_38_pipeline on a given splitting; also returns tau in A."""
-    predicate = _formality_report(bv, split)
+def _transfer_in_kernel(bv, N, formality):
+    """theorem_38_pipeline on the splitting and formality report of a
+    _Formality; also returns tau in A."""
+    predicate = formality.report
     if not predicate["passed"]:
         raise ValueError("formality predicate fails")
-    ker, h_basis, h_reps, image = split
+    ker, h_basis, h_reps, image = formality.split
     g = regrade_to_lie(bv.algebra)
     m, incl = g.sub_algebra(ker)
 
@@ -441,6 +460,12 @@ def addendum_382_flat_identity(bv, N):
     the complement; the components tau_k, k >= 2, then take values away
     from the unit line, which is verified exactly.
     """
+    return _flat_unit_transfer(bv, N, _Formality(bv))
+
+
+def _flat_unit_transfer(bv, N, formality):
+    """addendum_382_flat_identity on the splitting and formality report
+    of a _Formality."""
     A = bv.algebra
     space = A.space
     u = A.unit_index
@@ -451,13 +476,12 @@ def addendum_382_flat_identity(bv, N):
         raise ValueError("Delta(1) != 0")
     if any(c != 0 for c in A.d.column(u)):
         raise ValueError("d(1) != 0")
-    split = _delta_splitting(bv)
     # [1] nonzero in homology: 1 must not lie in im Delta
     unit_vec = [ONE if i == u else ZERO for i in range(space.dim)]
-    if linalg.reduce_against(unit_vec, split[3]) is None:
+    if linalg.reduce_against(unit_vec, formality.split[3]) is None:
         raise ValueError("the class of 1 vanishes in homology")
 
-    result, report, tau_in_A = _transfer_in_kernel(bv, N, split)
+    result, report, tau_in_A = _transfer_in_kernel(bv, N, formality)
     # tau_k values avoid the unit line for k >= 2
     away = all(t != u for (t, s) in tau_in_A.entries
                if result.coalg.word_length(s) >= 2)

@@ -16,9 +16,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .bv import (BVData, GerstenhaberAlgebra, addendum_382_flat_identity,
-                 bracket_from_generator, kahler_formality_check,
-                 theorem_38_pipeline, validate_bv)
+from .bv import (BVData, GerstenhaberAlgebra, _Formality, _flat_unit_transfer,
+                 _transfer_in_kernel, bracket_from_generator, validate_bv)
 from .complexes import ChainComplex, build_contraction
 from .deformation import morgan_example, wedge_of_spheres
 from .dgla import DgLieAlgebra, validate_dgla
@@ -316,6 +315,8 @@ def cmd_transfer(args, started):
 
 
 def cmd_bv(args, started):
+    if args.max_word_length < 2:
+        raise InputError("--max-word-length must be at least 2")
     kind, bv, digest = load_problem(args.file)
     if kind != "bv":
         raise InputError("bv expects a problem file with product/delta")
@@ -327,17 +328,21 @@ def cmd_bv(args, started):
     if not verdict["passed"]:
         _emit(report, args, started)
         return EXIT_VERIFY
+    # one Delta-splitting and formality report per run, shared with the
+    # pipeline
+    formality = _Formality(bv)
     try:
-        predicate = kahler_formality_check(bv)
+        predicate = formality.report
         report["formality_predicate"] = predicate
         if not predicate["passed"]:
             _emit(report, args, started)
             return EXIT_VERIFY
         if args.pipeline == "flat-unit":
-            result, pipe = addendum_382_flat_identity(
-                bv, args.max_word_length)
+            result, pipe = _flat_unit_transfer(
+                bv, args.max_word_length, formality)
         else:
-            result, pipe = theorem_38_pipeline(bv, args.max_word_length)
+            result, pipe, _ = _transfer_in_kernel(
+                bv, args.max_word_length, formality)
     except ValueError as exc:
         report["error"] = str(exc)
         _emit(report, args, started)
@@ -411,7 +416,9 @@ def cmd_massey(args, started):
         report["mc_equations"] = serialize_mc(instance.mc)
         _emit(report, args, started)
         return EXIT_OK if morgan["sh_lie"] else EXIT_VERIFY
-    cap = max(args.order, 1)
+    if args.order < 1:
+        raise InputError("--order must be at least 1")
+    cap = args.order
     try:
         lie = wedge_of_spheres(dims, cap)
     except ValueError as exc:

@@ -13,7 +13,13 @@ pure function of the input.
 from fractions import Fraction
 
 from . import linalg
-from .graded import GradedMap, GradedVectorSpace, hom_differential, ONE, ZERO
+from .graded import GradedMap, GradedVectorSpace, ONE, ZERO
+
+# names of the contraction identities, in the order identity_failures
+# reports them
+_IDENTITIES = ("pi nabla != Id", "Dh != nabla pi - Id", "pi h != 0",
+              "h nabla != 0", "h h != 0", "pi not a chain map",
+              "nabla not a chain map")
 
 
 class ChainComplex:
@@ -53,28 +59,47 @@ class Contraction:
                 raise ValueError("invalid contraction: " + ", ".join(errs))
 
     def identity_failures(self):
-        """Names of the defining identities that fail (empty list = valid)."""
-        errs = []
-        if not (self.pi.compose(self.nabla)
-                - GradedMap.identity(self.small.space)).is_zero():
-            errs.append("pi nabla != Id")
-        Dh = hom_differential(self.h, self.big.d, self.big.d)
-        wanted = self.nabla.compose(self.pi) - GradedMap.identity(self.big.space)
-        if not (Dh - wanted).is_zero():
-            errs.append("Dh != nabla pi - Id")
-        if not self.pi.compose(self.h).is_zero():
-            errs.append("pi h != 0")
-        if not self.h.compose(self.nabla).is_zero():
-            errs.append("h nabla != 0")
-        if not self.h.compose(self.h).is_zero():
-            errs.append("h h != 0")
-        if not (self.pi.compose(self.big.d)
-                - self.small.d.compose(self.pi)).is_zero():
-            errs.append("pi not a chain map")
-        if not (self.big.d.compose(self.nabla)
-                - self.nabla.compose(self.small.d)).is_zero():
-            errs.append("nabla not a chain map")
-        return errs
+        """Names of the defining identities that fail (empty list = valid).
+
+        Checked column by column on sparse images: one pass over the basis
+        of the small space (pi nabla = Id, h nabla = 0, nabla a chain map)
+        and one over the big space (the other four).
+        """
+        d, d_small = self.big.d, self.small.d
+        nabla, pi, h = self.nabla, self.pi, self.h
+        d_cols, d_small_cols = d.by_column(), d_small.by_column()
+        nabla_cols, pi_cols, h_cols = (
+            nabla.by_column(), pi.by_column(), h.by_column())
+        # D h = d h - (-1)^{|h|} h d
+        sign = ONE if h.degree % 2 else -ONE
+        failed = set()
+        for s in range(self.small.space.dim):
+            ns = nabla_cols.get(s, {})
+            if _nonzero(pi.add_image({s: -ONE}, ns)):
+                failed.add("pi nabla != Id")
+            if _nonzero(h.add_image({}, ns)):
+                failed.add("h nabla != 0")
+            acc = nabla.add_image(d.add_image({}, ns),
+                                  d_small_cols.get(s, {}), -ONE)
+            if _nonzero(acc):
+                failed.add("nabla not a chain map")
+        for s in range(self.big.space.dim):
+            hs, ds = h_cols.get(s, {}), d_cols.get(s, {})
+            ps = pi_cols.get(s, {})
+            acc = h.add_image(d.add_image({s: ONE}, hs), ds, sign)
+            if _nonzero(nabla.add_image(acc, ps, -ONE)):
+                failed.add("Dh != nabla pi - Id")
+            if _nonzero(pi.add_image({}, hs)):
+                failed.add("pi h != 0")
+            if _nonzero(h.add_image({}, hs)):
+                failed.add("h h != 0")
+            if _nonzero(d_small.add_image(pi.add_image({}, ds), ps, -ONE)):
+                failed.add("pi not a chain map")
+        return [name for name in _IDENTITIES if name in failed]
+
+
+def _nonzero(vec):
+    return any(c != 0 for c in vec.values())
 
 
 def homology(C):

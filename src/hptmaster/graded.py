@@ -68,7 +68,7 @@ class GradedMap:
     entry must satisfy deg(target) = deg(source) + degree.
 
     entries is immutable after construction: every operation returns a
-    new map.  apply_basis relies on this, since it indexes the entries by
+    new map.  by_column relies on this, since it indexes the entries by
     source column on first use and keeps that index on the map.
     """
 
@@ -80,7 +80,8 @@ class GradedMap:
         self._columns = None
         if entries:
             for (t, s), c in entries.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c != 0:
                     self.entries[(t, s)] = c
         if check:
@@ -121,8 +122,9 @@ class GradedMap:
                 out[t] += c * vec[s]
         return out
 
-    def _by_column(self):
-        """source index -> {target index: coeff}, built once per map."""
+    def by_column(self):
+        """source index -> {target index: coeff}, built once per map and
+        shared by every caller: read it, never modify it."""
         if self._columns is None:
             columns = {}
             for (t, s), c in self.entries.items():
@@ -132,11 +134,24 @@ class GradedMap:
 
     def apply_basis(self, s):
         """Image of the s-th source basis vector as a fresh dict t -> coeff."""
-        return dict(self._by_column().get(s, ()))
+        return dict(self.by_column().get(s, ()))
+
+    def add_image(self, acc, vec, scale=ONE):
+        """acc += scale * self(vec) for a sparse vector {index: coeff};
+        returns acc, which may hold zero values."""
+        if scale != 1:
+            vec = {m: c * scale for m, c in vec.items()}
+        columns = self.by_column()
+        for m, c in vec.items():
+            col = columns.get(m)
+            if col:
+                for t, c2 in col.items():
+                    acc[t] = acc.get(t, ZERO) + c * c2
+        return acc
 
     def column(self, s):
         col = [ZERO] * self.target.dim
-        for t, c in self._by_column().get(s, {}).items():
+        for t, c in self.by_column().get(s, {}).items():
             col[t] = c
         return col
 
@@ -145,7 +160,7 @@ class GradedMap:
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
         ent = {}
-        columns = self._by_column()
+        columns = self.by_column()
         for (m, s), c in other.entries.items():
             for t, c2 in columns.get(m, {}).items():
                 key = (t, s)
@@ -169,7 +184,7 @@ class GradedMap:
 
     def scale(self, c):
         c = Fraction(c)
-        ent = {k: c * v for k, v in self.entries.items() if c * v != 0}
+        ent = {k: c * v for k, v in self.entries.items()} if c else {}
         return GradedMap(self.source, self.target, self.degree, ent, check=False)
 
     def __neg__(self):

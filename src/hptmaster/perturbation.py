@@ -24,13 +24,12 @@ contraction, with all series finite by the filtration argument.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, groupby, product as iproduct
 from math import factorial, prod
 
 from .complexes import ChainComplex, Contraction, normalize_homotopy
 from .graded import GradedMap, koszul_sign, suspend_map, ONE, ZERO
-from .words import TruncatedSymCoalgebra, sort_factors
+from .words import TruncatedSymCoalgebra, memo_sorter
 
 
 def _multiplicity(word):
@@ -45,12 +44,6 @@ def _columns(f):
     for (t, s), c in f.entries.items():
         cols[s].append((labels[t], c))
     return cols
-
-
-def _sorter(sym):
-    """sort_factors on the generators of sym, memoized per letter tuple."""
-    return lru_cache(maxsize=None)(
-        lambda letters: sort_factors(letters, sym.gen_space))
 
 
 def _accumulate(acc, sort, kept, slots, coeff):
@@ -78,7 +71,7 @@ def _lift_multiplicative(f, src, tgt):
     """The coalgebra map Sigma^c f of a degree-0 generator map f."""
     cols = _columns(f)
     index = src.gen_space.index
-    sort = _sorter(tgt)
+    sort = memo_sorter(tgt.gen_space)
     ent = {}
     for wi, w in enumerate(src.words):
         acc = {}
@@ -92,7 +85,7 @@ def _lift_homotopy(h, nabla_pi, sym):
     h_cols, np_cols = _columns(h), _columns(nabla_pi)
     index = sym.gen_space.index
     degrees = sym.gen_space.degrees
-    sort = _sorter(sym)
+    sort = memo_sorter(sym.gen_space)
     ent = {}
     for wi, w in enumerate(sym.words):
         n = len(w)
@@ -159,16 +152,15 @@ def symmetric_coalgebra_contraction(con, N, fix_side_conditions=True):
     return out, big_sym, small_sym
 
 
-def geometric_series(step, max_terms):
-    """Id + step + step^2 + ... , requiring nilpotence within max_terms."""
-    space = step.source
-    acc = GradedMap.identity(space)
-    power = GradedMap.identity(space)
+def _series(term, step, max_terms):
+    """term + step(term) + step(step(term)) + ..., up to the first zero
+    term; raises unless one of the first max_terms steps gives zero."""
+    total = term
     for _ in range(max_terms):
-        power = step.compose(power)
-        if power.is_zero():
-            return acc + power
-        acc = acc + power
+        term = step(term)
+        if term.is_zero():
+            return total
+        total = total + term
     raise ValueError("perturbation series does not terminate")
 
 
@@ -179,19 +171,40 @@ def perturbation_lemma(con, delta):
     (d + delta)^2 = 0 and h delta nilpotent (automatic for word-length
     lowering perturbations of a word-length preserving homotopy).  Returns
     (perturbed contraction, small perturbation).
+
+    The series are summed on the thin operands, never as endomorphisms:
+
+        nabla_p = sum_k (h delta)^k nabla,   h_p = sum_k (h delta)^k h,
+        pi_p = sum_k pi (delta h)^k,         delta_small = pi delta nabla_p.
+
+    The nilpotence guard stays exact.  The k-th term of the h-series is
+    (h delta)^k h, and (h delta)^{k+1} = [(h delta)^k h] delta, so some
+    term vanishes exactly when h delta is nilpotent.  A nilpotent
+    endomorphism of an n-dimensional space has n-th power zero, so then
+    the term for k = n vanishes.  h delta and delta h are nilpotent
+    together, so the nabla- and pi-series end by k = n as well.  Each
+    series gets n + 1 steps and raises "perturbation series does not
+    terminate" when none of them gives zero, which the h-series does
+    whenever h delta is not nilpotent.
     """
     big, small = con.big, con.small
     d_new = big.d + delta
-    if not d_new.compose(d_new).is_zero():
-        raise ValueError("perturbed differential does not square to zero")
-    # a nilpotent endomorphism of an n-dimensional space has step^n = 0
+    # d_new has the shape of big.d, so d o d != 0 is all ChainComplex
+    # can reject
+    try:
+        big_p = ChainComplex(big.space, d_new)
+    except ValueError as exc:
+        raise ValueError(
+            "perturbed differential does not square to zero") from exc
+    h = con.h
     max_terms = big.space.dim + 1
-    series = geometric_series(con.h.compose(delta), max_terms)
-    series_r = geometric_series(delta.compose(con.h), max_terms)
-    nabla_p = series.compose(con.nabla)
-    pi_p = con.pi.compose(series_r)
-    h_p = series.compose(con.h)
-    delta_small = con.pi.compose(delta).compose(series).compose(con.nabla)
-    big_p = ChainComplex(big.space, d_new)
+
+    def left(f):
+        return h.compose(delta.compose(f))
+
+    h_p = _series(h, left, max_terms)
+    nabla_p = _series(con.nabla, left, max_terms)
+    pi_p = _series(con.pi, lambda f: f.compose(delta).compose(h), max_terms)
+    delta_small = con.pi.compose(delta.compose(nabla_p))
     small_p = ChainComplex(small.space, small.d + delta_small)
     return Contraction(big_p, small_p, nabla_p, pi_p, h_p), delta_small

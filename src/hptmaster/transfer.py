@@ -24,7 +24,7 @@ from .dgla import (TwistingCochainHom, cup_bracket, is_twisting_cochain,
 from .graded import GradedMap, suspend_map, ONE, ZERO
 from .perturbation import symmetric_coalgebra_contraction, perturbation_lemma
 from .words import (TruncatedSymCoalgebra, CoderivationSpec,
-                    coderivation_operator, extract_brackets, check_sh_lie)
+                    extract_brackets, check_sh_lie)
 
 HALF = Fraction(1, 2)
 
@@ -195,7 +195,8 @@ def extend_contraction(result):
     if ce.space != big_sym.space:
         raise AssertionError("coalgebra bases disagree")
     pcon, delta_small = perturbation_lemma(lift, ce.perturbation_operator)
-    recursion_delta = coderivation_operator(result.D, result.coalg)
+    # the recursion's coderivation D is the perturbation of result.coalg
+    recursion_delta = result.coalg.perturbation_operator
     if not (delta_small - recursion_delta).is_zero():
         raise AssertionError(
             "perturbation lemma disagrees with the recursion")

@@ -17,6 +17,7 @@ b - 1.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .graded import GradedMap, GradedVectorSpace, koszul_sign, ONE, ZERO
@@ -45,6 +46,13 @@ def sort_factors(labels, gen_space):
         if word[i] == word[i + 1] and degs[keyed[i]] % 2:
             return None, ZERO
     return word, sign
+
+
+def memo_sorter(gen_space):
+    """sort_factors on the generators of gen_space, memoized per tuple of
+    letters for the life of the returned function."""
+    return lru_cache(maxsize=None)(
+        lambda letters: sort_factors(letters, gen_space))
 
 
 def word_degree(word, gen_space):
@@ -217,6 +225,7 @@ def coderivation_operator(spec, coalg):
     """The coderivation of the truncated coalgebra extending the components."""
     ent = {}
     gen_space = coalg.gen_space
+    sort = memo_sorter(gen_space)
     for wi, w in enumerate(coalg.words):
         for b in spec.arities():
             if b > len(w):
@@ -227,7 +236,7 @@ def coderivation_operator(spec, coalg):
                     continue
                 for g, c in val.items():
                     lab = gen_space.labels[g]
-                    w2, sign2 = sort_factors([lab] + list(B), gen_space)
+                    w2, sign2 = sort((lab,) + B)
                     if w2 is None:
                         continue
                     # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hptmaster import bv as bv_module, instances
+from hptmaster import bv as bv_module, cli, instances
 from hptmaster.bv import (BVData, GerstenhaberAlgebra,
                           addendum_382_flat_identity, bracket_from_generator,
                           kahler_formality_check, koszul_identity_check,
@@ -148,7 +148,8 @@ def test_addendum_382_rejects_fat_degree_zero():
         addendum_382_flat_identity(bv, 3)
 
 
-def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch):
+def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
+                                                    capsys):
     calls = []
     kernel = bv_module._kernel_subspace
 
@@ -162,3 +163,22 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch):
     assert len(calls) == 1
     addendum_382_flat_identity(bv, 3)
     assert len(calls) == 2
+
+    # one bv run: one splitting and one formality predicate (two
+    # quasi-isomorphism checks), shared by the report and the pipeline
+    quasi_isos = []
+    is_quasi_iso = bv_module.is_quasi_iso
+
+    def counting_quasi_iso(*args):
+        quasi_isos.append(args)
+        return is_quasi_iso(*args)
+
+    monkeypatch.setattr(bv_module, "is_quasi_iso", counting_quasi_iso)
+    for argv in (["bv", str(fixture_dir / "kahler_bv.json")],
+                 ["bv", str(fixture_dir / "unit_bv.json"),
+                  "--pipeline", "flat-unit"]):
+        del calls[:], quasi_isos[:]
+        assert cli.main(argv + ["--max-word-length", "3"]) == 0
+        assert len(calls) == 1
+        assert len(quasi_isos) == 2
+    capsys.readouterr()

@@ -221,6 +221,16 @@ def test_transfer_rejects_truncation_and_kind(fixture_dir, capsys):
     assert "dg Lie" in err
 
 
+@pytest.mark.parametrize("length", ["1", "0"])
+def test_bv_rejects_truncation_below_two(fixture_dir, capsys, length):
+    code, out, err = run(
+        ["bv", str(fixture_dir / "kahler_bv.json"),
+         "--max-word-length", length], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: --max-word-length must be at least 2" in err
+
+
 def test_transfer_byte_determinism(fixture_dir, tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -370,6 +380,21 @@ def test_massey_theta_must_be_an_object(tmp_path, capsys):
     code, out, err = run(["massey", "--theta", str(path)], capsys)
     assert code == 2
     assert "theta: expected an object" in err
+
+
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_massey_wedge_rejects_order_below_one(capsys, order):
+    code, out, err = run(["massey", "--spheres", "3,5", "--order", order],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: --order must be at least 1" in err
+    code, out, _ = run(["massey", "--spheres", "3,5", "--order", "1"],
+                       capsys)
+    assert code == 0
+    doc = report_of(out)
+    assert doc["order"] == 1
+    assert doc["free_lie"]["dimensions_by_length"] == {"1": 2}
 
 
 def test_massey_bad_input_exit_two(capsys):

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from hptmaster import instances
@@ -10,6 +12,8 @@ from hptmaster.complexes import (ChainComplex, Contraction, build_contraction,
                                  induced_map_on_homology, is_quasi_iso,
                                  normalize_homotopy)
 from hptmaster.graded import GradedMap, GradedVectorSpace
+
+import contraction_oracle
 
 F = Fraction
 
@@ -102,3 +106,112 @@ def test_homotopy_sign_convention():
     C = two_step()
     con = build_contraction(C)
     assert con.h.apply_basis(1) == {0: F(-1)}
+
+
+def _map(src, tgt, degree, entries):
+    return GradedMap(src, tgt, degree, {k: F(c) for k, c in entries.items()})
+
+
+def broken_contractions():
+    """Contractions with chosen identities failing, and the names the
+    check must report.
+
+    Where the first two identities hold, pi h = 0 follows from
+    h nabla = 0 and h h = 0, and h nabla = 0 from pi h = 0 and h h = 0;
+    and the two chain-map conditions imply each other.  Those four are
+    therefore broken together with the fewest others the algebra allows.
+    """
+    cases = {}
+    # pi nabla is an idempotent other than Id, everything else holds
+    V = GradedVectorSpace([("a", 0)])
+    W = GradedVectorSpace([("p", 0), ("q", 0)])
+    cases["pi-nabla"] = (
+        Contraction(ChainComplex(V), ChainComplex(W),
+                    _map(W, V, 0, {(0, 0): 1, (0, 1): 1}),
+                    _map(V, W, 0, {(0, 0): 1}), _map(V, V, 1, {}),
+                    check=False),
+        ["pi nabla != Id"])
+    # no homotopy at all on a -> b
+    C = two_step()
+    con = build_contraction(C)
+    cases["Dh"] = (
+        Contraction(C, con.small, con.nabla, con.pi, _map(C.space, C.space,
+                                                          1, {}),
+                    check=False),
+        ["Dh != nabla pi - Id"])
+    # x, y survive and d a = b; h + nabla sigma with sigma(b) = [y] breaks
+    # pi h, h + tau pi with tau([x]) = a breaks h nabla
+    V = GradedVectorSpace([("x", 0), ("y", 1), ("a", 1), ("b", 0)])
+    C = ChainComplex(V, _map(V, V, -1, {(3, 2): 1}))
+    con = build_contraction(C)
+    H = con.small.space
+    y, x = H.index["h1_0"], H.index["h0_0"]
+    nabla_sigma = con.nabla.compose(_map(V, H, 1, {(y, 3): 1}))
+    tau_pi = _map(H, V, 1, {(2, x): 1}).compose(con.pi)
+    cases["pi-h"] = (
+        Contraction(C, con.small, con.nabla, con.pi, con.h + nabla_sigma,
+                    check=False),
+        ["Dh != nabla pi - Id", "pi h != 0"])
+    cases["h-nabla"] = (
+        Contraction(C, con.small, con.nabla, con.pi, con.h + tau_pi,
+                    check=False),
+        ["Dh != nabla pi - Id", "h nabla != 0"])
+    # acyclic x -> w, z -> y with D h = -Id and h h (w) = -y
+    V = GradedVectorSpace([("w", 0), ("x", 1), ("y", 2), ("z", 3)])
+    E = GradedVectorSpace([])
+    C = ChainComplex(V, _map(V, V, -1, {(0, 1): 1, (2, 3): 1}))
+    cases["h-h"] = (
+        Contraction(C, ChainComplex(E), _map(E, V, 0, {}),
+                    _map(V, E, 0, {}),
+                    _map(V, V, 1, {(1, 0): -1, (2, 1): 1, (3, 2): -1}),
+                    check=False),
+        ["h h != 0"])
+    # identity maps onto a copy with a differential the big side lacks
+    V = GradedVectorSpace([("p", 1), ("q", 0)])
+    W = GradedVectorSpace([("p2", 1), ("q2", 0)])
+    iden = {(0, 0): 1, (1, 1): 1}
+    cases["chain-maps"] = (
+        Contraction(ChainComplex(V), ChainComplex(W, _map(W, W, -1,
+                                                          {(1, 0): 1})),
+                    _map(W, V, 0, iden), _map(V, W, 0, iden),
+                    _map(V, V, 1, {}), check=False),
+        ["pi not a chain map", "nabla not a chain map"])
+    # several at once, on x, y, a, b: a differential [x] -> [y] on the
+    # small side, a doubled inclusion and h + nabla eta pi, eta([x]) = [y]
+    V = GradedVectorSpace([("x", 0), ("y", 1), ("a", 1), ("b", 0)])
+    C = ChainComplex(V, _map(V, V, -1, {(3, 2): 1}))
+    con = build_contraction(C)
+    H = con.small.space
+    y, x = H.index["h1_0"], H.index["h0_0"]
+    eta = con.nabla.compose(_map(H, H, 1, {(y, x): 1})).compose(con.pi)
+    cases["several"] = (
+        Contraction(C, ChainComplex(H, _map(H, H, -1, {(x, y): 1})),
+                    con.nabla.scale(2), con.pi, con.h + eta, check=False),
+        ["pi nabla != Id", "Dh != nabla pi - Id", "pi h != 0",
+         "h nabla != 0", "pi not a chain map", "nabla not a chain map"])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(broken_contractions()))
+def test_identity_failures_match_oracle_when_broken(name):
+    con, expected = broken_contractions()[name]
+    assert con.identity_failures() == expected
+    assert contraction_oracle.identity_failures(con) == expected
+
+
+def test_identity_failures_match_oracle_on_corrupted_corpus(corpus):
+    rng = random.Random(0)
+    for seed, _, con, _ in corpus[:20]:
+        for _ in range(5):
+            field = rng.choice(["nabla", "pi", "h"])
+            f = getattr(con, field)
+            s = rng.randrange(f.source.dim)
+            t = rng.randrange(f.target.dim)
+            bump = GradedMap(f.source, f.target, f.degree,
+                             {(t, s): F(rng.choice([-1, 1, 2]))},
+                             check=False)
+            maps = {"nabla": con.nabla, "pi": con.pi, "h": con.h}
+            maps[field] = f + bump
+            bad = Contraction(con.big, con.small, check=False, **maps)
+            assert (bad.identity_failures()
+                    == contraction_oracle.identity_failures(bad)), seed

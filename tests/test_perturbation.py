@@ -7,9 +7,11 @@ import pytest
 from hptmaster import instances
 from hptmaster.complexes import ChainComplex, build_contraction
 from hptmaster.graded import GradedMap, GradedVectorSpace
-from hptmaster.perturbation import (geometric_series, perturbation_lemma,
+from hptmaster.dgla import ce_coalgebra
+from hptmaster.perturbation import (_series, perturbation_lemma,
                                     symmetric_coalgebra_contraction)
 
+import contraction_oracle
 from tensor_oracle import tensor_path_lift
 
 F = Fraction
@@ -84,15 +86,102 @@ def test_lifted_contraction_identities():
 def test_geometric_series_nilpotent():
     V = GradedVectorSpace([("a", 0), ("b", 0)])
     step = GradedMap(V, V, 0, {(1, 0): F(3)})
-    total = geometric_series(step, 5)
+    total = _series(GradedMap.identity(V), step.compose, 5)
     assert total.apply_basis(0) == {0: F(1), 1: F(3)}
 
 
 def test_geometric_series_rejects_non_nilpotent():
     V = GradedVectorSpace([("a", 0)])
     step = GradedMap.identity(V)
-    with pytest.raises(ValueError):
-        geometric_series(step, 10)
+    with pytest.raises(ValueError, match="does not terminate"):
+        _series(GradedMap.identity(V), step.compose, 10)
+
+
+def assert_lemma_matches_oracle(g, con, N):
+    """The thin-series perturbation lemma equals the whole-series oracle,
+    entry for entry, on the CE perturbation of the lift of con."""
+    lifted, _, _ = symmetric_coalgebra_contraction(con, N)
+    delta = ce_coalgebra(g, N).perturbation_operator
+    pcon, delta_small = perturbation_lemma(lifted, delta)
+    ocon, odelta_small = contraction_oracle.perturbation_lemma(lifted, delta)
+    assert pcon.nabla.entries == ocon.nabla.entries
+    assert pcon.pi.entries == ocon.pi.entries
+    assert pcon.h.entries == ocon.h.entries
+    assert delta_small.entries == odelta_small.entries
+
+
+def test_perturbation_lemma_matches_oracle_on_corpus(corpus):
+    for _, g, con, _ in corpus:
+        for N in (1, 2, 3):
+            assert_lemma_matches_oracle(g, con, N)
+
+
+def test_perturbation_lemma_matches_oracle_six_dim_at_n4(corpus):
+    picked = [(g, con) for _, g, con, _ in corpus
+              if g.space.dim == 6 and not g.is_abelian()][:3]
+    assert len(picked) == 3
+    for g, con in picked:
+        assert_lemma_matches_oracle(g, con, 4)
+
+
+def test_perturbation_lemma_matches_oracle_on_long_series():
+    # the corpus series end after one step; here h b_i = -a_i and
+    # delta y = b1, a1 -> b2, a2 -> b3, a3 -> x, so every series runs
+    # through several powers of h delta before it ends
+    V = GradedVectorSpace([("x", 0), ("y", 1), ("a1", 1), ("a2", 1),
+                           ("a3", 1), ("b1", 0), ("b2", 0), ("b3", 0)])
+    i = V.index
+    d = GradedMap(V, V, -1, {(i["b%d" % k], i["a%d" % k]): F(1)
+                             for k in (1, 2, 3)})
+    con = build_contraction(ChainComplex(V, d))
+    delta = GradedMap(V, V, -1, {(i["b1"], i["y"]): F(1),
+                                 (i["b2"], i["a1"]): F(2),
+                                 (i["b3"], i["a2"]): F(-1),
+                                 (i["x"], i["a3"]): F(1, 2)})
+    pcon, delta_small = perturbation_lemma(con, delta)
+    ocon, odelta_small = contraction_oracle.perturbation_lemma(con, delta)
+    assert pcon.nabla.entries == ocon.nabla.entries
+    assert pcon.pi.entries == ocon.pi.entries
+    assert pcon.h.entries == ocon.h.entries
+    assert delta_small.entries == odelta_small.entries
+    # nabla_p [y] = y - a1 + 2 a2 + 2 a3, and delta a3 = x / 2 gives
+    # delta_small [y] = [x]
+    H = con.small.space
+    assert pcon.nabla.apply_basis(H.index["h1_0"]) == {
+        i["y"]: 1, i["a1"]: -1, i["a2"]: 2, i["a3"]: 2}
+    assert delta_small.entries == {(H.index["h0_0"], H.index["h1_0"]): 1}
+
+
+def rejected_perturbations():
+    """Perturbations the lemma must refuse, with the message it gives:
+    name -> (contraction, delta, message)."""
+    # a -> b acyclic: h b = -a, and delta a = 2b makes h delta = -2 on a
+    V = GradedVectorSpace([("a", 1), ("b", 0)])
+    con = build_contraction(ChainComplex(V, GradedMap(V, V, -1,
+                                                      {(1, 0): F(1)})))
+    non_nilpotent = GradedMap(V, V, -1, {(1, 0): F(2)})
+    # x -> a -> b: delta x = a gives (d + delta)^2 x = b
+    W = GradedVectorSpace([("x", 2), ("a", 1), ("b", 0)])
+    con_w = build_contraction(ChainComplex(W, GradedMap(W, W, -1,
+                                                        {(2, 1): F(1)})))
+    not_square_zero = GradedMap(W, W, -1, {(1, 0): F(1)})
+    return {
+        "non-nilpotent": (con, non_nilpotent,
+                          "perturbation series does not terminate"),
+        "non-square-zero": (con_w, not_square_zero,
+                            "perturbed differential does not square to "
+                            "zero"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(rejected_perturbations()))
+def test_perturbation_lemma_rejects_like_oracle(case):
+    con, delta, message = rejected_perturbations()[case]
+    with pytest.raises(ValueError) as new:
+        perturbation_lemma(con, delta)
+    with pytest.raises(ValueError) as old:
+        contraction_oracle.perturbation_lemma(con, delta)
+    assert str(new.value) == str(old.value) == message
 
 
 def test_perturbation_lemma_small_case():
