@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import linalg
 from .complexes import (ChainComplex, contraction_extending_projection,
-                        is_quasi_iso)
+                        homology, is_quasi_iso)
 from .dgla import DgLieAlgebra
 from .graded import GradedMap, GradedVectorSpace, bilinear, ONE, ZERO
 from .transfer import theorem_29_pipeline
@@ -383,15 +383,17 @@ def _formality_report(bv, split):
             if c != 0:
                 d_m_ent[(t, s)] = c
     m_cx = ChainComplex(m_space, GradedMap(m_space, m_space, -1, d_m_ent))
+    m_homology = homology(m_cx)  # shared by both comparison maps
     incl = GradedMap.from_columns(m_space, neg, 0, ker)
-    first = is_quasi_iso(incl, m_cx, A_cx)
+    first = is_quasi_iso(incl, m_cx, A_cx, m_homology)
 
     H_space = GradedVectorSpace([(lab, -deg) for lab, deg in h_basis])
     proj = GradedMap(m_space, H_space, 0,
                      _projection_entries(ker, h_reps, image))
     chain_map = all(linalg.reduce_against(A.d(v), image) is None
                     for v in ker)
-    second = chain_map and is_quasi_iso(proj, m_cx, ChainComplex(H_space))
+    second = chain_map and is_quasi_iso(proj, m_cx, ChainComplex(H_space),
+                                        m_homology)
     return {
         "inclusion_quasi_iso": first,
         "projection_chain_map": chain_map,

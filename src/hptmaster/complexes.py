@@ -313,13 +313,14 @@ def contraction_extending_projection(C, pi, small_space):
     return Contraction(C, small, nabla, pi, h)
 
 
-def induced_map_on_homology(f, C_src, C_tgt):
+def induced_map_on_homology(f, C_src, C_tgt, src_homology=None):
     """The matrix of H(f) with respect to the chosen homology bases.
 
     Returns (matrix rows over H(C_tgt) basis, H_src, H_tgt).  f must be a
-    chain map of degree 0.
+    chain map of degree 0.  src_homology, when given, is homology(C_src)
+    computed earlier.
     """
-    H_src, reps_src = homology(C_src)
+    H_src, reps_src = src_homology or homology(C_src)
     H_tgt, reps_tgt = homology(C_tgt)
     # express f(rep) in homology of the target: solve against [reps | im d]
     im_cols = [C_tgt.d.column(s) for s in range(C_tgt.space.dim)]
@@ -333,8 +334,8 @@ def induced_map_on_homology(f, C_src, C_tgt):
     return out, H_src, H_tgt
 
 
-def is_quasi_iso(f, C_src, C_tgt):
-    M, H_src, H_tgt = induced_map_on_homology(f, C_src, C_tgt)
+def is_quasi_iso(f, C_src, C_tgt, src_homology=None):
+    M, H_src, H_tgt = induced_map_on_homology(f, C_src, C_tgt, src_homology)
     if H_src.dim != H_tgt.dim:
         return False
     return linalg.rank(M) == H_src.dim if H_src.dim else True

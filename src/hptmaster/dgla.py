@@ -12,7 +12,7 @@ from .complexes import ChainComplex
 from .graded import (GradedMap, GradedVectorSpace, bilinear, suspend_space,
                      suspend_map, ONE, ZERO)
 from .words import (TruncatedSymCoalgebra, CoderivationSpec, EMPTY,
-                    splittings, word_degree)
+                    merge_words, splittings)
 
 
 class DgLieAlgebra:
@@ -126,45 +126,58 @@ def validate_dgla(g):
     graded antisymmetric: permuting the arguments changes J by a sign only.
     Hence a triple fails exactly when its sorted form does, and the
     lexicographically first failing triple, reported as the witness, is
-    sorted.
+    sorted.  J vanishes on a triple whose pair brackets [x,y], [y,z] and
+    [x,z] all vanish, so only triples with a nonzero pair bracket are
+    evaluated, in lexicographic order; the witness is the same.
     """
     space = g.space
     degs = space.degrees
+    dim = space.dim
+    table = _signed_table(g)
+    partners = [set() for _ in range(dim)]
+    for i, j in table:
+        partners[i].add(j)
     antisym = True   # canonical storage plus the even-diagonal guard
     jacobi = True
     jacobi_witness = None
-    for i in range(space.dim):
-        for j in range(i, space.dim):
-            for k in range(j, space.dim):
-                lhs = _bracket_sparse(g, {i: ONE}, g.bracket_basis(j, k))
-                rhs1 = _bracket_sparse(g, g.bracket_basis(i, j), {k: ONE})
-                sgn = -ONE if (degs[i] % 2 and degs[j] % 2) else ONE
-                rhs2 = _bracket_sparse(g, {j: ONE}, g.bracket_basis(i, k))
-                bad = dict(lhs)
-                for t, c in rhs1.items():
-                    bad[t] = bad.get(t, ZERO) - c
-                for t, c in rhs2.items():
-                    bad[t] = bad.get(t, ZERO) - sgn * c
+    for i in range(dim):
+        for j in range(i, dim):
+            if j in partners[i]:
+                ks = range(j, dim)
+            else:
+                ks = sorted(k for k in partners[i] | partners[j] if k >= j)
+            odd_ij = degs[i] % 2 and degs[j] % 2
+            for k in ks:
+                # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
+                yz = table.get((j, k), {}).items()
+                xy = table.get((i, j), {}).items()
+                xz = table.get((i, k), {}).items()
+                bad = _add_brackets({}, table, ((i, m, c) for m, c in yz),
+                                    False)
+                _add_brackets(bad, table, ((m, k, c) for m, c in xy), True)
+                _add_brackets(bad, table, ((j, m, c) for m, c in xz),
+                              not odd_ij)
                 if any(c != 0 for c in bad.values()):
                     jacobi = False
                     if jacobi_witness is None:
                         jacobi_witness = (space.labels[i], space.labels[j],
                                           space.labels[k])
+    d_cols = g.d.by_column()
     leibniz = True
     leibniz_witness = None
-    for i in range(space.dim):
-        for j in range(space.dim):
+    for i in range(dim):
+        for j in range(dim):
             d_br = {}
-            for k, c in g.bracket_basis(i, j).items():
-                for t, c2 in g.d.apply_basis(k).items():
+            for k, c in table.get((i, j), {}).items():
+                for t, c2 in d_cols.get(k, {}).items():
                     d_br[t] = d_br.get(t, ZERO) + c * c2
             rhs = {}
-            for t, c in g.d.apply_basis(i).items():
-                for k, c2 in g.bracket_basis(t, j).items():
+            for t, c in d_cols.get(i, {}).items():
+                for k, c2 in table.get((t, j), {}).items():
                     rhs[k] = rhs.get(k, ZERO) + c * c2
             sgn = -ONE if degs[i] % 2 else ONE
-            for t, c in g.d.apply_basis(j).items():
-                for k, c2 in g.bracket_basis(i, t).items():
+            for t, c in d_cols.get(j, {}).items():
+                for k, c2 in table.get((i, t), {}).items():
                     rhs[k] = rhs.get(k, ZERO) + sgn * c * c2
             bad = dict(d_br)
             for t, c in rhs.items():
@@ -183,12 +196,37 @@ def validate_dgla(g):
     }
 
 
-def _bracket_sparse(g, u, v):
+def _signed_table(g):
+    """{(i, j): [e_i, e_j]} for every ordered pair with a nonzero bracket,
+    built once per call from the canonical i <= j table; read, never
+    modify."""
+    table = dict(g.bracket_table)
+    for (i, j) in g.bracket_table:
+        if i != j:
+            table[(j, i)] = g.bracket_basis(j, i)
+    return table
+
+
+def _add_brackets(acc, table, terms, negate):
+    """acc +/-= sum of b [e_l, e_r] over the terms (l, r, b); returns acc."""
+    for l, r, b in terms:
+        for t, c in table.get((l, r), {}).items():
+            if negate:
+                acc[t] = acc.get(t, ZERO) - b * c
+            else:
+                acc[t] = acc.get(t, ZERO) + b * c
+    return acc
+
+
+def _bracket_sparse(table, u, v):
     out = {}
     for i, a in u.items():
         for j, b in v.items():
-            for k, c in g.bracket_basis(i, j).items():
-                out[k] = out.get(k, ZERO) + a * b * c
+            col = table.get((i, j))
+            if col:
+                ab = a * b
+                for k, c in col.items():
+                    out[k] = out.get(k, ZERO) + ab * c
     return out
 
 
@@ -216,27 +254,40 @@ def cup_bracket(a, b, coalg, target, length=None):
     a, b are GradedMaps from the coalgebra word space into the target Lie
     algebra's space.  When length is given only words of that length are
     evaluated, and the columns of all other words are zero.
+
+    Each splitting (A, B) of w occurs once in Delta(e_w), so
+    [a, b](w) = sum over A in supp a, B in supp b merging to w of
+    sign(A, B) (-1)^{|b||A|} [a(A), b(B)].
     """
-    ent = {}
+    words = coalg.words
+    table = _signed_table(target)
+    b_by_length = {}
+    for s, vb in b.by_column().items():
+        b_by_length.setdefault(len(words[s]), []).append((words[s], vb))
     odd_b = b.degree % 2
-    for wi, w in enumerate(coalg.words):
-        if length is not None and len(w) != length:
-            continue
-        acc = {}
-        for A, B, sign in coalg.diagonal(w):
-            va = a.apply_basis(coalg.windex[A])
-            if not va:
+    acc = {}
+    for s, va in a.by_column().items():
+        A = words[s]
+        flip = odd_b and coalg.is_odd(A)
+        for size, group in b_by_length.items():
+            n = len(A) + size
+            if n > coalg.N or (length is not None and n != length):
                 continue
-            vb = b.apply_basis(coalg.windex[B])
-            if not vb:
-                continue
-            if odd_b and word_degree(A, coalg.gen_space) % 2:
-                sign = -sign
-            for t, c in _bracket_sparse(target, va, vb).items():
-                acc[t] = acc.get(t, ZERO) + sign * c
-        for t in sorted(acc):
-            if acc[t] != 0:
-                ent[(t, wi)] = acc[t]
+            for B, vb in group:
+                w, sign = merge_words(A, B, coalg)
+                if w is None:
+                    continue
+                if flip:
+                    sign = -sign
+                col = acc.setdefault(coalg.windex[w], {})
+                for t, c in _bracket_sparse(table, va, vb).items():
+                    col[t] = col.get(t, ZERO) + (c if sign > 0 else -c)
+    ent = {}
+    for wi in sorted(acc):
+        col = acc[wi]
+        for t in sorted(col):
+            if col[t] != 0:
+                ent[(t, wi)] = col[t]
     return GradedMap(coalg.space, a.target, a.degree + b.degree, ent)
 
 
@@ -282,11 +333,13 @@ def ce_coalgebra(g, N):
 def _half_self_bracket(w, coalg, g):
     """(1/2)[tau^1, tau^1] evaluated on a length-2 word, valued in g."""
     acc = [ZERO] * g.space.dim
-    for A, B, sign in splittings(w, coalg.gen_space, left_size=1):
+    for A, B, sign in splittings(w, coalg.gen_space):
+        if len(A) != 1:
+            continue
         x = A[0][1:] if A[0].startswith("s") else A[0]
         y = B[0][1:] if B[0].startswith("s") else B[0]
         sgn = sign
-        if word_degree(A, coalg.gen_space) % 2:
+        if coalg.is_odd(A):
             sgn = -sgn
         for k, c in g.bracket_basis(g.space.index[x], g.space.index[y]).items():
             acc[k] += Fraction(1, 2) * sgn * c

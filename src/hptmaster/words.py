@@ -11,11 +11,23 @@ normalization the diagonal takes the form
 each splitting counted once.  A repeated odd-degree factor makes a word
 zero; this is enforced at construction.
 
+Read the other way round, this is the merge form of the diagonal: every
+pair of words (A, B) whose sorted merge w = A u B has no repeated odd
+letter occurs exactly once, in Delta(e_w), with
+
+    sign(A, B) = (-1)^k,  k = #{(a, b) : a odd in A, b odd in B, b < a},
+
+the Koszul sign of putting A before B (letters compared in the canonical
+order).  `merge_words` evaluates it, so sums over the diagonal such as cup
+brackets and coderivations run over pairs of words taken from column
+supports instead of over every splitting of every word.
+
 Coderivations are determined by component families lambda_b mapping
 length-b words to generators; the induced operator lowers word length by
 b - 1.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -59,14 +71,12 @@ def word_degree(word, gen_space):
     return sum(gen_space.degree_of(lab) for lab in word)
 
 
-def splittings(word, gen_space, left_size=None):
+def splittings(word, gen_space):
     """Ordered multiset splittings (A, B) of a word, with Koszul signs.
 
     Yields (word_A, word_B, sign).  Each unordered split appears in both
     orders; within equal factors only the leftmost copies are chosen, so
     each splitting is produced exactly once (the divided-power diagonal).
-    When left_size is given only splittings with len(A) == left_size are
-    produced.
 
     The sign is that of moving the letters of A in front of those of B:
     (-1)^k, where k counts the pairs of odd letters with the B letter
@@ -83,8 +93,6 @@ def splittings(word, gen_space, left_size=None):
         runs.append((word[i], j - i, gen_space.degree_of(word[i]) % 2))
         i = j
     for take in iproduct(*[range(cnt + 1) for _, cnt, _ in runs]):
-        if left_size is not None and sum(take) != left_size:
-            continue
         a_word = []
         b_word = []
         odd_b = 0
@@ -97,6 +105,26 @@ def splittings(word, gen_space, left_size=None):
                 odd_b += cnt - t
         yield (tuple(a_word), tuple(b_word),
                -ONE if inversions % 2 else ONE)
+
+
+def merge_words(A, B, coalg):
+    """The sorted merge of words A and B and the Koszul sign (+-1) of
+    putting A before B: (-1)^k, k the number of odd letters of B that sort
+    before an odd letter of A.  (None, 0) when an odd letter repeats."""
+    rank = coalg.rank
+    odd = coalg.odd
+    k = 0
+    for a in A:
+        if a in odd:
+            ra = rank[a]
+            for b in B:
+                if b in odd:
+                    rb = rank[b]
+                    if rb < ra:
+                        k += 1
+                    elif rb == ra:
+                        return None, 0
+    return tuple(sorted(A + B, key=rank.__getitem__)), -1 if k % 2 else 1
 
 
 def enumerate_words(gen_space, max_len):
@@ -168,6 +196,10 @@ class TruncatedSymCoalgebra:
         self.N = int(max_word_length)
         self.words = enumerate_words(gen_space, self.N)
         self.windex = {w: i for i, w in enumerate(self.words)}
+        # merge tables: canonical position and the odd letters
+        gens = sorted(zip(gen_space.degrees, gen_space.labels))
+        self.rank = {lab: r for r, (_, lab) in enumerate(gens)}
+        self.odd = {lab for deg, lab in gens if deg % 2}
         self.space = GradedVectorSpace(
             [(word_label(w), word_degree(w, gen_space)) for w in self.words])
         self.gen_differential = gen_differential
@@ -177,6 +209,16 @@ class TruncatedSymCoalgebra:
 
     def word_length(self, index):
         return len(self.words[index])
+
+    def words_of_length(self, lo, hi):
+        """The words w with lo <= len(w) <= hi, in order (words come in
+        order of length)."""
+        return self.words[bisect_left(self.words, lo, key=len):
+                          bisect_right(self.words, hi, key=len)]
+
+    def is_odd(self, word):
+        """Is the degree of the word odd?"""
+        return sum(lab in self.odd for lab in word) % 2 == 1
 
     # -- operators ---------------------------------------------------------
 
@@ -217,33 +259,39 @@ class TruncatedSymCoalgebra:
         out = {}
         for t, c in column.items():
             for A, B, sign in self.diagonal(self.words[t]):
-                out[(A, B)] = out.get((A, B), ZERO) + c * sign
+                out[(A, B)] = out.get((A, B), ZERO) + (c if sign > 0 else -c)
         return out
 
 
 def coderivation_operator(spec, coalg):
-    """The coderivation of the truncated coalgebra extending the components."""
+    """The coderivation of the truncated coalgebra extending the components.
+
+    D(e_w) sums sign(A, B) lambda_b(A) . e_B over the splittings (A, B) of
+    w with |A| = b, so it is built by merging each word A of the support of
+    lambda_b with every word B of length <= N - b.
+    """
     ent = {}
-    gen_space = coalg.gen_space
-    sort = memo_sorter(gen_space)
-    for wi, w in enumerate(coalg.words):
-        for b in spec.arities():
-            if b > len(w):
+    labels = coalg.gen_space.labels
+    windex = coalg.windex
+    for b in spec.arities():
+        shorts = coalg.words_of_length(0, coalg.N - b)
+        for A, val in spec.components[b].items():
+            if len(A) != b or A not in windex:
                 continue
-            for A, B, sign in splittings(w, gen_space, left_size=b):
-                val = spec.components[b].get(A)
-                if not val:
+            for B in shorts:
+                w, sign = merge_words(A, B, coalg)
+                if w is None:
                     continue
+                wi = windex[w]
                 for g, c in val.items():
-                    lab = gen_space.labels[g]
-                    w2, sign2 = sort((lab,) + B)
+                    lab = labels[g]
+                    w2, sign2 = merge_words((lab,), B, coalg)
                     if w2 is None:
                         continue
                     # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}
-                    mult = B.count(lab) + 1
-                    ti = coalg.windex[w2]
-                    key = (ti, wi)
-                    ent[key] = ent.get(key, ZERO) + mult * sign * c * sign2
+                    mult = (B.count(lab) + 1) * sign * sign2
+                    key = (windex[w2], wi)
+                    ent[key] = ent.get(key, ZERO) + mult * c
     ent = {k: v for k, v in ent.items() if v != 0}
     return GradedMap(coalg.space, coalg.space, -1, ent)
 
@@ -253,23 +301,50 @@ def commutes_with_diagonal(op, coalg):
 
     op must be a homogeneous operator of odd degree (a candidate
     coderivation).  Returns the list of words where compatibility fails.
+
+    The two sides enumerate Delta independently: Delta(D e_w) runs over
+    the splittings of the words in D e_w, while (D (x) Id + Id (x) D)
+    Delta(e_w) is built by merging each word X of the column support of D
+    with every word Y of length |w| - |X|, on either side.  Words are
+    compared one length at a time, so only one length's right-hand sides
+    are held at once.
     """
     odd = op.degree % 2 == 1
+    words = coalg.words
+    windex = coalg.windex
+    columns = [(words[s], col) for s, col in op.by_column().items()]
     bad = []
-    for wi, w in enumerate(coalg.words):
-        diff = coalg.diagonal_of_column(op.apply_basis(wi))
-        for A, B, sign in coalg.diagonal(w):
-            # D (x) Id
-            for t, c in op.apply_basis(coalg.windex[A]).items():
-                key = (coalg.words[t], B)
-                diff[key] = diff.get(key, ZERO) - sign * c
-            # Id (x) D, with the Koszul sign for moving D past e_A
-            sgn = -1 if (odd and word_degree(A, coalg.gen_space) % 2) else 1
-            for t, c in op.apply_basis(coalg.windex[B]).items():
-                key = (A, coalg.words[t])
-                diff[key] = diff.get(key, ZERO) - sign * c * sgn
-        if any(c != 0 for c in diff.values()):
-            bad.append(w)
+    for n in range(coalg.N + 1):
+        rhs = {}
+        for X, col in columns:
+            if len(X) > n:
+                continue
+            x_odd = coalg.is_odd(X)
+            for Y in coalg.words_of_length(n - len(X), n - len(X)):
+                w, sign = merge_words(X, Y, coalg)
+                if w is None:
+                    continue
+                y_odd = coalg.is_odd(Y)
+                acc = rhs.setdefault(windex[w], {})
+                # D (x) Id on the splitting (X, Y)
+                for t, c in col.items():
+                    key = (words[t], Y)
+                    acc[key] = acc.get(key, ZERO) + (c if sign > 0 else -c)
+                # Id (x) D on the splitting (Y, X): the Koszul signs of
+                # swapping X and Y, (-1)^{|X||Y|}, and of moving D past
+                # e_Y, (-1)^{|D||Y|}
+                if y_odd and x_odd != odd:
+                    sign = -sign
+                for t, c in col.items():
+                    key = (Y, words[t])
+                    acc[key] = acc.get(key, ZERO) + (c if sign > 0 else -c)
+        for w in coalg.words_of_length(n, n):
+            wi = windex[w]
+            diff = coalg.diagonal_of_column(op.apply_basis(wi))
+            for key, c in rhs.get(wi, {}).items():
+                diff[key] = diff.get(key, ZERO) - c
+            if any(c != 0 for c in diff.values()):
+                bad.append(w)
     return bad
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hptmaster import bv as bv_module, cli, instances
+from hptmaster import bv as bv_module, cli, complexes, instances
 from hptmaster.bv import (BVData, GerstenhaberAlgebra,
                           addendum_382_flat_identity, bracket_from_generator,
                           kahler_formality_check, koszul_identity_check,
@@ -165,7 +165,9 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
     assert len(calls) == 2
 
     # one bv run: one splitting and one formality predicate (two
-    # quasi-isomorphism checks), shared by the report and the pipeline
+    # quasi-isomorphism checks), shared by the report and the pipeline;
+    # the two checks share the homology of (ker Delta, d), so four
+    # distinct complexes take four homology computations
     quasi_isos = []
     is_quasi_iso = bv_module.is_quasi_iso
 
@@ -173,12 +175,23 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
         quasi_isos.append(args)
         return is_quasi_iso(*args)
 
+    homologies = []
+    homology = complexes.homology
+
+    def counting_homology(C):
+        homologies.append(C)
+        return homology(C)
+
     monkeypatch.setattr(bv_module, "is_quasi_iso", counting_quasi_iso)
+    monkeypatch.setattr(complexes, "homology", counting_homology)
+    monkeypatch.setattr(bv_module, "homology", counting_homology)
     for argv in (["bv", str(fixture_dir / "kahler_bv.json")],
                  ["bv", str(fixture_dir / "unit_bv.json"),
                   "--pipeline", "flat-unit"]):
-        del calls[:], quasi_isos[:]
+        del calls[:], quasi_isos[:], homologies[:]
         assert cli.main(argv + ["--max-word-length", "3"]) == 0
         assert len(calls) == 1
         assert len(quasi_isos) == 2
+        assert len(homologies) == 4
+        assert len({id(C) for C in homologies}) == 4
     capsys.readouterr()

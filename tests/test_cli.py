@@ -266,6 +266,17 @@ def test_report_bytes_golden(argv, digest, fixture_dir, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_transfer_l3_cubed_golden_at_length_six(fixture_dir, capsys):
+    # three copies of the nonzero-l3 algebra at N = 6 (5,376 words): the
+    # word layer's cup brackets, coderivations and compatibility check on
+    # a size the smaller golden reports do not reach
+    code, out, _ = run(["transfer", "--check", "--max-word-length", "6",
+                        str(fixture_dir / "l3_cubed.json")], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0039891ce2e8d0f1e5b5d77dd376cbed5863abece91794725b328f10ac706513")
+
+
 def test_cohomological_grading_flip(tmp_path, capsys):
     # same dg Lie algebra presented cohomologically must validate
     doc = {

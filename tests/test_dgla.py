@@ -1,18 +1,21 @@
 """dg Lie algebras, cup operations, and twisting cochains."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import word_oracle
-from hptmaster import instances
-from hptmaster.complexes import ChainComplex
+from hptmaster import cli, instances
+from hptmaster.complexes import ChainComplex, build_contraction
 from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
-                            is_twisting_cochain, twisted_differential,
-                            universal_twisting_cochain, validate_dgla)
+                            cup_bracket, is_twisting_cochain,
+                            twisted_differential, universal_twisting_cochain,
+                            validate_dgla)
 from hptmaster.graded import GradedMap, GradedVectorSpace
-from hptmaster.words import check_sh_lie
+from hptmaster.transfer import transfer
+from hptmaster.words import TruncatedSymCoalgebra, check_sh_lie
 
 F = Fraction
 
@@ -51,6 +54,8 @@ def test_validate_leibniz_witness():
 
 
 COEFFS = [F(0), F(0), F(1), F(-1), F(2), F(1, 2)]
+# the degrees of the dimension-40 abelian algebra of the cli-mix benchmark
+ABELIAN_40 = [random.Random(0).randrange(-2, 4) for _ in range(40)]
 
 
 @st.composite
@@ -81,6 +86,10 @@ def bracket_tables(draw):
 @example(([0, 0, 0], {},
           {(0, 1): {2: F(1)}, (0, 2): {0: F(-3)}, (1, 2): {1: F(2)}}))
 @example(([1, 1, 2], {}, {(0, 1): {2: F(1)}, (1, 1): {2: F(1)}}))
+@example((ABELIAN_40, {}, {}))
+# sparse and failing: the first failing triple (x0, x2, x4) has [x0, x2] = 0
+@example(([0] * 7, {}, {(2, 4): {5: F(1)}, (0, 5): {1: F(1)},
+                        (3, 6): {1: F(2)}}))
 def test_validate_dgla_matches_full_cube_oracle(case):
     degrees, d_ent, table = case
     V = GradedVectorSpace([("x%d" % i, d) for i, d in enumerate(degrees)])
@@ -176,3 +185,67 @@ def test_sub_algebra_inclusion():
     sub, incl = g.sub_algebra(vectors)
     assert sub.space.dim == dim
     assert validate_dgla(sub)["passed"]
+
+
+def _assert_cup_matches_oracle(a, b, coalg, g):
+    for length in [None] + list(range(coalg.N + 2)):
+        got = cup_bracket(a, b, coalg, g, length=length)
+        want = word_oracle.cup_bracket(a, b, coalg, g, length=length)
+        assert got.degree == want.degree
+        assert list(got.entries.items()) == list(want.entries.items())
+
+
+def test_cup_bracket_matches_oracle_on_corpus(corpus):
+    for _, g, con, res4 in corpus:
+        for N in (2, 3, 4):
+            res = res4 if N == 4 else transfer(g, con, N)
+            _assert_cup_matches_oracle(res.tau.hom, res.tau.hom, res.coalg, g)
+
+
+def test_cup_bracket_matches_oracle_on_l3_cubed(fixture_dir):
+    _, g, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
+    con = build_contraction(g.complex)
+    for N in (3, 5):
+        tau = transfer(g, con, N).tau
+        coalg = tau.source
+        for length in (None, N):
+            got = cup_bracket(tau.hom, tau.hom, coalg, g, length=length)
+            want = word_oracle.cup_bracket(tau.hom, tau.hom, coalg, g,
+                                           length=length)
+            assert got.entries == want.entries
+
+
+def test_cup_bracket_matches_oracle_on_hand_case():
+    # words with a repeated even letter next to three odd letters, e.g.
+    # p p u v w, and random maps of even and odd degree into a target
+    # whose degrees reach the long words (the bracket need not be Lie)
+    rng = random.Random(7)
+    gens = GradedVectorSpace(
+        [("p", 0), ("q", 2), ("u", 1), ("v", 1), ("w", 3)])
+    coalg = TruncatedSymCoalgebra(gens, 5)
+    assert ("p", "p", "u", "v", "w") in coalg.windex
+    V = GradedVectorSpace([("e%d" % i, i // 2) for i in range(12)])
+    table = {}
+    for i in range(V.dim):
+        for j in range(i, V.dim):
+            if i == j and V.degrees[i] % 2 == 0:
+                continue
+            ks = [k for k in range(V.dim)
+                  if V.degrees[k] == V.degrees[i] + V.degrees[j]]
+            if ks and rng.random() < 0.5:
+                table[(i, j)] = {rng.choice(ks): F(rng.randrange(1, 4))}
+    g = DgLieAlgebra(ChainComplex(V), table)
+
+    def random_map(degree):
+        ent = {}
+        for s in range(coalg.space.dim):
+            ts = [t for t in range(V.dim)
+                  if V.degrees[t] == coalg.space.degrees[s] + degree]
+            if ts and rng.random() < 0.6:
+                ent[(rng.choice(ts), s)] = F(rng.randrange(-2, 3), 3)
+        return GradedMap(coalg.space, V, degree, ent)
+
+    for da, db in ((-1, -1), (-1, 0), (0, -1), (-2, 1)):
+        a, b = random_map(da), random_map(db)
+        assert not cup_bracket(a, b, coalg, g).is_zero()
+        _assert_cup_matches_oracle(a, b, coalg, g)

@@ -1,17 +1,23 @@
 """Divided-power symmetric coalgebra words, diagonal, coderivations."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import word_oracle
-from hptmaster.graded import GradedVectorSpace, koszul_sign
+from hptmaster import cli, instances
+from hptmaster.complexes import build_contraction
+from hptmaster.dgla import ce_coalgebra
+from hptmaster.graded import GradedMap, GradedVectorSpace, koszul_sign
+from hptmaster.transfer import transfer
 from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
                              check_sh_lie, coderivation_operator,
                              commutes_with_diagonal, enumerate_words,
-                             sort_factors, splittings, word_degree)
+                             merge_words, sort_factors, splittings,
+                             word_degree)
 
 F = Fraction
 
@@ -94,9 +100,8 @@ def test_splittings_match_koszul_oracle(case):
     # an odd letter may repeat or recur after other letters
     space, sequences = case
     for word in enumerate_words(space, 5) + sequences:
-        for left_size in [None] + list(range(len(word) + 1)):
-            assert (list(splittings(word, space, left_size)) ==
-                    list(word_oracle.splittings(word, space, left_size)))
+        assert (list(splittings(word, space)) ==
+                list(word_oracle.splittings(word, space)))
 
 
 def test_diagonal_coassociative():
@@ -168,3 +173,127 @@ def test_check_sh_lie_flags_broken_square():
 
 def test_word_degree():
     assert word_degree(("p", "u", "w"), MIXED) == 3
+
+
+# a repeated even letter next to three odd letters: p, q even, u, v, w odd
+HAND = GradedVectorSpace([("p", 0), ("q", 2), ("u", 1), ("v", 1), ("w", 3)])
+
+
+def test_merge_words_inverts_splittings():
+    # every splitting (A, B) of w merges back to w with the splitting's
+    # sign, and every other pair of words repeats an odd letter
+    coalg = TruncatedSymCoalgebra(HAND, 5)
+    assert ("p", "p", "u", "v", "w") in coalg.windex
+    split = {}
+    for w in coalg.words:
+        for A, B, sign in word_oracle.splittings(w, HAND):
+            split[(A, B)] = (w, sign)
+    for A in coalg.words:
+        for B in coalg.words_of_length(0, 5 - len(A)):
+            assert merge_words(A, B, coalg) == split.get((A, B), (None, 0))
+    assert len(split) == sum(
+        len(list(word_oracle.splittings(w, HAND))) for w in coalg.words)
+
+
+def _hand_spec(rng, gen_space, coalg, arities):
+    spec = CoderivationSpec(gen_space)
+    for b in arities:
+        comp = {}
+        for w in coalg.words:
+            if len(w) != b or rng.random() < 0.5:
+                continue
+            deg = word_degree(w, gen_space) - 1
+            targets = [g for g in range(gen_space.dim)
+                       if gen_space.degrees[g] == deg]
+            if targets:
+                comp[w] = {rng.choice(targets): F(rng.randrange(-3, 4), 2)}
+        spec.set_component(b, comp)
+    return spec
+
+
+def test_coderivation_matches_oracle_on_hand_case():
+    rng = random.Random(5)
+    coalg = TruncatedSymCoalgebra(HAND, 5)
+    for arities in ((1,), (2,), (1, 2, 3), (3, 4, 5)):
+        spec = _hand_spec(rng, HAND, coalg, arities)
+        op = coderivation_operator(spec, coalg)
+        assert op.entries == word_oracle.coderivation_operator(
+            spec, coalg).entries
+        assert commutes_with_diagonal(op, coalg) == []
+
+
+def test_word_layer_matches_oracle_on_corpus(corpus):
+    for _, g, con, res4 in corpus:
+        for N in (2, 3, 4):
+            res = res4 if N == 4 else transfer(g, con, N)
+            coalg = res.coalg
+            for spec in (coalg.perturbation, CoderivationSpec(
+                    coalg.gen_space, {1: {(lab,): coalg.gen_differential
+                                          .apply_basis(i) for i, lab in
+                                          enumerate(coalg.gen_space.labels)}})):
+                op = coderivation_operator(spec, coalg)
+                assert op.entries == word_oracle.coderivation_operator(
+                    spec, coalg).entries
+            D = coalg.differential
+            assert (commutes_with_diagonal(D, coalg) ==
+                    word_oracle.commutes_with_diagonal(D, coalg) == [])
+
+
+def test_word_layer_matches_oracle_on_l3_cubed(fixture_dir):
+    _, g, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
+    con = build_contraction(g.complex)
+    for N in (3, 5):
+        coalg = transfer(g, con, N).coalg
+        op = coalg.perturbation_operator
+        assert op.entries == word_oracle.coderivation_operator(
+            coalg.perturbation, coalg).entries
+        D = coalg.differential
+        assert (commutes_with_diagonal(D, coalg) ==
+                word_oracle.commutes_with_diagonal(D, coalg) == [])
+
+
+def _corruptions(op, coalg, rng, count):
+    """Operators that differ from op in one entry whose target word has
+    length >= 2: the middle terms of Delta of that target make the
+    source word incompatible, so every one of them must be caught."""
+    space = coalg.space
+    keys = [k for k in op.entries if len(coalg.words[k[0]]) >= 2]
+    free = [(t, s) for s in range(space.dim) for t in range(space.dim)
+            if space.degrees[t] == space.degrees[s] - 1
+            and len(coalg.words[t]) >= 2]
+    out = []
+    for n in range(count):
+        ent = dict(op.entries)
+        if n % 2 and keys:
+            key = rng.choice(keys)
+            ent[key] = ent[key] * 2
+        else:
+            key = rng.choice(free)
+            ent[key] = ent.get(key, F(0)) + F(rng.choice([1, -1, 3]), 2)
+        out.append(GradedMap(space, space, -1, ent))
+    return out
+
+
+def test_commutes_with_diagonal_reports_corrupted_words_like_oracle():
+    rng = random.Random(11)
+    cases = [ce_coalgebra(instances.nonzero_l3_dgla(), 4),
+             ce_coalgebra(instances.sl2(), 3)]
+    for g in (instances.random_dgla(3), instances.random_dgla(8)):
+        cases.append(transfer(g, build_contraction(g.complex), 4).coalg)
+    for coalg in cases:
+        for bad in _corruptions(coalg.differential, coalg, rng, 6):
+            got = commutes_with_diagonal(bad, coalg)
+            assert got
+            assert got == word_oracle.commutes_with_diagonal(bad, coalg)
+    # a changed corestriction breaks compatibility on the longer words
+    # that contain the changed word, not on the word itself
+    coalg = cases[0]
+    op = coalg.differential
+    wi = coalg.windex[("sx", "sy")]
+    ent = dict(op.entries)
+    key = (coalg.windex[("sv",)], wi)
+    ent[key] = ent.get(key, F(0)) + 1
+    bad = GradedMap(coalg.space, coalg.space, -1, ent)
+    got = commutes_with_diagonal(bad, coalg)
+    assert got and ("sx", "sy") not in got
+    assert got == word_oracle.commutes_with_diagonal(bad, coalg)

@@ -1,12 +1,16 @@
 """The word layer computed the long way, kept as an exact test oracle.
 
 The library counts splitting signs run by run, checks Jacobi on sorted
-triples only and evaluates the transfer recursion's cup bracket on the
-words of one length at a time.  This module keeps the direct versions:
+triples only, evaluates the transfer recursion's cup bracket on the
+words of one length at a time, and forms cup brackets, coderivations and
+the (D (x) 1 + 1 (x) D) Delta side of the compatibility check by merging
+words of the column supports.  This module keeps the direct versions:
 splittings signed by the Koszul sign of the full position permutation,
-the Jacobi loop over every ordered triple, and a recursion step that
+the Jacobi loop over every ordered triple, a recursion step that
 evaluates the cup bracket on every word with dense pairings and then
-drops the columns of the other lengths.
+drops the columns of the other lengths, and the per-word cup bracket,
+coderivation and compatibility check that enumerate every splitting of
+every word.
 """
 
 from fractions import Fraction
@@ -14,7 +18,7 @@ from itertools import product as iproduct
 
 from hptmaster.graded import GradedMap, koszul_sign, ONE, ZERO
 from hptmaster.transfer import _small_coalgebra
-from hptmaster.words import CoderivationSpec, word_degree
+from hptmaster.words import CoderivationSpec, memo_sorter, word_degree
 
 HALF = Fraction(1, 2)
 
@@ -162,3 +166,77 @@ def transfer_tau_and_D(g, con, N):
         if comp:
             spec.set_component(b, comp)
     return tau_hom, spec
+
+
+def cup_bracket(a, b, coalg, target, length=None):
+    """[a, b] word by word over every splitting of every word."""
+    ent = {}
+    odd_b = b.degree % 2
+    for wi, w in enumerate(coalg.words):
+        if length is not None and len(w) != length:
+            continue
+        acc = {}
+        for A, B, sign in splittings(w, coalg.gen_space):
+            va = a.apply_basis(coalg.windex[A])
+            if not va:
+                continue
+            vb = b.apply_basis(coalg.windex[B])
+            if not vb:
+                continue
+            if odd_b and word_degree(A, coalg.gen_space) % 2:
+                sign = -sign
+            for t, c in _bracket(target, va, vb).items():
+                acc[t] = acc.get(t, ZERO) + sign * c
+        for t in sorted(acc):
+            if acc[t] != 0:
+                ent[(t, wi)] = acc[t]
+    return GradedMap(coalg.space, a.target, a.degree + b.degree, ent)
+
+
+def coderivation_operator(spec, coalg):
+    """The coderivation extending spec, word by word over the splittings
+    whose left factor has the arity of a component."""
+    ent = {}
+    gen_space = coalg.gen_space
+    sort = memo_sorter(gen_space)
+    for wi, w in enumerate(coalg.words):
+        for b in spec.arities():
+            if b > len(w):
+                continue
+            for A, B, sign in splittings(w, gen_space, left_size=b):
+                val = spec.components[b].get(A)
+                if not val:
+                    continue
+                for g, c in val.items():
+                    lab = gen_space.labels[g]
+                    w2, sign2 = sort((lab,) + B)
+                    if w2 is None:
+                        continue
+                    mult = B.count(lab) + 1
+                    key = (coalg.windex[w2], wi)
+                    ent[key] = ent.get(key, ZERO) + mult * sign * c * sign2
+    ent = {k: v for k, v in ent.items() if v != 0}
+    return GradedMap(coalg.space, coalg.space, -1, ent)
+
+
+def commutes_with_diagonal(op, coalg):
+    """Words w where Delta(D e_w) != (D (x) 1 + 1 (x) D) Delta(e_w), both
+    sides over the splittings of w."""
+    odd = op.degree % 2 == 1
+    bad = []
+    for wi, w in enumerate(coalg.words):
+        diff = {}
+        for t, c in op.apply_basis(wi).items():
+            for A, B, sign in splittings(coalg.words[t], coalg.gen_space):
+                diff[(A, B)] = diff.get((A, B), ZERO) + c * sign
+        for A, B, sign in splittings(w, coalg.gen_space):
+            for t, c in op.apply_basis(coalg.windex[A]).items():
+                key = (coalg.words[t], B)
+                diff[key] = diff.get(key, ZERO) - sign * c
+            sgn = -1 if (odd and word_degree(A, coalg.gen_space) % 2) else 1
+            for t, c in op.apply_basis(coalg.windex[B]).items():
+                key = (A, coalg.words[t])
+                diff[key] = diff.get(key, ZERO) - sign * c * sgn
+        if any(c != 0 for c in diff.values()):
+            bad.append(w)
+    return bad
