@@ -10,8 +10,6 @@ choices (pivoting, representatives) are deterministic, so the result is a
 pure function of the input.
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .graded import GradedMap, GradedVectorSpace, ONE, ZERO
 
@@ -35,6 +33,17 @@ class ChainComplex:
             raise ValueError("d o d != 0")
         self.d = d
 
+    def perturbed(self, delta):
+        """The complex (space, d + delta), raising like the constructor.
+        d^2 = 0 was checked on self, so of (d + delta)^2 only the rest,
+        (d + delta) delta + delta d, is computed."""
+        d_new = self.d + delta
+        if not (d_new.compose(delta) + delta.compose(self.d)).is_zero():
+            raise ValueError("d o d != 0")
+        out = ChainComplex.__new__(ChainComplex)
+        out.space, out.d = self.space, d_new
+        return out
+
     @property
     def dim(self):
         return self.space.dim
@@ -45,7 +54,8 @@ class ChainComplex:
 
 
 class Contraction:
-    """SDR data (nabla, pi, h) between big and small chain complexes."""
+    """SDR data (nabla, pi, h) between big and small chain complexes,
+    never mutated, so that its verdict is computed once and carried."""
 
     def __init__(self, big, small, nabla, pi, h, check=True):
         self.big = big
@@ -53,18 +63,24 @@ class Contraction:
         self.nabla = nabla
         self.pi = pi
         self.h = h
+        self._failures = None
         if check:
             errs = self.identity_failures()
             if errs:
                 raise ValueError("invalid contraction: " + ", ".join(errs))
 
     def identity_failures(self):
-        """Names of the defining identities that fail (empty list = valid).
+        """Names of the defining identities that fail (empty list = valid),
+        computed on the first call and copied out on every call."""
+        if self._failures is None:
+            self._failures = self._check_identities()
+        return list(self._failures)
 
-        Checked column by column on sparse images: one pass over the basis
-        of the small space (pi nabla = Id, h nabla = 0, nabla a chain map)
-        and one over the big space (the other four).
-        """
+    def _check_identities(self):
+        """The failing identities, checked column by column on sparse
+        images: one pass over the basis of the small space (pi nabla = Id,
+        h nabla = 0, nabla a chain map) and one over the big space (the
+        other four)."""
         d, d_small = self.big.d, self.small.d
         nabla, pi, h = self.nabla, self.pi, self.h
         d_cols, d_small_cols = d.by_column(), d_small.by_column()
@@ -216,22 +232,6 @@ def build_contraction(C):
     pi = GradedMap(space, small.space, 0, pi_ent)
     h = GradedMap(space, space, 1, h_ent)
     return Contraction(C, small, nabla, pi, h)
-
-
-def normalize_homotopy(con):
-    """Force the side conditions on a contraction that only has (2.1.2/3).
-
-    First conjugate by Id - nabla pi to kill pi h and h nabla, then replace
-    h by -h d h to kill h h.  The minus sign goes with the convention
-    D h = nabla pi - Id: the graded derivation rule gives
-    D(h d h) = -(d h + h d) once pi h = h nabla = 0, so negating restores
-    the correct homotopy equation.  Returns a valid Contraction.
-    """
-    big, small = con.big, con.small
-    proj = GradedMap.identity(big.space) - con.nabla.compose(con.pi)
-    h1 = proj.compose(con.h).compose(proj)
-    h2 = h1.compose(big.d).compose(h1).scale(Fraction(-1))
-    return Contraction(big, small, con.nabla, con.pi, h2)
 
 
 def contraction_extending_projection(C, pi, small_space):

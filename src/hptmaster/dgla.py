@@ -9,10 +9,9 @@ from fractions import Fraction
 
 from . import linalg
 from .complexes import ChainComplex
-from .graded import (GradedMap, GradedVectorSpace, bilinear, suspend_space,
-                     suspend_map, ONE, ZERO)
-from .words import (TruncatedSymCoalgebra, CoderivationSpec, EMPTY,
-                    merge_words, splittings)
+from .graded import GradedMap, GradedVectorSpace, bilinear, ONE, ZERO
+from .words import (CoderivationSpec, EMPTY, merge_words, splittings,
+                    suspended_coalgebra)
 
 
 class DgLieAlgebra:
@@ -162,11 +161,14 @@ def validate_dgla(g):
                     if jacobi_witness is None:
                         jacobi_witness = (space.labels[i], space.labels[j],
                                           space.labels[k])
+    # d[e_i, e_j] - [d e_i, e_j] - (-1)^{|e_i|} [e_i, d e_j] vanishes
+    # when [e_i, e_j] = 0 and d e_i = d e_j = 0, so those pairs are skipped
     d_cols = g.d.by_column()
     leibniz = True
     leibniz_witness = None
     for i in range(dim):
-        for j in range(dim):
+        js = range(dim) if i in d_cols else sorted(partners[i].union(d_cols))
+        for j in js:
             d_br = {}
             for k, c in table.get((i, j), {}).items():
                 for t, c2 in d_cols.get(k, {}).items():
@@ -312,21 +314,14 @@ def ce_coalgebra(g, N):
     whose quadratic component is pinned by requiring the universal twisting
     cochain to satisfy the Lie master equation at word length two.
     """
-    sV = suspend_space(g.space)
-    d_s = suspend_map(g.d)
-    coalg = TruncatedSymCoalgebra(sV, N, gen_differential=d_s)
+    coalg = suspended_coalgebra(g.d, N)
     comp2 = {}
-    for w in coalg.words:
-        if len(w) != 2:
-            continue
+    for w in coalg.words_of_length(2, 2):
         val = _half_self_bracket(w, coalg, g)
         spar = {i: c for i, c in enumerate(val) if c != 0}
         if spar:
             comp2[w] = spar  # target indices coincide under s
-    spec = CoderivationSpec(sV)
-    spec.set_component(2, comp2)
-    coalg.perturbation = spec
-    coalg._pert_op = None
+    coalg.perturbation = CoderivationSpec(coalg.gen_space, {2: comp2})
     return coalg
 
 

@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from .dgla import (TwistingCochainHom, cup_bracket, is_twisting_cochain,
                    ce_coalgebra)
-from .graded import GradedMap, suspend_map, ONE, ZERO
+from .graded import GradedMap, ONE, ZERO
 from .perturbation import symmetric_coalgebra_contraction, perturbation_lemma
-from .words import (TruncatedSymCoalgebra, CoderivationSpec,
-                    extract_brackets, check_sh_lie)
+from .words import (CoderivationSpec, extract_brackets, check_sh_lie,
+                    suspended_coalgebra)
 
 HALF = Fraction(1, 2)
 
@@ -58,6 +58,7 @@ class TransferResult:
 
     @property
     def big_coalg(self):
+        """C[g] at truncation N, shared by .extended and adjoint_report."""
         if self._big_coalg is None:
             self._big_coalg = ce_coalgebra(self.g, self.truncation)
         return self._big_coalg
@@ -74,7 +75,7 @@ def transfer(g, con, N):
         raise ValueError("invalid contraction: " + ", ".join(errs))
 
     small = con.small
-    coalg = _small_coalgebra(con, N)
+    coalg = suspended_coalgebra(small.d, N)
 
     # tau^1 = nabla o tau_H on length-1 words
     tau_ent = {}
@@ -104,16 +105,9 @@ def transfer(g, con, N):
             spec.set_component(b, comp)
 
     coalg.perturbation = spec
-    coalg._pert_op = None
     tau = TwistingCochainHom(coalg, g, tau_hom)
     brackets = extract_brackets(coalg, underlying=small.space)
     return TransferResult(g, con, N, spec, tau, coalg, brackets)
-
-
-def _small_coalgebra(con, N):
-    return TruncatedSymCoalgebra(
-        suspend_map(con.small.d).source, N,
-        gen_differential=suspend_map(con.small.d))
 
 
 def verify_master(result):
@@ -174,7 +168,8 @@ def check_addendum_285(g, con, result):
         "passed": (not hyp) or (higher_zero and tau_tail_zero),
     }
     if hyp and result._extended is not None:
-        unper, _, _ = symmetric_coalgebra_contraction(con, result.truncation)
+        unper = symmetric_coalgebra_contraction(con, result.big_coalg,
+                                                result.coalg)
         report["nabla_unperturbed"] = (
             result.extended.nabla == unper.nabla)
         report["passed"] = report["passed"] and report["nabla_unperturbed"]
@@ -184,16 +179,15 @@ def check_addendum_285(g, con, result):
 def extend_contraction(result):
     """The perturbation-lemma extension of the lifted coalgebra contraction.
 
-    Perturbs the symmetric-coalgebra lift of the input contraction by the
-    quadratic coderivation of g and checks that the transferred small
-    perturbation agrees with the recursion's coderivation D.
+    Lifts the input contraction between the recursion's coalgebras, the
+    Chevalley-Eilenberg coalgebra of g and the small coalgebra, perturbs
+    the lift by the quadratic coderivation of g and checks that the
+    transferred small perturbation agrees with the recursion's
+    coderivation D.
     """
-    con = result.contraction
-    N = result.truncation
-    lift, big_sym, small_sym = symmetric_coalgebra_contraction(con, N)
     ce = result.big_coalg
-    if ce.space != big_sym.space:
-        raise AssertionError("coalgebra bases disagree")
+    lift = symmetric_coalgebra_contraction(result.contraction, ce,
+                                           result.coalg)
     pcon, delta_small = perturbation_lemma(lift, ce.perturbation_operator)
     # the recursion's coderivation D is the perturbation of result.coalg
     recursion_delta = result.coalg.perturbation_operator

@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .graded import GradedMap, GradedVectorSpace, koszul_sign, ONE, ZERO
+from .graded import (GradedMap, GradedVectorSpace, koszul_sign, suspend_map,
+                     ONE, ZERO)
 
 EMPTY = ()
 
@@ -261,6 +262,13 @@ class TruncatedSymCoalgebra:
             for A, B, sign in self.diagonal(self.words[t]):
                 out[(A, B)] = out.get((A, B), ZERO) + (c if sign > 0 else -c)
         return out
+
+
+def suspended_coalgebra(d, N):
+    """Sigma^c[sM] truncated at word length N, with d1 induced by the
+    differential d of M (suspended as -s d s^{-1})."""
+    d_s = suspend_map(d)
+    return TruncatedSymCoalgebra(d_s.source, N, gen_differential=d_s)
 
 
 def coderivation_operator(spec, coalg):

@@ -5,7 +5,12 @@ the perturbation series on the thin operands nabla, h and pi.  This module
 does both the long way: every identity as a composite of whole maps
 compared with zero, and every series as the full endomorphism
 Id + step + step^2 + ... composed with the operands afterwards.
+
+normalize_homotopy, the standard repair of the side conditions, builds
+non-standard contractions for the tests; the coalgebra lift never needs it.
 """
+
+from fractions import Fraction
 
 from hptmaster.complexes import ChainComplex, Contraction
 from hptmaster.graded import GradedMap, hom_differential
@@ -70,3 +75,19 @@ def perturbation_lemma(con, delta):
     if errs:
         raise ValueError("invalid contraction: " + ", ".join(errs))
     return out, delta_small
+
+
+def normalize_homotopy(con):
+    """Force the side conditions on a contraction that only has (2.1.2/3).
+
+    First conjugate by Id - nabla pi to kill pi h and h nabla, then replace
+    h by -h d h to kill h h.  The minus sign goes with the convention
+    D h = nabla pi - Id: the graded derivation rule gives
+    D(h d h) = -(d h + h d) once pi h = h nabla = 0, so negating restores
+    the correct homotopy equation.  Returns a valid Contraction.
+    """
+    big, small = con.big, con.small
+    proj = GradedMap.identity(big.space) - con.nabla.compose(con.pi)
+    h1 = proj.compose(con.h).compose(proj)
+    h2 = h1.compose(big.d).compose(h1).scale(Fraction(-1))
+    return Contraction(big, small, con.nabla, con.pi, h2)

@@ -1,15 +1,17 @@
 """Coalgebra lifts of contractions and the basic perturbation lemma."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from hptmaster import instances
-from hptmaster.complexes import ChainComplex, build_contraction
+from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.graded import GradedMap, GradedVectorSpace
-from hptmaster.dgla import ce_coalgebra
+from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
 from hptmaster.perturbation import (_series, perturbation_lemma,
                                     symmetric_coalgebra_contraction)
+from hptmaster.words import suspended_coalgebra
 
 import contraction_oracle
 from tensor_oracle import tensor_path_lift
@@ -23,13 +25,20 @@ def small_contraction():
     return build_contraction(ChainComplex(V, d))
 
 
+def lift(con, N):
+    """(lift of con, big coalgebra, small coalgebra) at truncation N."""
+    big_sym = suspended_coalgebra(con.big.d, N)
+    small_sym = suspended_coalgebra(con.small.d, N)
+    return (symmetric_coalgebra_contraction(con, big_sym, small_sym),
+            big_sym, small_sym)
+
+
 def assert_lift_matches_oracle(con, N):
     """The direct lift equals the tensor-coalgebra lift, entry for entry.
 
     Returns the lift and the oracle's invariants embedding and projection.
     """
-    lifted, _, _ = symmetric_coalgebra_contraction(
-        con, N, fix_side_conditions=False)
+    lifted, _, _ = lift(con, N)
     nabla_c, pi_c, h_c, emb, proj = tensor_path_lift(con, N)
     assert lifted.nabla.entries == nabla_c.entries
     assert lifted.pi.entries == pi_c.entries
@@ -70,7 +79,7 @@ def test_direct_lift_matches_tensor_oracle_divided_powers_and_signs():
 
 def test_lifted_contraction_identities():
     con = small_contraction()
-    lifted, big_sym, small_sym = symmetric_coalgebra_contraction(con, 3)
+    lifted, big_sym, small_sym = lift(con, 3)
     assert lifted.identity_failures() == []
     assert big_sym.space.dim == lifted.big.space.dim
     # word-length one block restricts to the suspended original contraction
@@ -100,8 +109,10 @@ def test_geometric_series_rejects_non_nilpotent():
 def assert_lemma_matches_oracle(g, con, N):
     """The thin-series perturbation lemma equals the whole-series oracle,
     entry for entry, on the CE perturbation of the lift of con."""
-    lifted, _, _ = symmetric_coalgebra_contraction(con, N)
-    delta = ce_coalgebra(g, N).perturbation_operator
+    ce = ce_coalgebra(g, N)
+    lifted = symmetric_coalgebra_contraction(
+        con, ce, suspended_coalgebra(con.small.d, N))
+    delta = ce.perturbation_operator
     pcon, delta_small = perturbation_lemma(lifted, delta)
     ocon, odelta_small = contraction_oracle.perturbation_lemma(lifted, delta)
     assert pcon.nabla.entries == ocon.nabla.entries
@@ -194,7 +205,7 @@ def test_perturbation_lemma_small_case():
     from hptmaster.dgla import ce_coalgebra
     g = instances.nonzero_l3_dgla()
     con = build_contraction(g.complex)
-    lifted, big_sym, small_sym = symmetric_coalgebra_contraction(con, 3)
+    lifted, big_sym, small_sym = lift(con, 3)
     ce = ce_coalgebra(g, 3)
     assert ce.space.basis == big_sym.space.basis
     delta = GradedMap(big_sym.space, big_sym.space, -1,
@@ -218,3 +229,120 @@ def test_perturbation_lemma_differential_squares():
     assert ext.identity_failures() == []
     dd = ext.small.d.compose(ext.small.d)
     assert dd.is_zero()
+
+
+def random_complex(rng):
+    """A random complex of dimension <= 6 in degrees 0 to 2: acyclic pairs
+    a2 -> b1 and a1 -> b0 and homology classes x0, y1, each present or
+    not, in a random degreewise basis."""
+    basis, d = [], {}
+    for name, deg in (("a2", 2), ("a1", 1), ("x0", 0), ("y1", 1)):
+        if rng.random() < 0.7:
+            basis.append((name, deg))
+            if name[0] == "a":
+                basis.append(("b%d" % (deg - 1), deg - 1))
+                d[(len(basis) - 1, len(basis) - 2)] = F(1)
+    V = GradedVectorSpace(basis)
+    g = DgLieAlgebra(ChainComplex(V, GradedMap(V, V, -1, d)), {})
+    return instances.change_basis(g, rng).complex
+
+
+def crooked_contractions(count):
+    """Seeded contractions that build_contraction does not produce.
+
+    On a random complex, its h is bent by a homotopy D k = d k - k d (k of
+    degree 2, which keeps D h = nabla pi - Id; through b0 -> a2 it moves
+    the complement of the cycles) and by nabla eta pi (eta of degree 1 on
+    the homology, which breaks the side conditions), and then repaired by
+    the oracle's normalize_homotopy.  Returns
+    [(standard contraction, crooked contraction, normalised contraction)].
+    """
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        C = random_complex(rng)
+        con = build_contraction(C)
+        V, H = C.space, con.small.space
+
+        def random_map(space, degree):
+            return GradedMap(space, space, degree, {
+                (t, s): F(rng.randrange(-2, 3))
+                for s in range(space.dim) for t in range(space.dim)
+                if space.degrees[t] == space.degrees[s] + degree})
+
+        k = random_map(V, 2)
+        eta = random_map(H, 1)
+        h = (con.h + C.d.compose(k) - k.compose(C.d)
+             + con.nabla.compose(eta).compose(con.pi))
+        crooked = Contraction(C, con.small, con.nabla, con.pi, h,
+                              check=False)
+        out.append((con, crooked,
+                    contraction_oracle.normalize_homotopy(crooked)))
+    return out
+
+
+def test_lift_of_normalised_contractions_needs_no_repair():
+    # the side conditions of the lift follow from those of the input (the
+    # proof is in the lift's docstring), so a lift of any valid
+    # contraction passes all seven identities without normalization
+    cases = [fixed for con, _, fixed in crooked_contractions(60)
+             if fixed.h != con.h]
+    assert len(cases) >= 20
+    for fixed in cases:
+        for N in (2, 3, 4):
+            lifted, _, _ = lift(fixed, N)
+            assert lifted.identity_failures() == []
+
+
+def test_lift_of_random_dgla_contractions_needs_no_repair():
+    # seeds 0 to 49 are the corpus, lifted at N = 4 by criterion 3
+    for seed in range(50, 200):
+        g = instances.random_dgla(seed)
+        lifted, _, _ = lift(build_contraction(g.complex), 4)
+        assert lifted.identity_failures() == [], seed
+
+
+def test_lift_rejects_broken_side_conditions():
+    cases = [crooked for _, crooked, _ in crooked_contractions(60)
+             if crooked.identity_failures()]
+    assert cases
+    for crooked in cases[:5]:
+        with pytest.raises(ValueError, match="coalgebra lift failed"):
+            lift(crooked, 2)
+
+
+def perturbed_cases(corpus):
+    """(complex, delta) pairs: each corpus lift at N = 3 with the CE
+    perturbation and with one-entry corruptions of it, and the small
+    complex of the lift with the transferred perturbation."""
+    rng = random.Random(0)
+    out = []
+    for _, g, con, _ in corpus:
+        ce = ce_coalgebra(g, 3)
+        lifted = symmetric_coalgebra_contraction(
+            con, ce, suspended_coalgebra(con.small.d, 3))
+        delta = ce.perturbation_operator
+        out.append((lifted.big, delta))
+        out.append((lifted.small, perturbation_lemma(lifted, delta)[1]))
+        V = lifted.big.space
+        for _ in range(3):
+            s = rng.randrange(V.dim)
+            targets = V.indices_in_degree(V.degrees[s] - 1)
+            if targets:
+                bump = {(rng.choice(targets), s): F(rng.choice([-1, 1, 2]))}
+                out.append((lifted.big, delta + GradedMap(V, V, -1, bump)))
+    return out
+
+
+def test_perturbed_complex_matches_full_square(corpus):
+    raised = 0
+    for C, delta in perturbed_cases(corpus):
+        try:
+            full = ChainComplex(C.space, C.d + delta)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                C.perturbed(delta)
+            raised += 1
+            continue
+        assert C.perturbed(delta).d == full.d
+    assert raised > 0

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 import word_oracle
-from hptmaster import instances
+from hptmaster import cli, instances
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
 from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import (adjoint_report, check_addendum_283,
                                 check_addendum_285, theorem_29_pipeline,
                                 transfer, verify_master)
+from hptmaster.words import TruncatedSymCoalgebra
 
 F = Fraction
 
@@ -167,3 +168,52 @@ def test_transfer_rejects_wrong_contraction():
     con = build_contraction(other.complex)
     with pytest.raises(ValueError):
         transfer(g, con, 3)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts the coalgebras built and the contraction verdicts computed."""
+    counts = {"coalgebras": 0, "identities": 0}
+    init = TruncatedSymCoalgebra.__init__
+    check = Contraction._check_identities
+
+    def counting_init(self, *args, **kwargs):
+        counts["coalgebras"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_check(self):
+        counts["identities"] += 1
+        return check(self)
+
+    monkeypatch.setattr(TruncatedSymCoalgebra, "__init__", counting_init)
+    monkeypatch.setattr(Contraction, "_check_identities", counting_check)
+    return counts
+
+
+def test_pipeline_builds_each_coalgebra_and_verdict_once(counted):
+    # one coalgebra per space, shared by the recursion and the extension;
+    # verdicts: the synthesized contraction, the lift and the perturbed
+    # contraction, each once (transfer and adjoint_report reuse them)
+    g = instances.random_dgla(5)   # the nonzero-l3 family: D has l3
+    con = build_contraction(g.complex)
+    result = transfer(g, con, 4)
+    assert result.D.arities() == [3]
+    assert verify_master(result)["passed"]
+    assert result.extended.identity_failures() == []
+    assert adjoint_report(result)["passed"]
+    assert counted == {"coalgebras": 2, "identities": 3}
+
+
+@pytest.mark.parametrize("argv, identities", [
+    (["transfer", "--check", "l3.json"], 1),
+    (["bv", "--pipeline", "full", "kahler_bv.json"], 2),
+    (["bv", "--pipeline", "flat-unit", "unit_bv.json"], 2),
+], ids=["transfer-check", "bv-full", "bv-flat-unit"])
+def test_cli_computes_each_verdict_once(argv, identities, counted,
+                                        fixture_dir, capsys):
+    # bv: the contraction extending the projection and the one of its
+    # acyclic complement; transfer reuses the verdict it is handed
+    argv = argv[:-1] + [str(fixture_dir / argv[-1])]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert counted["identities"] == identities

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from hptmaster.graded import GradedMap, koszul_sign, ONE, ZERO
-from hptmaster.transfer import _small_coalgebra
-from hptmaster.words import CoderivationSpec, memo_sorter, word_degree
+from hptmaster.words import (CoderivationSpec, memo_sorter,
+                             suspended_coalgebra, word_degree)
 
 HALF = Fraction(1, 2)
 
@@ -141,7 +141,7 @@ def full_cup_bracket(a, b, coalg, g):
 
 def transfer_tau_and_D(g, con, N):
     """(tau map, D spec) of the Thm 2.9 recursion, one full cup per step."""
-    coalg = _small_coalgebra(con, N)
+    coalg = suspended_coalgebra(con.small.d, N)
     tau_ent = {}
     for wi, w in enumerate(coalg.words):
         if len(w) == 1:
