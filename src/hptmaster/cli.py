@@ -19,11 +19,11 @@ from fractions import Fraction
 from .bv import (BVData, GerstenhaberAlgebra, _Formality, _flat_unit_transfer,
                  _transfer_in_kernel, bracket_from_generator, validate_bv)
 from .complexes import ChainComplex, build_contraction
-from .deformation import morgan_example, wedge_of_spheres
+from .deformation import massey_parameters, morgan_example, wedge_of_spheres
 from .dgla import DgLieAlgebra, validate_dgla
 from .graded import GradedMap, GradedVectorSpace, ONE
 from .transfer import transfer, verify_master
-from .words import enumerate_words
+from .words import word_label
 
 SCHEMA = "hptmaster/1"
 EXIT_OK = 0
@@ -202,45 +202,29 @@ def load_problem(path):
 
 # -- report serialization ----------------------------------------------------
 
-def _word_key(word):
-    return "*".join(word) if word else "1"
-
-
 def _sparse_labels(space, val):
     return {space.labels[i]: frac_str(c) for i, c in sorted(val.items())}
 
 
 def serialize_transfer(result):
     coalg = result.coalg
-    g = result.g
-    tau = {}
-    for wi in sorted({s for (_, s) in result.tau.hom.entries}):
-        val = result.tau.hom.apply_basis(wi)
-        if val:
-            tau[_word_key(coalg.words[wi])] = _sparse_labels(g.space, val)
-    brackets = {}
-    for k, table in sorted(result.brackets.brackets.items()):
-        out = {}
-        for word, val in sorted(table.items()):
-            if val:
-                out[_word_key(word)] = _sparse_labels(
-                    result.contraction.small.space, val)
-        if out:
-            brackets["l%d" % k] = out
-    coder = {}
-    for b, comp in sorted(result.D.components.items()):
-        out = {}
-        for word, val in sorted(comp.items()):
-            if val:
-                out[_word_key(word)] = {
-                    coalg.gen_space.labels[i]: frac_str(c)
-                    for i, c in sorted(val.items())}
-        if out:
-            coder["arity_%d" % b] = out
+    small = result.contraction.small.space
+
+    def by_word(table, space):
+        return {word_label(w, coalg.gen_space): _sparse_labels(space, val)
+                for w, val in table.items() if val}
+
+    tau = by_word({coalg.words[s]: col for s, col
+                   in result.tau.hom.by_column().items()}, result.g.space)
+    brackets = {"l%d" % k: by_word(table, small)
+                for k, table in result.brackets.brackets.items()
+                if any(table.values())}
+    coder = {"arity_%d" % b: by_word(comp, coalg.gen_space)
+             for b, comp in result.D.components.items()
+             if any(comp.values())}
     return {
         "truncation": result.truncation,
-        "homology_basis": [[lab, deg] for lab, deg
-                           in result.contraction.small.space.basis],
+        "homology_basis": [[lab, deg] for lab, deg in small.basis],
         "tau": tau,
         "coderivation": coder,
         "brackets": brackets,
@@ -251,7 +235,7 @@ def serialize_mc(mc):
     return {
         "coordinates": list(mc.coordinates),
         "truncation": mc.truncation,
-        "equations": {target: {_word_key(m): frac_str(c)
+        "equations": {target: {"*".join(m): frac_str(c)
                                for m, c in sorted(poly.items())}
                       for target, poly in sorted(mc.equations.items())},
     }
@@ -363,16 +347,19 @@ def _plain(obj):
     return obj
 
 
-def _parse_theta(args, words):
+def _parse_theta(args):
+    # keyed by word labels, which morgan_example reads
     if args.theta is None and args.seed is None:
         return None
     if args.theta == "zero":
         return {}
     if args.seed is not None and args.theta is None:
+        _, sH, words = massey_parameters()
         rng = random.Random(args.seed)
         theta = {}
         while not any(theta.values()):
-            theta = {w: Fraction(rng.randrange(-3, 4)) for w in words}
+            theta = {word_label(w, sH): Fraction(rng.randrange(-3, 4))
+                     for w in words}
         return theta
     try:
         with open(args.theta, "rb") as fh:
@@ -382,13 +369,7 @@ def _parse_theta(args, words):
     doc = _parse_json(raw, args.theta)
     if not isinstance(doc, dict):
         raise InputError("theta: expected an object of word -> rational")
-    theta = {}
-    for key, value in doc.items():
-        word = tuple(sorted(key.split("*")))
-        if word not in words:
-            raise InputError("theta: %r is not a parameter word" % key)
-        theta[word] = _frac(value, "theta")
-    return theta
+    return {key: _frac(value, "theta") for key, value in doc.items()}
 
 
 def cmd_massey(args, started):
@@ -401,18 +382,16 @@ def cmd_massey(args, started):
     report = {"schema": SCHEMA, "command": "massey", "spheres": dims,
               "order": args.order}
     if sorted(dims) == [3, 3, 12]:
-        sH = GradedVectorSpace([("sa", -2), ("sb", -2), ("sc", -11)])
-        words = [w for w in enumerate_words(sH, 5)
-                 if len(w) == 5 and all(lab != "sc" for lab in w)]
-        theta = _parse_theta(args, words)
+        theta = _parse_theta(args)
         try:
             instance, morgan = morgan_example(args.order, theta=theta)
         except ValueError as exc:
             raise InputError(str(exc))
         report["report"] = _plain(morgan)
         theta = instance.coalg.perturbation.components.get(5, {})
-        report["theta"] = {_word_key(w): frac_str(sum(v.values()))
-                           for w, v in sorted(theta.items())}
+        report["theta"] = {
+            word_label(w, instance.coalg.gen_space): frac_str(sum(v.values()))
+            for w, v in theta.items()}
         report["mc_equations"] = serialize_mc(instance.mc)
         _emit(report, args, started)
         return EXIT_OK if morgan["sh_lie"] else EXIT_VERIFY

@@ -8,9 +8,9 @@ products produce a positive-dimensional family of structures.
 
 from fractions import Fraction
 
-from .graded import GradedVectorSpace, ONE
+from .graded import GradedVectorSpace, suspend_space, ONE
 from .words import (CoderivationSpec, TruncatedSymCoalgebra, check_sh_lie,
-                    enumerate_words, extract_brackets)
+                    enumerate_words, extract_brackets, parse_word)
 
 
 class MCVariety:
@@ -74,28 +74,25 @@ def mc_equations(linf, N):
     if any(d > 0 for d in space.degrees):
         raise ValueError(
             "underlying space must sit in nonnegative cohomological degrees")
-    coords = [space.labels[i] for i in space.indices_in_degree(-1)]
-    targets = {i: space.labels[i] for i in space.indices_in_degree(-2)}
+    coords = space.indices_in_degree(-1)
     coord_set = set(coords)
+    targets = {i: space.labels[i] for i in space.indices_in_degree(-2)}
     equations = {lab: {} for lab in targets.values()}
     for k, table in sorted(linf.brackets.items()):
         if k > N:
             continue
         for word, val in table.items():
-            # bracket tables key words by the suspended labels
-            base = tuple(lab[1:] if lab.startswith("s") else lab
-                         for lab in word)
-            if any(lab not in coord_set for lab in base):
+            if any(g not in coord_set for g in word):
                 continue
             for gi, c in val.items():
                 if c == 0 or gi not in targets:
                     continue
                 poly = equations[targets[gi]]
-                mono = tuple(sorted(base))
+                mono = tuple(sorted(space.labels[g] for g in word))
                 poly[mono] = poly.get(mono, Fraction(0)) + c
     equations = {t: {m: c for m, c in poly.items() if c != 0}
                  for t, poly in equations.items()}
-    return MCVariety(coords, equations, N)
+    return MCVariety([space.labels[i] for i in coords], equations, N)
 
 
 def formality_report(result):
@@ -220,6 +217,16 @@ class MorganInstance:
         self.mc = mc
 
 
+def massey_parameters():
+    """H, sH and the six parameter words (five letters in sa and sb) of
+    the S^3 v S^3 v S^12 example below."""
+    H = GradedVectorSpace([("a", -3), ("b", -3), ("c", -12)])
+    sH = suspend_space(H)
+    c = H.index["c"]
+    words = [w for w in enumerate_words(sH, 5) if len(w) == 5 and c not in w]
+    return H, sH, words
+
+
 def morgan_example(N=5, theta=None):
     """Five-fold Massey products on S^3 v S^3 v S^12.
 
@@ -232,23 +239,27 @@ def morgan_example(N=5, theta=None):
     of the homology have dimension 2^2 + 1^2 = 5.  The gap leaves at
     least a one-parameter family of distinct structures.
 
-    theta is a dict from length-5 words over ("sa", "sb") to rationals;
-    the default picks the first basis word.  Returns (instance, report).
+    theta maps parameter words, written as words.word_label writes them
+    (for example "sa*sa*sa*sb*sb"), to rationals; the default picks the
+    first parameter word.  Returns (instance, report).
     """
+    H, sH, param_words = massey_parameters()
+    c = H.index["c"]
+    if theta is None:
+        values = {param_words[0]: ONE}
+    else:
+        values = {}
+        for key, value in theta.items():
+            try:
+                word = parse_word(key, sH)
+            except ValueError:
+                word = None
+            if word not in param_words:
+                raise ValueError("theta: %r is not a parameter word" % key)
+            values[word] = Fraction(value)
     if N < 5:
         raise ValueError("truncation must be at least 5 to hold theta")
-    H = GradedVectorSpace([("a", -3), ("b", -3), ("c", -12)])
-    sH = GradedVectorSpace([("sa", -2), ("sb", -2), ("sc", -11)])
-    param_words = [w for w in enumerate_words(sH, 5)
-                   if len(w) == 5 and all(lab != "sc" for lab in w)]
-    if theta is None:
-        theta = {param_words[0]: ONE}
-    sc = sH.index["sc"]
-    component = {tuple(w): {sc: Fraction(c)} for w, c in theta.items()
-                 if c != 0}
-    for w in component:
-        if tuple(sorted(w)) not in param_words:
-            raise ValueError("theta word outside the parameter space")
+    component = {w: {c: v} for w, v in values.items() if v != 0}
     spec = CoderivationSpec(sH, {5: component} if component else None)
     coalg = TruncatedSymCoalgebra(sH, N, perturbation=spec)
     sh = check_sh_lie(coalg)
@@ -257,8 +268,9 @@ def morgan_example(N=5, theta=None):
     # Maurer-Cartan presentation: the same structure constants on the
     # deformation regrading with a, b in cohomological degree 1 and c in
     # degree 2, where the quintic terms become visible equations.
+    # sa sorts before sb in both gradings, so the words stay canonical
     H_def = GradedVectorSpace([("a", -1), ("b", -1), ("c", -2)])
-    sH_def = GradedVectorSpace([("sa", 0), ("sb", 0), ("sc", -1)])
+    sH_def = suspend_space(H_def)
     coalg_def = TruncatedSymCoalgebra(
         sH_def, N, perturbation=CoderivationSpec(
             sH_def, {5: component} if component else None))

@@ -293,18 +293,17 @@ def cup_bracket(a, b, coalg, target, length=None):
     return GradedMap(coalg.space, a.target, a.degree + b.degree, ent)
 
 
-def universal_twisting_cochain(g, coalg=None, N=4):
+def universal_cochain(coalg, space):
+    """The degree -1 map from the coalgebra on sM to M that desuspends the
+    words of length one and kills the others.  The suspension keeps the
+    basis order, so the word (i,) goes to basis vector i of M."""
+    ent = {(w[0], coalg.windex[w]): ONE for w in coalg.words_of_length(1, 1)}
+    return GradedMap(coalg.space, space, -1, ent)
+
+
+def universal_twisting_cochain(g, coalg):
     """tau_g: C[g] -> g, the desuspension on word length 1 and zero else."""
-    if coalg is None:
-        coalg = ce_coalgebra(g, N)
-    ent = {}
-    for wi, w in enumerate(coalg.words):
-        if len(w) == 1:
-            lab = w[0]
-            base = lab[1:] if lab.startswith("s") else lab
-            ent[(g.space.index[base], wi)] = ONE
-    hom = GradedMap(coalg.space, g.space, -1, ent)
-    return TwistingCochainHom(coalg, g, hom)
+    return TwistingCochainHom(coalg, g, universal_cochain(coalg, g.space))
 
 
 def ce_coalgebra(g, N):
@@ -331,12 +330,8 @@ def _half_self_bracket(w, coalg, g):
     for A, B, sign in splittings(w, coalg.gen_space):
         if len(A) != 1:
             continue
-        x = A[0][1:] if A[0].startswith("s") else A[0]
-        y = B[0][1:] if B[0].startswith("s") else B[0]
-        sgn = sign
-        if coalg.is_odd(A):
-            sgn = -sgn
-        for k, c in g.bracket_basis(g.space.index[x], g.space.index[y]).items():
+        sgn = -sign if coalg.is_odd(A) else sign
+        for k, c in g.bracket_basis(A[0], B[0]).items():
             acc[k] += Fraction(1, 2) * sgn * c
     return acc
 

@@ -35,9 +35,6 @@ class GradedVectorSpace:
     def dim(self):
         return len(self.basis)
 
-    def degree_of(self, label):
-        return self.degrees[self.index[label]]
-
     def dims_by_degree(self):
         out = {}
         for _, deg in self.basis:

@@ -37,20 +37,11 @@ def _multiplicity(word):
     return prod(factorial(len(list(run))) for _, run in groupby(word))
 
 
-def _columns(f):
-    """Columns of a generator map as lists of (target label, coefficient)."""
-    cols = [[] for _ in range(f.source.dim)]
-    labels = f.target.labels
-    for (t, s), c in f.entries.items():
-        cols[s].append((labels[t], c))
-    return cols
-
-
 def _accumulate(acc, sort, kept, slots, coeff):
     """Add to acc coeff times each sorted product of the kept letters with
-    one (letter, coefficient) term per slot."""
+    one (letter, coefficient) term per slot (each slot a column's items)."""
     for combo in iproduct(*slots):
-        word, sign = sort(kept + tuple(lab for lab, _ in combo))
+        word, sign = sort(kept + tuple(g for g, _ in combo))
         if word is None:
             continue
         c = coeff if sign > 0 else -coeff
@@ -69,40 +60,37 @@ def _store(ent, acc, wi, w, tgt):
 
 def _lift_multiplicative(f, src, tgt):
     """The coalgebra map Sigma^c f of a degree-0 generator map f."""
-    cols = _columns(f)
-    index = src.gen_space.index
+    cols = f.by_column()
     sort = memo_sorter(tgt.gen_space)
     ent = {}
     for wi, w in enumerate(src.words):
         acc = {}
-        _accumulate(acc, sort, (), [cols[index[lab]] for lab in w], ONE)
+        _accumulate(acc, sort, (), [cols.get(g, {}).items() for g in w], ONE)
         _store(ent, acc, wi, w, tgt)
     return GradedMap(src.space, tgt.space, 0, ent, check=False)
 
 
 def _lift_homotopy(h, nabla_pi, sym):
     """The symmetrized side homotopy built from h and nabla o pi."""
-    h_cols, np_cols = _columns(h), _columns(nabla_pi)
-    index = sym.gen_space.index
+    h_cols, np_cols = h.by_column(), nabla_pi.by_column()
     degrees = sym.gen_space.degrees
     sort = memo_sorter(sym.gen_space)
     ent = {}
     for wi, w in enumerate(sym.words):
         n = len(w)
-        gens = [index[lab] for lab in w]
-        degs = [degrees[g] for g in gens]
+        degs = [degrees[g] for g in w]
         weights = [Fraction(factorial(k) * factorial(n - 1 - k), factorial(n))
                    for k in range(n)]
         acc = {}
         for x in range(n):
-            if not h_cols[gens[x]]:
+            if w[x] not in h_cols:
                 continue
             others = [p for p in range(n) if p != x]
             for k in range(n):
                 for S in combinations(others, k):
                     rest = [p for p in others if p not in S]
-                    slots = ([h_cols[gens[x]]]
-                             + [np_cols[gens[p]] for p in rest])
+                    slots = ([h_cols[w[x]].items()]
+                             + [np_cols.get(w[p], {}).items() for p in rest])
                     if not all(slots):
                         continue
                     sign = koszul_sign(list(S) + [x] + rest, degs)

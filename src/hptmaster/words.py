@@ -1,9 +1,15 @@
 """Word-length-truncated symmetric coalgebra on a graded space.
 
-Words are canonically sorted multisets of generator labels.  The basis
-element e_w attached to a word w is the sum of all *distinct* tensor
-arrangements of w with Koszul signs (the invariants model); with this
-normalization the diagonal takes the form
+Words are sorted tuples of generator indices into gen_space, in the
+canonical order (degree, label) that the coalgebra holds as per-generator
+`rank` and `odd` lists.  Labels appear only in `word_label` and
+`parse_word`, which write and read words for the word space, reports and
+theta files.  Suspension keeps the basis order, so a letter of a word
+over sM is also the index of the basis vector of M it suspends.
+
+The basis element e_w attached to a word w is the sum of all *distinct*
+tensor arrangements of w with Koszul signs (the invariants model); with
+this normalization the diagonal takes the form
 
     Delta(e_w) = sum over ordered multiset splittings (A, B) of
                  sign(A, B) e_A (x) e_B,
@@ -38,23 +44,40 @@ from .graded import (GradedMap, GradedVectorSpace, koszul_sign, suspend_map,
 EMPTY = ()
 
 
-def word_label(word):
-    return "(" + "*".join(word) + ")" if word else "1"
+def word_label(word, gen_space):
+    """A word written out: its letters' labels joined by "*", "1" for the
+    empty word."""
+    return "*".join([gen_space.labels[g] for g in word]) or "1"
 
 
-def sort_factors(labels, gen_space):
-    """Canonical form of a sequence of generator labels.
+def parse_word(text, gen_space):
+    """The word that word_label writes as text, its letters in any order;
+    ValueError for an unknown label or a repeated odd letter."""
+    if text == "1":
+        return EMPTY
+    try:
+        letters = [gen_space.index[lab] for lab in text.split("*")]
+    except KeyError as exc:
+        raise ValueError("unknown generator label %s" % exc) from None
+    word, _ = sort_factors(letters, gen_space)
+    if word is None:
+        raise ValueError("odd letter repeats in %r" % text)
+    return word
+
+
+def sort_factors(letters, gen_space):
+    """Canonical form of a sequence of generator indices.
 
     Returns (word, sign); the word is None (sign 0) when an odd-degree
-    label repeats.  Sorting is by (degree, label) with the Koszul sign of
+    letter repeats.  Sorting is by (degree, label) with the Koszul sign of
     the sorting permutation.
     """
-    labels = list(labels)
-    degs = [gen_space.degree_of(lab) for lab in labels]
-    keyed = sorted(range(len(labels)),
-                   key=lambda i: (degs[i], labels[i], i))
+    letters = list(letters)
+    degs = [gen_space.degrees[g] for g in letters]
+    keyed = sorted(range(len(letters)),
+                   key=lambda i: (degs[i], gen_space.labels[letters[i]], i))
     sign = koszul_sign(keyed, degs)
-    word = tuple(labels[i] for i in keyed)
+    word = tuple(letters[i] for i in keyed)
     for i in range(len(word) - 1):
         if word[i] == word[i + 1] and degs[keyed[i]] % 2:
             return None, ZERO
@@ -69,7 +92,13 @@ def memo_sorter(gen_space):
 
 
 def word_degree(word, gen_space):
-    return sum(gen_space.degree_of(lab) for lab in word)
+    return sum(gen_space.degrees[g] for g in word)
+
+
+def _canonical_order(gen_space):
+    """The generator indices sorted by (degree, label)."""
+    return sorted(range(gen_space.dim),
+                  key=lambda g: (gen_space.degrees[g], gen_space.labels[g]))
 
 
 def splittings(word, gen_space):
@@ -91,16 +120,16 @@ def splittings(word, gen_space):
         j = i
         while j < len(word) and word[j] == word[i]:
             j += 1
-        runs.append((word[i], j - i, gen_space.degree_of(word[i]) % 2))
+        runs.append((word[i], j - i, gen_space.degrees[word[i]] % 2))
         i = j
     for take in iproduct(*[range(cnt + 1) for _, cnt, _ in runs]):
         a_word = []
         b_word = []
         odd_b = 0
         inversions = 0
-        for (lab, cnt, odd), t in zip(runs, take):
-            a_word.extend((lab,) * t)
-            b_word.extend((lab,) * (cnt - t))
+        for (g, cnt, odd), t in zip(runs, take):
+            a_word.extend((g,) * t)
+            b_word.extend((g,) * (cnt - t))
             if odd:
                 inversions += t * odd_b
                 odd_b += cnt - t
@@ -116,35 +145,29 @@ def merge_words(A, B, coalg):
     odd = coalg.odd
     k = 0
     for a in A:
-        if a in odd:
+        if odd[a]:
             ra = rank[a]
             for b in B:
-                if b in odd:
-                    rb = rank[b]
-                    if rb < ra:
-                        k += 1
-                    elif rb == ra:
+                if odd[b]:
+                    if b == a:
                         return None, 0
+                    if rank[b] < ra:
+                        k += 1
     return tuple(sorted(A + B, key=rank.__getitem__)), -1 if k % 2 else 1
 
 
 def enumerate_words(gen_space, max_len):
-    """All canonical words of length <= max_len, in deterministic order."""
-    gens = sorted(range(gen_space.dim),
-                  key=lambda i: (gen_space.degrees[i], gen_space.labels[i]))
+    """All canonical words of length <= max_len, in deterministic order:
+    by length, then lexicographically in the canonical order."""
+    gens = _canonical_order(gen_space)
+    # the letters that may follow g: g itself when even, and the later ones
+    after = {g: gens[r + gen_space.degrees[g] % 2:] for r, g in enumerate(gens)}
     words = [EMPTY]
     layer = [EMPTY]
     for _ in range(max_len):
-        nxt = []
-        for w in layer:
-            start = gens.index(gen_space.index[w[-1]]) if w else 0
-            for gi in gens[start:]:
-                lab = gen_space.labels[gi]
-                if w and w[-1] == lab and gen_space.degrees[gi] % 2:
-                    continue
-                nxt.append(w + (lab,))
-        words.extend(nxt)
-        layer = nxt
+        layer = [w + (g,) for w in layer
+                 for g in (after[w[-1]] if w else gens)]
+        words.extend(layer)
     return words
 
 
@@ -197,12 +220,14 @@ class TruncatedSymCoalgebra:
         self.N = int(max_word_length)
         self.words = enumerate_words(gen_space, self.N)
         self.windex = {w: i for i, w in enumerate(self.words)}
-        # merge tables: canonical position and the odd letters
-        gens = sorted(zip(gen_space.degrees, gen_space.labels))
-        self.rank = {lab: r for r, (_, lab) in enumerate(gens)}
-        self.odd = {lab for deg, lab in gens if deg % 2}
+        # per generator: position in the canonical order, and odd degree
+        self.rank = [0] * gen_space.dim
+        for r, g in enumerate(_canonical_order(gen_space)):
+            self.rank[g] = r
+        self.odd = [deg % 2 == 1 for deg in gen_space.degrees]
         self.space = GradedVectorSpace(
-            [(word_label(w), word_degree(w, gen_space)) for w in self.words])
+            [("(%s)" % word_label(w, gen_space) if w else "1",
+              word_degree(w, gen_space)) for w in self.words])
         self.gen_differential = gen_differential
         self.perturbation = perturbation or CoderivationSpec(gen_space)
         self._d1 = None
@@ -219,7 +244,8 @@ class TruncatedSymCoalgebra:
 
     def is_odd(self, word):
         """Is the degree of the word odd?"""
-        return sum(lab in self.odd for lab in word) % 2 == 1
+        odd = self.odd
+        return sum(odd[g] for g in word) % 2 == 1
 
     # -- operators ---------------------------------------------------------
 
@@ -235,7 +261,7 @@ class TruncatedSymCoalgebra:
                 for g in range(self.gen_space.dim):
                     col = self.gen_differential.apply_basis(g)
                     if col:
-                        comp[(self.gen_space.labels[g],)] = col
+                        comp[(g,)] = col
                 spec.set_component(1, comp)
                 self._d1 = coderivation_operator(spec, self)
         return self._d1
@@ -279,7 +305,6 @@ def coderivation_operator(spec, coalg):
     lambda_b with every word B of length <= N - b.
     """
     ent = {}
-    labels = coalg.gen_space.labels
     windex = coalg.windex
     for b in spec.arities():
         shorts = coalg.words_of_length(0, coalg.N - b)
@@ -292,12 +317,11 @@ def coderivation_operator(spec, coalg):
                     continue
                 wi = windex[w]
                 for g, c in val.items():
-                    lab = labels[g]
-                    w2, sign2 = merge_words((lab,), B, coalg)
+                    w2, sign2 = merge_words((g,), B, coalg)
                     if w2 is None:
                         continue
                     # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}
-                    mult = (B.count(lab) + 1) * sign * sign2
+                    mult = (B.count(g) + 1) * sign * sign2
                     key = (windex[w2], wi)
                     ent[key] = ent.get(key, ZERO) + mult * c
     ent = {k: v for k, v in ent.items() if v != 0}
@@ -385,7 +409,8 @@ def check_sh_lie(coalg):
 class LInfinityStructure:
     """Brackets l_k on the desuspended space, extracted from a coderivation.
 
-    brackets[k] maps a sorted word of underlying labels to a sparse dict
+    brackets[k] maps a word over the suspended generators (whose letters
+    are also indices into the underlying basis) to a sparse dict
     index -> Fraction over the underlying basis.  l_1 is the differential,
     l_2 the binary bracket, l_3 the Jacobi homotopy, and so on.
     """
@@ -414,12 +439,12 @@ def extract_brackets(coalg, underlying):
             val = coalg.gen_differential.apply_basis(g)
             if val:
                 # l_1 = -s^{-1} d_{sV} s, the differential before suspension
-                tbl[(gen_space.labels[g],)] = {t: -c for t, c in val.items()}
+                tbl[(g,)] = {t: -c for t, c in val.items()}
         brackets[1] = tbl
     for b, comp in coalg.perturbation.components.items():
         tbl = {}
         for word, val in comp.items():
-            degs = [gen_space.degree_of(lab) - 1 for lab in word]
+            degs = [gen_space.degrees[g] - 1 for g in word]
             k = len(word)
             exp = (k * (k - 1)) // 2 + sum((k - 1 - i) * degs[i]
                                            for i in range(k))

@@ -15,15 +15,15 @@ from hptmaster.graded import (GradedMap, GradedVectorSpace, koszul_sign,
 from hptmaster.words import TruncatedSymCoalgebra, sort_factors
 
 
-def tensor_word_label(word):
-    return "<" + "|".join(word) + ">" if word else "<>"
+def tensor_word_label(word, gen_space):
+    return "<" + "|".join(gen_space.labels[g] for g in word) + ">"
 
 
 class TruncatedTensorCoalgebra:
     """T^c[gen_space] truncated at word length N.
 
-    Basis words are arbitrary sequences of generator labels (repeats of odd
-    generators are allowed here, unlike the symmetric quotient).
+    Basis words are arbitrary sequences of generator indices (repeats of
+    odd generators are allowed here, unlike the symmetric quotient).
     """
 
     def __init__(self, gen_space, max_word_length):
@@ -32,13 +32,13 @@ class TruncatedTensorCoalgebra:
         words = [()]
         layer = [()]
         for _ in range(self.N):
-            layer = [w + (lab,) for w in layer for lab in gen_space.labels]
+            layer = [w + (g,) for w in layer for g in range(gen_space.dim)]
             words.extend(layer)
         self.words = words
         self.windex = {w: i for i, w in enumerate(words)}
         self.space = GradedVectorSpace(
-            [(tensor_word_label(w),
-              sum(gen_space.degree_of(lab) for lab in w)) for w in words])
+            [(tensor_word_label(w, gen_space),
+              sum(gen_space.degrees[g] for g in w)) for w in words])
 
 
 def tensor_lift(f, src_tc, tgt_tc):
@@ -46,14 +46,13 @@ def tensor_lift(f, src_tc, tgt_tc):
     if f.degree != 0:
         raise ValueError("only degree-0 maps lift slotwise without signs")
     ent = {}
-    tgt_labels = f.target.labels
     for wi, w in enumerate(src_tc.words):
         images = []
-        for lab in w:
-            img = f.apply_basis(f.source.index[lab])
+        for g in w:
+            img = f.apply_basis(g)
             images.append(list(img.items()))
         for combo in iproduct(*images):
-            word = tuple(tgt_labels[g] for g, _ in combo)
+            word = tuple(g for g, _ in combo)
             coeff = ONE
             for _, c in combo:
                 coeff *= c
@@ -75,11 +74,10 @@ def tensor_homotopy(h, nabla_pi, tc):
         if not w:
             continue
         for k in range(len(w)):
-            front_deg = sum(space.degree_of(lab) for lab in w[:k])
+            front_deg = sum(space.degrees[g] for g in w[:k])
             sign = -ONE if front_deg % 2 else ONE
             slot_imgs = []
-            for pos, lab in enumerate(w):
-                g = space.index[lab]
+            for pos, g in enumerate(w):
                 if pos < k:
                     slot_imgs.append([(g, ONE)])
                 elif pos == k:
@@ -87,7 +85,7 @@ def tensor_homotopy(h, nabla_pi, tc):
                 else:
                     slot_imgs.append(list(nabla_pi.apply_basis(g).items()))
             for combo in iproduct(*slot_imgs):
-                word = tuple(space.labels[g] for g, _ in combo)
+                word = tuple(g for g, _ in combo)
                 coeff = sign
                 for _, c in combo:
                     coeff *= c
@@ -104,7 +102,7 @@ def sym_to_tensor(sym, tc):
     space = sym.gen_space
     ent = {}
     for wi, w in enumerate(sym.words):
-        degs = [space.degree_of(lab) for lab in w]
+        degs = [space.degrees[g] for g in w]
         seen = set()
         for perm in permutations(range(len(w))):
             arr = tuple(w[p] for p in perm)

@@ -45,11 +45,10 @@ def _l2_as_dgla(res):
     small = res.contraction.small.space
     table = {}
     for word, val in res.brackets.brackets.get(2, {}).items():
-        a, b = (lab[1:] for lab in word)
-        i, j = small.index[a], small.index[b]
+        i, j = word
         sign = F(1)
         if i > j:
-            da, db = small.degree_of(a), small.degree_of(b)
+            da, db = small.degrees[i], small.degrees[j]
             sign = F(-1) if (da * db) % 2 == 0 else F(1)
             i, j = j, i
         entry = table.setdefault((i, j), {})

@@ -166,4 +166,4 @@ def test_morgan_rejects_short_truncation():
 
 def test_morgan_rejects_word_outside_parameter_space():
     with pytest.raises(ValueError):
-        morgan_example(theta={("sa", "sa", "sa", "sa", "sc"): F(1)})
+        morgan_example(theta={"sa*sa*sa*sa*sc": F(1)})

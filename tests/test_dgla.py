@@ -15,7 +15,7 @@ from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
                             validate_dgla)
 from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import transfer
-from hptmaster.words import TruncatedSymCoalgebra, check_sh_lie
+from hptmaster.words import TruncatedSymCoalgebra, check_sh_lie, parse_word
 
 F = Fraction
 
@@ -132,7 +132,7 @@ def test_ce_quadratic_component_anchor():
     g = b2()
     coalg = ce_coalgebra(g, 2)
     comp = coalg.perturbation.components[2]
-    assert comp[("se", "sf")] == {1: F(-1)}
+    assert comp[parse_word("se*sf", coalg.gen_space)] == {1: F(-1)}
 
 
 def test_universal_twisting_cochain_master():
@@ -149,7 +149,7 @@ def test_is_twisting_cochain_detects_mutation():
     tau = universal_twisting_cochain(g, coalg)
     # a stray degree-compatible length-2 component (value u, with du != 0)
     # must break the master equation at word length two
-    wi = coalg.windex[("sx", "sy")]
+    wi = coalg.windex[parse_word("sx*sy", coalg.gen_space)]
     entries = dict(tau.hom.entries)
     entries[(g.space.index["u"], wi)] = F(1)
     broken = GradedMap(coalg.space, g.space, -1, entries)
@@ -223,7 +223,7 @@ def test_cup_bracket_matches_oracle_on_hand_case():
     gens = GradedVectorSpace(
         [("p", 0), ("q", 2), ("u", 1), ("v", 1), ("w", 3)])
     coalg = TruncatedSymCoalgebra(gens, 5)
-    assert ("p", "p", "u", "v", "w") in coalg.windex
+    assert parse_word("p*p*u*v*w", gens) in coalg.windex
     V = GradedVectorSpace([("e%d" % i, i // 2) for i in range(12)])
     table = {}
     for i in range(V.dim):

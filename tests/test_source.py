@@ -21,6 +21,49 @@ def unread_imports(source):
                   if name not in read)
 
 
+def prefix_handling(source, allowed=()):
+    """[(line, function)] of the places that add or strip the "s" that
+    suspension puts before a label: a string constant "s" (or a format
+    string that begins with it) or a [1:] slice, outside the functions
+    named in allowed."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+            if func in allowed:
+                return
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value == "s" or node.value.startswith(("s%", "s{")):
+                found.append((node.lineno, func))
+        elif (isinstance(node, ast.Slice) and node.upper is None
+              and node.step is None and isinstance(node.lower, ast.Constant)
+              and node.lower.value == 1):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_prefix_handling_is_found():
+    source = ('def f(lab):\n    return "s" + lab, "s%s" % lab\n'
+              'def g(lab):\n    return lab[1:] if lab.startswith("s") else 0\n'
+              'x = f"s{1}"[1:2]\n')
+    assert prefix_handling(source) == [(2, "f"), (2, "f"), (4, "g"),
+                                       (4, "g"), (5, None)]
+    assert prefix_handling(source, {"f", "g"}) == [(5, None)]
+
+
+def test_only_suspend_space_handles_the_suspension_prefix():
+    # words are index tuples, so no module reads a suspended label back
+    found = {p.name: prefix_handling(
+        p.read_text(), {"suspend_space"} if p.name == "graded.py" else ())
+        for p in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
 def test_unread_imports_are_found():
     source = ("import os.path\nfrom . import linalg\n"
               "from .graded import ONE, ZERO as Z\nprint(ONE, linalg.rank)\n")

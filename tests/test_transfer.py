@@ -12,7 +12,7 @@ from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import (adjoint_report, check_addendum_283,
                                 check_addendum_285, theorem_29_pipeline,
                                 transfer, verify_master)
-from hptmaster.words import TruncatedSymCoalgebra
+from hptmaster.words import TruncatedSymCoalgebra, sort_factors
 
 F = Fraction
 
@@ -56,14 +56,12 @@ def test_engineered_l3_hand_values():
                 by_col[lab] = k
     assert set(by_col) == {"x", "y", "w", "z"}
 
-    word = tuple(sorted(["s" + small.labels[by_col["x"]],
-                         "s" + small.labels[by_col["y"]]]))
+    gens = res.coalg.gen_space
+    word, _ = sort_factors([by_col["x"], by_col["y"]], gens)
     wi = res.coalg.windex[word]
     assert res.tau.hom.apply_basis(wi) == {ix["u"]: F(-1)}
 
-    word3 = tuple(sorted(["s" + small.labels[by_col["w"]],
-                          "s" + small.labels[by_col["x"]],
-                          "s" + small.labels[by_col["y"]]]))
+    word3, _ = sort_factors([by_col["w"], by_col["x"], by_col["y"]], gens)
     comp = res.D.components[3]
     assert comp[word3] == {by_col["z"]: F(1)}
     # no binary operation survives on homology
@@ -202,6 +200,25 @@ def test_pipeline_builds_each_coalgebra_and_verdict_once(counted):
     assert result.extended.identity_failures() == []
     assert adjoint_report(result)["passed"]
     assert counted == {"coalgebras": 2, "identities": 3}
+
+
+def test_addendum_285_compares_against_the_extensions_lift(counted):
+    # the check compares the extension with the lift it perturbs, so it
+    # lifts once per result, and its report is the same whether or not
+    # .extended was read before it
+    g = instances.commuting_lifts_dgla()
+    con = build_contraction(g.complex)
+    reports = []
+    for read_first in (False, True):
+        result = transfer(g, con, 4)
+        if read_first:
+            assert result.extended.identity_failures() == []
+        reports.append(check_addendum_285(g, con, result))
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"] and reports[0]["nabla_unperturbed"]
+    # verdicts: con once, then the lift and the perturbed contraction of
+    # each result; coalgebras: the small one and C[g] of each result
+    assert counted == {"coalgebras": 4, "identities": 1 + 2 * 2}
 
 
 @pytest.mark.parametrize("argv, identities", [

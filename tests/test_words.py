@@ -11,31 +11,33 @@ import word_oracle
 from hptmaster import cli, instances
 from hptmaster.complexes import build_contraction
 from hptmaster.dgla import ce_coalgebra
-from hptmaster.graded import GradedMap, GradedVectorSpace, koszul_sign
+from hptmaster.graded import (GradedMap, GradedVectorSpace, koszul_sign,
+                              suspend_space)
 from hptmaster.transfer import transfer
 from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
                              check_sh_lie, coderivation_operator,
                              commutes_with_diagonal, enumerate_words,
-                             merge_words, sort_factors, splittings,
-                             word_degree)
+                             merge_words, parse_word, sort_factors,
+                             splittings, word_degree, word_label)
 
 F = Fraction
 
 MIXED = GradedVectorSpace([("p", 0), ("q", 0), ("u", 1), ("v", 1), ("w", 2)])
+P, Q, U, V, W = range(5)   # the letters of MIXED as generator indices
 
 
 def test_sort_factors_kills_odd_squares():
-    word, sign = sort_factors(["u", "u"], MIXED)
+    word, sign = sort_factors([U, U], MIXED)
     assert word is None and sign == 0
 
 
 def test_sort_factors_sign_oracle():
-    for perm in itertools.permutations(["p", "u", "v"]):
+    for perm in itertools.permutations([P, U, V]):
         word, sign = sort_factors(list(perm), MIXED)
-        assert word == ("p", "u", "v")
+        assert word == (P, U, V)
         # oracle: Koszul sign of the permutation taking the canonical
         # word to the given arrangement
-        degrees = [MIXED.degree_of(lab) for lab in word]
+        degrees = [MIXED.degrees[g] for g in word]
         canonical = list(word)
         positions = []
         used = [False] * 3
@@ -60,8 +62,29 @@ def test_enumerate_words_counts():
     assert by_len[2] == 13
 
 
+def test_word_labels_round_trip_on_labels_that_begin_with_s():
+    # letters are generator indices, so a label that begins with "s" is
+    # only text: every word of the space and of its suspension reads back
+    # from its label, in any letter order
+    space = GradedVectorSpace(
+        [("s", 1), ("sx", 0), ("ssx", 2), ("h-1_0", -1)])
+    assert suspend_space(space).labels == ["ss", "ssx", "sssx", "sh-1_0"]
+    for gens in (space, suspend_space(space)):
+        words = enumerate_words(gens, 4)
+        labels = [word_label(w, gens) for w in words]
+        assert len(set(labels)) == len(words)
+        for w, text in zip(words, labels):
+            assert parse_word(text, gens) == w
+            assert parse_word("*".join(text.split("*")[::-1]), gens) == w
+    assert word_label((), space) == "1" and parse_word("1", space) == ()
+    assert word_label((3, 1, 0), space) == "h-1_0*sx*s"
+    for bad in ("x", "s*s", "sx**s", "ss"):
+        with pytest.raises(ValueError):
+            parse_word(bad, space)
+
+
 def test_splittings_distinct_letters_subsets():
-    word = ("p", "q", "w")
+    word = (P, Q, W)
     outs = list(splittings(word, MIXED))
     assert len(outs) == 2 ** 3
     # all even letters: every sign is +1
@@ -69,7 +92,7 @@ def test_splittings_distinct_letters_subsets():
 
 
 def test_splittings_repeated_letters_leftmost_copy():
-    word = ("p", "p", "w", "w")
+    word = (P, P, W, W)
     outs = list(splittings(word, MIXED))
     # multiplicities (2, 2): (2+1) * (2+1) splittings
     assert len(outs) == 9
@@ -77,10 +100,10 @@ def test_splittings_repeated_letters_leftmost_copy():
 
 
 def test_splittings_odd_letter_sign():
-    word = ("u", "v")
+    word = (U, V)
     got = {(A, B): sign for A, B, sign in splittings(word, MIXED)}
-    assert got[(("u",), ("v",))] == 1
-    assert got[(("v",), ("u",))] == -1
+    assert got[((U,), (V,))] == 1
+    assert got[((V,), (U,))] == -1
 
 
 @st.composite
@@ -89,7 +112,7 @@ def spaces_and_sequences(draw):
     space = GradedVectorSpace(
         [("g%d" % i, d) for i, d in enumerate(degrees)])
     seqs = draw(st.lists(
-        st.lists(st.sampled_from(space.labels), max_size=5), max_size=5))
+        st.lists(st.sampled_from(range(space.dim)), max_size=5), max_size=5))
     return space, [tuple(seq) for seq in seqs]
 
 
@@ -126,9 +149,9 @@ def test_coderivation_is_coalgebra_compatible():
     # uniquely characterizes the coderivation extension
     gen = GradedVectorSpace([("a", 0), ("b", 1), ("c", 2)])
     spec = CoderivationSpec(gen, {2: {
-        ("a", "b"): {0: F(2)},
-        ("b", "b"): {1: F(1)},
-        ("a", "a"): {}}})
+        (0, 1): {0: F(2)},
+        (1, 1): {1: F(1)},
+        (0, 0): {}}})
     coalg = TruncatedSymCoalgebra(gen, 4)
     op = coderivation_operator(spec, coalg)
     assert commutes_with_diagonal(op, coalg) == []
@@ -136,43 +159,43 @@ def test_coderivation_is_coalgebra_compatible():
 
 def test_coderivation_corestriction_matches_components():
     gen = GradedVectorSpace([("a", 0), ("b", 1)])
-    spec = CoderivationSpec(gen, {2: {("a", "b"): {0: F(3)}}})
+    spec = CoderivationSpec(gen, {2: {(0, 1): {0: F(3)}}})
     coalg = TruncatedSymCoalgebra(gen, 3)
     op = coderivation_operator(spec, coalg)
-    wi = coalg.windex[("a", "b")]
-    assert op.apply_basis(wi) == {coalg.windex[("a",)]: F(3)}
+    wi = coalg.windex[(0, 1)]
+    assert op.apply_basis(wi) == {coalg.windex[(0,)]: F(3)}
 
 
 def test_coderivation_divided_power_multiplicity():
     # inserting a generator already present m times multiplies by m + 1:
     # on e_{aab} the component ab -> 2a inserts a next to an existing a
     gen = GradedVectorSpace([("a", 0), ("b", 1)])
-    spec = CoderivationSpec(gen, {2: {("a", "b"): {0: F(1)}}})
+    spec = CoderivationSpec(gen, {2: {(0, 1): {0: F(1)}}})
     coalg = TruncatedSymCoalgebra(gen, 3)
     op = coderivation_operator(spec, coalg)
-    wi = coalg.windex[("a", "a", "b")]
-    assert op.apply_basis(wi) == {coalg.windex[("a", "a")]: F(2)}
+    wi = coalg.windex[(0, 0, 1)]
+    assert op.apply_basis(wi) == {coalg.windex[(0, 0)]: F(2)}
 
 
 def test_component_degree_enforced():
     gen = GradedVectorSpace([("a", 0), ("b", 1)])
     with pytest.raises(ValueError):
-        CoderivationSpec(gen, {2: {("a", "b"): {1: F(1)}}})
+        CoderivationSpec(gen, {2: {(0, 1): {1: F(1)}}})
 
 
 def test_check_sh_lie_flags_broken_square():
     gen = GradedVectorSpace([("a", 1), ("b", 1), ("c", 1)])
     # lambda_2(ab) = c with lambda_2(bc) = b does not square to zero:
     # applying D twice to the word abc reaches c with coefficient +-1
-    spec = CoderivationSpec(gen, {2: {("a", "b"): {2: F(1)},
-                                      ("b", "c"): {1: F(1)}}})
+    spec = CoderivationSpec(gen, {2: {(0, 1): {2: F(1)},
+                                      (1, 2): {1: F(1)}}})
     coalg = TruncatedSymCoalgebra(gen, 3, perturbation=spec)
     report = check_sh_lie(coalg)
     assert not report["passed"]
 
 
 def test_word_degree():
-    assert word_degree(("p", "u", "w"), MIXED) == 3
+    assert word_degree((P, U, W), MIXED) == 3
 
 
 # a repeated even letter next to three odd letters: p, q even, u, v, w odd
@@ -183,7 +206,7 @@ def test_merge_words_inverts_splittings():
     # every splitting (A, B) of w merges back to w with the splitting's
     # sign, and every other pair of words repeats an odd letter
     coalg = TruncatedSymCoalgebra(HAND, 5)
-    assert ("p", "p", "u", "v", "w") in coalg.windex
+    assert parse_word("p*p*u*v*w", HAND) in coalg.windex
     split = {}
     for w in coalg.words:
         for A, B, sign in word_oracle.splittings(w, HAND):
@@ -228,9 +251,9 @@ def test_word_layer_matches_oracle_on_corpus(corpus):
             res = res4 if N == 4 else transfer(g, con, N)
             coalg = res.coalg
             for spec in (coalg.perturbation, CoderivationSpec(
-                    coalg.gen_space, {1: {(lab,): coalg.gen_differential
-                                          .apply_basis(i) for i, lab in
-                                          enumerate(coalg.gen_space.labels)}})):
+                    coalg.gen_space, {1: {(i,): coalg.gen_differential
+                                          .apply_basis(i) for i in
+                                          range(coalg.gen_space.dim)}})):
                 op = coderivation_operator(spec, coalg)
                 assert op.entries == word_oracle.coderivation_operator(
                     spec, coalg).entries
@@ -289,11 +312,12 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle():
     # that contain the changed word, not on the word itself
     coalg = cases[0]
     op = coalg.differential
-    wi = coalg.windex[("sx", "sy")]
+    xy = parse_word("sx*sy", coalg.gen_space)
+    wi = coalg.windex[xy]
     ent = dict(op.entries)
-    key = (coalg.windex[("sv",)], wi)
+    key = (coalg.windex[parse_word("sv", coalg.gen_space)], wi)
     ent[key] = ent.get(key, F(0)) + 1
     bad = GradedMap(coalg.space, coalg.space, -1, ent)
     got = commutes_with_diagonal(bad, coalg)
-    assert got and ("sx", "sy") not in got
+    assert got and xy not in got
     assert got == word_oracle.commutes_with_diagonal(bad, coalg)

@@ -25,7 +25,7 @@ HALF = Fraction(1, 2)
 
 def splittings(word, gen_space, left_size=None):
     """Ordered multiset splittings (A, B, sign), leftmost copies into A."""
-    degs = [gen_space.degree_of(lab) for lab in word]
+    degs = [gen_space.degrees[g] for g in word]
     runs = []
     i = 0
     while i < len(word):
@@ -145,8 +145,7 @@ def transfer_tau_and_D(g, con, N):
     tau_ent = {}
     for wi, w in enumerate(coalg.words):
         if len(w) == 1:
-            k = con.small.space.index[w[0][1:]]
-            for t, c in con.nabla.apply_basis(k).items():
+            for t, c in con.nabla.apply_basis(w[0]).items():
                 tau_ent[(t, wi)] = c
     tau_hom = GradedMap(coalg.space, g.space, -1, tau_ent)
     spec = CoderivationSpec(coalg.gen_space)
@@ -208,11 +207,10 @@ def coderivation_operator(spec, coalg):
                 if not val:
                     continue
                 for g, c in val.items():
-                    lab = gen_space.labels[g]
-                    w2, sign2 = sort((lab,) + B)
+                    w2, sign2 = sort((g,) + B)
                     if w2 is None:
                         continue
-                    mult = B.count(lab) + 1
+                    mult = B.count(g) + 1
                     key = (coalg.windex[w2], wi)
                     ent[key] = ent.get(key, ZERO) + mult * sign * c * sign2
     ent = {k: v for k, v in ent.items() if v != 0}
