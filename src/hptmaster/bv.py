@@ -8,78 +8,55 @@ constants; everything downstream (transfer, twisting cochains) runs on the
 regraded side.
 """
 
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .complexes import (ChainComplex, contraction_extending_projection,
                         homology, is_quasi_iso)
 from .dgla import DgLieAlgebra
-from .graded import GradedMap, GradedVectorSpace, bilinear, ONE, ZERO
+from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE, ZERO
 from .transfer import theorem_29_pipeline
 
 
 class GerstenhaberAlgebra:
     """Graded commutative algebra with a degree -1 bracket, cohomological.
 
-    product_table maps (i, j) with i <= j to sparse dicts; the (j, i)
-    values follow from commutativity.  bracket_table is stored the same way
-    under the shifted antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].
-    An optional degree +1 differential completes the data.
+    multiply is the StructureTable of the product, built from rows
+    (i, j) -> {k: c} in either index order, with the unit's rows
+    1 x = x 1 = x written in (rows given for the unit are replaced).
+    bracket is the table of the bracket, whose swap rule is the shifted
+    antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].  product_table and
+    bracket_table are their canonical i <= j dicts.  An optional degree +1
+    differential completes the data.
     """
 
-    def __init__(self, space, product_table, bracket_table=None, d=None,
+    def __init__(self, space, product_rows, bracket_rows=None, d=None,
                  unit_index=0):
         self.space = space
         self.unit_index = unit_index
-        self.product_table = _clean_table(space, product_table, 0)
-        self.bracket_table = _clean_table(space, bracket_table or {}, -1)
+        if space.dim and space.degrees[unit_index] != 0:
+            raise ValueError("unit: %r must have degree 0"
+                             % space.labels[unit_index])
+        if isinstance(product_rows, dict):
+            product_rows = product_rows.items()
+        rows = [(key, val) for key, val in product_rows
+                if unit_index not in key]
+        rows += [((unit_index, j), {j: ONE}) for j in range(space.dim)]
+        self.multiply = StructureTable(space, rows, symmetric=True)
+        self.bracket = StructureTable(space, bracket_rows or (), degree=-1)
         if d is None:
             d = GradedMap.zero(space, space, 1)
         if d.degree != 1:
             raise ValueError("differential must have degree +1")
         self.d = d
 
-    def degree(self, i):
-        return self.space.degrees[i]
+    @property
+    def product_table(self):
+        return self.multiply.canonical
 
-    def product_basis(self, i, j):
-        u = self.unit_index
-        if i == u:
-            return {j: ONE}
-        if j == u:
-            return {i: ONE}
-        if i <= j:
-            return dict(self.product_table.get((i, j), {}))
-        sign = -ONE if (self.degree(i) % 2 and self.degree(j) % 2) else ONE
-        return {k: sign * c for k, c in self.product_table.get((j, i), {}).items()}
-
-    def bracket_basis(self, i, j):
-        if i <= j:
-            return dict(self.bracket_table.get((i, j), {}))
-        pa, qa = self.degree(i) - 1, self.degree(j) - 1
-        sign = -ONE if not (pa % 2 and qa % 2) else ONE
-        return {k: sign * c for k, c in self.bracket_table.get((j, i), {}).items()}
-
-    def multiply(self, u, v):
-        return bilinear(u, v, self.product_basis)
-
-    def bracket(self, u, v):
-        return bilinear(u, v, self.bracket_basis)
-
-
-def _clean_table(space, table, deg_shift):
-    out = {}
-    for (i, j), val in table.items():
-        if i > j:
-            raise ValueError("structure constants must have i <= j")
-        val = {k: Fraction(c) for k, c in val.items() if c != 0}
-        for k in val:
-            if space.degrees[k] != space.degrees[i] + space.degrees[j] + deg_shift:
-                raise ValueError("constant of wrong degree")
-        if val:
-            out[(i, j)] = val
-    return out
+    @property
+    def bracket_table(self):
+        return self.bracket.canonical
 
 
 def bracket_from_generator(algebra, delta):
@@ -94,35 +71,32 @@ def bracket_from_generator(algebra, delta):
         raise ValueError("generator must have degree -1")
     space = algebra.space
     dim = space.dim
+    product = algebra.multiply
     dcol = [delta.column(s) for s in range(dim)]
 
     def value(i, j):
         ei = [ONE if t == i else ZERO for t in range(dim)]
         ej = [ONE if t == j else ZERO for t in range(dim)]
-        prod = algebra.product_basis(i, j)
         dprod = [ZERO] * dim
-        for k, c in prod.items():
+        for k, c in product.get(i, j).items():
             for t, c2 in enumerate(dcol[k]):
                 dprod[t] += c * c2
-        t1 = algebra.multiply(dcol[i], ej)
-        t2 = algebra.multiply(ei, dcol[j])
+        t1 = product(dcol[i], ej)
+        t2 = product(ei, dcol[j])
         sa = -ONE if space.degrees[i] % 2 else ONE
         out = [sa * (dprod[t] - t1[t] - sa * t2[t]) for t in range(dim)]
-        return out
+        return {k: c for k, c in enumerate(out) if c != 0}
 
-    table = {}
+    # the table refuses the squares the swap rule forces to vanish; the
+    # values on pairs i > j must be the ones it derives
+    table = StructureTable(space, [((i, j), value(i, j))
+                                   for i in range(dim)
+                                   for j in range(i, dim)], degree=-1)
     for i in range(dim):
-        for j in range(i, dim):
-            vij = value(i, j)
-            vji = value(j, i)
-            pa, qa = space.degrees[i] - 1, space.degrees[j] - 1
-            sign = -ONE if not (pa % 2 and qa % 2) else ONE
-            if any(a - sign * b != 0 for a, b in zip(vij, vji)):
+        for j in range(i):
+            if value(i, j) != table.get(i, j):
                 raise AssertionError("generated bracket is not antisymmetric")
-            val = {k: c for k, c in enumerate(vij) if c != 0}
-            if val:
-                table[(i, j)] = val
-    return table
+    return table.canonical
 
 
 class BVData:
@@ -137,6 +111,17 @@ class BVData:
     def generates_bracket(self):
         gen = bracket_from_generator(self.algebra, self.delta)
         return gen == self.algebra.bracket_table
+
+    # BVData is never mutated, so the Delta-splitting and the formality
+    # report are computed on first use and then shared by every check and
+    # pipeline run on it
+    @cached_property
+    def delta_splitting(self):
+        return _delta_splitting(self)
+
+    @cached_property
+    def formality(self):
+        return _formality_report(self)
 
     def delta_exact(self):
         return self.delta.compose(self.delta).is_zero()
@@ -205,9 +190,9 @@ def _non_derivation(A, op, bracket):
     op[x, y] = [op x, y] - (-1)^{|x|} [x, op y] for the bracket.
     """
     if bracket:
-        pair, pair_basis, sign = A.bracket, A.bracket_basis, -ONE
+        pair, sign = A.bracket, -ONE
     else:
-        pair, pair_basis, sign = A.multiply, A.product_basis, ONE
+        pair, sign = A.multiply, ONE
     dim = A.space.dim
     cols = [op.column(s) for s in range(dim)]
     basis = [[ONE if t == i else ZERO for t in range(dim)]
@@ -216,7 +201,7 @@ def _non_derivation(A, op, bracket):
         sa = -sign if A.space.degrees[i] % 2 else sign
         for j in range(dim):
             lhs = [ZERO] * dim
-            for k, c in pair_basis(i, j).items():
+            for k, c in pair.get(i, j).items():
                 for t, c2 in enumerate(cols[k]):
                     lhs[t] += c * c2
             r1 = pair(cols[i], basis[j])
@@ -255,14 +240,7 @@ def regrade_to_lie(algebra):
     space = GradedVectorSpace(
         [(lab, 1 - deg) for lab, deg in algebra.space.basis])
     d = GradedMap(space, space, -1, dict(algebra.d.entries))
-    table = {}
-    for (i, j), val in algebra.bracket_table.items():
-        if i == j and space.degrees[i] % 2 == 0:
-            if any(c != 0 for c in val.values()):
-                raise AssertionError("[x,x] != 0 on an even regraded element")
-            continue
-        table[(i, j)] = dict(val)
-    return DgLieAlgebra(ChainComplex(space, d), table)
+    return DgLieAlgebra(ChainComplex(space, d), algebra.bracket_table)
 
 
 def _kernel_subspace(op, space):
@@ -281,7 +259,7 @@ def _kernel_subspace(op, space):
 
 
 def _delta_splitting(bv):
-    """ker Delta, H(A, Delta) and im Delta, computed once per pipeline.
+    """ker Delta, H(A, Delta) and im Delta (BVData.delta_splitting).
 
     Returns (ker, basis, reps, image): a homogeneous basis of ker Delta;
     the labels and degrees of the classes of H(A, Delta); a representative
@@ -336,27 +314,10 @@ def kahler_formality_check(bv):
     reported separately.  Homology ranks are computed exactly after the
     homological regrading of all three complexes.
     """
-    return _Formality(bv).report
+    return bv.formality
 
 
-class _Formality:
-    """The Delta-splitting of a BV algebra and the formality report read
-    from it, each computed on first use and then shared, so that one bv
-    run computes them once."""
-
-    def __init__(self, bv):
-        self.bv = bv
-
-    @cached_property
-    def split(self):
-        return _delta_splitting(self.bv)
-
-    @cached_property
-    def report(self):
-        return _formality_report(self.bv, self.split)
-
-
-def _formality_report(bv, split):
+def _formality_report(bv):
     A = bv.algebra
     space = A.space
     if not A.d.compose(A.d).is_zero():
@@ -365,7 +326,7 @@ def _formality_report(bv, split):
         raise ValueError("Delta Delta != 0")
     if not bv.weak_differential():
         raise ValueError("d does not graded-commute with Delta")
-    ker, h_basis, h_reps, image = split
+    ker, h_basis, h_reps, image = bv.delta_splitting
 
     neg = GradedVectorSpace([(lab, -deg) for lab, deg in space.basis])
     d_neg = GradedMap(neg, neg, -1, dict(A.d.entries))
@@ -411,17 +372,16 @@ def theorem_38_pipeline(bv, N):
     (ii) pi tau is the universal twisting cochain, (iii) the values of the
     components tau_k, k >= 2, lie in im Delta.
     """
-    result, report, _ = _transfer_in_kernel(bv, N, _Formality(bv))
+    result, report, _ = _transfer_in_kernel(bv, N)
     return result, report
 
 
-def _transfer_in_kernel(bv, N, formality):
-    """theorem_38_pipeline on the splitting and formality report of a
-    _Formality; also returns tau in A."""
-    predicate = formality.report
+def _transfer_in_kernel(bv, N):
+    """theorem_38_pipeline, also returning tau in A."""
+    predicate = bv.formality
     if not predicate["passed"]:
         raise ValueError("formality predicate fails")
-    ker, h_basis, h_reps, image = formality.split
+    ker, h_basis, h_reps, image = bv.delta_splitting
     g = regrade_to_lie(bv.algebra)
     m, incl = g.sub_algebra(ker)
 
@@ -462,12 +422,6 @@ def addendum_382_flat_identity(bv, N):
     the complement; the components tau_k, k >= 2, then take values away
     from the unit line, which is verified exactly.
     """
-    return _flat_unit_transfer(bv, N, _Formality(bv))
-
-
-def _flat_unit_transfer(bv, N, formality):
-    """addendum_382_flat_identity on the splitting and formality report
-    of a _Formality."""
     A = bv.algebra
     space = A.space
     u = A.unit_index
@@ -480,10 +434,10 @@ def _flat_unit_transfer(bv, N, formality):
         raise ValueError("d(1) != 0")
     # [1] nonzero in homology: 1 must not lie in im Delta
     unit_vec = [ONE if i == u else ZERO for i in range(space.dim)]
-    if linalg.reduce_against(unit_vec, formality.split[3]) is None:
+    if linalg.reduce_against(unit_vec, bv.delta_splitting[3]) is None:
         raise ValueError("the class of 1 vanishes in homology")
 
-    result, report, tau_in_A = _transfer_in_kernel(bv, N, formality)
+    result, report, tau_in_A = _transfer_in_kernel(bv, N)
     # tau_k values avoid the unit line for k >= 2
     away = all(t != u for (t, s) in tau_in_A.entries
                if result.coalg.word_length(s) >= 2)

@@ -16,12 +16,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .bv import (BVData, GerstenhaberAlgebra, _Formality, _flat_unit_transfer,
-                 _transfer_in_kernel, bracket_from_generator, validate_bv)
+from .bv import (BVData, GerstenhaberAlgebra, addendum_382_flat_identity,
+                 bracket_from_generator, kahler_formality_check,
+                 theorem_38_pipeline, validate_bv)
 from .complexes import ChainComplex, build_contraction
 from .deformation import massey_parameters, morgan_example, wedge_of_spheres
 from .dgla import DgLieAlgebra, validate_dgla
-from .graded import GradedMap, GradedVectorSpace, ONE
+from .graded import GradedMap, GradedVectorSpace
 from .transfer import transfer, verify_master
 from .words import word_label
 
@@ -147,8 +148,10 @@ def load_problem(path):
         except ValueError as exc:
             raise InputError("%s: %s" % (section, exc))
 
-    def bilinear_table(section, shift, symmetric):
-        table = {}
+    def bilinear_rows(section):
+        # rows in file order; the structure table canonicalises them and
+        # names the section in its errors
+        rows = []
         for pos, entry in enumerate(_rows(doc, section)):
             where = "%s[%d]" % (section, pos)
             if not _is_row(entry, 4):
@@ -156,24 +159,12 @@ def load_problem(path):
                                  % where)
             i, j = look(entry[0], where), look(entry[1], where)
             k = look(entry[2], where)
-            c = _frac(entry[3], where)
-            if i > j:
-                pi, pj = space.degrees[i] + shift, space.degrees[j] + shift
-                if symmetric:
-                    sign = -ONE if (pi % 2 and pj % 2) else ONE
-                else:
-                    sign = ONE if (pi % 2 and pj % 2) else -ONE
-                i, j, c = j, i, sign * c
-            val = table.setdefault((i, j), {})
-            val[k] = val.get(k, Fraction(0)) + c
-        return {key: {k: c for k, c in val.items() if c != 0}
-                for key, val in table.items()
-                if any(c != 0 for c in val.values())}
+            rows.append(((i, j), {k: _frac(entry[3], where)}))
+        return rows
 
     if kind == "dgla":
         d = sparse_map("differential", -1)
-        # for a degree-0 Lie bracket the plain degrees govern the swap sign
-        bracket = bilinear_table("bracket", 0, symmetric=False)
+        bracket = bilinear_rows("bracket")
         try:
             g = DgLieAlgebra(ChainComplex(space, d), bracket)
         except (ValueError, AssertionError) as exc:
@@ -182,14 +173,14 @@ def load_problem(path):
 
     d = sparse_map("differential", 1)
     delta = sparse_map("delta", -1)
-    product = bilinear_table("product", 0, symmetric=True)
+    product = bilinear_rows("product")
     unit_label = doc.get("unit")
     unit_index = look(unit_label, "unit") if unit_label is not None else 0
     try:
         plain = GerstenhaberAlgebra(space, product, d=d,
                                     unit_index=unit_index)
         if "bracket" in doc:
-            bracket = bilinear_table("bracket", -1, symmetric=False)
+            bracket = bilinear_rows("bracket")
         else:
             bracket = bracket_from_generator(plain, delta)
         algebra = GerstenhaberAlgebra(space, product, bracket, d=d,
@@ -312,21 +303,19 @@ def cmd_bv(args, started):
     if not verdict["passed"]:
         _emit(report, args, started)
         return EXIT_VERIFY
-    # one Delta-splitting and formality report per run, shared with the
-    # pipeline
-    formality = _Formality(bv)
+    # bv computes its Delta-splitting and formality report once, shared
+    # by the predicate and the pipeline
     try:
-        predicate = formality.report
+        predicate = kahler_formality_check(bv)
         report["formality_predicate"] = predicate
         if not predicate["passed"]:
             _emit(report, args, started)
             return EXIT_VERIFY
         if args.pipeline == "flat-unit":
-            result, pipe = _flat_unit_transfer(
-                bv, args.max_word_length, formality)
+            pipeline = addendum_382_flat_identity
         else:
-            result, pipe, _ = _transfer_in_kernel(
-                bv, args.max_word_length, formality)
+            pipeline = theorem_38_pipeline
+        result, pipe = pipeline(bv, args.max_word_length)
     except ValueError as exc:
         report["error"] = str(exc)
         _emit(report, args, started)

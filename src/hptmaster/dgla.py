@@ -1,43 +1,34 @@
 """Differential graded Lie algebras, cup brackets, and twisting cochains.
 
-Structure constants are stored only for source index pairs i <= j; the
-values for i > j are derived through graded antisymmetry, so inconsistent
-input cannot be represented.  All degrees are homological.
+The bracket is a graded.StructureTable, which keeps the structure
+constants for index pairs i <= j and derives the others through graded
+antisymmetry, so inconsistent input cannot be represented.  All degrees
+are homological.
 """
 
 from fractions import Fraction
 
 from . import linalg
 from .complexes import ChainComplex
-from .graded import GradedMap, GradedVectorSpace, bilinear, ONE, ZERO
-from .words import (CoderivationSpec, EMPTY, merge_words, splittings,
-                    suspended_coalgebra)
+from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE, ZERO
+from .words import CoderivationSpec, EMPTY, merge_words, suspended_coalgebra
 
 
 class DgLieAlgebra:
     """A chain complex with a degree-0 graded Lie bracket.
 
-    bracket_table maps (i, j) with i <= j to a sparse dict k -> Fraction
-    meaning [e_i, e_j] = sum c^k_ij e_k.
+    bracket is the StructureTable of [e_i, e_j] = sum c^k_ij e_k, built
+    from rows (i, j) -> {k: c} in either index order; bracket_table is its
+    canonical i <= j dict.
     """
 
-    def __init__(self, complex_, bracket_table):
+    def __init__(self, complex_, bracket_rows):
         self.complex = complex_
-        space = complex_.space
-        self.bracket_table = {}
-        for (i, j), val in bracket_table.items():
-            if i > j:
-                raise ValueError("structure constants must have i <= j")
-            val = {k: Fraction(c) for k, c in val.items() if c != 0}
-            if not val:
-                continue
-            if i == j and space.degrees[i] % 2 == 0:
-                raise ValueError(
-                    "[x,x] must vanish for even |x| (%s)" % space.labels[i])
-            for k in val:
-                if space.degrees[k] != space.degrees[i] + space.degrees[j]:
-                    raise ValueError("bracket constant not of degree zero")
-            self.bracket_table[(i, j)] = val
+        self.bracket = StructureTable(complex_.space, bracket_rows)
+
+    @property
+    def bracket_table(self):
+        return self.bracket.canonical
 
     @property
     def space(self):
@@ -46,19 +37,6 @@ class DgLieAlgebra:
     @property
     def d(self):
         return self.complex.d
-
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse dict, for any index order."""
-        degs = self.space.degrees
-        if i <= j:
-            return dict(self.bracket_table.get((i, j), {}))
-        sign = -ONE if not (degs[i] % 2 and degs[j] % 2) else ONE
-        # [e_i, e_j] = -(-1)^{|i||j|} [e_j, e_i]
-        return {k: sign * c for k, c in self.bracket_table.get((j, i), {}).items()}
-
-    def bracket(self, u, v):
-        """Bracket of dense coefficient vectors."""
-        return bilinear(u, v, self.bracket_basis)
 
     def is_abelian(self):
         return not self.bracket_table
@@ -103,12 +81,10 @@ class DgLieAlgebra:
         table = {}
         for i in range(len(basis_vecs)):
             for j in range(i, len(basis_vecs)):
-                if i == j and basis_degs[i] % 2 == 0:
-                    continue
                 br = self.bracket(basis_vecs[i], basis_vecs[j])
-                val = {k: c for k, c in enumerate(coords(br)) if c != 0}
-                if val:
-                    table[(i, j)] = val
+                if any(br):
+                    table[(i, j)] = {k: c for k, c in enumerate(coords(br))
+                                     if c != 0}
         sub = DgLieAlgebra(
             ChainComplex(sub_space, GradedMap(sub_space, sub_space, -1, d_ent)),
             table)
@@ -132,11 +108,11 @@ def validate_dgla(g):
     space = g.space
     degs = space.degrees
     dim = space.dim
-    table = _signed_table(g)
+    table = g.bracket.signed
     partners = [set() for _ in range(dim)]
     for i, j in table:
         partners[i].add(j)
-    antisym = True   # canonical storage plus the even-diagonal guard
+    antisym = True   # the bracket table's canonical storage
     jacobi = True
     jacobi_witness = None
     for i in range(dim):
@@ -198,17 +174,6 @@ def validate_dgla(g):
     }
 
 
-def _signed_table(g):
-    """{(i, j): [e_i, e_j]} for every ordered pair with a nonzero bracket,
-    built once per call from the canonical i <= j table; read, never
-    modify."""
-    table = dict(g.bracket_table)
-    for (i, j) in g.bracket_table:
-        if i != j:
-            table[(j, i)] = g.bracket_basis(j, i)
-    return table
-
-
 def _add_brackets(acc, table, terms, negate):
     """acc +/-= sum of b [e_l, e_r] over the terms (l, r, b); returns acc."""
     for l, r, b in terms:
@@ -262,7 +227,7 @@ def cup_bracket(a, b, coalg, target, length=None):
     sign(A, B) (-1)^{|b||A|} [a(A), b(B)].
     """
     words = coalg.words
-    table = _signed_table(target)
+    table = target.bracket.signed
     b_by_length = {}
     for s, vb in b.by_column().items():
         b_by_length.setdefault(len(words[s]), []).append((words[s], vb))
@@ -314,26 +279,13 @@ def ce_coalgebra(g, N):
     cochain to satisfy the Lie master equation at word length two.
     """
     coalg = suspended_coalgebra(g.d, N)
-    comp2 = {}
-    for w in coalg.words_of_length(2, 2):
-        val = _half_self_bracket(w, coalg, g)
-        spar = {i: c for i, c in enumerate(val) if c != 0}
-        if spar:
-            comp2[w] = spar  # target indices coincide under s
+    tau1 = universal_cochain(coalg, g.space)
+    half = cup_bracket(tau1, tau1, coalg, g, length=2).scale(Fraction(1, 2))
+    # (1/2)[tau^1, tau^1] on the length-2 words; target indices coincide
+    # under s
+    comp2 = {coalg.words[s]: col for s, col in half.by_column().items()}
     coalg.perturbation = CoderivationSpec(coalg.gen_space, {2: comp2})
     return coalg
-
-
-def _half_self_bracket(w, coalg, g):
-    """(1/2)[tau^1, tau^1] evaluated on a length-2 word, valued in g."""
-    acc = [ZERO] * g.space.dim
-    for A, B, sign in splittings(w, coalg.gen_space):
-        if len(A) != 1:
-            continue
-        sgn = -sign if coalg.is_odd(A) else sign
-        for k, c in g.bracket_basis(A[0], B[0]).items():
-            acc[k] += Fraction(1, 2) * sgn * c
-    return acc
 
 
 def is_twisting_cochain(t):

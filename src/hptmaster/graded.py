@@ -9,7 +9,10 @@ Sign conventions used everywhere (single point of truth):
   * the suspension s has degree +1, (sM)_j = M_{j-1};
   * the differential induced on sM is  -s d s^{-1};
   * operator interchanges follow the Koszul rule, with the degree of a
-    homogeneous map counted like the degree of an element.
+    homogeneous map counted like the degree of an element;
+  * a bilinear operation swaps its arguments by the same rule, shifted by
+    its degree (StructureTable owns that sign and the squares it forces
+    to vanish).
 """
 
 from fractions import Fraction
@@ -200,19 +203,97 @@ class GradedMap:
                 f"{len(self.entries)} entries)")
 
 
-def bilinear(u, v, basis_fn):
-    """Dense bilinear product from the products basis_fn(i, j) of basis
-    vectors (sparse dicts), for a product of a space with itself."""
-    out = [ZERO] * len(u)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
+class StructureTable:
+    """A graded (anti)symmetric bilinear operation on a space, given by its
+    structure constants e_i e_j = sum_k c^k_ij e_k.
+
+    The operation has degree `degree`, so c^k_ij != 0 needs
+    |e_k| = |e_i| + |e_j| + degree, and it obeys the Koszul swap rule
+    e_j e_i = sign(i, j) e_i e_j with
+
+        sign(i, j) = +(-1)^{p_i p_j} (symmetric),  -(-1)^{p_i p_j} (not),
+        p_i = |e_i| + degree.
+
+    A dg Lie bracket and a graded commutative product have degree 0; the
+    degree -1 Gerstenhaber bracket gets its shifted rule
+    [b, a] = -(-1)^{(|a|-1)(|b|-1)} [a, b] from the same formula.  Where
+    sign(i, i) = -1 the rule forces e_i e_i = 0, and a nonzero value there
+    is refused.
+
+    rows is a dict or an iterable of ((i, j), {k: c}) pairs, in either
+    index order; values given for the same pair add up.  canonical holds
+    the nonzero values for i <= j, signed those for every ordered pair;
+    both are built once and shared: read them, never modify them.
+    """
+
+    def __init__(self, space, rows=(), degree=0, symmetric=False):
+        self.space = space
+        self.degree = degree
+        self.symmetric = symmetric
+        if isinstance(rows, dict):
+            rows = rows.items()
+        sums = {}
+        for (i, j), val in rows:
+            flip = False
+            if i > j:
+                i, j = j, i
+                flip = self._swap_sign(i, j) < 0
+            acc = sums.setdefault((i, j), {})
+            for k, c in val.items():
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if flip:
+                    c = -c
+                acc[k] = acc[k] + c if k in acc else c
+        degs = space.degrees
+        name = "product" if symmetric else "bracket"
+        self.canonical = {}
+        self.signed = {}
+        for (i, j), acc in sums.items():
+            val = {k: c for k, c in acc.items() if c != 0}
+            if not val:
                 continue
-            for k, c in basis_fn(i, j).items():
-                out[k] += a * b * c
-    return out
+            if i == j and self._swap_sign(i, i) < 0:
+                raise ValueError(
+                    "%s: the square of %r must vanish by graded %s"
+                    % (name, space.labels[i],
+                       "commutativity" if symmetric else "antisymmetry"))
+            for k in val:
+                if degs[k] != degs[i] + degs[j] + degree:
+                    raise ValueError(
+                        "%s: the value on %r, %r has a term in %r of the "
+                        "wrong degree" % (name, space.labels[i],
+                                          space.labels[j], space.labels[k]))
+            self.canonical[(i, j)] = self.signed[(i, j)] = val
+            if i != j:
+                self.signed[(j, i)] = (val if self._swap_sign(i, j) > 0
+                                       else {k: -c for k, c in val.items()})
+
+    def _swap_sign(self, i, j):
+        degs = self.space.degrees
+        odd = (degs[i] + self.degree) * (degs[j] + self.degree) % 2 == 1
+        return -1 if odd == self.symmetric else 1
+
+    def get(self, i, j):
+        """e_i e_j as a sparse dict k -> coefficient, for any index order;
+        shared, so read it, never modify it."""
+        return self.signed.get((i, j), {})
+
+    def __call__(self, u, v):
+        """The product of two dense coefficient vectors."""
+        out = [ZERO] * self.space.dim
+        right = [(j, b) for j, b in enumerate(v) if b != 0]
+        signed = self.signed
+        for i, a in enumerate(u):
+            if a == 0:
+                continue
+            for j, b in right:
+                val = signed.get((i, j))
+                if val:
+                    ab = a * b
+                    for k, c in val.items():
+                        out[k] += ab * c
+        return out
 
 
 def hom_differential(phi, d_src, d_tgt):

@@ -28,19 +28,20 @@ def abelian_dgla(degrees=(0, 1)):
 
 
 def sl2():
+    return _lie3("sl2")
+
+
+# three-dimensional Lie algebras on the basis e, f, h
+_LIE3 = {
+    "sl2": {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
+    "b2x": {(0, 1): {1: 1}},
+    "heis": {(0, 1): {2: 1}},
+}
+
+
+def _lie3(kind):
     space = GradedVectorSpace([("e", 0), ("f", 0), ("h", 0)])
-    return DgLieAlgebra(
-        ChainComplex(space),
-        {(0, 1): {2: ONE}, (0, 2): {0: Fraction(-2)}, (1, 2): {1: Fraction(2)}})
-
-
-def _lie3_tables():
-    return {
-        "sl2": {("e", "f"): {"h": 1}, ("e", "h"): {"e": -2},
-                ("f", "h"): {"f": 2}},
-        "b2x": {("e", "f"): {"f": 1}},
-        "heis": {("e", "f"): {"h": 1}},
-    }
+    return DgLieAlgebra(ChainComplex(space), _LIE3[kind])
 
 
 def lie_tensor_dgla(kind="sl2"):
@@ -62,45 +63,28 @@ def _lie_tensor(kind, products):
     products lists the nonzero products (a1, a2, a1 a2) of B; the bracket
     is [x (x) a1, y (x) a2] = [x, y] (x) a1 a2.
     """
-    base = _lie3_tables()[kind]
-    gens = ("e", "f", "h")
+    base = _lie3(kind)
+    gens = base.space.labels
     space = GradedVectorSpace(
         [("%s_%s" % (g, a), 1 if a == "u" else 0)
          for g in gens for a in ("c", "u", "v")])
     idx = space.index
-
-    def br(g1, g2):
-        if (g1, g2) in base:
-            return base[(g1, g2)]
-        if (g2, g1) in base:
-            return {k: -c for k, c in base[(g2, g1)].items()}
-        return {}
-
-    table = {}
-    for g1 in gens:
-        for g2 in gens:
+    rows = []
+    for x, g1 in enumerate(gens):
+        for y, g2 in enumerate(gens):
             for a1, a2, a3 in products:
-                i, j = idx["%s_%s" % (g1, a1)], idx["%s_%s" % (g2, a2)]
-                if i == j:
-                    continue
-                val = {idx["%s_%s" % (k, a3)]: Fraction(c)
-                       for k, c in br(g1, g2).items()}
-                if not val:
-                    continue
-                if i > j:
-                    i, j = j, i
-                    sign = -ONE
-                    if space.degrees[i] % 2 and space.degrees[j] % 2:
-                        sign = ONE
-                    val = {k: sign * c for k, c in val.items()}
-                # ordered (g1, g2) pairs hit each symmetric-slot key twice
-                # with the same value, so plain assignment deduplicates
-                table[(i, j)] = val
+                if a1 == a2 and x > y:
+                    continue  # the pair that (g2, g1) already hands in
+                val = {idx["%s_%s" % (gens[k], a3)]: c
+                       for k, c in base.bracket.get(x, y).items()}
+                if val:
+                    rows.append(((idx["%s_%s" % (g1, a1)],
+                                  idx["%s_%s" % (g2, a2)]), val))
     d_ent = {}
     for g in gens:
         d_ent[(idx["%s_v" % g], idx["%s_u" % g])] = ONE
     return DgLieAlgebra(
-        ChainComplex(space, GradedMap(space, space, -1, d_ent)), table)
+        ChainComplex(space, GradedMap(space, space, -1, d_ent)), rows)
 
 
 def nonzero_l3_dgla():
@@ -174,15 +158,7 @@ def random_dgla(seed):
     if family == 0:
         g = _random_two_layer(rng)
     elif family == 1:
-        kind = rng.choice(sorted(_lie3_tables()))
-        base = _lie3_tables()[kind]
-        space = GradedVectorSpace([("e", 0), ("f", 0), ("h", 0)])
-        table = {}
-        names = {"e": 0, "f": 1, "h": 2}
-        for (g1, g2), val in base.items():
-            table[(names[g1], names[g2])] = {names[k]: Fraction(c)
-                                             for k, c in val.items()}
-        g = DgLieAlgebra(ChainComplex(space), table)
+        g = _lie3(rng.choice(sorted(_LIE3)))
     elif family == 2:
         g = nonzero_l3_dgla()
     else:
@@ -253,12 +229,10 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
     table = {}
     for i in range(dim):
         for j in range(i, dim):
-            if i == j and space.degrees[i] % 2 == 0:
-                continue
-            img = to_new(g.bracket(cols[i], cols[j]))
-            val = {k: c for k, c in enumerate(img) if c != 0}
-            if val:
-                table[(i, j)] = val
+            br = g.bracket(cols[i], cols[j])
+            if any(br):   # to_new is dense; most brackets vanish
+                table[(i, j)] = {k: c for k, c in enumerate(to_new(br))
+                                 if c != 0}
     return DgLieAlgebra(
         ChainComplex(new_space, GradedMap(new_space, new_space, -1, d_ent)),
         table)

@@ -128,16 +128,12 @@ def check_addendum_283(g, con, result):
     by pi.
     """
     hyp = True
-    for i in range(g.space.dim):
-        for j in range(i, g.space.dim):
-            br = g.bracket_basis(i, j)
-            if not br:
-                continue
-            vec = [ZERO] * g.space.dim
-            for k, c in br.items():
-                vec[k] = c
-            if any(c != 0 for c in con.pi(vec)):
-                hyp = False
+    for br in g.bracket_table.values():
+        vec = [ZERO] * g.space.dim
+        for k, c in br.items():
+            vec[k] = c
+        if any(c != 0 for c in con.pi(vec)):
+            hyp = False
     higher_zero = all(b < 2 for b in result.D.arities())
     return {
         "hypothesis_holds": hyp,

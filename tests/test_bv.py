@@ -33,6 +33,17 @@ def test_bracket_from_generator_hand():
     assert table == {(1, 2): {1: F(-1)}, (2, 3): {3: F(1)}}
 
 
+def test_squares_forced_to_vanish_are_refused():
+    # x x = -x x for odd x
+    space = GradedVectorSpace([("1", 0), ("x", 1), ("y", 2)])
+    with pytest.raises(ValueError, match="product: the square of 'x'"):
+        GerstenhaberAlgebra(space, {(1, 1): {2: F(1)}})
+    # [x, x] = -[x, x] when |x| - 1 is even
+    space = GradedVectorSpace([("1", 0), ("x", 1), ("y", 1)])
+    with pytest.raises(ValueError, match="bracket: the square of 'x'"):
+        GerstenhaberAlgebra(space, {}, {(1, 1): {2: F(1)}})
+
+
 def test_koszul_identity_and_weak_differential():
     space, prod, delta = exterior_two()
     alg0 = GerstenhaberAlgebra(space, prod)
@@ -161,8 +172,9 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
     bv = instances.kahler_bv_instance()
     theorem_38_pipeline(bv, 3)
     assert len(calls) == 1
+    # the same BVData keeps its splitting for the second pipeline
     addendum_382_flat_identity(bv, 3)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     # one bv run: one splitting and one formality predicate (two
     # quasi-isomorphism checks), shared by the report and the pipeline;

@@ -78,9 +78,17 @@ def test_validate_bad_rational_exit_two(fixture_dir, capsys):
      '"1e1000000"]]}', "differential[0]: bad rational '1e1000000'"),
     ('{"basis": [["x", 0], ["y", 1]], "differential": [["y", "x", "1_000"]]}',
      "differential[0]: bad rational '1_000'"),
+    # x x = -x x for odd x, and [x, x] = -[x, x] when |x| - 1 is even
+    ('{"basis": [["1", 0], ["x", 1], ["y", 2]], "unit": "1", '
+     '"product": [["x", "x", "y", "1"]]}',
+     "product: the square of 'x' must vanish"),
+    ('{"basis": [["1", 0], ["x", 1], ["y", 1]], "product": [], '
+     '"bracket": [["x", "x", "y", "1"]]}',
+     "bracket: the square of 'x' must vanish"),
 ], ids=["differential-number", "basis-number", "bool-degree", "list-label",
         "string-row", "list-label-in-row", "list-unit", "deep-nesting",
-        "long-int-degree", "long-int-coefficient", "exponent", "underscore"])
+        "long-int-degree", "long-int-coefficient", "exponent", "underscore",
+        "odd-product-square", "even-shifted-bracket-square"])
 def test_malformed_sections_exit_two_with_location(text, message, tmp_path,
                                                    capsys):
     path = tmp_path / "bad.json"

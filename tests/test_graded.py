@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hptmaster.graded import (GradedMap, GradedVectorSpace, hom_differential,
-                              koszul_sign, suspend_map, suspend_space,
-                              suspension_iso)
+import table_oracle
+from hptmaster import instances
+from hptmaster.bv import GerstenhaberAlgebra
+from hptmaster.graded import (GradedMap, GradedVectorSpace, StructureTable,
+                              hom_differential, koszul_sign, suspend_map,
+                              suspend_space, suspension_iso)
 
 
 def bubble_sign(perm, degrees):
@@ -114,3 +117,111 @@ def test_compose_and_arithmetic():
     assert g.compose(f).apply_basis(0) == {0: Fraction(6)}
     assert (f + f).apply_basis(0) == {1: Fraction(4)}
     assert f.scale(Fraction(1, 2)).apply_basis(0) == {1: Fraction(1)}
+
+
+# -- structure tables --------------------------------------------------------
+
+# operation kind: degree, symmetric, and the parent's signed lookup
+TABLE_KINDS = {
+    "lie": (0, False, table_oracle.lie_bracket_basis),
+    "product": (0, True, lambda table, degrees, i, j:
+                table_oracle.product_basis(table, degrees, None, i, j)),
+    "gerstenhaber": (-1, False, table_oracle.gerstenhaber_bracket_basis),
+}
+TABLE_COEFFS = [Fraction(c) for c in (0, 1, -1, 2, Fraction(1, 2))]
+
+
+@st.composite
+def structure_rows(draw, kinds=tuple(sorted(TABLE_KINDS)), unit=False):
+    """A kind, degrees in -2..3 (the first one 0 when unit is set), rows
+    (i, j, k, c) of the kind's degree in either index order, and two dense
+    vectors."""
+    kind = draw(st.sampled_from(kinds))
+    degree = TABLE_KINDS[kind][0]
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    if unit:
+        degrees[0] = 0
+    n = len(degrees)
+    triples = [(i, j, k) for i in range(n) for j in range(n)
+               for k in range(n)
+               if degrees[k] == degrees[i] + degrees[j] + degree]
+    rows = []
+    if triples:
+        rows = draw(st.lists(
+            st.tuples(st.sampled_from(triples), st.sampled_from(TABLE_COEFFS))
+            .map(lambda row: row[0] + (row[1],)), max_size=8))
+    vector = st.lists(st.sampled_from(TABLE_COEFFS), min_size=n, max_size=n)
+    return kind, degrees, rows, draw(vector), draw(vector)
+
+
+def _space(degrees):
+    return GradedVectorSpace([("x%d" % i, d) for i, d in enumerate(degrees)])
+
+
+def _first_forced_square(table, degrees, degree, symmetric, skip=None):
+    for i, j in table:
+        if i == j != skip and table_oracle.square_must_vanish(
+                degrees, degree, symmetric, i):
+            return i
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure_rows())
+def test_structure_table_matches_the_parent_sign_code(case):
+    kind, degrees, rows, u, v = case
+    degree, symmetric, basis = TABLE_KINDS[kind]
+    expected = table_oracle.canonical_rows(rows, degrees, degree, symmetric)
+    handed = [((i, j), {k: c}) for i, j, k, c in rows]
+    forced = _first_forced_square(expected, degrees, degree, symmetric)
+    if forced is not None:
+        with pytest.raises(ValueError, match="square of 'x%d' must vanish"
+                           % forced):
+            StructureTable(_space(degrees), handed, degree, symmetric)
+        return
+    table = StructureTable(_space(degrees), handed, degree, symmetric)
+    assert table.canonical == expected
+    n = len(degrees)
+    for i in range(n):
+        for j in range(n):
+            assert table.get(i, j) == basis(expected, degrees, i, j)
+    assert table(u, v) == table_oracle.bilinear(
+        u, v, lambda i, j: basis(expected, degrees, i, j))
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_rows(kinds=("product",), unit=True))
+def test_unital_product_matches_the_parent_sign_code(case):
+    # rows given for the unit (index 0) give way to 1 x = x 1 = x
+    _, degrees, rows, u, v = case
+    expected = table_oracle.canonical_rows(rows, degrees, 0, True)
+    handed = [((i, j), {k: c}) for i, j, k, c in rows]
+    if _first_forced_square(expected, degrees, 0, True, skip=0) is not None:
+        with pytest.raises(ValueError, match="must vanish"):
+            GerstenhaberAlgebra(_space(degrees), handed)
+        return
+    product = GerstenhaberAlgebra(_space(degrees), handed).multiply
+    n = len(degrees)
+
+    def basis(i, j):
+        return table_oracle.product_basis(expected, degrees, 0, i, j)
+    for i in range(n):
+        for j in range(n):
+            assert product.get(i, j) == basis(i, j)
+    assert product(u, v) == table_oracle.bilinear(u, v, basis)
+
+
+@pytest.mark.parametrize("kind", sorted(table_oracle.LIE3))
+def test_lie_tensor_instances_match_the_parent_tables(kind):
+    for build, products in (
+            (instances.lie_tensor_dgla, table_oracle.LIE_TENSOR_PRODUCTS),
+            (instances.commuting_lifts_dgla,
+             table_oracle.COMMUTING_LIFTS_PRODUCTS)):
+        g = build(kind)
+        expected = table_oracle.lie_tensor_table(kind, products)
+        assert g.bracket_table == expected
+        degrees = g.space.degrees
+        for i in range(g.space.dim):
+            for j in range(g.space.dim):
+                assert g.bracket.get(i, j) == table_oracle.lie_bracket_basis(
+                    expected, degrees, i, j)

@@ -56,10 +56,10 @@ def validate_dgla(g):
     for i in range(space.dim):
         for j in range(space.dim):
             for k in range(space.dim):
-                lhs = _bracket(g, {i: ONE}, g.bracket_basis(j, k))
-                rhs1 = _bracket(g, g.bracket_basis(i, j), {k: ONE})
+                lhs = _bracket(g, {i: ONE}, g.bracket.get(j, k))
+                rhs1 = _bracket(g, g.bracket.get(i, j), {k: ONE})
                 sgn = -ONE if (degs[i] % 2 and degs[j] % 2) else ONE
-                rhs2 = _bracket(g, {j: ONE}, g.bracket_basis(i, k))
+                rhs2 = _bracket(g, {j: ONE}, g.bracket.get(i, k))
                 bad = dict(lhs)
                 for t, c in rhs1.items():
                     bad[t] = bad.get(t, ZERO) - c
@@ -75,16 +75,16 @@ def validate_dgla(g):
     for i in range(space.dim):
         for j in range(space.dim):
             d_br = {}
-            for k, c in g.bracket_basis(i, j).items():
+            for k, c in g.bracket.get(i, j).items():
                 for t, c2 in g.d.apply_basis(k).items():
                     d_br[t] = d_br.get(t, ZERO) + c * c2
             rhs = {}
             for t, c in g.d.apply_basis(i).items():
-                for k, c2 in g.bracket_basis(t, j).items():
+                for k, c2 in g.bracket.get(t, j).items():
                     rhs[k] = rhs.get(k, ZERO) + c * c2
             sgn = -ONE if degs[i] % 2 else ONE
             for t, c in g.d.apply_basis(j).items():
-                for k, c2 in g.bracket_basis(i, t).items():
+                for k, c2 in g.bracket.get(i, t).items():
                     rhs[k] = rhs.get(k, ZERO) + sgn * c * c2
             bad = dict(d_br)
             for t, c in rhs.items():
@@ -107,7 +107,7 @@ def _bracket(g, u, v):
     out = {}
     for i, a in u.items():
         for j, b in v.items():
-            for k, c in g.bracket_basis(i, j).items():
+            for k, c in g.bracket.get(i, j).items():
                 out[k] = out.get(k, ZERO) + a * b * c
     return out
 
