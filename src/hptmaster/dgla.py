@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import linalg
 from .complexes import ChainComplex
-from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE, ZERO
+from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE
 from .words import CoderivationSpec, EMPTY, merge_words, suspended_coalgebra
 
 
@@ -103,15 +103,15 @@ def validate_dgla(g):
     lexicographically first failing triple, reported as the witness, is
     sorted.  J vanishes on a triple whose pair brackets [x,y], [y,z] and
     [x,z] all vanish, so only triples with a nonzero pair bracket are
-    evaluated, in lexicographic order; the witness is the same.
+    evaluated, in lexicographic order; the witness is the same.  The
+    chain-map condition is the Leibniz rule of d, checked by
+    StructureTable.first_non_derivation.
     """
     space = g.space
     degs = space.degrees
     dim = space.dim
-    table = g.bracket.signed
-    partners = [set() for _ in range(dim)]
-    for i, j in table:
-        partners[i].add(j)
+    table = g.bracket
+    partners = table.partners
     antisym = True   # the bracket table's canonical storage
     jacobi = True
     jacobi_witness = None
@@ -124,77 +124,25 @@ def validate_dgla(g):
             odd_ij = degs[i] % 2 and degs[j] % 2
             for k in ks:
                 # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
-                yz = table.get((j, k), {}).items()
-                xy = table.get((i, j), {}).items()
-                xz = table.get((i, k), {}).items()
-                bad = _add_brackets({}, table, ((i, m, c) for m, c in yz),
-                                    False)
-                _add_brackets(bad, table, ((m, k, c) for m, c in xy), True)
-                _add_brackets(bad, table, ((j, m, c) for m, c in xz),
-                              not odd_ij)
-                if any(c != 0 for c in bad.values()):
+                bad = table.add_product({}, {i: ONE}, table.get(j, k))
+                table.add_product(bad, table.get(i, j), {k: ONE}, -1)
+                table.add_product(bad, {j: ONE}, table.get(i, k),
+                                  1 if odd_ij else -1)
+                if any(bad.values()):
                     jacobi = False
                     if jacobi_witness is None:
                         jacobi_witness = (space.labels[i], space.labels[j],
                                           space.labels[k])
-    # d[e_i, e_j] - [d e_i, e_j] - (-1)^{|e_i|} [e_i, d e_j] vanishes
-    # when [e_i, e_j] = 0 and d e_i = d e_j = 0, so those pairs are skipped
-    d_cols = g.d.by_column()
-    leibniz = True
-    leibniz_witness = None
-    for i in range(dim):
-        js = range(dim) if i in d_cols else sorted(partners[i].union(d_cols))
-        for j in js:
-            d_br = {}
-            for k, c in table.get((i, j), {}).items():
-                for t, c2 in d_cols.get(k, {}).items():
-                    d_br[t] = d_br.get(t, ZERO) + c * c2
-            rhs = {}
-            for t, c in d_cols.get(i, {}).items():
-                for k, c2 in table.get((t, j), {}).items():
-                    rhs[k] = rhs.get(k, ZERO) + c * c2
-            sgn = -ONE if degs[i] % 2 else ONE
-            for t, c in d_cols.get(j, {}).items():
-                for k, c2 in table.get((i, t), {}).items():
-                    rhs[k] = rhs.get(k, ZERO) + sgn * c * c2
-            bad = dict(d_br)
-            for t, c in rhs.items():
-                bad[t] = bad.get(t, ZERO) - c
-            if any(c != 0 for c in bad.values()):
-                leibniz = False
-                if leibniz_witness is None:
-                    leibniz_witness = (space.labels[i], space.labels[j])
+    leibniz = table.first_non_derivation(g.d)
     return {
         "antisymmetry": antisym,
         "jacobi": jacobi,
         "jacobi_witness": jacobi_witness,
-        "chain_map": leibniz,
-        "chain_map_witness": leibniz_witness,
-        "passed": antisym and jacobi and leibniz,
+        "chain_map": leibniz is None,
+        "chain_map_witness": (None if leibniz is None else
+                              tuple(space.labels[i] for i in leibniz)),
+        "passed": antisym and jacobi and leibniz is None,
     }
-
-
-def _add_brackets(acc, table, terms, negate):
-    """acc +/-= sum of b [e_l, e_r] over the terms (l, r, b); returns acc."""
-    for l, r, b in terms:
-        for t, c in table.get((l, r), {}).items():
-            if negate:
-                acc[t] = acc.get(t, ZERO) - b * c
-            else:
-                acc[t] = acc.get(t, ZERO) + b * c
-    return acc
-
-
-def _bracket_sparse(table, u, v):
-    out = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            col = table.get((i, j))
-            if col:
-                ab = a * b
-                for k, c in col.items():
-                    out[k] = out.get(k, ZERO) + ab * c
-    return out
 
 
 class TwistingCochainHom:
@@ -227,7 +175,7 @@ def cup_bracket(a, b, coalg, target, length=None):
     sign(A, B) (-1)^{|b||A|} [a(A), b(B)].
     """
     words = coalg.words
-    table = target.bracket.signed
+    table = target.bracket
     b_by_length = {}
     for s, vb in b.by_column().items():
         b_by_length.setdefault(len(words[s]), []).append((words[s], vb))
@@ -246,9 +194,8 @@ def cup_bracket(a, b, coalg, target, length=None):
                     continue
                 if flip:
                     sign = -sign
-                col = acc.setdefault(coalg.windex[w], {})
-                for t, c in _bracket_sparse(table, va, vb).items():
-                    col[t] = col.get(t, ZERO) + (c if sign > 0 else -c)
+                table.add_product(acc.setdefault(coalg.windex[w], {}),
+                                  va, vb, sign)
     ent = {}
     for wi in sorted(acc):
         col = acc[wi]
@@ -316,17 +263,21 @@ def twisted_differential(gamma, target):
     to zero.
     """
     space = target.space
-    d_gamma = target.d(gamma)
-    gg = target.bracket(gamma, gamma)
-    if any(a - b / 2 != 0 for a, b in zip(d_gamma, gg)):
+    bracket = target.bracket
+    gamma = {i: c for i, c in enumerate(gamma) if c != 0}
+    # 2 d gamma - [gamma, gamma]
+    bad = bracket.add_product(target.d.add_image({}, gamma, 2), gamma, gamma,
+                              -1)
+    if any(bad.values()):
         raise ValueError("element does not solve the master equation")
     ent = {}
     for s in range(space.dim):
-        e = [ONE if i == s else ZERO for i in range(space.dim)]
-        col = [a - b for a, b in zip(target.d(e), target.bracket(gamma, e))]
-        for tix, c in enumerate(col):
-            if c != 0:
-                ent[(tix, s)] = c
+        col = bracket.add_product(target.d.apply_basis(s), gamma, {s: ONE},
+                                  -1)
+        for t in sorted(col):
+            if col[t] != 0:
+                ent[(t, s)] = col[t]
     out = GradedMap(space, space, -1, ent)
-    assert out.compose(out).is_zero()
+    if not out.compose(out).is_zero():
+        raise ValueError("the twisted differential does not square to zero")
     return out

@@ -12,7 +12,8 @@ Sign conventions used everywhere (single point of truth):
     homogeneous map counted like the degree of an element;
   * a bilinear operation swaps its arguments by the same rule, shifted by
     its degree (StructureTable owns that sign and the squares it forces
-    to vanish).
+    to vanish), and an operator passes it by the same shifted rule in the
+    Leibniz rule (StructureTable.first_non_derivation).
 """
 
 from fractions import Fraction
@@ -222,8 +223,9 @@ class StructureTable:
 
     rows is a dict or an iterable of ((i, j), {k: c}) pairs, in either
     index order; values given for the same pair add up.  canonical holds
-    the nonzero values for i <= j, signed those for every ordered pair;
-    both are built once and shared: read them, never modify them.
+    the nonzero values for i <= j, partners[i] the indices j with
+    e_i e_j != 0; both are built once and shared: read them, never modify
+    them.  Products of table entries are formed by add_product only.
     """
 
     def __init__(self, space, rows=(), degree=0, symmetric=False):
@@ -268,6 +270,9 @@ class StructureTable:
             if i != j:
                 self.signed[(j, i)] = (val if self._swap_sign(i, j) > 0
                                        else {k: -c for k, c in val.items()})
+        self.partners = [set() for _ in range(space.dim)]
+        for i, j in self.signed:
+            self.partners[i].add(j)
 
     def _swap_sign(self, i, j):
         degs = self.space.degrees
@@ -279,21 +284,67 @@ class StructureTable:
         shared, so read it, never modify it."""
         return self.signed.get((i, j), {})
 
+    def add_product(self, acc, u, v, sign=1):
+        """acc += sign * u v for sparse vectors {index: coeff} and an int
+        sign of +1 or -1; returns acc, which may hold zero values.
+
+        Unit coefficients (`is ONE`) are not multiplied out."""
+        signed = self.signed
+        for i, a in u.items():
+            for j, b in v.items():
+                val = signed.get((i, j))
+                if not val:
+                    continue
+                ab = b if a is ONE else a if b is ONE else a * b
+                if sign < 0:
+                    ab = -ab
+                if ab is ONE:
+                    for k, c in val.items():
+                        acc[k] = acc[k] + c if k in acc else c
+                else:
+                    for k, c in val.items():
+                        acc[k] = acc.get(k, ZERO) + ab * c
+        return acc
+
     def __call__(self, u, v):
         """The product of two dense coefficient vectors."""
         out = [ZERO] * self.space.dim
-        right = [(j, b) for j, b in enumerate(v) if b != 0]
-        signed = self.signed
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in right:
-                val = signed.get((i, j))
-                if val:
-                    ab = a * b
-                    for k, c in val.items():
-                        out[k] += ab * c
+        sparse = [{i: a for i, a in enumerate(w) if a != 0} for w in (u, v)]
+        for k, c in self.add_product({}, *sparse).items():
+            out[k] = c
         return out
+
+    def first_non_derivation(self, op):
+        """The lexicographically first basis pair (i, j) on which the
+        operator op fails to derive the operation, or None.
+
+        The Leibniz rule, with the Koszul sign of op passing the operation
+        and e_i (degrees shifted by the operation's degree, as in the swap
+        sign), is
+
+            op(e_i e_j) = (op e_i) e_j + (-1)^{|op| p_i} e_i (op e_j),
+            p_i = |e_i| + degree.
+
+        A pair with e_i e_j = 0, op e_i = 0 and op e_j = 0 cannot fail, so
+        only the other pairs are evaluated; the witness is the same.
+        """
+        cols = op.by_column()
+        degs = self.space.degrees
+        dim = self.space.dim
+        for i in range(dim):
+            col_i = cols.get(i)
+            js = range(dim) if col_i else sorted(self.partners[i].union(cols))
+            sign = -1 if op.degree * (degs[i] + self.degree) % 2 else 1
+            for j in js:
+                bad = op.add_image({}, self.get(i, j))
+                if col_i:
+                    self.add_product(bad, col_i, {j: ONE}, -1)
+                col_j = cols.get(j)
+                if col_j:
+                    self.add_product(bad, {i: ONE}, col_j, -sign)
+                if any(bad.values()):
+                    return i, j
+        return None
 
 
 def hom_differential(phi, d_src, d_tgt):

@@ -1,0 +1,132 @@
+"""The BV checks as they stood before `graded.StructureTable` owned the
+product kernel, kept as an exact oracle for the sparse checks of `bv` and
+`StructureTable.first_non_derivation`.
+
+Every product was formed densely over basis vectors: associativity on all
+ordered triples (`validate_bv`), the Leibniz rule of an odd operator on all
+ordered pairs with the sign chosen by hand for the product or the bracket
+(`non_derivation`), and the generated bracket from dense columns of Delta
+(`bracket_from_generator`).  Dense products go through
+`table_oracle.bilinear` on the table's signed lookup, so nothing here calls
+the table's own product.
+"""
+
+from fractions import Fraction
+
+from hptmaster.graded import StructureTable
+from table_oracle import bilinear
+
+ONE = Fraction(1)
+ZERO = Fraction(0)
+
+
+def _basis(dim):
+    return [[ONE if t == i else ZERO for t in range(dim)] for i in range(dim)]
+
+
+def bracket_from_generator(algebra, delta):
+    """[a, b] = (-1)^{|a|} ( Delta(ab) - (Delta a) b - (-1)^{|a|} a (Delta b) )
+    as a canonical i <= j table; raises when it fails shifted graded
+    antisymmetry."""
+    if delta.degree != -1:
+        raise ValueError("generator must have degree -1")
+    space = algebra.space
+    dim = space.dim
+    product = algebra.multiply
+    dcol = [delta.column(s) for s in range(dim)]
+    basis = _basis(dim)
+
+    def value(i, j):
+        dprod = [ZERO] * dim
+        for k, c in product.get(i, j).items():
+            for t, c2 in enumerate(dcol[k]):
+                dprod[t] += c * c2
+        t1 = bilinear(dcol[i], basis[j], product.get)
+        t2 = bilinear(basis[i], dcol[j], product.get)
+        sa = -ONE if space.degrees[i] % 2 else ONE
+        out = [sa * (dprod[t] - t1[t] - sa * t2[t]) for t in range(dim)]
+        return {k: c for k, c in enumerate(out) if c != 0}
+
+    table = StructureTable(space, [((i, j), value(i, j))
+                                   for i in range(dim)
+                                   for j in range(i, dim)], degree=-1)
+    for i in range(dim):
+        for j in range(i):
+            if value(i, j) != table.get(i, j):
+                raise AssertionError("generated bracket is not antisymmetric")
+    return table.canonical
+
+
+def non_derivation(A, op, bracket):
+    """The first basis pair (i, j) where the odd operator op fails to derive
+    the product of A, or its bracket; None when it derives it.
+
+    The rule is op(xy) = (op x) y + (-1)^{|x|} x (op y) for the product and
+    op[x, y] = [op x, y] - (-1)^{|x|} [x, op y] for the bracket.
+    """
+    if bracket:
+        pair, sign = A.bracket, -ONE
+    else:
+        pair, sign = A.multiply, ONE
+    dim = A.space.dim
+    cols = [op.column(s) for s in range(dim)]
+    basis = _basis(dim)
+    for i in range(dim):
+        sa = -sign if A.space.degrees[i] % 2 else sign
+        for j in range(dim):
+            lhs = [ZERO] * dim
+            for k, c in pair.get(i, j).items():
+                for t, c2 in enumerate(cols[k]):
+                    lhs[t] += c * c2
+            r1 = bilinear(cols[i], basis[j], pair.get)
+            r2 = bilinear(basis[i], cols[j], pair.get)
+            if any(l - (a + sa * b) != 0 for l, a, b in zip(lhs, r1, r2)):
+                return i, j
+    return None
+
+
+def validate_bv(bv):
+    """The axiom report of `bv.validate_bv`, every product formed densely."""
+    A = bv.algebra
+    space = A.space
+    dim = space.dim
+    labels = space.labels
+    basis = _basis(dim)
+
+    def mul(u, v):
+        return bilinear(u, v, A.multiply.get)
+
+    report = {"passed": True}
+    assoc = None
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = mul(mul(basis[i], basis[j]), basis[k])
+                rhs = mul(basis[i], mul(basis[j], basis[k]))
+                if lhs != rhs:
+                    assoc = (labels[i], labels[j], labels[k])
+                    break
+            if assoc:
+                break
+        if assoc:
+            break
+    report["associative"] = assoc is None
+    if assoc:
+        report["associativity_witness"] = assoc
+
+    report["d_squared_zero"] = A.d.compose(A.d).is_zero()
+
+    leib = non_derivation(A, A.d, bracket=False)
+    report["d_product_derivation"] = leib is None
+    if leib:
+        report["derivation_witness"] = (labels[leib[0]], labels[leib[1]])
+
+    report["delta_squared_zero"] = bv.delta_exact()
+    report["d_delta_commute"] = bv.weak_differential()
+    report["bracket_generated"] = (
+        bracket_from_generator(A, bv.delta) == A.bracket_table)
+    report["passed"] = all(report[k] for k in
+                           ("associative", "d_squared_zero",
+                            "d_product_derivation", "delta_squared_zero",
+                            "d_delta_commute", "bracket_generated"))
+    return report

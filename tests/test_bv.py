@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import bv_oracle
 from hptmaster import bv as bv_module, cli, complexes, instances
 from hptmaster.bv import (BVData, GerstenhaberAlgebra,
                           addendum_382_flat_identity, bracket_from_generator,
@@ -207,3 +209,138 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
         assert len(homologies) == 4
         assert len({id(C) for C in homologies}) == 4
     capsys.readouterr()
+
+
+def test_flat_unit_pipeline_runs_theorem_38_pipeline_once(monkeypatch,
+                                                          fixture_dir,
+                                                          capsys):
+    # both pipelines go through theorem_38_pipeline, so its traced span
+    # counts the flat-unit runs too
+    calls = []
+    pipeline = bv_module.theorem_38_pipeline
+
+    def counting(bv, N):
+        calls.append(N)
+        return pipeline(bv, N)
+
+    monkeypatch.setattr(bv_module, "theorem_38_pipeline", counting)
+    assert cli.main(["bv", str(fixture_dir / "unit_bv.json"),
+                     "--pipeline", "flat-unit"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+# -- the sparse checks against the dense oracle ------------------------------
+
+BV_COEFFS = (0, 0, 0, 1, -1, 2, F(1, 2))
+
+
+def bv_from_case(case):
+    """BVData from (degrees, product rows, bracket rows or None for the
+    generated bracket, d entries, Delta entries); the unit is index 0."""
+    degrees, product, bracket, d, delta = case
+    space = GradedVectorSpace(
+        [("1" if i == 0 else "x%d" % i, deg) for i, deg in enumerate(degrees)])
+    d = GradedMap(space, space, 1, d)
+    delta = GradedMap(space, space, -1, delta)
+    if bracket is None:
+        bracket = bracket_from_generator(
+            GerstenhaberAlgebra(space, product, d=d), delta)
+    return BVData(GerstenhaberAlgebra(space, product, bracket, d=d), delta)
+
+
+@st.composite
+def bv_cases(draw):
+    """Degrees -1..3 (the unit 0), dim <= 5, a unital product, a degree -1
+    bracket (drawn, or generated by Delta), d and Delta."""
+    dim = draw(st.integers(1, 5))
+    degrees = [0] + draw(st.lists(st.integers(-1, 3), min_size=dim - 1,
+                                  max_size=dim - 1))
+
+    def rows(shift, first):
+        out = {}
+        for i in range(first, dim):
+            for j in range(i, dim):
+                if i == j and degrees[i] % 2:
+                    continue  # a square the swap rule forces to vanish
+                for k in range(dim):
+                    if degrees[k] == degrees[i] + degrees[j] + shift:
+                        c = draw(st.sampled_from(BV_COEFFS))
+                        if c:
+                            out.setdefault((i, j), {})[k] = F(c)
+        return out
+
+    def entries(degree):
+        out = {}
+        for s in range(dim):
+            for t in range(dim):
+                if degrees[t] == degrees[s] + degree:
+                    c = draw(st.sampled_from(BV_COEFFS))
+                    if c:
+                        out[(t, s)] = F(c)
+        return out
+
+    product = rows(0, 1)
+    bracket = None if draw(st.booleans()) else rows(-1, 0)
+    return degrees, product, bracket, entries(1), entries(-1)
+
+
+# each case fails the named check (test_each_bv_example_fails_its_check)
+FAILING_BV_CASES = {
+    "associative": ([0, 0, 0], {(1, 1): {2: 1}, (1, 2): {0: 1}}, None,
+                    {}, {}),
+    "d_squared_zero": ([0, 0, 1, 2], {}, None, {(2, 1): 1, (3, 2): 1}, {}),
+    "d_product_derivation": ([0, 0, 1], {(1, 1): {1: 1}}, None,
+                             {(2, 1): 1}, {}),
+    "delta_squared_zero": ([0, 1, 2, 3], {}, None, {},
+                           {(2, 3): 1, (1, 2): 1}),
+    "d_delta_commute": ([0, 1, 2], {}, None, {(2, 1): 1}, {(1, 2): 1}),
+    "bracket_generated": ([0, 1, 1], {}, {(1, 2): {1: 1}}, {}, {}),
+    "bracket_d": ([0, 1, 1, 2], {}, {(1, 2): {1: 1}}, {(3, 1): 1}, {}),
+    "bracket_delta": ([0, 1, 1, 2], {}, {(1, 2): {1: 1}}, {},
+                      {(1, 3): 1}),
+}
+
+
+def bv_check_fails(case, check):
+    bv = bv_from_case(case)
+    A = bv.algebra
+    if check == "bracket_d":
+        return A.bracket.first_non_derivation(A.d) is not None
+    if check == "bracket_delta":
+        return A.bracket.first_non_derivation(bv.delta) is not None
+    return not validate_bv(bv)[check]
+
+
+@pytest.mark.parametrize("check", sorted(FAILING_BV_CASES))
+def test_each_bv_example_fails_its_check(check):
+    assert bv_check_fails(FAILING_BV_CASES[check], check)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bv_cases())
+@example(FAILING_BV_CASES["associative"])
+@example(FAILING_BV_CASES["d_squared_zero"])
+@example(FAILING_BV_CASES["d_product_derivation"])
+@example(FAILING_BV_CASES["delta_squared_zero"])
+@example(FAILING_BV_CASES["d_delta_commute"])
+@example(FAILING_BV_CASES["bracket_generated"])
+@example(FAILING_BV_CASES["bracket_d"])
+@example(FAILING_BV_CASES["bracket_delta"])
+def test_sparse_bv_checks_match_the_dense_oracle(case):
+    bv = bv_from_case(case)
+    A = bv.algebra
+    assert _outcome(validate_bv, bv) == _outcome(bv_oracle.validate_bv, bv)
+    assert (_outcome(bracket_from_generator, A, bv.delta)
+            == _outcome(bv_oracle.bracket_from_generator, A, bv.delta))
+    for table, op in ((A.multiply, A.d), (A.bracket, A.d),
+                      (A.bracket, bv.delta)):
+        assert table.first_non_derivation(op) == bv_oracle.non_derivation(
+            A, op, bracket=table is A.bracket)

@@ -177,6 +177,15 @@ def test_twisted_differential_rejects_non_mc():
         twisted_differential([F(1), F(0)], g)
 
 
+def test_twisted_differential_refuses_a_non_square_zero_result():
+    # Jacobi fails, so an MC element need not give d_gamma^2 = 0:
+    # [gamma, gamma] = 0 and d = 0, but d_gamma^2(a) = [gamma, [gamma, a]] = c
+    V = GradedVectorSpace([("gamma", -1), ("a", 0), ("b", -1), ("c", -2)])
+    g = DgLieAlgebra(ChainComplex(V), {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}})
+    with pytest.raises(ValueError, match="does not square to zero"):
+        twisted_differential([F(1), F(0), F(0), F(0)], g)
+
+
 def test_sub_algebra_inclusion():
     g = instances.commuting_lifts_dgla()
     dim = g.space.dim

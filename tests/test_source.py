@@ -75,3 +75,23 @@ def test_every_library_import_is_read():
     assert modules
     unread = {p.name: unread_imports(p.read_text()) for p in modules}
     assert {name: found for name, found in unread.items() if found} == {}
+
+
+def attribute_reads(source, attr):
+    """[line] of the places that read the attribute attr of any object."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_attribute_reads_are_found():
+    source = ("table = g.bracket.signed\nx.signed = {}\n"
+              "def f(t):\n    return t.signed.get((0, 1)), signed\n")
+    assert attribute_reads(source, "signed") == [1, 4]
+
+
+def test_only_graded_reads_the_signed_structure_constants():
+    # products of table entries go through StructureTable.add_product
+    found = {p.name: attribute_reads(p.read_text(), "signed")
+             for p in sorted(SRC.glob("*.py")) if p.name != "graded.py"}
+    assert {name: f for name, f in found.items() if f} == {}
