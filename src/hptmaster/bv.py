@@ -14,7 +14,7 @@ from . import linalg
 from .complexes import (ChainComplex, contraction_extending_projection,
                         homology, is_quasi_iso)
 from .dgla import DgLieAlgebra
-from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE, ZERO
+from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE
 from .transfer import theorem_29_pipeline
 
 
@@ -25,9 +25,11 @@ class GerstenhaberAlgebra:
     (i, j) -> {k: c} in either index order, with the unit's rows
     1 x = x 1 = x written in (rows given for the unit are replaced).
     bracket is the table of the bracket, whose swap rule is the shifted
-    antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].  product_table and
-    bracket_table are their canonical i <= j dicts.  An optional degree +1
-    differential completes the data.
+    antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].  Either may be
+    handed in as a table already built, such as another algebra's
+    multiply or the result of bracket_from_generator, and is then used as
+    it is.  product_table and bracket_table are their canonical i <= j
+    dicts.  An optional degree +1 differential completes the data.
     """
 
     def __init__(self, space, product_rows, bracket_rows=None, d=None,
@@ -37,13 +39,20 @@ class GerstenhaberAlgebra:
         if space.dim and space.degrees[unit_index] != 0:
             raise ValueError("unit: %r must have degree 0"
                              % space.labels[unit_index])
-        if isinstance(product_rows, dict):
-            product_rows = product_rows.items()
-        rows = [(key, val) for key, val in product_rows
-                if unit_index not in key]
-        rows += [((unit_index, j), {j: ONE}) for j in range(space.dim)]
-        self.multiply = StructureTable(space, rows, symmetric=True)
-        self.bracket = StructureTable(space, bracket_rows or (), degree=-1)
+        if isinstance(product_rows, StructureTable):
+            self.multiply = product_rows
+        else:
+            if isinstance(product_rows, dict):
+                product_rows = product_rows.items()
+            rows = [(key, val) for key, val in product_rows
+                    if unit_index not in key]
+            rows += [((unit_index, j), {j: ONE}) for j in range(space.dim)]
+            self.multiply = StructureTable(space, rows, symmetric=True)
+        if isinstance(bracket_rows, StructureTable):
+            self.bracket = bracket_rows
+        else:
+            self.bracket = StructureTable(space, bracket_rows or (),
+                                          degree=-1)
         if d is None:
             d = GradedMap.zero(space, space, 1)
         if d.degree != 1:
@@ -63,7 +72,7 @@ def bracket_from_generator(algebra, delta):
     """The bracket measured by the failure of Delta to be a derivation.
 
     [a, b] = (-1)^{|a|} ( Delta(ab) - (Delta a) b - (-1)^{|a|} a (Delta b) ).
-    Returns the canonical i <= j structure table; raises when the formula
+    Returns the StructureTable of the bracket; raises when the formula
     fails shifted graded antisymmetry (it never does for homogeneous
     degree -1 Delta).
     """
@@ -90,7 +99,7 @@ def bracket_from_generator(algebra, delta):
         for j in range(i):
             if value(i, j) != table.get(i, j):
                 raise AssertionError("generated bracket is not antisymmetric")
-    return table.canonical
+    return table
 
 
 class BVData:
@@ -104,7 +113,7 @@ class BVData:
 
     def generates_bracket(self):
         gen = bracket_from_generator(self.algebra, self.delta)
-        return gen == self.algebra.bracket_table
+        return gen.canonical == self.algebra.bracket_table
 
     # BVData is never mutated, so the Delta-splitting and the formality
     # report are computed on first use and then shared by every check and
@@ -229,17 +238,13 @@ def regrade_to_lie(algebra):
 
 
 def _kernel_subspace(op, space):
-    """Homogeneous echelon basis of ker(op), as dense vectors in space."""
+    """Homogeneous basis of ker(op), as sparse vectors over space."""
+    cols = op.by_column()
     vecs = []
     for deg in sorted(set(space.degrees)):
-        idx = space.indices_in_degree(deg)
-        rows = [[op.entries.get((t, s), ZERO) for s in idx]
-                for t in range(space.dim)]
-        for v in linalg.kernel_basis(rows, len(idx)):
-            full = [ZERO] * space.dim
-            for j, c in zip(idx, v):
-                full[j] = c
-            vecs.append(full)
+        vecs.extend(linalg.kernel_basis(
+            {s: cols.get(s, {}) for s in space.indices_in_degree(deg)})
+            .values())
     return vecs
 
 
@@ -248,16 +253,15 @@ def _delta_splitting(bv):
 
     Returns (ker, basis, reps, image): a homogeneous basis of ker Delta;
     the labels and degrees of the classes of H(A, Delta); a representative
-    of each class, grown from ker Delta modulo im Delta; and an echelon
-    basis of im Delta.  All vectors are dense over A.  Every vector is
-    homogeneous, so reducing one against image only uses the rows of its
-    own degree.  When Delta Delta = 0, reps and image together are a
-    basis of ker Delta.
+    of each class, grown from ker Delta modulo im Delta; and the echelon
+    rows (pivot, row) of im Delta.  All vectors are sparse over A.  Every
+    vector is homogeneous, so reducing one against image only uses the
+    rows of its own degree.  When Delta Delta = 0, reps and image together
+    are a basis of ker Delta.
     """
     space = bv.algebra.space
     ker = _kernel_subspace(bv.delta, space)
-    image = linalg.echelon_basis(
-        [bv.delta.column(s) for s in range(space.dim)])
+    image = linalg.rref(bv.delta.by_column().values())
     # grow a separate working echelon when selecting independent
     # representatives, so that image spans im Delta only
     work = list(image)
@@ -268,7 +272,7 @@ def _delta_splitting(bv):
         resid = linalg.reduce_against(v, work)
         if resid is None:
             continue
-        work.append(resid)
+        work.append((min(resid), resid))
         deg = space.vector_degree(v)
         k = counters.get(deg, 0)
         counters[deg] = k + 1
@@ -281,13 +285,12 @@ def _projection_entries(vectors, reps, image):
     """Entries (k, s) of the projection onto H(A, Delta): the coordinates
     of vectors[s] over the representatives, modulo im Delta."""
     ent = {}
-    for s, v in enumerate(vectors):
-        coords = linalg.coordinates(v, reps, image)
+    cols = linalg.coordinates(vectors, reps, [row for _, row in image])
+    for s, coords in enumerate(cols):
         if coords is None:
             raise AssertionError("kernel element escaped ker/im analysis")
-        for k, c in enumerate(coords):
-            if c != 0:
-                ent[(k, s)] = c
+        for k, c in coords.items():
+            ent[(k, s)] = c
     return ent
 
 
@@ -319,16 +322,12 @@ def _formality_report(bv):
 
     m_space = GradedVectorSpace(
         [("m%d" % i, -space.vector_degree(v)) for i, v in enumerate(ker)])
-    M = [[ker[c][r] for c in range(len(ker))] for r in range(space.dim)]
-    d_m_ent = {}
-    for s, v in enumerate(ker):
-        coords = linalg.solve(M, A.d(v))
-        if coords is None:
-            raise AssertionError("ker Delta is not d-stable")
-        for t, c in enumerate(coords):
-            if c != 0:
-                d_m_ent[(t, s)] = c
-    m_cx = ChainComplex(m_space, GradedMap(m_space, m_space, -1, d_m_ent))
+    d_ker = [A.d(v) for v in ker]
+    d_m_cols = linalg.solve(ker, d_ker)
+    if None in d_m_cols:
+        raise AssertionError("ker Delta is not d-stable")
+    m_cx = ChainComplex(m_space, GradedMap.from_columns(m_space, m_space, -1,
+                                                        d_m_cols))
     m_homology = homology(m_cx)  # shared by both comparison maps
     incl = GradedMap.from_columns(m_space, neg, 0, ker)
     first = is_quasi_iso(incl, m_cx, A_cx, m_homology)
@@ -336,8 +335,7 @@ def _formality_report(bv):
     H_space = GradedVectorSpace([(lab, -deg) for lab, deg in h_basis])
     proj = GradedMap(m_space, H_space, 0,
                      _projection_entries(ker, h_reps, image))
-    chain_map = all(linalg.reduce_against(A.d(v), image) is None
-                    for v in ker)
+    chain_map = all(linalg.reduce_against(dv, image) is None for dv in d_ker)
     second = chain_map and is_quasi_iso(proj, m_cx, ChainComplex(H_space),
                                         m_homology)
     return {
@@ -367,7 +365,7 @@ def theorem_38_pipeline(bv, N):
 
     # regrade H to the Lie side and project m onto it
     H_space = GradedVectorSpace([(lab, 1 - deg) for lab, deg in h_basis])
-    m_cols = [incl.column(s) for s in range(m.space.dim)]
+    m_cols = [incl.apply_basis(s) for s in range(m.space.dim)]
     pi = GradedMap(m.space, H_space, 0,
                    _projection_entries(m_cols, h_reps, image))
     con = contraction_extending_projection(m.complex, pi, H_space)
@@ -375,14 +373,14 @@ def theorem_38_pipeline(bv, N):
     result, report = theorem_29_pipeline(m, con, N, inclusion=incl)
 
     tau_in_A = incl.compose(result.tau.hom)
-    columns = sorted({s for (_, s) in tau_in_A.entries})
     # (i) Delta o tau = 0 in A coordinates
-    delta_tau_zero = all(not any(c != 0 for c in bv.delta(tau_in_A.column(wi)))
-                         for wi in columns)
+    delta_tau_zero = not any(bv.delta(col)
+                             for col in tau_in_A.by_column().values())
     # (iii) tau_k values in im Delta for k >= 2
     values_in_im = all(
-        linalg.reduce_against(tau_in_A.column(wi), image) is None
-        for wi in columns if result.coalg.word_length(wi) >= 2)
+        linalg.reduce_against(col, image) is None
+        for wi, col in tau_in_A.by_column().items()
+        if result.coalg.word_length(wi) >= 2)
     report = dict(report)
     report["delta_tau_zero"] = delta_tau_zero
     report["tau_k_in_im_delta"] = values_in_im

@@ -8,6 +8,7 @@ Wall-clock timing goes to stderr only, never into the report bytes.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -183,7 +184,8 @@ def load_problem(path):
             bracket = bilinear_rows("bracket")
         else:
             bracket = bracket_from_generator(plain, delta)
-        algebra = GerstenhaberAlgebra(space, product, bracket, d=d,
+        # the bracket joins the product table already built
+        algebra = GerstenhaberAlgebra(space, plain.multiply, bracket, d=d,
                                       unit_index=unit_index)
         bv = BVData(algebra, delta)
     except (ValueError, AssertionError) as exc:
@@ -402,7 +404,10 @@ def cmd_massey(args, started):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hptmaster",
         description="Exact homotopy transfer for dg Lie and BV algebras.")

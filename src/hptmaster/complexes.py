@@ -11,7 +11,7 @@ pure function of the input.
 """
 
 from . import linalg
-from .graded import GradedMap, GradedVectorSpace, ONE, ZERO
+from .graded import GradedMap, GradedVectorSpace, ONE
 
 # names of the contraction identities, in the order identity_failures
 # reports them
@@ -122,42 +122,32 @@ def homology(C):
     """A chosen basis of ker d / im d, as a GradedVectorSpace.
 
     Returns (H, representatives) where representatives[i] is a cycle in C
-    (dense coefficient vector) representing the i-th basis class.  Classes
-    are reduced row echelon representatives of ker d modulo im d; labels are
+    (a sparse vector) representing the i-th basis class.  Classes are
+    reduced row echelon representatives of ker d modulo im d; labels are
     "h{n}_{k}" for the k-th class in degree n.
     """
     space = C.space
+    d_cols = C.d.by_column()
     reps = []
     labels = []
-    degrees = sorted(set(space.degrees))
-    for n in degrees:
-        idx_n = space.indices_in_degree(n)
-        if not idx_n:
-            continue
-        # rows of d restricted to degree n sources
-        rows = [[C.d.entries.get((t, s), ZERO) for s in idx_n]
-                for t in space.indices_in_degree(n - 1)]
-        kern = linalg.kernel_basis(rows, len(idx_n))
-        # echelon rows spanning the image of d from degree n+1, in
-        # degree-n coordinates; extend by kernel vectors
-        span_rows = linalg.echelon_basis(
-            [[C.d.entries.get((t, s), ZERO) for t in idx_n]
-             for s in space.indices_in_degree(n + 1)])
+    for n in sorted(set(space.degrees)):
+        kern = linalg.kernel_basis(
+            {s: d_cols.get(s, {}) for s in space.indices_in_degree(n)})
+        # echelon rows spanning the image of d from degree n+1; extend by
+        # kernel vectors
+        span = linalg.rref(d_cols.get(s, {})
+                           for s in space.indices_in_degree(n + 1))
         k = 0
-        for v in kern:
-            resid = linalg.reduce_against(v, span_rows)
+        for v in kern.values():
+            resid = linalg.reduce_against(v, span)
             if resid is not None:
-                lead = next(c for c in resid if c != 0)
-                resid = [x / lead for x in resid]
-                span_rows.append(resid)
-                full = [ZERO] * space.dim
-                for j, c in zip(idx_n, resid):
-                    full[j] = c
-                reps.append(full)
+                lead = min(resid)
+                resid = {i: c / resid[lead] for i, c in resid.items()}
+                span.append((lead, resid))
+                reps.append(resid)
                 labels.append((f"h{n}_{k}", n))
                 k += 1
-    H = GradedVectorSpace(labels)
-    return H, reps
+    return GradedVectorSpace(labels), reps
 
 
 def build_contraction(C):
@@ -166,69 +156,54 @@ def build_contraction(C):
     Decompose each degree as im(d) + homology representatives + a complement
     A of the cycles; d maps A isomorphically onto the next im(d), and h is
     minus the inverse of that isomorphism (zero elsewhere).  All five
-    contraction identities then hold on the nose.
+    contraction identities then hold on the nose.  Each degree's adapted
+    basis is inverted by one elimination.
     """
     space = C.space
     H, reps = homology(C)
     small = ChainComplex(GradedVectorSpace(H.basis))
+    d_cols = C.d.by_column()
 
-    # complement A of the cycles: unit vectors at pivot columns of d
+    # complement A of the cycles: unit vectors at pivot columns of d, the
+    # columns that are not free in its kernel
     a_indices = []
-    degrees = sorted(set(space.degrees))
-    for n in degrees:
+    for n in sorted(set(space.degrees)):
         idx_n = space.indices_in_degree(n)
-        rows = [[C.d.entries.get((t, s), ZERO) for s in idx_n]
-                for t in space.indices_in_degree(n - 1)]
-        if rows:
-            _, pivots = linalg.rref(rows)
-            a_indices.extend(idx_n[p] for p in pivots)
+        kern = linalg.kernel_basis({s: d_cols.get(s, {}) for s in idx_n})
+        a_indices.extend(s for s in idx_n if s not in kern)
 
-    # basis of C adapted to the splitting: [d(A) | reps | A], degreewise
-    b_vectors = []
-    for j in a_indices:
-        b_vectors.append(C.d.column(j))
-
-    nabla_cols = reps
     pi_ent = {}
     h_ent = {}
-    for n in degrees:
+    for n in sorted(set(space.degrees)):
         idx_n = space.indices_in_degree(n)
-        if not idx_n:
-            continue
-        block = []        # columns of the adapted basis, degree n part
-        tags = []         # ("b", a_index) | ("h", class_index) | ("a", index)
-        for j, vec in zip(a_indices, b_vectors):
-            if space.degrees[j] == n + 1:   # d lowers degree: d(A_{n+1}) in C_n
-                block.append([vec[i] for i in idx_n])
+        # the adapted basis [d(A_{n+1}) | reps | A_n] of degree n, with
+        # tags ("b", a_index) | ("h", class_index) | ("a", index)
+        block = []
+        tags = []
+        for j in a_indices:
+            if space.degrees[j] == n + 1:   # d lowers degree
+                block.append(d_cols[j])
                 tags.append(("b", j))
         for k, rep in enumerate(reps):
             if H.degrees[k] == n:
-                block.append([rep[i] for i in idx_n])
+                block.append(rep)
                 tags.append(("h", k))
         for j in a_indices:
             if space.degrees[j] == n:
-                col = [ONE if i == j else ZERO for i in idx_n]
-                block.append(col)
+                block.append({j: ONE})
                 tags.append(("a", j))
         if len(block) != len(idx_n):
             raise AssertionError("adapted basis does not span degree %d" % n)
-        M = [[block[c][r] for c in range(len(block))] for r in range(len(idx_n))]
-        for col_pos, i in enumerate(idx_n):
-            e = [ONE if r == col_pos else ZERO for r in range(len(idx_n))]
-            coords = linalg.solve(M, e)
-            if coords is None:
-                raise AssertionError("adapted basis is singular")
-            for c, tag in zip(coords, tags):
-                if c == 0:
-                    continue
-                kind, ref = tag
+        for i, coords in zip(idx_n, linalg.inverse(block)):
+            for pos, c in coords.items():
+                kind, ref = tags[pos]
                 if kind == "h":
-                    pi_ent[(ref, i)] = pi_ent.get((ref, i), ZERO) + c
+                    pi_ent[(ref, i)] = c
                 elif kind == "b":
                     # h sends d(a) to -a
-                    h_ent[(ref, i)] = h_ent.get((ref, i), ZERO) - c
+                    h_ent[(ref, i)] = -c
 
-    nabla = GradedMap.from_columns(small.space, space, 0, nabla_cols)
+    nabla = GradedMap.from_columns(small.space, space, 0, reps)
     pi = GradedMap(space, small.space, 0, pi_ent)
     h = GradedMap(space, space, 1, h_ent)
     return Contraction(C, small, nabla, pi, h)
@@ -244,98 +219,66 @@ def contraction_extending_projection(C, pi, small_space):
     small = ChainComplex(GradedVectorSpace(small_space.basis))
     space = C.space
 
-    # nabla: section of pi with values in ker d
-    nabla_cols = []
-    for k in range(small.space.dim):
-        # solve pi(v) = e_k and d(v) = 0 jointly
-        rows = []
-        rhs = []
-        for t in range(small.space.dim):
-            rows.append([pi.entries.get((t, s), ZERO) for s in range(space.dim)])
-            rhs.append(ONE if t == k else ZERO)
-        for t in range(space.dim):
-            rows.append([C.d.entries.get((t, s), ZERO) for s in range(space.dim)])
-            rhs.append(ZERO)
-        v = linalg.solve(rows, rhs)
-        if v is None:
-            raise ValueError("projection admits no cycle-valued section")
-        nabla_cols.append(v)
+    # nabla: a section of pi with values in ker d; its columns solve
+    # pi(v) = e_k and d(v) = 0 jointly, with d's rows after pi's
+    shift = small.space.dim
+    joint = [pi.apply_basis(s) for s in range(space.dim)]
+    for s, col in C.d.by_column().items():
+        joint[s].update((shift + t, c) for t, c in col.items())
+    nabla_cols = linalg.solve(joint, [{k: ONE} for k in range(shift)])
+    if None in nabla_cols:
+        raise ValueError("projection admits no cycle-valued section")
     nabla = GradedMap.from_columns(small.space, space, 0, nabla_cols)
 
-    # acyclic complement: image of Id - nabla pi
+    # acyclic complement: the image of Id - nabla pi, with an echelon
+    # basis in each degree
     proj = GradedMap.identity(space) - nabla.compose(pi)
-    comp_cols = []
-    for s in range(space.dim):
-        col = proj.column(s)
-        if any(c != 0 for c in col):
-            comp_cols.append((space.degrees[s], col))
-    # h on the complement via the acyclic-complex recipe, expressed on C by
-    # solving in the adapted basis [complement echelon | nabla image]
+    proj_cols = proj.by_column()
     sub_basis = []
-    for deg in sorted({d for d, _ in comp_cols}):
-        sub_basis.extend(
-            linalg.echelon_basis([c for d, c in comp_cols if d == deg]))
+    for deg in sorted({space.degrees[s] for s in proj_cols}):
+        sub_basis.extend(row for _, row in linalg.rref(
+            col for s, col in proj_cols.items() if space.degrees[s] == deg))
     sub_space = GradedVectorSpace(
         [("c%d" % i, space.vector_degree(v)) for i, v in enumerate(sub_basis)])
-    d_sub_ent = {}
-    M_sub = [[sub_basis[c][r] for c in range(len(sub_basis))]
-             for r in range(space.dim)]
-    for s, v in enumerate(sub_basis):
-        dv = C.d(v)
-        coords = linalg.solve(M_sub, dv)
-        if coords is None:
-            raise AssertionError("complement not d-stable")
-        for t, c in enumerate(coords):
-            if c != 0:
-                d_sub_ent[(t, s)] = c
-    sub = ChainComplex(sub_space, GradedMap(sub_space, sub_space, -1, d_sub_ent))
+    # one elimination gives d on the complement and the coordinates of the
+    # columns of Id - nabla pi
+    n_sub = len(sub_basis)
+    coords = linalg.solve(sub_basis, [C.d(v) for v in sub_basis]
+                          + [proj_cols.get(s, {}) for s in range(space.dim)])
+    if None in coords[:n_sub]:
+        raise AssertionError("complement not d-stable")
+    if None in coords[n_sub:]:
+        raise AssertionError("projection image escaped the complement")
+    sub = ChainComplex(sub_space, GradedMap.from_columns(
+        sub_space, sub_space, -1, coords[:n_sub]))
     sub_con = build_contraction(sub)
     if sub_con.small.space.dim != 0:
         raise ValueError("projection is not a quasi-isomorphism")
     # transport h of the acyclic complement back to C
-    h_ent = {}
-    for s in range(space.dim):
-        v = proj.column(s)
-        coords = linalg.solve(M_sub, v) if sub_basis else []
-        if coords is None:
-            raise AssertionError("projection image escaped the complement")
-        hv_sub = [ZERO] * len(sub_basis)
-        for j, c in enumerate(coords or []):
-            if c != 0:
-                for t, c2 in sub_con.h.apply_basis(j).items():
-                    hv_sub[t] += c * c2
-        for j, c in enumerate(hv_sub):
-            if c != 0:
-                for i in range(space.dim):
-                    if sub_basis[j][i] != 0:
-                        h_ent[(i, s)] = h_ent.get((i, s), ZERO) + c * sub_basis[j][i]
-    h = GradedMap(space, space, 1, h_ent)
+    incl = GradedMap.from_columns(sub_space, space, 0, sub_basis)
+    to_sub = GradedMap.from_columns(space, sub_space, 0, coords[n_sub:])
+    h = incl.compose(sub_con.h).compose(to_sub)
     return Contraction(C, small, nabla, pi, h)
 
 
 def induced_map_on_homology(f, C_src, C_tgt, src_homology=None):
-    """The matrix of H(f) with respect to the chosen homology bases.
+    """H(f) with respect to the chosen homology bases, as a GradedMap.
 
-    Returns (matrix rows over H(C_tgt) basis, H_src, H_tgt).  f must be a
-    chain map of degree 0.  src_homology, when given, is homology(C_src)
-    computed earlier.
+    Returns (H(f), H_src, H_tgt).  f must be a chain map of degree 0.
+    src_homology, when given, is homology(C_src) computed earlier.
     """
     H_src, reps_src = src_homology or homology(C_src)
     H_tgt, reps_tgt = homology(C_tgt)
-    # express f(rep) in homology of the target: solve against [reps | im d]
-    im_cols = [C_tgt.d.column(s) for s in range(C_tgt.space.dim)]
-    out = [[ZERO] * H_src.dim for _ in range(H_tgt.dim)]
-    for k, rep in enumerate(reps_src):
-        coords = linalg.coordinates(f(rep), reps_tgt, im_cols)
-        if coords is None:
-            raise ValueError("f(cycle) is not a cycle mod boundaries")
-        for t in range(H_tgt.dim):
-            out[t][k] = coords[t]
-    return out, H_src, H_tgt
+    # express each f(rep) in homology of the target: one solve against
+    # [reps | im d]
+    cols = linalg.coordinates([f(rep) for rep in reps_src], reps_tgt,
+                              list(C_tgt.d.by_column().values()))
+    if None in cols:
+        raise ValueError("f(cycle) is not a cycle mod boundaries")
+    return GradedMap.from_columns(H_src, H_tgt, 0, cols), H_src, H_tgt
 
 
 def is_quasi_iso(f, C_src, C_tgt, src_homology=None):
     M, H_src, H_tgt = induced_map_on_homology(f, C_src, C_tgt, src_homology)
-    if H_src.dim != H_tgt.dim:
-        return False
-    return linalg.rank(M) == H_src.dim if H_src.dim else True
+    return (H_src.dim == H_tgt.dim
+            and linalg.rank(M.by_column().values()) == H_src.dim)

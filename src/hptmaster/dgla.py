@@ -42,7 +42,7 @@ class DgLieAlgebra:
         return not self.bracket_table
 
     def sub_algebra(self, vectors):
-        """Sub-dgLa spanned by the given homogeneous dense vectors.
+        """Sub-dgLa spanned by the given homogeneous sparse vectors.
 
         Returns (sub: DgLieAlgebra, inclusion: GradedMap).  Raises when the
         span is not closed under d or the bracket.
@@ -50,44 +50,32 @@ class DgLieAlgebra:
         space = self.space
         by_deg = {}
         for v in vectors:
-            degs = {space.degrees[i] for i, c in enumerate(v) if c != 0}
-            if not degs:
-                continue
-            if len(degs) != 1:
-                raise ValueError("sub-algebra generator is inhomogeneous")
-            by_deg.setdefault(degs.pop(), []).append(list(v))
+            if v:
+                by_deg.setdefault(space.vector_degree(v), []).append(v)
         basis_vecs = []
         basis_degs = []
         for deg in sorted(by_deg):
-            rows = linalg.echelon_basis(by_deg[deg])
+            rows = [row for _, row in linalg.rref(by_deg[deg])]
             basis_vecs.extend(rows)
             basis_degs.extend([deg] * len(rows))
         sub_space = GradedVectorSpace(
             [("m%d" % i, d) for i, d in enumerate(basis_degs)])
-        M = [[basis_vecs[c][r] for c in range(len(basis_vecs))]
-             for r in range(space.dim)]
-
-        def coords(v):
-            x = linalg.solve(M, list(v))
-            if x is None:
-                raise ValueError("subspace is not closed")
-            return x
-
-        d_ent = {}
-        for s, bv in enumerate(basis_vecs):
-            for t, c in enumerate(coords(self.d(bv))):
-                if c != 0:
-                    d_ent[(t, s)] = c
-        table = {}
-        for i in range(len(basis_vecs)):
-            for j in range(i, len(basis_vecs)):
+        n = len(basis_vecs)
+        brackets = {}
+        for i in range(n):
+            for j in range(i, n):
                 br = self.bracket(basis_vecs[i], basis_vecs[j])
-                if any(br):
-                    table[(i, j)] = {k: c for k, c in enumerate(coords(br))
-                                     if c != 0}
+                if br:
+                    brackets[(i, j)] = br
+        # the coordinates of d and of the brackets in one elimination
+        coords = linalg.solve(basis_vecs, [self.d(v) for v in basis_vecs]
+                              + list(brackets.values()))
+        if None in coords:
+            raise ValueError("subspace is not closed")
         sub = DgLieAlgebra(
-            ChainComplex(sub_space, GradedMap(sub_space, sub_space, -1, d_ent)),
-            table)
+            ChainComplex(sub_space, GradedMap.from_columns(
+                sub_space, sub_space, -1, coords[:n])),
+            dict(zip(brackets, coords[n:])))
         incl = GradedMap.from_columns(sub_space, space, 0, basis_vecs)
         return sub, incl
 
@@ -258,13 +246,12 @@ def is_twisting_cochain(t):
 def twisted_differential(gamma, target):
     """d_Gamma(a) = d a - [Gamma, a] for a Maurer-Cartan solution.
 
-    gamma is a dense degree -1 element of the target; refuses input that
+    gamma is a sparse degree -1 element of the target; refuses input that
     does not solve the master equation, since the result would not square
     to zero.
     """
     space = target.space
     bracket = target.bracket
-    gamma = {i: c for i, c in enumerate(gamma) if c != 0}
     # 2 d gamma - [gamma, gamma]
     bad = bracket.add_product(target.d.add_image({}, gamma, 2), gamma, gamma,
                               -1)

@@ -49,8 +49,8 @@ class GradedVectorSpace:
         return [i for i, d in enumerate(self.degrees) if d == deg]
 
     def vector_degree(self, v):
-        """Degree of a nonzero homogeneous dense vector."""
-        degs = {self.degrees[i] for i, c in enumerate(v) if c != 0}
+        """Degree of a nonzero homogeneous sparse vector."""
+        degs = {self.degrees[i] for i in v}
         if len(degs) != 1:
             raise ValueError("inhomogeneous vector")
         return degs.pop()
@@ -105,23 +105,18 @@ class GradedMap:
 
     @classmethod
     def from_columns(cls, source, target, degree, cols):
-        """cols[s] is the image of source basis vector s as a dense column."""
-        ent = {}
-        for s, col in enumerate(cols):
-            for t, c in enumerate(col):
-                if c != 0:
-                    ent[(t, s)] = Fraction(c)
-        return cls(source, target, degree, ent)
+        """cols[s] is the image of source basis vector s as a sparse
+        vector {target index: coeff}."""
+        return cls(source, target, degree,
+                   {(t, s): c for s, col in enumerate(cols)
+                    for t, c in col.items()})
 
     # -- basic algebra -----------------------------------------------------
 
     def __call__(self, vec):
-        """Apply to a dense coefficient vector over the source basis."""
-        out = [ZERO] * self.target.dim
-        for (t, s), c in self.entries.items():
-            if vec[s] != 0:
-                out[t] += c * vec[s]
-        return out
+        """Apply to a sparse vector {index: coeff}; the image is a sparse
+        vector without zero values, in index order."""
+        return _pruned(self.add_image({}, vec))
 
     def by_column(self):
         """source index -> {target index: coeff}, built once per map and
@@ -149,12 +144,6 @@ class GradedMap:
                 for t, c2 in col.items():
                     acc[t] = acc.get(t, ZERO) + c * c2
         return acc
-
-    def column(self, s):
-        col = [ZERO] * self.target.dim
-        for t, c in self.by_column().get(s, {}).items():
-            col[t] = c
-        return col
 
     def compose(self, other):
         """self o other (apply other first)."""
@@ -307,12 +296,9 @@ class StructureTable:
         return acc
 
     def __call__(self, u, v):
-        """The product of two dense coefficient vectors."""
-        out = [ZERO] * self.space.dim
-        sparse = [{i: a for i, a in enumerate(w) if a != 0} for w in (u, v)]
-        for k, c in self.add_product({}, *sparse).items():
-            out[k] = c
-        return out
+        """The product of two sparse vectors, without zero values and in
+        index order."""
+        return _pruned(self.add_product({}, u, v))
 
     def first_non_derivation(self, op):
         """The lexicographically first basis pair (i, j) on which the
@@ -345,6 +331,11 @@ class StructureTable:
                 if any(bad.values()):
                     return i, j
         return None
+
+
+def _pruned(acc):
+    """The sparse vector acc without its zero values, in index order."""
+    return {k: acc[k] for k in sorted(acc) if acc[k]}
 
 
 def hom_differential(phi, d_src, d_tgt):

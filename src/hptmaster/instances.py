@@ -18,7 +18,7 @@ from . import linalg
 from .bv import BVData, GerstenhaberAlgebra, bracket_from_generator
 from .complexes import ChainComplex
 from .dgla import DgLieAlgebra
-from .graded import GradedMap, GradedVectorSpace, ONE, ZERO
+from .graded import GradedMap, GradedVectorSpace, ONE
 
 
 def abelian_dgla(degrees=(0, 1)):
@@ -137,8 +137,9 @@ def kahler_bv_instance():
     delta = GradedMap(space, space, -1,
                       {(ix["c"], ix["p"]): ONE, (ix["e"], ix["t"]): -ONE})
     alg0 = GerstenhaberAlgebra(space, prod, d=d, unit_index=ix["1"])
-    table = bracket_from_generator(alg0, delta)
-    alg = GerstenhaberAlgebra(space, prod, table, d=d, unit_index=ix["1"])
+    alg = GerstenhaberAlgebra(space, alg0.multiply,
+                              bracket_from_generator(alg0, delta), d=d,
+                              unit_index=ix["1"])
     return BVData(alg, delta)
 
 
@@ -195,57 +196,41 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
     """Conjugate a dg Lie algebra by a random degreewise basis change."""
     space = g.space
     dim = space.dim
-    S = linalg.identity(dim)
+    # the columns of the block diagonal basis change S
+    cols = [{} for _ in range(dim)]
     for deg in sorted(set(space.degrees)):
         idx = space.indices_in_degree(deg)
         n = len(idx)
         while True:
-            block = [[Fraction(rng.randrange(-2, 3),
-                               rng.choice(denominator_pool))
-                      for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                if all(c == 0 for c in block[k]):
-                    block[k][k] = ONE
+            block = []
+            for a in range(n):
+                row = {}
+                for b in range(n):
+                    c = Fraction(rng.randrange(-2, 3),
+                                 rng.choice(denominator_pool))
+                    if c:
+                        row[b] = c
+                block.append(row or {a: ONE})
             if linalg.rank(block) == n:
                 break
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                S[i][j] = block[a][b]
-    Sinv = _invert(S)
-    cols = linalg.columns(S)
+        for a, row in enumerate(block):
+            for b, c in row.items():
+                cols[idx[b]][idx[a]] = c
+    to_new = GradedMap.from_columns(space, space, 0, linalg.inverse(cols))
 
-    def to_new(vec):
-        return [sum(Sinv[t][k] * vec[k] for k in range(dim))
-                for t in range(dim)]
-
-    d_ent = {}
-    for s in range(dim):
-        img = to_new(g.d(cols[s]))
-        for t, c in enumerate(img):
-            if c != 0:
-                d_ent[(t, s)] = c
+    d_ent = {(t, s): c for s in range(dim)
+             for t, c in to_new(g.d(cols[s])).items()}
     new_space = GradedVectorSpace(
         [("b%d" % i, space.degrees[i]) for i in range(dim)])
     table = {}
     for i in range(dim):
         for j in range(i, dim):
             br = g.bracket(cols[i], cols[j])
-            if any(br):   # to_new is dense; most brackets vanish
-                table[(i, j)] = {k: c for k, c in enumerate(to_new(br))
-                                 if c != 0}
+            if br:
+                table[(i, j)] = to_new(br)
     return DgLieAlgebra(
         ChainComplex(new_space, GradedMap(new_space, new_space, -1, d_ent)),
         table)
-
-
-def _invert(M):
-    n = len(M)
-    aug = [M[i][:] + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    R, pivots = linalg.rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in R]
 
 
 def corpus(count=50, start_seed=0):

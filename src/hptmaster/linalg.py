@@ -1,145 +1,147 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on sparse vectors.
 
-Matrices are lists of rows of Fractions.  Pivoting always takes the first
-nonzero entry in basis order, so every function here is deterministic.
+A vector is a dict {index: Fraction} that holds no zero values, the form
+GradedMap.by_column and StructureTable.add_product use.  A matrix is a
+list of vectors: its rows for rref and rank, its columns everywhere else.
+Pivoting takes the first nonzero entry in index order, so every function
+here is deterministic, and since a matrix has only one reduced row echelon
+form, the results are the ones dense Gauss-Jordan elimination gives.
 """
 
-from fractions import Fraction
-from typing import Optional
+from .graded import ONE, ZERO
 
 
-def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
+def rref(rows):
+    """Reduced row echelon form of the matrix with the given rows.
 
-
-def identity(n):
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = Fraction(1)
-    return M
-
-
-def mat_copy(M):
-    return [row[:] for row in M]
-
-
-def rref(M):
-    """Reduced row echelon form.
-
-    Returns (R, pivots) where pivots is the list of pivot column indices.
-    M is not modified.
+    Returns [(pivot, row)] in increasing pivot order, without zero rows:
+    each row is 1 at its pivot, which is its first index, and 0 at the
+    pivot of every other row.  The rows are taken in turn, each cleared at
+    the pivots found so far and then cleared from the rows that hold
+    them, so the work follows the nonzero entries.  The rows given are
+    not modified.
     """
-    R = mat_copy(M)
-    n_rows = len(R)
-    n_cols = len(R[0]) if n_rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pr = None
-        for i in range(r, n_rows):
-            if R[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    echelon = {}
+    for row in rows:
+        v = dict(row)
+        # an echelon row is 0 at the other pivots, so clearing one pivot
+        # leaves the entries of v at the others as they were
+        for p in [p for p in v if p in echelon]:
+            _subtract(v, v[p], echelon[p])
+        if not v:
             continue
-        R[r], R[pr] = R[pr], R[r]
-        p = R[r][c]
-        R[r] = [x / p for x in R[r]]
-        for i in range(n_rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+        q = min(v)
+        lead = v[q]
+        if lead != 1:
+            v = {k: c / lead for k, c in v.items()}
+        for r in echelon.values():
+            if q in r:
+                _subtract(r, r[q], v)
+        echelon[q] = v
+    return sorted(echelon.items())
 
 
-def rank(M):
-    if not M or not M[0]:
-        return 0
-    return len(rref(M)[1])
+def _subtract(v, f, row):
+    """v -= f * row in place, dropping the entries that cancel."""
+    for k, c in row.items():
+        x = v.get(k, ZERO) - f * c
+        if x:
+            v[k] = x
+        else:
+            del v[k]
 
 
-def kernel_basis(M, n_cols):
-    """Basis of the right kernel of M (list of column vectors of length n_cols).
+def _rows(columns):
+    """The rows of the matrix given by (index, column) pairs."""
+    rows = {}
+    for s, col in columns:
+        for t, c in col.items():
+            rows.setdefault(t, {})[s] = c
+    return rows.values()
 
-    Free variables are set to 1 in increasing column order, which makes the
-    output deterministic.
+
+def rank(rows):
+    """Rank of the matrix with the given rows, or with the given columns:
+    a matrix and its transpose have the same rank."""
+    return len(rref(rows))
+
+
+def kernel_basis(columns):
+    """A basis of the kernel of the matrix whose columns are the values of
+    the dict columns, indexed by its keys.
+
+    Returns a dict f -> vector with one vector for each free column f, in
+    increasing order: it is 1 at f and 0 at the other free columns.  The
+    keys missing from the result are the pivot columns.
     """
-    if not M:
-        return [[Fraction(1 if i == j else 0) for i in range(n_cols)]
-                for j in range(n_cols)]
-    R, pivots = rref(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
-        basis.append(v)
+    echelon = rref(_rows(columns.items()))
+    pivots = {p for p, _ in echelon}
+    basis = {f: {f: ONE} for f in sorted(columns) if f not in pivots}
+    for p, row in echelon:
+        for f, c in row.items():
+            if f != p:
+                basis[f][p] = -c
     return basis
 
 
-def echelon_basis(vectors):
-    """The nonzero rows of rref: an echelon basis of the span of vectors."""
-    rows, _ = rref([list(v) for v in vectors])
-    return [r for r in rows if any(x != 0 for x in r)]
+def solve(columns, rhs):
+    """For each vector b of rhs, one solution x of M x = b, or None when
+    there is none; M is the matrix with the given columns, and x sets the
+    free variables to zero.  All of rhs takes one elimination, of
+    [M | rhs]."""
+    n = len(columns)
+    rhs = list(rhs)
+    echelon = rref(_rows(enumerate(list(columns) + rhs)))
+    out = [{} for _ in rhs]
+    # rows with a pivot in M come first; a row with its pivot in rhs
+    # proves each right-hand side it touches inconsistent
+    for p, row in echelon:
+        for k, c in row.items():
+            if k >= n:
+                if p < n:
+                    out[k - n][p] = c
+                else:
+                    out[k - n] = None
+    return out
 
 
-def reduce_against(v, echelon_rows):
-    """Clear the lead entry of each echelon row from v in turn.
+def inverse(columns):
+    """The inverse of the matrix with the given columns: for each row index
+    t in increasing order, the coordinates of the unit vector e_t over the
+    columns.  Raises ValueError when the matrix is not invertible."""
+    keys = sorted(set().union(*columns))
+    if len(keys) == len(columns):
+        out = solve(columns, [{t: ONE} for t in keys])
+        if None not in out:
+            return out
+    raise ValueError("matrix not invertible")
+
+
+def reduce_against(v, echelon):
+    """Clear the pivot entry of each echelon row (pivot, row) from v in
+    turn.
 
     Returns the remainder, or None when it is zero (v lies in the span).
     """
-    for row in echelon_rows:
-        lead = next(i for i, c in enumerate(row) if c != 0)
-        if v[lead] != 0:
-            f = v[lead] / row[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    return None if all(c == 0 for c in v) else list(v)
+    v = dict(v)
+    for p, row in echelon:
+        c = v.get(p)
+        if c:
+            _subtract(v, c / row[p], row)
+    return v or None
 
 
-def solve(M, b) -> Optional[list]:
-    """One solution x of M x = b, or None when inconsistent.
+def coordinates(vectors, basis, modulo):
+    """For each vector v, its coefficients over basis, modulo the span of
+    the vectors modulo; None when v lies outside the span of both lists.
 
-    Free variables are set to zero.  M is a list of rows, b a column.
+    The coefficients are unique when basis is independent modulo that span.
     """
-    n_rows = len(M)
-    n_cols = len(M[0]) if n_rows else 0
-    aug = [M[i][:] + [b[i]] for i in range(n_rows)]
-    R, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = R[r][n_cols]
-    return x
-
-
-def coordinates(v, basis, modulo):
-    """Coefficients of v over basis, modulo the span of the vectors modulo.
-
-    None when v lies outside the span of both lists.  The coefficients are
-    unique when basis is independent modulo that span.
-    """
-    cols = list(basis) + list(modulo)
-    x = solve([[col[r] for col in cols] for r in range(len(v))], v)
-    return None if x is None else x[:len(basis)]
-
-
-def columns(M):
-    if not M:
-        return []
-    return [[row[c] for row in M] for c in range(len(M[0]))]
+    n = len(basis)
+    return [x if x is None else {k: c for k, c in x.items() if k < n}
+            for x in solve(list(basis) + list(modulo), vectors)]
 
 
 def in_span(vectors, v):
-    """Is v in the span of the given column vectors?  Exact test."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    M = [[vec[i] for vec in vectors] for i in range(len(v))]
-    return solve(M, v) is not None
+    """Is v in the span of the given vectors?  Exact test."""
+    return solve(vectors, [v])[0] is not None

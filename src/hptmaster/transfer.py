@@ -260,10 +260,10 @@ def theorem_29_pipeline(m, con, N, inclusion=None):
     }
     if inclusion is not None:
         from . import linalg
-        cols = [inclusion.column(s) for s in range(m.space.dim)]
+        cols = [inclusion.apply_basis(s) for s in range(m.space.dim)]
         report["values_in_subalgebra"] = all(
-            linalg.in_span(cols, inclusion(result.tau.hom.column(wi)))
-            for wi in sorted({s for (_, s) in result.tau.hom.entries}))
+            linalg.in_span(cols, inclusion(col))
+            for col in result.tau.hom.by_column().values())
     report["passed"] = (master["passed"] and report["pi_tau_universal"]
                         and report["D_zero"]
                         and report.get("values_in_subalgebra", True))

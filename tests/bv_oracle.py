@@ -14,6 +14,7 @@ the table's own product.
 from fractions import Fraction
 
 from hptmaster.graded import StructureTable
+from linalg_oracle import dense_column
 from table_oracle import bilinear
 
 ONE = Fraction(1)
@@ -33,7 +34,7 @@ def bracket_from_generator(algebra, delta):
     space = algebra.space
     dim = space.dim
     product = algebra.multiply
-    dcol = [delta.column(s) for s in range(dim)]
+    dcol = [dense_column(delta, s) for s in range(dim)]
     basis = _basis(dim)
 
     def value(i, j):
@@ -69,7 +70,7 @@ def non_derivation(A, op, bracket):
     else:
         pair, sign = A.multiply, ONE
     dim = A.space.dim
-    cols = [op.column(s) for s in range(dim)]
+    cols = [dense_column(op, s) for s in range(dim)]
     basis = _basis(dim)
     for i in range(dim):
         sa = -sign if A.space.degrees[i] % 2 else sign

@@ -13,7 +13,7 @@ from hptmaster.bv import (BVData, GerstenhaberAlgebra,
                           proposition_37_check, regrade_to_lie,
                           theorem_38_pipeline, validate_bv)
 from hptmaster.dgla import validate_dgla
-from hptmaster.graded import GradedMap, GradedVectorSpace
+from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
 
 F = Fraction
 
@@ -32,7 +32,7 @@ def test_bracket_from_generator_hand():
     table = bracket_from_generator(alg, delta)
     # [x, y] = (-1)^1 (Delta(xy) - 0 - 0) = -x, and
     # [y, xy] = -(Delta(y xy) - 0 + y Delta(xy)) = -(0 + yx) = xy
-    assert table == {(1, 2): {1: F(-1)}, (2, 3): {3: F(1)}}
+    assert table.canonical == {(1, 2): {1: F(-1)}, (2, 3): {3: F(1)}}
 
 
 def test_squares_forced_to_vanish_are_refused():
@@ -159,6 +159,23 @@ def test_addendum_382_rejects_fat_degree_zero():
                 GradedMap.zero(space, space, -1))
     with pytest.raises(ValueError):
         addendum_382_flat_identity(bv, 3)
+
+
+def test_load_problem_builds_each_bv_table_once(monkeypatch, fixture_dir):
+    # kahler_bv.json has no bracket section: the product table, the empty
+    # bracket of the algebra that generates the bracket, and the generated
+    # bracket table, each built once
+    built = []
+    init = StructureTable.__init__
+
+    def counting(self, space, rows=(), degree=0, symmetric=False):
+        built.append((degree, symmetric))
+        init(self, space, rows, degree, symmetric)
+
+    monkeypatch.setattr(StructureTable, "__init__", counting)
+    kind, bv, _ = cli.load_problem(str(fixture_dir / "kahler_bv.json"))
+    assert kind == "bv" and bv.algebra.bracket_table
+    assert built == [(0, True), (-1, False), (-1, False)]
 
 
 def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
@@ -338,7 +355,8 @@ def test_sparse_bv_checks_match_the_dense_oracle(case):
     bv = bv_from_case(case)
     A = bv.algebra
     assert _outcome(validate_bv, bv) == _outcome(bv_oracle.validate_bv, bv)
-    assert (_outcome(bracket_from_generator, A, bv.delta)
+    assert (_outcome(lambda *args: bracket_from_generator(*args).canonical,
+                     A, bv.delta)
             == _outcome(bv_oracle.bracket_from_generator, A, bv.delta))
     for table, op in ((A.multiply, A.d), (A.bracket, A.d),
                       (A.bracket, bv.delta)):

@@ -1,5 +1,6 @@
 """Problem-file parsing, run reports, exit codes, byte determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -39,6 +40,20 @@ def test_validate_dgla_ok(fixture_dir, capsys):
     assert doc["kind"] == "dgla"
     assert doc["verdict"]["passed"]
     assert "elapsed" in err
+
+
+def test_cli_calls_share_one_parser(monkeypatch, fixture_dir, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for _ in range(2):
+        assert run(["validate", str(fixture_dir / "l3.json")], capsys)[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_validate_broken_jacobi_exit_one(fixture_dir, capsys):

@@ -49,8 +49,8 @@ def test_mc_evaluate_matches_half_bracket():
     point = {"x": F(3, 2), "y": F(-1, 3)}
     got = mc.evaluate(point)
     # oracle: (1/2)[v, v] computed on the algebra itself
-    v = [point["x"], point["y"], F(0), F(0)]
-    half = [c / 2 for c in g.bracket(v, v)]
+    v = {0: point["x"], 1: point["y"]}
+    half = {k: c / 2 for k, c in g.bracket(v, v).items()}
     assert got == {"z": half[2], "w": half[3]}
 
 

@@ -101,8 +101,8 @@ def test_odd_self_bracket_allowed():
     V = GradedVectorSpace([("x", 1), ("z", 2)])
     g = DgLieAlgebra(ChainComplex(V), {(0, 0): {1: F(1)}})
     assert validate_dgla(g)["passed"]
-    v = g.bracket([F(1), F(0)], [F(1), F(0)])
-    assert v == [F(0), F(1)]
+    v = g.bracket({0: F(1)}, {0: F(1)})
+    assert v == {1: F(1)}
 
 
 def test_even_self_bracket_rejected():
@@ -113,10 +113,10 @@ def test_even_self_bracket_rejected():
 
 def test_bracket_antisymmetry_sign():
     g = instances.sl2()
-    e = [F(1), F(0), F(0)]
-    f = [F(0), F(1), F(0)]
-    assert g.bracket(e, f) == [F(0), F(0), F(1)]
-    assert g.bracket(f, e) == [F(0), F(0), F(-1)]
+    e = {0: F(1)}
+    f = {1: F(1)}
+    assert g.bracket(e, f) == {2: F(1)}
+    assert g.bracket(f, e) == {2: F(-1)}
 
 
 def test_ce_coalgebra_sh_lie():
@@ -163,7 +163,7 @@ def test_twisted_differential_maurer_cartan():
     # so use the abelian direction: gamma a cycle in an abelian algebra
     V = GradedVectorSpace([("x", -1), ("y", -1), ("z", -2)])
     g = DgLieAlgebra(ChainComplex(V), {(0, 1): {2: F(1)}})
-    gamma = [F(1), F(0), F(0)]  # [x, x] = 0, d = 0: Maurer-Cartan
+    gamma = {0: F(1)}  # [x, x] = 0, d = 0: Maurer-Cartan
     dtw = twisted_differential(gamma, g)
     # d_gamma(y) = -[x, y] = -z
     assert dtw.apply_basis(1) == {2: F(-1)}
@@ -174,7 +174,7 @@ def test_twisted_differential_rejects_non_mc():
     V = GradedVectorSpace([("x", -1), ("z", -2)])
     g = DgLieAlgebra(ChainComplex(V), {(0, 0): {1: F(2)}})
     with pytest.raises(ValueError):
-        twisted_differential([F(1), F(0)], g)
+        twisted_differential({0: F(1)}, g)
 
 
 def test_twisted_differential_refuses_a_non_square_zero_result():
@@ -183,14 +183,13 @@ def test_twisted_differential_refuses_a_non_square_zero_result():
     V = GradedVectorSpace([("gamma", -1), ("a", 0), ("b", -1), ("c", -2)])
     g = DgLieAlgebra(ChainComplex(V), {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}})
     with pytest.raises(ValueError, match="does not square to zero"):
-        twisted_differential([F(1), F(0), F(0), F(0)], g)
+        twisted_differential({0: F(1)}, g)
 
 
 def test_sub_algebra_inclusion():
     g = instances.commuting_lifts_dgla()
     dim = g.space.dim
-    vectors = [[F(1) if i == j else F(0) for i in range(dim)]
-               for j in range(dim)]
+    vectors = [{j: F(1)} for j in range(dim)]
     sub, incl = g.sub_algebra(vectors)
     assert sub.space.dim == dim
     assert validate_dgla(sub)["passed"]

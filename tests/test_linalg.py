@@ -1,81 +1,212 @@
-"""Exact linear algebra: reduced echelon form, kernels, solving."""
+"""Exact linear algebra on sparse vectors: reduced echelon form, kernels,
+solving, and parity with the dense oracle."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import linalg_oracle
+from linalg_oracle import dense, sparse
 from hptmaster import linalg
+from hptmaster.complexes import ChainComplex, homology
+from hptmaster.graded import GradedMap, GradedVectorSpace
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+# mostly zeros, so that rows, columns and whole matrices vanish often
+sparse_fracs = st.sampled_from([Fraction(c) for c in (0, 0, 0, 0, 1, -1, 2)]
+                               + [Fraction(1, 2)])
 
 
-def dense(rows, cols):
-    return st.lists(st.lists(fracs, min_size=cols, max_size=cols),
+def dense_matrix(rows, cols, entries=fracs):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
 
+@st.composite
+def matrices(draw):
+    """(M, n_cols): a dense matrix M of 0-5 rows and n_cols = 1-6 columns,
+    sparse or dense."""
+    entries = draw(st.sampled_from([fracs, sparse_fracs]))
+    n_cols = draw(st.integers(1, 6))
+    return draw(dense_matrix(draw(st.integers(0, 5)), n_cols, entries)), n_cols
+
+
+def sparse_rows(M):
+    return [sparse(row) for row in M]
+
+
+def sparse_columns(M, n_cols):
+    return [sparse([row[c] for row in M]) for c in range(n_cols)]
+
+
 def test_rref_hand():
-    M = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
-    R, pivots = linalg.rref(M)
-    assert R == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]]
-    assert pivots == [0]
+    M = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(2)}]
+    assert linalg.rref(M) == [(0, {0: Fraction(1), 1: Fraction(2)})]
+    assert M[0] == {0: Fraction(2), 1: Fraction(4)}
 
 
 def test_kernel_hand():
     M = [[Fraction(1), Fraction(2), Fraction(3)]]
-    K = linalg.kernel_basis(M, 3)
+    K = linalg.kernel_basis(dict(enumerate(sparse_columns(M, 3))))
     assert len(K) == 2
-    for v in K:
-        assert sum(M[0][j] * v[j] for j in range(3)) == 0
+    for v in K.values():
+        assert sum(M[0][j] * c for j, c in v.items()) == 0
 
 
 def test_solve_hand():
-    M = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    x = linalg.solve(M, [Fraction(3), Fraction(1)])
-    assert x == [Fraction(2), Fraction(1)]
-    assert linalg.solve([[Fraction(0)]], [Fraction(1)]) is None
+    M = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    x = linalg.solve(M, [{0: Fraction(3), 1: Fraction(1)}])
+    assert x == [{0: Fraction(2), 1: Fraction(1)}]
+    assert linalg.solve([{}], [{0: Fraction(1)}]) == [None]
 
 
 @settings(max_examples=60, deadline=None)
-@given(dense(3, 4))
+@given(dense_matrix(3, 4))
 def test_rref_pivots_are_unit_columns(M):
-    R, pivots = linalg.rref(M)
-    for r, c in enumerate(pivots):
-        col = [R[i][c] for i in range(len(R))]
-        assert col[r] == 1
-        assert all(col[i] == 0 for i in range(len(R)) if i != r)
+    echelon = linalg.rref(sparse_rows(M))
+    for r, (c, row) in enumerate(echelon):
+        assert min(row) == c and row[c] == 1
+        assert all(c not in other for i, (_, other) in enumerate(echelon)
+                   if i != r)
 
 
 @settings(max_examples=60, deadline=None)
-@given(dense(3, 4))
+@given(dense_matrix(3, 4))
 def test_kernel_vectors_annihilate(M):
-    for v in linalg.kernel_basis(M, 4):
+    K = linalg.kernel_basis(dict(enumerate(sparse_columns(M, 4))))
+    for v in K.values():
         for row in M:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(row[j] * c for j, c in v.items()) == 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(dense(3, 3))
+@given(dense_matrix(3, 3))
 def test_rank_nullity(M):
-    assert linalg.rank(M) + len(linalg.kernel_basis(M, 3)) == 3
+    K = linalg.kernel_basis(dict(enumerate(sparse_columns(M, 3))))
+    assert linalg.rank(sparse_rows(M)) + len(K) == 3
 
 
 @settings(max_examples=60, deadline=None)
-@given(dense(3, 3), st.lists(fracs, min_size=3, max_size=3))
+@given(dense_matrix(3, 3), st.lists(fracs, min_size=3, max_size=3))
 def test_solve_consistency(M, x):
     rhs = [sum(M[i][j] * x[j] for j in range(3)) for i in range(3)]
-    sol = linalg.solve(M, rhs)
+    [sol] = linalg.solve(sparse_columns(M, 3), [sparse(rhs)])
     assert sol is not None
-    back = [sum(M[i][j] * sol[j] for j in range(3)) for i in range(3)]
+    back = [sum(M[i][j] * c for j, c in sol.items()) for i in range(3)]
     assert back == rhs
 
 
 def test_in_span():
-    cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    assert linalg.in_span(cols, [Fraction(5), Fraction(3)])
-    assert not linalg.in_span([cols[0]], [Fraction(0), Fraction(1)])
+    cols = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    assert linalg.in_span(cols, {0: Fraction(5), 1: Fraction(3)})
+    assert not linalg.in_span([cols[0]], {1: Fraction(1)})
 
 
 def test_rref_deterministic():
-    M = [[Fraction(1, 3), Fraction(2)], [Fraction(5), Fraction(-1, 7)]]
-    assert linalg.rref([r[:] for r in M]) == linalg.rref([r[:] for r in M])
+    M = [{0: Fraction(1, 3), 1: Fraction(2)},
+         {0: Fraction(5), 1: Fraction(-1, 7)}]
+    assert linalg.rref(M) == linalg.rref(M)
+
+
+def test_inverse_hand():
+    # columns (1, 1) and (0, 2): the inverse has columns (1, -1/2), (0, 1/2)
+    cols = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(2)}]
+    assert linalg.inverse(cols) == [{0: Fraction(1), 1: Fraction(-1, 2)},
+                                    {1: Fraction(1, 2)}]
+    with pytest.raises(ValueError):
+        linalg.inverse([{0: Fraction(1)}, {0: Fraction(2)}])
+
+
+# -- parity with the dense oracle ---------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_sparse_elimination_matches_the_dense_oracle(case, data):
+    M, n_cols = case
+    rows, cols = sparse_rows(M), sparse_columns(M, n_cols)
+
+    # rref: the same pivots and rows; the oracle keeps its zero rows
+    R, pivots = linalg_oracle.rref(M)
+    echelon = linalg.rref(rows)
+    assert [p for p, _ in echelon] == pivots
+    assert [dense(row, n_cols) for _, row in echelon] == R[:len(pivots)]
+    assert all(x == 0 for row in R[len(pivots):] for x in row)
+    assert linalg.rank(rows) == linalg_oracle.rank(M)
+
+    # kernel: the same vectors in the same order, keyed by free column
+    K = linalg.kernel_basis(dict(enumerate(cols)))
+    oracle_K = linalg_oracle.kernel_basis(M, n_cols)
+    assert [dense(v, n_cols) for v in K.values()] == oracle_K
+    assert list(K) == [c for c in range(n_cols) if c not in pivots]
+
+    # solve: one elimination for several right-hand sides, some of them
+    # consistent by construction
+    n_rows = len(M)
+    xs = data.draw(st.lists(st.lists(sparse_fracs, min_size=n_cols,
+                                     max_size=n_cols), max_size=3))
+    rhs = [[sum(M[i][j] * x[j] for j in range(n_cols))
+            for i in range(n_rows)] for x in xs]
+    rhs += data.draw(st.lists(st.lists(fracs, min_size=n_rows,
+                                       max_size=n_rows), max_size=3))
+    got = linalg.solve(cols, [sparse(b) for b in rhs])
+    # without rows the oracle sizes its solution by the rows
+    want = [linalg_oracle.solve(M, b) if n_rows else [Fraction(0)] * n_cols
+            for b in rhs]
+    assert [None if x is None else dense(x, n_cols) for x in got] == want
+    for x in got[:len(xs)]:
+        assert x is not None
+
+    # reduce_against: the same remainder over the echelon rows
+    v = data.draw(st.lists(fracs, min_size=n_cols, max_size=n_cols))
+    resid = linalg.reduce_against(sparse(v), echelon)
+    oracle_resid = linalg_oracle.reduce_against(
+        v, linalg_oracle.echelon_basis(M))
+    assert (None if resid is None else dense(resid, n_cols)) == oracle_resid
+
+    # inverse: the oracle's solutions for the unit vectors
+    if n_rows == n_cols:
+        if len(pivots) == n_cols:
+            inv = linalg.inverse(cols)
+            for t in range(n_cols):
+                e = [Fraction(int(i == t)) for i in range(n_cols)]
+                assert dense(inv[t], n_cols) == linalg_oracle.solve(M, e)
+        else:
+            with pytest.raises(ValueError):
+                linalg.inverse(cols)
+
+
+@st.composite
+def complexes(draw):
+    """A complex in degrees 0, 1 and 2 of dimensions 0-4 each, with d_1
+    drawn and d_2 drawn from the combinations of kernel vectors of d_1,
+    so that d_1 d_2 = 0."""
+    dims = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
+    space = GradedVectorSpace([("e%d_%d" % (n, i), n)
+                               for n in range(3) for i in range(dims[n])])
+    idx = [space.indices_in_degree(n) for n in range(3)]
+    entries = st.sampled_from([Fraction(c) for c in (0, 0, 1, -1, 2)])
+    d1 = draw(dense_matrix(dims[0], dims[1], entries))
+    kern = linalg_oracle.kernel_basis(d1, dims[1])
+    ent = {}
+    for a, row in enumerate(d1):
+        for b, c in enumerate(row):
+            if c:
+                ent[(idx[0][a], idx[1][b])] = c
+    for s in idx[2]:
+        weights = draw(st.lists(entries, min_size=len(kern),
+                                max_size=len(kern)))
+        for b in range(dims[1]):
+            c = sum(w * v[b] for w, v in zip(weights, kern))
+            if c:
+                ent[(idx[1][b], s)] = c
+    return ChainComplex(space, GradedMap(space, space, -1, ent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes())
+def test_homology_matches_the_dense_oracle(C):
+    H, reps = homology(C)
+    oracle_H, oracle_reps = linalg_oracle.homology(C)
+    assert H.basis == oracle_H.basis
+    assert [dense(rep, C.space.dim) for rep in reps] == oracle_reps

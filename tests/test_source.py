@@ -95,3 +95,51 @@ def test_only_graded_reads_the_signed_structure_constants():
     found = {p.name: attribute_reads(p.read_text(), "signed")
              for p in sorted(SRC.glob("*.py")) if p.name != "graded.py"}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+DENSE_HELPERS = ("zeros", "identity", "mat_copy", "columns")
+
+
+def dense_allocations(source):
+    """[(line, kind)] of the places that build a dense coefficient list:
+    a list holding ZERO or Fraction(0) multiplied by a count ("zeros"),
+    and a module-level function, or a linalg attribute, named like one of
+    the dense matrix helpers ("helper")."""
+    def is_zero(node):
+        return ((isinstance(node, ast.Name) and node.id == "ZERO")
+                or (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "Fraction"
+                    and all(isinstance(a, ast.Constant) and a.value == 0
+                            for a in node.args)))
+
+    tree = ast.parse(source)
+    found = [(node.lineno, "helper") for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in DENSE_HELPERS]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if any(isinstance(side, ast.List) and any(map(is_zero, side.elts))
+                   for side in (node.left, node.right)):
+                found.append((node.lineno, "zeros"))
+        elif (isinstance(node, ast.Attribute) and node.attr in DENSE_HELPERS
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "linalg"):
+            found.append((node.lineno, "helper"))
+    return sorted(found)
+
+
+def test_dense_allocations_are_found():
+    source = ("def zeros(m):\n    return [[ZERO] * m]\n"
+              "x = 3 * [Fraction(0)] + [0] * 2\n"
+              "S = linalg.identity(2)\n"
+              "class A:\n    def identity(self):\n        return [ONE] * 2\n")
+    assert dense_allocations(source) == [(1, "helper"), (2, "zeros"),
+                                         (3, "zeros"), (4, "helper")]
+
+
+def test_no_library_module_allocates_dense_vectors():
+    # vectors and matrix columns are sparse {index: coeff} dicts throughout
+    found = {p.name: dense_allocations(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}

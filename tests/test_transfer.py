@@ -50,9 +50,9 @@ def test_engineered_l3_hand_values():
     # identify which homology class is which via the chosen sections
     by_col = {}
     for k in range(small.dim):
-        col = con.nabla.column(k)
+        col = con.nabla.apply_basis(k)
         for lab in ("x", "y", "w", "z"):
-            if col[ix[lab]] != 0:
+            if ix[lab] in col:
                 by_col[lab] = k
     assert set(by_col) == {"x", "y", "w", "z"}
 

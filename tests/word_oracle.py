@@ -19,6 +19,8 @@ from itertools import product as iproduct
 from hptmaster.graded import GradedMap, koszul_sign, ONE, ZERO
 from hptmaster.words import (CoderivationSpec, memo_sorter,
                              suspended_coalgebra, word_degree)
+from linalg_oracle import dense
+from table_oracle import bilinear
 
 HALF = Fraction(1, 2)
 
@@ -125,13 +127,9 @@ def full_cup_bracket(a, b, coalg, g):
                 continue
             if odd_b and word_degree(A, coalg.gen_space) % 2:
                 sign = -sign
-            ua = [ZERO] * g.space.dim
-            for t, c in va.items():
-                ua[t] = c
-            ub = [ZERO] * g.space.dim
-            for t, c in vb.items():
-                ub[t] = c
-            for t, c in enumerate(g.bracket(ua, ub)):
+            ua = dense(va, g.space.dim)
+            ub = dense(vb, g.space.dim)
+            for t, c in enumerate(bilinear(ua, ub, g.bracket.get)):
                 acc[t] += sign * c
         for t, c in enumerate(acc):
             if c != 0:
