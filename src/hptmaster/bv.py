@@ -8,13 +8,14 @@ constants; everything downstream (transfer, twisting cochains) runs on the
 regraded side.
 """
 
+from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .complexes import (ChainComplex, contraction_extending_projection,
                         homology, is_quasi_iso)
 from .dgla import DgLieAlgebra
-from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE
+from .graded import GradedMap, GradedVectorSpace, StructureTable
 from .transfer import theorem_29_pipeline
 
 
@@ -46,7 +47,7 @@ class GerstenhaberAlgebra:
                 product_rows = product_rows.items()
             rows = [(key, val) for key, val in product_rows
                     if unit_index not in key]
-            rows += [((unit_index, j), {j: ONE}) for j in range(space.dim)]
+            rows += [((unit_index, j), {j: 1}) for j in range(space.dim)]
             self.multiply = StructureTable(space, rows, symmetric=True)
         if isinstance(bracket_rows, StructureTable):
             self.bracket = bracket_rows
@@ -81,14 +82,17 @@ def bracket_from_generator(algebra, delta):
     space = algebra.space
     dim = space.dim
     product = algebra.multiply
-    dcols = delta.by_column()
+    dcols = delta.num_columns()
+    # each term on numerators comes out product.den delta.den times too
+    # large
+    den = product.den * delta.den
 
     def value(i, j):
         sa = -1 if space.degrees[i] % 2 else 1
-        out = delta.add_image({}, product.get(i, j), sa)
-        product.add_product(out, dcols.get(i, {}), {j: ONE}, -sa)
-        product.add_product(out, {i: ONE}, dcols.get(j, {}), -1)
-        return {k: out[k] for k in sorted(out) if out[k] != 0}
+        out = delta.add_image({}, product.numerators(i, j), sa)
+        product.add_product(out, dcols.get(i, {}), {j: 1}, -sa)
+        product.add_product(out, {i: 1}, dcols.get(j, {}), -1)
+        return {k: Fraction(out[k], den) for k in sorted(out) if out[k]}
 
     # the table refuses the squares the swap rule forces to vanish; the
     # values on pairs i > j must be the ones it derives
@@ -180,14 +184,17 @@ def _first_non_associative(product):
     """The lexicographically first basis triple (i, j, k) with
     (e_i e_j) e_k != e_i (e_j e_k), or None.  Both sides vanish when
     e_i e_j = 0 and e_j e_k = 0, so only the other triples are evaluated;
-    the witness is the same."""
+    the witness is the same.  Both sides are bilinear in the structure
+    constants, so they are compared on the int numerators, den^2 times as
+    large."""
     dim = product.space.dim
     partners = product.partners
+    num = product.numerators
     for i in range(dim):
         for j in range(dim):
             for k in range(dim) if j in partners[i] else sorted(partners[j]):
-                bad = product.add_product({}, product.get(i, j), {k: ONE})
-                product.add_product(bad, {i: ONE}, product.get(j, k), -1)
+                bad = product.add_product({}, num(i, j), {k: 1})
+                product.add_product(bad, {i: 1}, num(j, k), -1)
                 if any(bad.values()):
                     return i, j, k
     return None
@@ -233,7 +240,7 @@ def regrade_to_lie(algebra):
     """
     space = GradedVectorSpace(
         [(lab, 1 - deg) for lab, deg in algebra.space.basis])
-    d = GradedMap(space, space, -1, dict(algebra.d.entries))
+    d = GradedMap(space, space, -1, algebra.d.num, den=algebra.d.den)
     return DgLieAlgebra(ChainComplex(space, d), algebra.bracket_table)
 
 
@@ -317,7 +324,7 @@ def _formality_report(bv):
     ker, h_basis, h_reps, image = bv.delta_splitting
 
     neg = GradedVectorSpace([(lab, -deg) for lab, deg in space.basis])
-    d_neg = GradedMap(neg, neg, -1, dict(A.d.entries))
+    d_neg = GradedMap(neg, neg, -1, A.d.num, den=A.d.den)
     A_cx = ChainComplex(neg, d_neg)
 
     m_space = GradedVectorSpace(
@@ -406,19 +413,19 @@ def addendum_382_flat_identity(bv, N):
     if space.degrees[u] != 0 or any(
             space.degrees[i] == 0 for i in range(space.dim) if i != u):
         raise ValueError("A^0 must be spanned by the unit")
-    if u in bv.delta.by_column():
+    if u in bv.delta.num_columns():
         raise ValueError("Delta(1) != 0")
-    if u in A.d.by_column():
+    if u in A.d.num_columns():
         raise ValueError("d(1) != 0")
     # [1] nonzero in homology: 1 must not lie in im Delta, whose degree-0
     # part Delta(A^1) lies on the unit line, since the unit spans A^0
-    if any(t == u for t, _ in bv.delta.entries):
+    if any(t == u for t, _ in bv.delta.num):
         raise ValueError("the class of 1 vanishes in homology")
 
     result, report = theorem_38_pipeline(bv, N)
     tau_in_A = bv.kernel_algebra[1].compose(result.tau.hom)
     # tau_k values avoid the unit line for k >= 2
-    away = all(t != u for (t, s) in tau_in_A.entries
+    away = all(t != u for (t, s) in tau_in_A.num
                if result.coalg.word_length(s) >= 2)
     report["tau_k_avoids_unit"] = away
     report["passed"] = report["passed"] and away

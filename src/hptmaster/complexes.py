@@ -80,42 +80,46 @@ class Contraction:
         """The failing identities, checked column by column on sparse
         images: one pass over the basis of the small space (pi nabla = Id,
         h nabla = 0, nabla a chain map) and one over the big space (the
-        other four)."""
+        other four).
+
+        The images are taken on numerators, so a composite f g comes out
+        f.den g.den times too large; each term of an identity is scaled to
+        one common factor, and the identity is tested on ints."""
         d, d_small = self.big.d, self.small.d
         nabla, pi, h = self.nabla, self.pi, self.h
-        d_cols, d_small_cols = d.by_column(), d_small.by_column()
+        d_cols, d_small_cols = d.num_columns(), d_small.num_columns()
         nabla_cols, pi_cols, h_cols = (
-            nabla.by_column(), pi.by_column(), h.by_column())
+            nabla.num_columns(), pi.num_columns(), h.num_columns())
+        m_d, m_s, m_n, m_p, m_h = (d.den, d_small.den, nabla.den, pi.den,
+                                   h.den)
         # D h = d h - (-1)^{|h|} h d
-        sign = ONE if h.degree % 2 else -ONE
+        sign = 1 if h.degree % 2 else -1
         failed = set()
         for s in range(self.small.space.dim):
             ns = nabla_cols.get(s, {})
-            if _nonzero(pi.add_image({s: -ONE}, ns)):
+            if any(pi.add_image({s: -m_p * m_n}, ns).values()):
                 failed.add("pi nabla != Id")
-            if _nonzero(h.add_image({}, ns)):
+            if any(h.add_image({}, ns).values()):
                 failed.add("h nabla != 0")
-            acc = nabla.add_image(d.add_image({}, ns),
-                                  d_small_cols.get(s, {}), -ONE)
-            if _nonzero(acc):
+            acc = nabla.add_image(d.add_image({}, ns, m_s),
+                                  d_small_cols.get(s, {}), -m_d)
+            if any(acc.values()):
                 failed.add("nabla not a chain map")
         for s in range(self.big.space.dim):
             hs, ds = h_cols.get(s, {}), d_cols.get(s, {})
             ps = pi_cols.get(s, {})
-            acc = h.add_image(d.add_image({s: ONE}, hs), ds, sign)
-            if _nonzero(nabla.add_image(acc, ps, -ONE)):
+            acc = d.add_image({s: m_d * m_h * m_n * m_p}, hs, m_n * m_p)
+            h.add_image(acc, ds, sign * m_n * m_p)
+            if any(nabla.add_image(acc, ps, -m_d * m_h).values()):
                 failed.add("Dh != nabla pi - Id")
-            if _nonzero(pi.add_image({}, hs)):
+            if any(pi.add_image({}, hs).values()):
                 failed.add("pi h != 0")
-            if _nonzero(h.add_image({}, hs)):
+            if any(h.add_image({}, hs).values()):
                 failed.add("h h != 0")
-            if _nonzero(d_small.add_image(pi.add_image({}, ds), ps, -ONE)):
+            acc = d_small.add_image(pi.add_image({}, ds, m_s), ps, -m_d)
+            if any(acc.values()):
                 failed.add("pi not a chain map")
         return [name for name in _IDENTITIES if name in failed]
-
-
-def _nonzero(vec):
-    return any(c != 0 for c in vec.values())
 
 
 def homology(C):
@@ -156,52 +160,48 @@ def build_contraction(C):
     Decompose each degree as im(d) + homology representatives + a complement
     A of the cycles; d maps A isomorphically onto the next im(d), and h is
     minus the inverse of that isomorphism (zero elsewhere).  All five
-    contraction identities then hold on the nose.  Each degree's adapted
-    basis is inverted by one elimination.
+    contraction identities then hold on the nose.
+
+    Degrees are taken from the top down, so d(A_{n+1}) is known in degree
+    n, and each takes one elimination: it solves for the unit vectors of
+    degree n over the columns d(A_{n+1}), the representatives and then
+    the unit vectors themselves.  The unit vectors it keeps as pivot
+    columns complete the cycles to a basis in index order; since d kills
+    exactly the cycles, they sit at the pivot columns of d, and they are
+    A_n.  The solutions are the coordinates over that adapted basis.
     """
     space = C.space
     H, reps = homology(C)
     small = ChainComplex(GradedVectorSpace(H.basis))
     d_cols = C.d.by_column()
 
-    # complement A of the cycles: unit vectors at pivot columns of d, the
-    # columns that are not free in its kernel
-    a_indices = []
-    for n in sorted(set(space.degrees)):
-        idx_n = space.indices_in_degree(n)
-        kern = linalg.kernel_basis({s: d_cols.get(s, {}) for s in idx_n})
-        a_indices.extend(s for s in idx_n if s not in kern)
-
     pi_ent = {}
     h_ent = {}
-    for n in sorted(set(space.degrees)):
+    a_above = []   # A of the degree taken last, in index order
+    for n in sorted(set(space.degrees), reverse=True):
         idx_n = space.indices_in_degree(n)
         # the adapted basis [d(A_{n+1}) | reps | A_n] of degree n, with
-        # tags ("b", a_index) | ("h", class_index) | ("a", index)
-        block = []
-        tags = []
-        for j in a_indices:
-            if space.degrees[j] == n + 1:   # d lowers degree
-                block.append(d_cols[j])
-                tags.append(("b", j))
-        for k, rep in enumerate(reps):
-            if H.degrees[k] == n:
-                block.append(rep)
-                tags.append(("h", k))
-        for j in a_indices:
-            if space.degrees[j] == n:
-                block.append({j: ONE})
-                tags.append(("a", j))
-        if len(block) != len(idx_n):
-            raise AssertionError("adapted basis does not span degree %d" % n)
-        for i, coords in zip(idx_n, linalg.inverse(block)):
+        # tags ("b", a_index) | ("h", class_index) for its first part
+        tags = ([("b", j) for j in a_above if space.degrees[j] == n + 1]
+                + [("h", k) for k in range(H.dim) if H.degrees[k] == n])
+        block = [d_cols[j] if kind == "b" else reps[j] for kind, j in tags]
+        m = len(tags)
+        units = [{s: ONE} for s in idx_n]
+        kept = set()
+        for t, coords in zip(idx_n, linalg.solve(block + units, units)):
             for pos, c in coords.items():
+                if pos >= m:
+                    kept.add(idx_n[pos - m])
+                    continue
                 kind, ref = tags[pos]
                 if kind == "h":
-                    pi_ent[(ref, i)] = c
-                elif kind == "b":
+                    pi_ent[(ref, t)] = c
+                else:
                     # h sends d(a) to -a
-                    h_ent[(ref, i)] = -c
+                    h_ent[(ref, t)] = -c
+        a_above = sorted(kept)
+        if m + len(a_above) != len(idx_n):
+            raise AssertionError("adapted basis does not span degree %d" % n)
 
     nabla = GradedMap.from_columns(small.space, space, 0, reps)
     pi = GradedMap(space, small.space, 0, pi_ent)

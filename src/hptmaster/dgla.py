@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import linalg
 from .complexes import ChainComplex
-from .graded import GradedMap, GradedVectorSpace, StructureTable, ONE
+from .graded import GradedMap, GradedVectorSpace, StructureTable
 from .words import CoderivationSpec, EMPTY, merge_words, suspended_coalgebra
 
 
@@ -39,7 +39,7 @@ class DgLieAlgebra:
         return self.complex.d
 
     def is_abelian(self):
-        return not self.bracket_table
+        return not any(self.bracket.partners)
 
     def sub_algebra(self, vectors):
         """Sub-dgLa spanned by the given homogeneous sparse vectors.
@@ -91,46 +91,50 @@ def validate_dgla(g):
     lexicographically first failing triple, reported as the witness, is
     sorted.  J vanishes on a triple whose pair brackets [x,y], [y,z] and
     [x,z] all vanish, so only triples with a nonzero pair bracket are
-    evaluated, in lexicographic order; the witness is the same.  The
-    chain-map condition is the Leibniz rule of d, checked by
-    StructureTable.first_non_derivation.
+    evaluated, in lexicographic order, up to the first failure.  J is
+    trilinear, so with structure constants C / den it vanishes exactly
+    when its value on the int numerators C does, den^2 times as large: it
+    is tested on ints.  The chain-map condition is the Leibniz rule of d,
+    checked by StructureTable.first_non_derivation.
     """
     space = g.space
-    degs = space.degrees
-    dim = space.dim
     table = g.bracket
-    partners = table.partners
     antisym = True   # the bracket table's canonical storage
-    jacobi = True
-    jacobi_witness = None
+    jacobi = _first_non_jacobi(table, space.degrees)
+    leibniz = table.first_non_derivation(g.d)
+    return {
+        "antisymmetry": antisym,
+        "jacobi": jacobi is None,
+        "jacobi_witness": (None if jacobi is None else
+                           tuple(space.labels[i] for i in jacobi)),
+        "chain_map": leibniz is None,
+        "chain_map_witness": (None if leibniz is None else
+                              tuple(space.labels[i] for i in leibniz)),
+        "passed": antisym and jacobi is None and leibniz is None,
+    }
+
+
+def _first_non_jacobi(table, degs):
+    """The lexicographically first sorted triple (i, j, k) on which the
+    Jacobiator of the table does not vanish, or None (see validate_dgla)."""
+    dim = len(degs)
+    partners = table.partners
+    num = table.numerators
     for i in range(dim):
         for j in range(i, dim):
             if j in partners[i]:
                 ks = range(j, dim)
             else:
                 ks = sorted(k for k in partners[i] | partners[j] if k >= j)
-            odd_ij = degs[i] % 2 and degs[j] % 2
+            sign = 1 if degs[i] % 2 and degs[j] % 2 else -1
             for k in ks:
                 # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
-                bad = table.add_product({}, {i: ONE}, table.get(j, k))
-                table.add_product(bad, table.get(i, j), {k: ONE}, -1)
-                table.add_product(bad, {j: ONE}, table.get(i, k),
-                                  1 if odd_ij else -1)
+                bad = table.add_product({}, {i: 1}, num(j, k))
+                table.add_product(bad, num(i, j), {k: 1}, -1)
+                table.add_product(bad, {j: 1}, num(i, k), sign)
                 if any(bad.values()):
-                    jacobi = False
-                    if jacobi_witness is None:
-                        jacobi_witness = (space.labels[i], space.labels[j],
-                                          space.labels[k])
-    leibniz = table.first_non_derivation(g.d)
-    return {
-        "antisymmetry": antisym,
-        "jacobi": jacobi,
-        "jacobi_witness": jacobi_witness,
-        "chain_map": leibniz is None,
-        "chain_map_witness": (None if leibniz is None else
-                              tuple(space.labels[i] for i in leibniz)),
-        "passed": antisym and jacobi and leibniz is None,
-    }
+                    return i, j, k
+    return None
 
 
 class TwistingCochainHom:
@@ -147,7 +151,7 @@ class TwistingCochainHom:
         if hom.degree != -1:
             raise ValueError("twisting cochain must have degree -1")
         unit = source.windex[EMPTY]
-        if any(s == unit for (_, s) in hom.entries):
+        if any(s == unit for (_, s) in hom.num):
             raise ValueError("composite with the coaugmentation is nonzero")
 
 
@@ -165,11 +169,13 @@ def cup_bracket(a, b, coalg, target, length=None):
     words = coalg.words
     table = target.bracket
     b_by_length = {}
-    for s, vb in b.by_column().items():
+    for s, vb in b.num_columns().items():
         b_by_length.setdefault(len(words[s]), []).append((words[s], vb))
     odd_b = b.degree % 2
+    # numerator units: each add_product adds table.den times a bracket of
+    # columns a.den and b.den times too large
     acc = {}
-    for s, va in a.by_column().items():
+    for s, va in a.num_columns().items():
         A = words[s]
         flip = odd_b and coalg.is_odd(A)
         for size, group in b_by_length.items():
@@ -184,21 +190,17 @@ def cup_bracket(a, b, coalg, target, length=None):
                     sign = -sign
                 table.add_product(acc.setdefault(coalg.windex[w], {}),
                                   va, vb, sign)
-    ent = {}
-    for wi in sorted(acc):
-        col = acc[wi]
-        for t in sorted(col):
-            if col[t] != 0:
-                ent[(t, wi)] = col[t]
-    return GradedMap(coalg.space, a.target, a.degree + b.degree, ent)
+    ent = {(t, wi): acc[wi][t] for wi in sorted(acc) for t in sorted(acc[wi])}
+    return GradedMap(coalg.space, a.target, a.degree + b.degree, ent,
+                     den=table.den * a.den * b.den)
 
 
 def universal_cochain(coalg, space):
     """The degree -1 map from the coalgebra on sM to M that desuspends the
     words of length one and kills the others.  The suspension keeps the
     basis order, so the word (i,) goes to basis vector i of M."""
-    ent = {(w[0], coalg.windex[w]): ONE for w in coalg.words_of_length(1, 1)}
-    return GradedMap(coalg.space, space, -1, ent)
+    ent = {(w[0], coalg.windex[w]): 1 for w in coalg.words_of_length(1, 1)}
+    return GradedMap(coalg.space, space, -1, ent, den=1)
 
 
 def universal_twisting_cochain(g, coalg):
@@ -235,7 +237,7 @@ def is_twisting_cochain(t):
     Dt = target.d.compose(t.hom) + t.hom.compose(D_src)
     rhs = cup_bracket(t.hom, t.hom, coalg, target).scale(Fraction(1, 2))
     diff = Dt - rhs
-    bad_lengths = sorted({coalg.word_length(s) for (_, s) in diff.entries})
+    bad_lengths = sorted({coalg.word_length(s) for (_, s) in diff.num})
     return {
         "passed": not bad_lengths,
         "first_failure": bad_lengths[0] if bad_lengths else None,
@@ -251,20 +253,20 @@ def twisted_differential(gamma, target):
     to zero.
     """
     space = target.space
-    bracket = target.bracket
-    # 2 d gamma - [gamma, gamma]
-    bad = bracket.add_product(target.d.add_image({}, gamma, 2), gamma, gamma,
-                              -1)
+    d, bracket = target.d, target.bracket
+    # 2 d gamma - [gamma, gamma], times d.den bracket.den
+    bad = bracket.add_product(d.add_image({}, gamma, 2 * bracket.den),
+                              gamma, gamma, -d.den)
     if any(bad.values()):
         raise ValueError("element does not solve the master equation")
     ent = {}
     for s in range(space.dim):
-        col = bracket.add_product(target.d.apply_basis(s), gamma, {s: ONE},
-                                  -1)
-        for t in sorted(col):
-            if col[t] != 0:
-                ent[(t, s)] = col[t]
-    out = GradedMap(space, space, -1, ent)
+        # d e_s - [gamma, e_s], times d.den bracket.den
+        col = bracket.add_product(d.add_image({}, {s: bracket.den}),
+                                  gamma, {s: 1}, -d.den)
+        ent.update(((t, s), c) for t, c in col.items())
+    out = GradedMap(space, space, -1, ent).scale(
+        Fraction(1, d.den * bracket.den))
     if not out.compose(out).is_zero():
         raise ValueError("the twisted differential does not square to zero")
     return out

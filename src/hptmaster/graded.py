@@ -1,8 +1,16 @@
 """Z-graded vector spaces, homogeneous linear maps, and Koszul signs.
 
-Everything is exact over the rationals (fractions.Fraction).  Degrees are
-homological throughout the library; cohomological input is converted at the
-boundary via deg_hom = -deg_cohom.
+Everything is exact over the rationals.  A GradedMap or StructureTable
+keeps Python-int numerators over one positive common denominator `den`,
+reduced by a gcd when it is built, and its kernels run on ints:
+add_image and add_product add den times their result (numerator units),
+and the caller keeps track of that scale, so a verdict-only check clears
+the denominators of its terms and tests ints for zero.  Fractions
+(fractions.Fraction) are handed out only at the boundary, built on first
+use: GradedMap.entries, by_column, apply_basis and __call__, and
+StructureTable.canonical, get and __call__.  Degrees are homological
+throughout the library; cohomological input is converted at the boundary
+via deg_hom = -deg_cohom.
 
 Sign conventions used everywhere (single point of truth):
 
@@ -17,6 +25,7 @@ Sign conventions used everywhere (single point of truth):
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -63,30 +72,39 @@ class GradedVectorSpace:
 
 
 class GradedMap:
-    """Degree-homogeneous linear map, stored sparsely.
+    """Degree-homogeneous linear map, stored sparsely as int numerators
+    over one positive common denominator.
 
-    entries maps (target_index, source_index) -> Fraction.  Every nonzero
-    entry must satisfy deg(target) = deg(source) + degree.
+    num maps (target_index, source_index) -> a nonzero int and den is a
+    positive int; the entry at (t, s) is num[(t, s)] / den.  The pair is
+    reduced by a gcd when the map is built, so den is the least common
+    denominator of the entries and equal maps have equal num and den.
+    Every nonzero entry must satisfy deg(target) = deg(source) + degree.
 
-    entries is immutable after construction: every operation returns a
-    new map.  by_column relies on this, since it indexes the entries by
-    source column on first use and keeps that index on the map.
+    The constructor takes rationals (int or Fraction, zeros dropped), or
+    with den given int numerators over den.  compose, +, - and scale run
+    on the numerators and combine the denominators once per map.
+    add_image works in numerator units: it adds den times the image.
+    entries, by_column, apply_basis and __call__ hand out Fraction values,
+    built on first use.
+
+    A map is immutable after construction: every operation returns a new
+    map, and the column indexes and Fraction views are kept on the map.
     """
 
-    def __init__(self, source, target, degree, entries=None, check=True):
+    def __init__(self, source, target, degree, entries=None, check=True,
+                 den=None):
         self.source = source
         self.target = target
         self.degree = int(degree)
-        self.entries = {}
-        self._columns = None
-        if entries:
-            for (t, s), c in entries.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if c != 0:
-                    self.entries[(t, s)] = c
+        if den is None:
+            self.num, self.den = _over_common_denominator(entries or {})
+        else:
+            self.num, self.den = _reduced(
+                {k: n for k, n in (entries or {}).items() if n}, den)
+        self._entries = self._columns = self._num_columns = None
         if check:
-            for (t, s) in self.entries:
+            for (t, s) in self.num:
                 if target.degrees[t] != source.degrees[s] + self.degree:
                     raise ValueError(
                         "inhomogeneous entry %r -> %r for degree %d map"
@@ -96,12 +114,12 @@ class GradedMap:
 
     @classmethod
     def zero(cls, source, target, degree):
-        return cls(source, target, degree, {}, check=False)
+        return cls(source, target, degree, check=False, den=1)
 
     @classmethod
     def identity(cls, space):
-        ent = {(i, i): ONE for i in range(space.dim)}
-        return cls(space, space, 0, ent, check=False)
+        return cls(space, space, 0, {(i, i): 1 for i in range(space.dim)},
+                   check=False, den=1)
 
     @classmethod
     def from_columns(cls, source, target, degree, cols):
@@ -111,38 +129,63 @@ class GradedMap:
                    {(t, s): c for s, col in enumerate(cols)
                     for t, c in col.items()})
 
-    # -- basic algebra -----------------------------------------------------
+    # -- the Fraction views ------------------------------------------------
 
-    def __call__(self, vec):
-        """Apply to a sparse vector {index: coeff}; the image is a sparse
-        vector without zero values, in index order."""
-        return _pruned(self.add_image({}, vec))
+    @property
+    def entries(self):
+        """(target index, source index) -> Fraction, the nonzero entries;
+        built on first use and shared: read it, never modify it."""
+        if self._entries is None:
+            den = self.den
+            self._entries = {k: Fraction(n, den) for k, n in self.num.items()}
+        return self._entries
 
     def by_column(self):
-        """source index -> {target index: coeff}, built once per map and
-        shared by every caller: read it, never modify it."""
+        """source index -> {target index: Fraction}, built once per map
+        and shared by every caller: read it, never modify it."""
         if self._columns is None:
-            columns = {}
-            for (t, s), c in self.entries.items():
-                columns.setdefault(s, {})[t] = c
-            self._columns = columns
+            den = self.den
+            self._columns = {
+                s: {t: Fraction(n, den) for t, n in col.items()}
+                for s, col in self.num_columns().items()}
         return self._columns
 
     def apply_basis(self, s):
-        """Image of the s-th source basis vector as a fresh dict t -> coeff."""
-        return dict(self.by_column().get(s, ()))
+        """Image of the s-th source basis vector as a fresh dict
+        t -> Fraction."""
+        den = self.den
+        return {t: Fraction(n, den)
+                for t, n in self.num_columns().get(s, {}).items()}
 
-    def add_image(self, acc, vec, scale=ONE):
-        """acc += scale * self(vec) for a sparse vector {index: coeff};
-        returns acc, which may hold zero values."""
-        if scale != 1:
-            vec = {m: c * scale for m, c in vec.items()}
-        columns = self.by_column()
+    def __call__(self, vec):
+        """Apply to a sparse vector {index: coeff}; the image is a sparse
+        vector of Fractions without zero values, in index order."""
+        return _pruned(self.add_image({}, vec), self.den)
+
+    # -- the int kernels ---------------------------------------------------
+
+    def num_columns(self):
+        """source index -> {target index: numerator}, the columns of den
+        times the map; built once and shared: read it, never modify it."""
+        if self._num_columns is None:
+            columns = {}
+            for (t, s), n in self.num.items():
+                columns.setdefault(s, {})[t] = n
+            self._num_columns = columns
+        return self._num_columns
+
+    def add_image(self, acc, vec, scale=1):
+        """acc += scale * den * self(vec) for a sparse vector
+        {index: coeff} and an int scale: the image in numerator units,
+        int when vec is.  Returns acc, which may hold zero values."""
+        columns = self.num_columns()
         for m, c in vec.items():
             col = columns.get(m)
             if col:
-                for t, c2 in col.items():
-                    acc[t] = acc.get(t, ZERO) + c * c2
+                if scale != 1:
+                    c *= scale
+                for t, n in col.items():
+                    acc[t] = acc.get(t, 0) + c * n
         return acc
 
     def compose(self, other):
@@ -150,47 +193,55 @@ class GradedMap:
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
         ent = {}
-        columns = self.by_column()
-        for (m, s), c in other.entries.items():
-            for t, c2 in columns.get(m, {}).items():
-                key = (t, s)
-                ent[key] = ent.get(key, ZERO) + c * c2
-        ent = {k: v for k, v in ent.items() if v != 0}
-        return GradedMap(other.source, self.target, self.degree + other.degree,
-                         ent, check=False)
+        columns = self.num_columns()
+        for (m, s), c in other.num.items():
+            col = columns.get(m)
+            if col:
+                for t, n in col.items():
+                    key = (t, s)
+                    ent[key] = ent.get(key, 0) + c * n
+        return GradedMap(other.source, self.target,
+                         self.degree + other.degree, ent, check=False,
+                         den=self.den * other.den)
 
     def __add__(self, other):
         if (other.source != self.source or other.target != self.target
                 or other.degree != self.degree):
             raise ValueError("sum of incompatible maps")
-        ent = dict(self.entries)
-        for k, c in other.entries.items():
-            ent[k] = ent.get(k, ZERO) + c
-        ent = {k: v for k, v in ent.items() if v != 0}
-        return GradedMap(self.source, self.target, self.degree, ent, check=False)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        ent = {k: a * n for k, n in self.num.items()}
+        for k, n in other.num.items():
+            ent[k] = ent.get(k, 0) + b * n
+        return GradedMap(self.source, self.target, self.degree, ent,
+                         check=False, den=den)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, c):
         c = Fraction(c)
-        ent = {k: c * v for k, v in self.entries.items()} if c else {}
-        return GradedMap(self.source, self.target, self.degree, ent, check=False)
+        return GradedMap(self.source, self.target, self.degree,
+                         {k: c.numerator * n for k, n in self.num.items()},
+                         check=False, den=self.den * c.denominator)
 
     def __neg__(self):
-        return self.scale(-1)
+        return GradedMap(self.source, self.target, self.degree,
+                         {k: -n for k, n in self.num.items()}, check=False,
+                         den=self.den)
 
     def is_zero(self):
-        return not self.entries
+        return not self.num
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap)
                 and self.source == other.source and self.target == other.target
-                and self.degree == other.degree and self.entries == other.entries)
+                and self.degree == other.degree and self.den == other.den
+                and self.num == other.num)
 
     def __repr__(self):
         return (f"GradedMap(deg={self.degree}, "
-                f"{len(self.entries)} entries)")
+                f"{len(self.num)} entries)")
 
 
 class StructureTable:
@@ -211,10 +262,15 @@ class StructureTable:
     is refused.
 
     rows is a dict or an iterable of ((i, j), {k: c}) pairs, in either
-    index order; values given for the same pair add up.  canonical holds
-    the nonzero values for i <= j, partners[i] the indices j with
-    e_i e_j != 0; both are built once and shared: read them, never modify
-    them.  Products of table entries are formed by add_product only.
+    index order, with rational values; values given for the same pair add
+    up.  The constants are kept as int numerators over one positive common
+    denominator den, the least one, like a GradedMap's: numerators(i, j)
+    is den e_i e_j, and add_product works in numerator units, adding den
+    times the product.  canonical (the nonzero values for i <= j), get
+    and __call__ hand out Fractions, built on first use.  partners[i]
+    holds the indices j with e_i e_j != 0.  Everything handed out is
+    shared: read it, never modify it.  Products of table entries are
+    formed by add_product only.
     """
 
     def __init__(self, space, rows=(), degree=0, symmetric=False):
@@ -238,8 +294,7 @@ class StructureTable:
                 acc[k] = acc[k] + c if k in acc else c
         degs = space.degrees
         name = "product" if symmetric else "bracket"
-        self.canonical = {}
-        self.signed = {}
+        canonical = {}
         for (i, j), acc in sums.items():
             val = {k: c for k, c in acc.items() if c != 0}
             if not val:
@@ -255,50 +310,71 @@ class StructureTable:
                         "%s: the value on %r, %r has a term in %r of the "
                         "wrong degree" % (name, space.labels[i],
                                           space.labels[j], space.labels[k]))
-            self.canonical[(i, j)] = self.signed[(i, j)] = val
+            canonical[(i, j)] = val
+        self.den = den = lcm(*(c.denominator for val in canonical.values()
+                               for c in val.values()))
+        self.signed = {}
+        for (i, j), val in canonical.items():
+            num = {k: c.numerator * (den // c.denominator)
+                   for k, c in val.items()}
+            self.signed[(i, j)] = num
             if i != j:
-                self.signed[(j, i)] = (val if self._swap_sign(i, j) > 0
-                                       else {k: -c for k, c in val.items()})
+                self.signed[(j, i)] = (num if self._swap_sign(i, j) > 0
+                                       else {k: -n for k, n in num.items()})
         self.partners = [set() for _ in range(space.dim)]
         for i, j in self.signed:
             self.partners[i].add(j)
+        self._values = None
 
     def _swap_sign(self, i, j):
         degs = self.space.degrees
         odd = (degs[i] + self.degree) * (degs[j] + self.degree) % 2 == 1
         return -1 if odd == self.symmetric else 1
 
+    def _fractions(self):
+        """(i, j) -> e_i e_j with Fraction values, for every nonzero
+        pair, and the canonical dict; built on first use."""
+        if self._values is None:
+            den = self.den
+            values = {key: {k: Fraction(n, den) for k, n in num.items()}
+                      for key, num in self.signed.items()}
+            self._values = values, {key: val for key, val in values.items()
+                                    if key[0] <= key[1]}
+        return self._values
+
+    @property
+    def canonical(self):
+        """(i, j) -> e_i e_j with Fraction values for the nonzero pairs
+        i <= j, in the order the rows first gave them."""
+        return self._fractions()[1]
+
     def get(self, i, j):
-        """e_i e_j as a sparse dict k -> coefficient, for any index order;
-        shared, so read it, never modify it."""
+        """e_i e_j as a sparse dict k -> Fraction, for any index order."""
+        return self._fractions()[0].get((i, j), {})
+
+    def numerators(self, i, j):
+        """den e_i e_j as a sparse dict k -> int, for any index order."""
         return self.signed.get((i, j), {})
 
     def add_product(self, acc, u, v, sign=1):
-        """acc += sign * u v for sparse vectors {index: coeff} and an int
-        sign of +1 or -1; returns acc, which may hold zero values.
-
-        Unit coefficients (`is ONE`) are not multiplied out."""
+        """acc += sign * den * u v for sparse vectors {index: coeff} and an
+        int factor sign (+1 or -1 for a sign): the product in numerator
+        units, int when u and v are.  Returns acc, which may hold zero
+        values."""
         signed = self.signed
         for i, a in u.items():
             for j, b in v.items():
                 val = signed.get((i, j))
-                if not val:
-                    continue
-                ab = b if a is ONE else a if b is ONE else a * b
-                if sign < 0:
-                    ab = -ab
-                if ab is ONE:
-                    for k, c in val.items():
-                        acc[k] = acc[k] + c if k in acc else c
-                else:
-                    for k, c in val.items():
-                        acc[k] = acc.get(k, ZERO) + ab * c
+                if val:
+                    ab = sign * a * b
+                    for k, n in val.items():
+                        acc[k] = acc.get(k, 0) + ab * n
         return acc
 
     def __call__(self, u, v):
-        """The product of two sparse vectors, without zero values and in
-        index order."""
-        return _pruned(self.add_product({}, u, v))
+        """The product of two sparse vectors, with Fraction values, without
+        zero values and in index order."""
+        return _pruned(self.add_product({}, u, v), self.den)
 
     def first_non_derivation(self, op):
         """The lexicographically first basis pair (i, j) on which the
@@ -311,10 +387,12 @@ class StructureTable:
             op(e_i e_j) = (op e_i) e_j + (-1)^{|op| p_i} e_i (op e_j),
             p_i = |e_i| + degree.
 
-        A pair with e_i e_j = 0, op e_i = 0 and op e_j = 0 cannot fail, so
+        Each of the three terms is evaluated on numerators, so each comes
+        out den op.den times too large and the rule is tested on ints.  A
+        pair with e_i e_j = 0, op e_i = 0 and op e_j = 0 cannot fail, so
         only the other pairs are evaluated; the witness is the same.
         """
-        cols = op.by_column()
+        cols = op.num_columns()
         degs = self.space.degrees
         dim = self.space.dim
         for i in range(dim):
@@ -322,20 +400,41 @@ class StructureTable:
             js = range(dim) if col_i else sorted(self.partners[i].union(cols))
             sign = -1 if op.degree * (degs[i] + self.degree) % 2 else 1
             for j in js:
-                bad = op.add_image({}, self.get(i, j))
+                bad = op.add_image({}, self.numerators(i, j))
                 if col_i:
-                    self.add_product(bad, col_i, {j: ONE}, -1)
+                    self.add_product(bad, col_i, {j: 1}, -1)
                 col_j = cols.get(j)
                 if col_j:
-                    self.add_product(bad, {i: ONE}, col_j, -sign)
+                    self.add_product(bad, {i: 1}, col_j, -sign)
                 if any(bad.values()):
                     return i, j
         return None
 
 
-def _pruned(acc):
-    """The sparse vector acc without its zero values, in index order."""
-    return {k: acc[k] for k in sorted(acc) if acc[k]}
+def _over_common_denominator(values):
+    """(num, den) for a dict of rationals: its nonzero values as int
+    numerators over their least common denominator den."""
+    values = {k: c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for k, c in values.items() if c}
+    den = lcm(*(c.denominator for c in values.values()))
+    return ({k: c.numerator * (den // c.denominator)
+             for k, c in values.items()}, den)
+
+
+def _reduced(num, den):
+    """(num, den) for int numerators without zero values over den > 0,
+    both divided by their gcd."""
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g == 1:
+        return num, den
+    return {k: n // g for k, n in num.items()}, den // g
+
+
+def _pruned(acc, den):
+    """The sparse vector acc / den with Fraction values, without its zero
+    values, in index order; acc holds ints or Fractions."""
+    return {k: Fraction(c, den) if type(c) is int else c / den
+            for k, c in sorted(acc.items()) if c}
 
 
 def hom_differential(phi, d_src, d_tgt):
@@ -358,7 +457,7 @@ def koszul_sign(permutation, degrees):
         raise ValueError("malformed permutation")
     odd = [p for p in perm if degrees[p] % 2]
     inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
-    return -ONE if inversions % 2 else ONE
+    return -1 if inversions % 2 else 1
 
 
 def suspend_space(space):
@@ -369,8 +468,8 @@ def suspend_space(space):
 
 def suspension_iso(space):
     """The canonical degree-1 isomorphism M -> sM (entries all 1)."""
-    ent = {(i, i): ONE for i in range(space.dim)}
-    return GradedMap(space, suspend_space(space), 1, ent, check=False)
+    ent = {(i, i): 1 for i in range(space.dim)}
+    return GradedMap(space, suspend_space(space), 1, ent, check=False, den=1)
 
 
 def suspend_map(phi):
@@ -384,5 +483,5 @@ def suspend_map(phi):
     src = suspend_space(phi.source)
     tgt = suspend_space(phi.target)
     sign = -1 if phi.degree % 2 else 1
-    ent = {k: c * sign for k, c in phi.entries.items()}
-    return GradedMap(src, tgt, phi.degree, ent, check=False)
+    ent = {k: n * sign for k, n in phi.num.items()}
+    return GradedMap(src, tgt, phi.degree, ent, check=False, den=phi.den)

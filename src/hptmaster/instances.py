@@ -216,20 +216,26 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
         for a, row in enumerate(block):
             for b, c in row.items():
                 cols[idx[b]][idx[a]] = c
+    basis = GradedMap.from_columns(space, space, 0, cols)
     to_new = GradedMap.from_columns(space, space, 0, linalg.inverse(cols))
-
-    d_ent = {(t, s): c for s in range(dim)
-             for t, c in to_new(g.d(cols[s])).items()}
     new_space = GradedVectorSpace(
         [("b%d" % i, space.degrees[i]) for i in range(dim)])
+    d = to_new.compose(g.d).compose(basis)
+    # the brackets of the new basis vectors, on numerators
+    bracket = g.bracket
+    num_cols = basis.num_columns()
+    den = to_new.den * bracket.den * basis.den ** 2
     table = {}
     for i in range(dim):
         for j in range(i, dim):
-            br = g.bracket(cols[i], cols[j])
+            br = to_new.add_image({}, bracket.add_product(
+                {}, num_cols.get(i, {}), num_cols.get(j, {})))
+            br = {k: Fraction(br[k], den) for k in sorted(br) if br[k]}
             if br:
-                table[(i, j)] = to_new(br)
+                table[(i, j)] = br
     return DgLieAlgebra(
-        ChainComplex(new_space, GradedMap(new_space, new_space, -1, d_ent)),
+        ChainComplex(new_space, GradedMap(new_space, new_space, -1, d.num,
+                                          den=d.den)),
         table)
 
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals on sparse vectors.
 
 A vector is a dict {index: Fraction} that holds no zero values, the form
-GradedMap.by_column and StructureTable.add_product use.  A matrix is a
-list of vectors: its rows for rref and rank, its columns everywhere else.
+GradedMap.by_column and the __call__ of maps and tables hand out.  A
+matrix is a list of vectors: its rows for rref and rank, its columns
+everywhere else; elimination runs on the Fraction values.
 Pivoting takes the first nonzero entry in index order, so every function
 here is deterministic, and since a matrix has only one reduced row echelon
 form, the results are the ones dense Gauss-Jordan elimination gives.

@@ -23,12 +23,11 @@ a word-length lowering perturbation of the big differential across any
 contraction, with all series finite by the filtration argument.
 """
 
-from fractions import Fraction
 from itertools import combinations, groupby, product as iproduct
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .complexes import ChainComplex, Contraction
-from .graded import GradedMap, koszul_sign, suspend_map, ONE, ZERO
+from .graded import GradedMap, koszul_sign, suspend_map
 from .words import memo_sorter
 
 
@@ -47,39 +46,56 @@ def _accumulate(acc, sort, kept, slots, coeff):
         c = coeff if sign > 0 else -coeff
         for _, x in combo:
             c *= x
-        acc[word] = acc.get(word, ZERO) + c
+        acc[word] = acc.get(word, 0) + c
 
 
-def _store(ent, acc, wi, w, tgt):
-    """File the column of word w, scaled by mult(target) / mult(w)."""
-    mult_w = _multiplicity(w)
-    for word, c in acc.items():
-        if c != 0:
-            ent[(tgt.windex[word], wi)] = c * _multiplicity(word) / mult_w
+def _lifted_map(src, tgt, degree, columns):
+    """The map with the given columns (word index, acc, scale): the column
+    of word index wi is acc times mult(target) over scale, for int
+    numerators acc keyed by target word.  The columns are brought to their
+    least common scale once, when the map is built."""
+    den = lcm(*(scale for _, _, scale in columns))
+    ent = {}
+    for wi, acc, scale in columns:
+        factor = den // scale
+        for word, c in acc.items():
+            if c:
+                ent[(tgt.windex[word], wi)] = c * _multiplicity(word) * factor
+    return GradedMap(src.space, tgt.space, degree, ent, check=False, den=den)
 
 
 def _lift_multiplicative(f, src, tgt):
-    """The coalgebra map Sigma^c f of a degree-0 generator map f."""
-    cols = f.by_column()
+    """The coalgebra map Sigma^c f of a degree-0 generator map f.
+
+    On the numerators of f, a word of length n gathers f.den^n; with the
+    1 / mult(w) of the closed form, its column is over f.den^n mult(w)."""
+    cols = f.num_columns()
     sort = memo_sorter(tgt.gen_space)
-    ent = {}
+    columns = []
     for wi, w in enumerate(src.words):
         acc = {}
-        _accumulate(acc, sort, (), [cols.get(g, {}).items() for g in w], ONE)
-        _store(ent, acc, wi, w, tgt)
-    return GradedMap(src.space, tgt.space, 0, ent, check=False)
+        _accumulate(acc, sort, (), [cols.get(g, {}).items() for g in w], 1)
+        if acc:
+            columns.append((wi, acc, f.den ** len(w) * _multiplicity(w)))
+    return _lifted_map(src, tgt, 0, columns)
 
 
 def _lift_homotopy(h, nabla_pi, sym):
-    """The symmetrized side homotopy built from h and nabla o pi."""
-    h_cols, np_cols = h.by_column(), nabla_pi.by_column()
+    """The symmetrized side homotopy built from h and nabla o pi.
+
+    On numerators, a term keeping k letters has one h slot and n - 1 - k
+    nabla pi slots; its weight k! (n-1-k)! / (n! mult(w)) and the missing
+    k factors nabla_pi.den bring it over the column's scale
+    n! mult(w) h.den nabla_pi.den^(n-1)."""
+    h_cols, np_cols = h.num_columns(), nabla_pi.num_columns()
+    m_np = nabla_pi.den
     degrees = sym.gen_space.degrees
     sort = memo_sorter(sym.gen_space)
-    ent = {}
+    columns = []
     for wi, w in enumerate(sym.words):
         n = len(w)
         degs = [degrees[g] for g in w]
-        weights = [Fraction(factorial(k) * factorial(n - 1 - k), factorial(n))
+        weights = [factorial(k) * factorial(n - 1 - k) * m_np ** k
                    for k in range(n)]
         acc = {}
         for x in range(n):
@@ -98,8 +114,10 @@ def _lift_homotopy(h, nabla_pi, sym):
                         sign = -sign
                     _accumulate(acc, sort, tuple(w[p] for p in S), slots,
                                 sign * weights[k])
-        _store(ent, acc, wi, w, sym)
-    return GradedMap(sym.space, sym.space, 1, ent, check=False)
+        if acc:
+            columns.append((wi, acc, factorial(n) * _multiplicity(w)
+                            * h.den * m_np ** (n - 1)))
+    return _lifted_map(sym, sym, 1, columns)
 
 
 def symmetric_coalgebra_contraction(con, big_sym, small_sym):

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .dgla import (TwistingCochainHom, cup_bracket, is_twisting_cochain,
                    ce_coalgebra, universal_cochain)
-from .graded import ZERO
 from .perturbation import symmetric_coalgebra_contraction, perturbation_lemma
 from .words import (CoderivationSpec, extract_brackets, check_sh_lie,
                     suspended_coalgebra)
@@ -149,7 +148,7 @@ def check_addendum_285(g, con, result):
                   for u in nabla for v in nabla)
     higher_zero = all(b < 2 for b in result.D.arities())
     tau_tail_zero = all(result.coalg.word_length(s) == 1
-                        for (_, s) in result.tau.hom.entries)
+                        for (_, s) in result.tau.hom.num)
     report = {
         "hypothesis_holds": hyp,
         "D_vanishes": higher_zero,
@@ -202,7 +201,7 @@ def adjoint_report(result):
             for ta, ca in fa.items():
                 for tb, cb in fb.items():
                     key = (big.words[ta], big.words[tb])
-                    diff[key] = diff.get(key, ZERO) - sign * ca * cb
+                    diff[key] = diff.get(key, 0) - sign * ca * cb
         if any(c != 0 for c in diff.values()):
             morphism = False
             break

@@ -37,9 +37,9 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
 
-from .graded import (GradedMap, GradedVectorSpace, koszul_sign, suspend_map,
-                     ONE, ZERO)
+from .graded import GradedMap, GradedVectorSpace, koszul_sign, suspend_map
 
 EMPTY = ()
 
@@ -68,9 +68,9 @@ def parse_word(text, gen_space):
 def sort_factors(letters, gen_space):
     """Canonical form of a sequence of generator indices.
 
-    Returns (word, sign); the word is None (sign 0) when an odd-degree
-    letter repeats.  Sorting is by (degree, label) with the Koszul sign of
-    the sorting permutation.
+    Returns (word, sign), sign an int +-1; the word is None (sign 0) when
+    an odd-degree letter repeats.  Sorting is by (degree, label) with the
+    Koszul sign of the sorting permutation.
     """
     letters = list(letters)
     degs = [gen_space.degrees[g] for g in letters]
@@ -80,7 +80,7 @@ def sort_factors(letters, gen_space):
     word = tuple(letters[i] for i in keyed)
     for i in range(len(word) - 1):
         if word[i] == word[i + 1] and degs[keyed[i]] % 2:
-            return None, ZERO
+            return None, 0
     return word, sign
 
 
@@ -104,9 +104,10 @@ def _canonical_order(gen_space):
 def splittings(word, gen_space):
     """Ordered multiset splittings (A, B) of a word, with Koszul signs.
 
-    Yields (word_A, word_B, sign).  Each unordered split appears in both
-    orders; within equal factors only the leftmost copies are chosen, so
-    each splitting is produced exactly once (the divided-power diagonal).
+    Yields (word_A, word_B, sign), sign an int +-1.  Each unordered split
+    appears in both orders; within equal factors only the leftmost copies
+    are chosen, so each splitting is produced exactly once (the
+    divided-power diagonal).
 
     The sign is that of moving the letters of A in front of those of B:
     (-1)^k, where k counts the pairs of odd letters with the B letter
@@ -133,8 +134,7 @@ def splittings(word, gen_space):
             if odd:
                 inversions += t * odd_b
                 odd_b += cnt - t
-        yield (tuple(a_word), tuple(b_word),
-               -ONE if inversions % 2 else ONE)
+        yield tuple(a_word), tuple(b_word), -1 if inversions % 2 else 1
 
 
 def merge_words(A, B, coalg):
@@ -286,7 +286,7 @@ class TruncatedSymCoalgebra:
         out = {}
         for t, c in column.items():
             for A, B, sign in self.diagonal(self.words[t]):
-                out[(A, B)] = out.get((A, B), ZERO) + (c if sign > 0 else -c)
+                out[(A, B)] = out.get((A, B), 0) + (c if sign > 0 else -c)
         return out
 
 
@@ -304,6 +304,9 @@ def coderivation_operator(spec, coalg):
     w with |A| = b, so it is built by merging each word A of the support of
     lambda_b with every word B of length <= N - b.
     """
+    # the components as int numerators over their common denominator
+    den = lcm(*(c.denominator for comp in spec.components.values()
+                for val in comp.values() for c in val.values()))
     ent = {}
     windex = coalg.windex
     for b in spec.arities():
@@ -311,21 +314,22 @@ def coderivation_operator(spec, coalg):
         for A, val in spec.components[b].items():
             if len(A) != b or A not in windex:
                 continue
+            val = [(g, c.numerator * (den // c.denominator))
+                   for g, c in val.items()]
             for B in shorts:
                 w, sign = merge_words(A, B, coalg)
                 if w is None:
                     continue
                 wi = windex[w]
-                for g, c in val.items():
+                for g, c in val:
                     w2, sign2 = merge_words((g,), B, coalg)
                     if w2 is None:
                         continue
                     # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}
                     mult = (B.count(g) + 1) * sign * sign2
                     key = (windex[w2], wi)
-                    ent[key] = ent.get(key, ZERO) + mult * c
-    ent = {k: v for k, v in ent.items() if v != 0}
-    return GradedMap(coalg.space, coalg.space, -1, ent)
+                    ent[key] = ent.get(key, 0) + mult * c
+    return GradedMap(coalg.space, coalg.space, -1, ent, den=den)
 
 
 def commutes_with_diagonal(op, coalg):
@@ -344,7 +348,9 @@ def commutes_with_diagonal(op, coalg):
     odd = op.degree % 2 == 1
     words = coalg.words
     windex = coalg.windex
-    columns = [(words[s], col) for s, col in op.by_column().items()]
+    # both sides on the int numerators of op, op.den times too large
+    num_cols = op.num_columns()
+    columns = [(words[s], col) for s, col in num_cols.items()]
     bad = []
     for n in range(coalg.N + 1):
         rhs = {}
@@ -361,7 +367,7 @@ def commutes_with_diagonal(op, coalg):
                 # D (x) Id on the splitting (X, Y)
                 for t, c in col.items():
                     key = (words[t], Y)
-                    acc[key] = acc.get(key, ZERO) + (c if sign > 0 else -c)
+                    acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
                 # Id (x) D on the splitting (Y, X): the Koszul signs of
                 # swapping X and Y, (-1)^{|X||Y|}, and of moving D past
                 # e_Y, (-1)^{|D||Y|}
@@ -369,13 +375,13 @@ def commutes_with_diagonal(op, coalg):
                     sign = -sign
                 for t, c in col.items():
                     key = (Y, words[t])
-                    acc[key] = acc.get(key, ZERO) + (c if sign > 0 else -c)
+                    acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
         for w in coalg.words_of_length(n, n):
             wi = windex[w]
-            diff = coalg.diagonal_of_column(op.apply_basis(wi))
+            diff = coalg.diagonal_of_column(num_cols.get(wi, {}))
             for key, c in rhs.get(wi, {}).items():
-                diff[key] = diff.get(key, ZERO) - c
-            if any(c != 0 for c in diff.values()):
+                diff[key] = diff.get(key, 0) - c
+            if any(diff.values()):
                 bad.append(w)
     return bad
 
@@ -394,7 +400,7 @@ def check_sh_lie(coalg):
         failures.setdefault(len(coalg.words[s]), []).append(
             (coalg.words[s], coalg.words[t], c))
     unit_ok = all(s != coalg.windex[EMPTY]
-                  for (t, s) in coalg.perturbation_operator.entries)
+                  for (t, s) in coalg.perturbation_operator.num)
     bad_words = commutes_with_diagonal(coalg.perturbation_operator, coalg)
     return {
         "square_zero": not failures,
@@ -448,7 +454,7 @@ def extract_brackets(coalg, underlying):
             k = len(word)
             exp = (k * (k - 1)) // 2 + sum((k - 1 - i) * degs[i]
                                            for i in range(k))
-            sign = -ONE if exp % 2 else ONE
+            sign = -1 if exp % 2 else 1
             tbl[word] = {g: sign * c for g, c in val.items()}
         if tbl:
             brackets[b] = tbl

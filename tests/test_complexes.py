@@ -111,9 +111,9 @@ def acyclic(n):
 
 def test_build_contraction_eliminations_do_not_grow_with_dimension(
         monkeypatch):
-    # per degree: the kernel and the boundaries for homology, the kernel
-    # for the complement of the cycles, and one inversion of the adapted
-    # basis, whatever the dimension
+    # per degree: the kernel and the boundaries for homology, and one
+    # elimination that finds the complement of the cycles and inverts the
+    # adapted basis, whatever the dimension
     calls = []
     rref = linalg.rref
 
@@ -128,7 +128,7 @@ def test_build_contraction_eliminations_do_not_grow_with_dimension(
         con = build_contraction(acyclic(n))
         assert con.small.space.dim == 0
         counts.append(len(calls))
-    assert counts == [4 * 2, 4 * 2]
+    assert counts == [3 * 2, 3 * 2]
 
 
 def test_homotopy_sign_convention():
