@@ -117,7 +117,9 @@ class BVData:
 
     def generates_bracket(self):
         gen = bracket_from_generator(self.algebra, self.delta)
-        return gen.canonical == self.algebra.bracket_table
+        table = self.algebra.bracket
+        return (gen.den == table.den
+                and gen.numerator_rows() == table.numerator_rows())
 
     # BVData is never mutated, so the Delta-splitting and the formality
     # report are computed on first use and then shared by every check and
@@ -241,7 +243,9 @@ def regrade_to_lie(algebra):
     space = GradedVectorSpace(
         [(lab, 1 - deg) for lab, deg in algebra.space.basis])
     d = GradedMap(space, space, -1, algebra.d.num, den=algebra.d.den)
-    return DgLieAlgebra(ChainComplex(space, d), algebra.bracket_table)
+    return DgLieAlgebra(ChainComplex(space, d),
+                        algebra.bracket.numerator_rows(),
+                        den=algebra.bracket.den)
 
 
 def _kernel_subspace(op, space):

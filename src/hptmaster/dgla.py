@@ -18,13 +18,13 @@ class DgLieAlgebra:
     """A chain complex with a degree-0 graded Lie bracket.
 
     bracket is the StructureTable of [e_i, e_j] = sum c^k_ij e_k, built
-    from rows (i, j) -> {k: c} in either index order; bracket_table is its
-    canonical i <= j dict.
+    from rows (i, j) -> {k: c} in either index order, divided by den;
+    bracket_table is its canonical i <= j dict.
     """
 
-    def __init__(self, complex_, bracket_rows):
+    def __init__(self, complex_, bracket_rows, den=1):
         self.complex = complex_
-        self.bracket = StructureTable(complex_.space, bracket_rows)
+        self.bracket = StructureTable(complex_.space, bracket_rows, den=den)
 
     @property
     def bracket_table(self):

@@ -262,10 +262,12 @@ class StructureTable:
     is refused.
 
     rows is a dict or an iterable of ((i, j), {k: c}) pairs, in either
-    index order, with rational values; values given for the same pair add
-    up.  The constants are kept as int numerators over one positive common
-    denominator den, the least one, like a GradedMap's: numerators(i, j)
-    is den e_i e_j, and add_product works in numerator units, adding den
+    index order, with rational values, divided by den when den is given
+    (int numerators over den need no Fractions); values given for the
+    same pair add up.  The constants are kept as int numerators over one
+    positive common denominator den, the least one, like a GradedMap's:
+    numerators(i, j) is den e_i e_j, numerator_rows() gives them for the
+    pairs i <= j, and add_product works in numerator units, adding den
     times the product.  canonical (the nonzero values for i <= j), get
     and __call__ hand out Fractions, built on first use.  partners[i]
     holds the indices j with e_i e_j != 0.  Everything handed out is
@@ -273,7 +275,7 @@ class StructureTable:
     formed by add_product only.
     """
 
-    def __init__(self, space, rows=(), degree=0, symmetric=False):
+    def __init__(self, space, rows=(), degree=0, symmetric=False, den=1):
         self.space = space
         self.degree = degree
         self.symmetric = symmetric
@@ -287,7 +289,7 @@ class StructureTable:
                 flip = self._swap_sign(i, j) < 0
             acc = sums.setdefault((i, j), {})
             for k, c in val.items():
-                if type(c) is not Fraction:
+                if type(c) is not Fraction and type(c) is not int:
                     c = Fraction(c)
                 if flip:
                     c = -c
@@ -311,16 +313,24 @@ class StructureTable:
                         "wrong degree" % (name, space.labels[i],
                                           space.labels[j], space.labels[k]))
             canonical[(i, j)] = val
-        self.den = den = lcm(*(c.denominator for val in canonical.values()
-                               for c in val.values()))
+        lcd = lcm(*(c.denominator for val in canonical.values()
+                    for c in val.values()))
+        self.den = lcd * den
         self.signed = {}
         for (i, j), val in canonical.items():
-            num = {k: c.numerator * (den // c.denominator)
+            num = {k: c.numerator * (lcd // c.denominator)
                    for k, c in val.items()}
             self.signed[(i, j)] = num
             if i != j:
                 self.signed[(j, i)] = (num if self._swap_sign(i, j) > 0
                                        else {k: -n for k, n in num.items()})
+        if den != 1:
+            g = gcd(self.den, *(n for num in self.signed.values()
+                                for n in num.values()))
+            if g != 1:
+                self.den //= g
+                self.signed = {key: {k: n // g for k, n in num.items()}
+                               for key, num in self.signed.items()}
         self.partners = [set() for _ in range(space.dim)]
         for i, j in self.signed:
             self.partners[i].add(j)
@@ -351,6 +361,13 @@ class StructureTable:
     def get(self, i, j):
         """e_i e_j as a sparse dict k -> Fraction, for any index order."""
         return self._fractions()[0].get((i, j), {})
+
+    def numerator_rows(self):
+        """(i, j) -> den e_i e_j as int numerators for the nonzero pairs
+        i <= j, in the order of canonical: the rows that rebuild the table
+        over den.  The values are shared: read them, never modify them."""
+        return {key: num for key, num in self.signed.items()
+                if key[0] <= key[1]}
 
     def numerators(self, i, j):
         """den e_i e_j as a sparse dict k -> int, for any index order."""

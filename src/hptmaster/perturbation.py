@@ -1,20 +1,43 @@
 """Coalgebra lifts of contractions and the basic perturbation lemma.
 
 A contraction (nabla, pi, h) of complexes lifts to the truncated symmetric
-coalgebras on the suspended spaces by closed formulas on canonical words.
-Write mult(w) for the product of the factorials of the repeat counts of a
-word w; sorting a product of letters into a canonical word gives a Koszul
-sign, and a repeated odd letter kills the term.
+coalgebras on the suspended spaces.  Write v_g for the generator g, mult(w)
+for the product of the factorials of the repeat counts of a word w, and
+a . b for the graded-commutative product of words: the sorted merge with
+its Koszul sign, zero when an odd letter repeats (words.merge_words).  A
+prefix of a canonical word is canonical, so every column below is built
+from the column of a shorter word, the word without its last letter,
+which the coalgebra already holds.
 
-  * nabla_c and pi_c are multiplicative: e_w goes to the sum, over one
-    image term per letter, of the sorted product times the image
-    coefficients, the sorting sign and mult(target) / mult(w).
-  * h_c(e_w), with n = |w|, is the sum over a position x and a subset S
-    of the other positions: letters in S are kept, x goes to h, and the
-    remaining letters go to nabla pi.  A term carries the Koszul sign of
-    the arrangement (S, x, rest), (-1)^{deg S} for moving h past S, the
-    weight |S|! (n-1-|S|)! / (n! mult(w)) and, once sorted, the sorting
-    sign and mult(target).
+  * nabla_c and pi_c are multiplicative: f_c(e_w) is acc(w) read with
+    mult(target) / mult(w) on each target word, where acc(w) is the
+    product f(v_{w_1}) . ... . f(v_{w_n}); so acc(w) = acc(w[:-1]) .
+    f(v_{w[-1]}).
+  * h_c(e_w), with n = |w|, is in closed form the sum over a position x
+    and a subset S of the other positions: letters in S are kept, x goes
+    to h and the rest R to nabla pi.  A term carries the Koszul sign of
+    the arrangement (S, x, R), (-1)^{deg S} for moving h past S, and the
+    weight |S|! (n-1-|S|)! / (n! mult(w)).  Moving h v_x, of degree
+    |x| + 1, to the front costs (-1)^{(|x|+1) deg S}.  The Koszul sign of
+    (S, x, R) is (-1)^{|x| deg(before x)} (-1)^{|x| deg S} times that of
+    (S, R) among the other positions, and that last sign turns the
+    product taken in the order (S, R) back into position order, since
+    nabla pi has degree 0.  The (-1)^{deg S} factors cancel, and only the
+    sign of moving x to the front is left:
+
+        h_c(e_w) = sum_x (-1)^{|x| deg(before x)}
+                   sum_k weight(k) h(v_x) . M_k(w without x),
+
+    where M(u) = prod_{g in u} (v_g + t nabla pi v_g), in position
+    order, and M_k(u) collects its terms that keep k letters.  M(u) =
+    M(u[:-1]) . (v_g + t nabla pi v_g), g = u[-1], is the same recurrence.
+    The positions of one run of a letter g leave the same word, and a
+    letter repeats only when it is even, where the sign is +1: each
+    distinct letter g counts count(g) times.  Every term of M(w without
+    x) has degree deg w - |x|, so h(v_x) . M_k = (-1)^{(|x|+1)(deg w - |x|)}
+    M_k . h(v_x), and all products are taken on the right: with both
+    signs, an even x carries (-1)^{deg w} and an odd x
+    (-1)^{deg(before x)}.
 
 These are the invariant parts of the tensor-coalgebra lift with the side
 homotopy sum_k Id^k (x) h (x) (nabla pi)^{rest}: the weight is the share of
@@ -23,12 +46,12 @@ a word-length lowering perturbation of the big differential across any
 contraction, with all series finite by the filtration argument.
 """
 
-from itertools import combinations, groupby, product as iproduct
+from itertools import groupby
 from math import factorial, lcm, prod
 
 from .complexes import ChainComplex, Contraction
-from .graded import GradedMap, koszul_sign, suspend_map
-from .words import memo_sorter
+from .graded import GradedMap, suspend_map
+from .words import EMPTY, merge_words
 
 
 def _multiplicity(word):
@@ -36,87 +59,112 @@ def _multiplicity(word):
     return prod(factorial(len(list(run))) for _, run in groupby(word))
 
 
-def _accumulate(acc, sort, kept, slots, coeff):
-    """Add to acc coeff times each sorted product of the kept letters with
-    one (letter, coefficient) term per slot (each slot a column's items)."""
-    for combo in iproduct(*slots):
-        word, sign = sort(kept + tuple(g for g, _ in combo))
-        if word is None:
-            continue
-        c = coeff if sign > 0 else -coeff
-        for _, x in combo:
-            c *= x
-        acc[word] = acc.get(word, 0) + c
-
-
 def _lifted_map(src, tgt, degree, columns):
     """The map with the given columns (word index, acc, scale): the column
     of word index wi is acc times mult(target) over scale, for int
     numerators acc keyed by target word.  The columns are brought to their
-    least common scale once, when the map is built."""
+    least common scale once, when the map is built, and mult is computed
+    once per target word."""
     den = lcm(*(scale for _, _, scale in columns))
+    mults = {}
     ent = {}
     for wi, acc, scale in columns:
         factor = den // scale
         for word, c in acc.items():
             if c:
-                ent[(tgt.windex[word], wi)] = c * _multiplicity(word) * factor
+                m = mults.get(word)
+                if m is None:
+                    m = mults[word] = _multiplicity(word)
+                ent[(tgt.windex[word], wi)] = c * m * factor
     return GradedMap(src.space, tgt.space, degree, ent, check=False, den=den)
+
+
+def _times(out, acc, terms, coalg):
+    """out += acc . (sum of y v_t over the (t, y) in terms), for int
+    coefficients keyed by word, each product by merge_words.  Returns
+    out, which may hold zero values."""
+    for u, c in acc.items():
+        for t, y in terms:
+            word, sign = merge_words(u, (t,), coalg)
+            if word is not None:
+                out[word] = out.get(word, 0) + sign * c * y
+    return out
 
 
 def _lift_multiplicative(f, src, tgt):
     """The coalgebra map Sigma^c f of a degree-0 generator map f.
 
-    On the numerators of f, a word of length n gathers f.den^n; with the
-    1 / mult(w) of the closed form, its column is over f.den^n mult(w)."""
+    acc(w) = acc(w[:-1]) . f(v_{w[-1]}) on the numerators of f, so a word
+    of length n gathers f.den^n; with the 1 / mult(w) of the closed form,
+    its column is over f.den^n mult(w)."""
     cols = f.num_columns()
-    sort = memo_sorter(tgt.gen_space)
+    accs = {EMPTY: {EMPTY: 1}}
     columns = []
     for wi, w in enumerate(src.words):
-        acc = {}
-        _accumulate(acc, sort, (), [cols.get(g, {}).items() for g in w], 1)
-        if acc:
-            columns.append((wi, acc, f.den ** len(w) * _multiplicity(w)))
+        if w:
+            accs[w] = _times({}, accs[w[:-1]], cols.get(w[-1], {}).items(),
+                             tgt)
+        if accs[w]:
+            columns.append((wi, accs[w], f.den ** len(w) * _multiplicity(w)))
     return _lifted_map(src, tgt, 0, columns)
 
 
 def _lift_homotopy(h, nabla_pi, sym):
     """The symmetrized side homotopy built from h and nabla o pi.
 
-    On numerators, a term keeping k letters has one h slot and n - 1 - k
-    nabla pi slots; its weight k! (n-1-k)! / (n! mult(w)) and the missing
-    k factors nabla_pi.den bring it over the column's scale
+    M(u) is kept as k -> {word: coefficient}, k the number of kept
+    letters, and is built one word length at a time from the previous
+    length's M only.  On numerators a kept letter counts 1 and a nabla pi
+    letter its numerator, so the weight k! (n-1-k)! / (n! mult(w)) and the
+    missing k factors nabla_pi.den bring a term over the column's scale
     n! mult(w) h.den nabla_pi.den^(n-1)."""
     h_cols, np_cols = h.num_columns(), nabla_pi.num_columns()
     m_np = nabla_pi.den
-    degrees = sym.gen_space.degrees
-    sort = memo_sorter(sym.gen_space)
+    odd = sym.odd
     columns = []
-    for wi, w in enumerate(sym.words):
-        n = len(w)
-        degs = [degrees[g] for g in w]
+    prev = {EMPTY: {0: {EMPTY: 1}}}
+    for n in range(1, sym.N + 1):
         weights = [factorial(k) * factorial(n - 1 - k) * m_np ** k
                    for k in range(n)]
-        acc = {}
-        for x in range(n):
-            if w[x] not in h_cols:
-                continue
-            others = [p for p in range(n) if p != x]
-            for k in range(n):
-                for S in combinations(others, k):
-                    rest = [p for p in others if p not in S]
-                    slots = ([h_cols[w[x]].items()]
-                             + [np_cols.get(w[p], {}).items() for p in rest])
-                    if not all(slots):
-                        continue
-                    sign = koszul_sign(list(S) + [x] + rest, degs)
-                    if sum(degs[p] for p in S) % 2:
-                        sign = -sign
-                    _accumulate(acc, sort, tuple(w[p] for p in S), slots,
-                                sign * weights[k])
-        if acc:
-            columns.append((wi, acc, factorial(n) * _multiplicity(w)
-                            * h.den * m_np ** (n - 1)))
+        weighted = {}  # u -> sum_k weights[k] M_k(u), on first use
+        cur = {}
+        for w in sym.words_of_length(n, n):
+            acc = {}
+            pos = 0
+            odd_w = sym.is_odd(w)
+            odd_before = False
+            for g, run in groupby(w):
+                count = len(list(run))
+                col = h_cols.get(g)
+                if col:
+                    u = w[:pos] + w[pos + 1:]
+                    wu = weighted.get(u)
+                    if wu is None:
+                        wu = weighted[u] = {}
+                        for k, part in prev[u].items():
+                            for word, c in part.items():
+                                wu[word] = wu.get(word, 0) + weights[k] * c
+                    # (-1)^{deg w} for an even g, (-1)^{deg(letters
+                    # before g)} for an odd one (module docstring)
+                    flip = odd_before if odd[g] else odd_w
+                    scale = -count if flip else count
+                    _times(acc, wu, [(t, scale * y) for t, y in col.items()],
+                           sym)
+                pos += count
+                if odd[g]:
+                    odd_before = not odd_before
+            if acc:
+                columns.append((sym.windex[w], acc,
+                                factorial(n) * _multiplicity(w) * h.den
+                                * m_np ** (n - 1)))
+            if n < sym.N:
+                g = w[-1]
+                m = cur[w] = {}
+                for k, part in prev[w[:-1]].items():
+                    _times(m.setdefault(k + 1, {}), part, ((g, 1),), sym)
+                    _times(m.setdefault(k, {}), part,
+                           np_cols.get(g, {}).items(), sym)
+        prev = cur
     return _lifted_map(sym, sym, 1, columns)
 
 
@@ -127,8 +175,9 @@ def symmetric_coalgebra_contraction(con, big_sym, small_sym):
     Sigma^c[sM] and Sigma^c[sH] with d1 induced by d and d_H
     (words.suspended_coalgebra) and are left unchanged.  Returns the
     contraction (nabla_c, pi_c, h_c) of (Sigma^c[sM], d1) onto
-    (Sigma^c[sH], d1) given by the closed forms of the module docstring,
-    after checking its seven identities once.
+    (Sigma^c[sH], d1) of the module docstring, built word by word from
+    the columns of shorter words by the recurrences derived there, after
+    checking its seven identities once.
 
     The side conditions hold whenever con's do.  On v_1 ... v_n, h_c is
     the sum over x and S of w(|S|) (+-) v_S . h v_x . nabla pi v_R, R the

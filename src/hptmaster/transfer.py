@@ -126,8 +126,8 @@ def check_addendum_283(g, con, result):
     vanishes, because each cup-bracket value is a sum of brackets killed
     by pi.
     """
-    hyp = not any(any(con.pi.add_image({}, br).values())
-                  for br in g.bracket_table.values())
+    hyp = not any(any(con.pi.add_image({}, num).values())
+                  for num in g.bracket.numerator_rows().values())
     higher_zero = all(b < 2 for b in result.D.arities())
     return {
         "hypothesis_holds": hyp,

@@ -35,7 +35,6 @@ b - 1.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
 from math import lcm
 
@@ -82,13 +81,6 @@ def sort_factors(letters, gen_space):
         if word[i] == word[i + 1] and degs[keyed[i]] % 2:
             return None, 0
     return word, sign
-
-
-def memo_sorter(gen_space):
-    """sort_factors on the generators of gen_space, memoized per tuple of
-    letters for the life of the returned function."""
-    return lru_cache(maxsize=None)(
-        lambda letters: sort_factors(letters, gen_space))
 
 
 def word_degree(word, gen_space):

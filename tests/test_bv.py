@@ -13,6 +13,7 @@ from hptmaster.bv import (BVData, GerstenhaberAlgebra,
                           proposition_37_check, regrade_to_lie,
                           theorem_38_pipeline, validate_bv)
 from hptmaster.dgla import validate_dgla
+from hptmaster.transfer import check_addendum_283, transfer
 from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
 
 F = Fraction
@@ -74,6 +75,37 @@ def test_regrade_to_lie():
     table = bracket_from_generator(alg0, delta)
     g = regrade_to_lie(GerstenhaberAlgebra(space, prod, table))
     assert g.space.degrees == [1, 0, 0, -1]
+    assert validate_dgla(g)["passed"]
+
+
+def test_bracket_checks_read_numerators(monkeypatch):
+    # generates_bracket, regrade_to_lie and check_addendum_283 compare,
+    # carry over and test the int numerators of the bracket table; none
+    # builds a Fraction view of the algebra's table or of the regraded one
+    viewed = []
+    fractions = StructureTable._fractions
+
+    def recording(self):
+        viewed.append(self)
+        return fractions(self)
+
+    monkeypatch.setattr(StructureTable, "_fractions", recording)
+    space, prod, _ = exterior_two()
+    half = F(1, 2)
+    delta = GradedMap(space, space, -1, {(1, 3): half})
+    alg = GerstenhaberAlgebra(space, prod,
+                              {(1, 2): {1: -half}, (2, 3): {3: half}})
+    assert BVData(alg, delta).generates_bracket()
+    assert not BVData(alg, delta.scale(2)).generates_bracket()
+    g = regrade_to_lie(alg)
+    assert (g.bracket.den, g.bracket.numerator_rows()) == (
+        2, alg.bracket.numerator_rows())
+    con = complexes.build_contraction(g.complex)
+    assert not check_addendum_283(g, con, transfer(g, con, 2))[
+        "hypothesis_holds"]
+    assert all(table is not alg.bracket and table is not g.bracket
+               for table in viewed)
+    assert g.bracket_table == alg.bracket_table
     assert validate_dgla(g)["passed"]
 
 

@@ -125,6 +125,16 @@ def test_table_kernels_match_the_fraction_oracle(case):
             assert table.get(i, j) == {
                 k: Fraction(c, table.den)
                 for k, c in table.numerators(i, j).items()}
+    # the table rebuilt from its int numerator rows, over den or over a
+    # multiple of den, is reduced back to the same numerators
+    for m in (1, 6):
+        rebuilt = StructureTable(
+            table.space, {key: {k: m * c for k, c in num.items()}
+                          for key, num in table.numerator_rows().items()},
+            table.degree, table.symmetric, den=m * table.den)
+        assert (rebuilt.den, rebuilt.numerator_rows()) == (
+            table.den, table.numerator_rows())
+        assert rebuilt.canonical == table.canonical
     want = fraction_oracle.add_product(table, {}, u, v, sign)
     # add_product works in numerator units
     assert (_pruned(table.add_product({}, u, v, sign), table.den)

@@ -1,19 +1,25 @@
 """Coalgebra lifts of contractions and the basic perturbation lemma."""
 
+import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hptmaster import instances
+from hptmaster import graded, instances, words
+from hptmaster.cli import load_problem
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
-from hptmaster.graded import GradedMap, GradedVectorSpace
+from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_map
 from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
-from hptmaster.perturbation import (_series, perturbation_lemma,
+from hptmaster.perturbation import (_lift_homotopy, _lift_multiplicative,
+                                    _series, perturbation_lemma,
                                     symmetric_coalgebra_contraction)
 from hptmaster.words import suspended_coalgebra
 
 import contraction_oracle
+import lift_oracle
 from tensor_oracle import tensor_path_lift
 
 F = Fraction
@@ -60,13 +66,17 @@ def test_direct_lift_matches_tensor_oracle_six_dim_at_n4(corpus):
         assert_lift_matches_oracle(con, 4)
 
 
-def test_direct_lift_matches_tensor_oracle_divided_powers_and_signs():
+def divided_power_contraction():
     # suspended: sa, su even, sp, sq odd; h sends sa to a multiple of the
     # odd sc and nabla pi sends sa to a multiple of su, so words that repeat
     # sa beside sp and sq hit divided powers and Koszul signs at once
     V = GradedVectorSpace([("c", 2), ("a", 1), ("u", 1), ("p", 0), ("q", 0)])
     d = GradedMap(V, V, -1, {(1, 0): F(2), (2, 0): F(-1)})
-    con = build_contraction(ChainComplex(V, d))
+    return build_contraction(ChainComplex(V, d))
+
+
+def test_direct_lift_matches_tensor_oracle_divided_powers_and_signs():
+    con = divided_power_contraction()
     lifted, emb, proj = assert_lift_matches_oracle(con, 4)
     assert lifted.identity_failures() == []
     assert proj.compose(emb) == GradedMap.identity(lifted.big.space)
@@ -346,3 +356,72 @@ def test_perturbed_complex_matches_full_square(corpus):
             continue
         assert C.perturbed(delta).d == full.d
     assert raised > 0
+
+
+@functools.cache
+def parity_contractions():
+    """The contractions the prefix recurrences are compared on: the corpus
+    ones, the crooked and the normalised ones of crooked_contractions,
+    and the divided-power case."""
+    out = [build_contraction(instances.random_dgla(seed).complex)
+           for seed in range(50)]
+    for _, crooked, fixed in crooked_contractions(60):
+        out += [crooked, fixed]
+    out.append(divided_power_contraction())
+    return out
+
+
+def recurrence_lift(con, big_sym, small_sym):
+    """(nabla_c, pi_c, h_c) of con by the prefix recurrences, with no
+    identity check, so that crooked contractions lift too."""
+    nabla_s, pi_s, h_s = (suspend_map(f) for f in (con.nabla, con.pi, con.h))
+    return (_lift_multiplicative(nabla_s, small_sym, big_sym),
+            _lift_multiplicative(pi_s, big_sym, small_sym),
+            _lift_homotopy(h_s, nabla_s.compose(pi_s), big_sym))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_prefix_recurrences_match_the_closed_forms(data):
+    cons = parity_contractions()
+    con = cons[data.draw(st.integers(0, len(cons) - 1))]
+    N = data.draw(st.integers(1, 5))
+    big_sym = suspended_coalgebra(con.big.d, N)
+    small_sym = suspended_coalgebra(con.small.d, N)
+    new = recurrence_lift(con, big_sym, small_sym)
+    assert new == lift_oracle.lift(con, big_sym, small_sym)
+    if not con.identity_failures():
+        lifted = symmetric_coalgebra_contraction(con, big_sym, small_sym)
+        assert (lifted.nabla, lifted.pi, lifted.h) == new
+
+
+def count_calls(monkeypatch, functions):
+    """Wrap each function by a counter in every loaded module that binds
+    it, so calls through any import are counted; returns the counts."""
+    calls = dict.fromkeys(functions, 0)
+    for name, fn in functions.items():
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(name) is fn:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_lift_sorts_no_letters(monkeypatch, fixture_dir):
+    # each column is one merge of a shorter column with one letter, so the
+    # lift neither sorts a product of letters nor signs a permutation; the
+    # closed forms make thousands of such calls on the same coalgebras
+    _, g, _ = load_problem(str(fixture_dir / "l3_cubed.json"))
+    con = build_contraction(g.complex)
+    big_sym = suspended_coalgebra(con.big.d, 4)
+    small_sym = suspended_coalgebra(con.small.d, 4)
+    calls = count_calls(monkeypatch, {"koszul_sign": graded.koszul_sign,
+                                      "sort_factors": words.sort_factors})
+    lifted = symmetric_coalgebra_contraction(con, big_sym, small_sym)
+    assert calls == {"koszul_sign": 0, "sort_factors": 0}
+    assert (lifted.nabla, lifted.pi, lifted.h) == lift_oracle.lift(
+        con, big_sym, small_sym)
+    assert calls["koszul_sign"] > 1000 and calls["sort_factors"] > 1000

@@ -14,15 +14,23 @@ every word.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from hptmaster.graded import GradedMap, koszul_sign, ONE, ZERO
-from hptmaster.words import (CoderivationSpec, memo_sorter,
+from hptmaster.words import (CoderivationSpec, sort_factors,
                              suspended_coalgebra, word_degree)
 from linalg_oracle import dense
 from table_oracle import bilinear
 
 HALF = Fraction(1, 2)
+
+
+def memo_sorter(gen_space):
+    """sort_factors on the generators of gen_space, memoized per tuple of
+    letters for the life of the returned function."""
+    return lru_cache(maxsize=None)(
+        lambda letters: sort_factors(letters, gen_space))
 
 
 def splittings(word, gen_space, left_size=None):
