@@ -8,7 +8,6 @@ constants; everything downstream (transfer, twisting cochains) runs on the
 regraded side.
 """
 
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -92,16 +91,20 @@ def bracket_from_generator(algebra, delta):
         out = delta.add_image({}, product.numerators(i, j), sa)
         product.add_product(out, dcols.get(i, {}), {j: 1}, -sa)
         product.add_product(out, {i: 1}, dcols.get(j, {}), -1)
-        return {k: Fraction(out[k], den) for k in sorted(out) if out[k]}
+        return {k: out[k] for k in sorted(out) if out[k]}
 
     # the table refuses the squares the swap rule forces to vanish; the
-    # values on pairs i > j must be the ones it derives
+    # values on pairs i > j must be the ones it derives, compared over the
+    # two denominators
     table = StructureTable(space, [((i, j), value(i, j))
                                    for i in range(dim)
-                                   for j in range(i, dim)], degree=-1)
+                                   for j in range(i, dim)], degree=-1,
+                           den=den)
     for i in range(dim):
         for j in range(i):
-            if value(i, j) != table.get(i, j):
+            if ({k: n * table.den for k, n in value(i, j).items()}
+                    != {k: n * den
+                        for k, n in table.numerators(i, j).items()}):
                 raise AssertionError("generated bracket is not antisymmetric")
     return table
 

@@ -217,9 +217,16 @@ class TruncatedSymCoalgebra:
         for r, g in enumerate(_canonical_order(gen_space)):
             self.rank[g] = r
         self.odd = [deg % 2 == 1 for deg in gen_space.degrees]
+        # deg(w) = deg(w[:-1]) + |w[-1]|: a prefix of a canonical word is
+        # canonical and comes before it
+        degs = gen_space.degrees
+        word_degs = []
+        for w in self.words:
+            word_degs.append(word_degs[self.windex[w[:-1]]] + degs[w[-1]]
+                             if w else 0)
         self.space = GradedVectorSpace(
-            [("(%s)" % word_label(w, gen_space) if w else "1",
-              word_degree(w, gen_space)) for w in self.words])
+            [("(%s)" % word_label(w, gen_space) if w else "1", deg)
+             for w, deg in zip(self.words, word_degs)])
         self.gen_differential = gen_differential
         self.perturbation = perturbation or CoderivationSpec(gen_space)
         self._d1 = None
@@ -328,14 +335,17 @@ def commutes_with_diagonal(op, coalg):
     """Does Delta o D = (D (x) Id + Id (x) D) o Delta exactly?
 
     op must be a homogeneous operator of odd degree (a candidate
-    coderivation).  Returns the list of words where compatibility fails.
+    coderivation).  Returns the list of words where compatibility fails,
+    in word order.
 
     The two sides enumerate Delta independently: Delta(D e_w) runs over
     the splittings of the words in D e_w, while (D (x) Id + Id (x) D)
     Delta(e_w) is built by merging each word X of the column support of D
     with every word Y of length |w| - |X|, on either side.  Words are
-    compared one length at a time, so only one length's right-hand sides
-    are held at once.
+    compared one length n at a time, in one dict that holds only that
+    length's differences: the merge side is added into it, and then each
+    target word t of the columns of the length-n words is split once and
+    c Delta(e_t) subtracted for every entry c of t in those columns.
     """
     odd = op.degree % 2 == 1
     words = coalg.words
@@ -368,13 +378,20 @@ def commutes_with_diagonal(op, coalg):
                 for t, c in col.items():
                     key = (Y, words[t])
                     acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
-        for w in coalg.words_of_length(n, n):
+        # Delta(D e_w) for the words w of length n: the columns grouped by
+        # target word, so that each target is split once per length
+        length_n = coalg.words_of_length(n, n)
+        uses = {}
+        for w in length_n:
             wi = windex[w]
-            diff = coalg.diagonal_of_column(num_cols.get(wi, {}))
-            for key, c in rhs.get(wi, {}).items():
-                diff[key] = diff.get(key, 0) - c
-            if any(diff.values()):
-                bad.append(w)
+            for t, c in num_cols.get(wi, {}).items():
+                uses.setdefault(t, []).append((rhs.setdefault(wi, {}), c))
+        for t, entries in uses.items():
+            for A, B, sign in coalg.diagonal(words[t]):
+                key = (A, B)
+                for acc, c in entries:
+                    acc[key] = acc.get(key, 0) - (c if sign > 0 else -c)
+        bad.extend(w for w in length_n if any(rhs.get(windex[w], {}).values()))
     return bad
 
 

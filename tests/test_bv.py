@@ -109,6 +109,30 @@ def test_bracket_checks_read_numerators(monkeypatch):
     assert validate_dgla(g)["passed"]
 
 
+def test_generated_bracket_is_checked_on_numerators(monkeypatch):
+    # bracket_from_generator checks antisymmetry on int numerators, so the
+    # table it generates hands out no Fraction view
+    bv = instances.kahler_bv_instance()
+    viewed = []
+    generated = []
+    fractions = StructureTable._fractions
+    generate = bv_module.bracket_from_generator
+
+    def recording(self):
+        viewed.append(self)
+        return fractions(self)
+
+    def keeping(algebra, delta):
+        generated.append(generate(algebra, delta))
+        return generated[-1]
+
+    monkeypatch.setattr(StructureTable, "_fractions", recording)
+    monkeypatch.setattr(bv_module, "bracket_from_generator", keeping)
+    assert bv.generates_bracket()
+    assert len(generated) == 1
+    assert not any(table is generated[0] for table in viewed)
+
+
 def test_validate_bv_flags_broken_associativity():
     space = GradedVectorSpace([("1", 0), ("a", 0), ("b", 0)])
     prod = {(1, 1): {2: F(1)}, (1, 2): {0: F(1)}, (2, 2): {}}
@@ -200,9 +224,9 @@ def test_load_problem_builds_each_bv_table_once(monkeypatch, fixture_dir):
     built = []
     init = StructureTable.__init__
 
-    def counting(self, space, rows=(), degree=0, symmetric=False):
+    def counting(self, space, rows=(), degree=0, symmetric=False, den=1):
         built.append((degree, symmetric))
-        init(self, space, rows, degree, symmetric)
+        init(self, space, rows, degree, symmetric, den)
 
     monkeypatch.setattr(StructureTable, "__init__", counting)
     kind, bv, _ = cli.load_problem(str(fixture_dir / "kahler_bv.json"))

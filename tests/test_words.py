@@ -275,6 +275,35 @@ def test_word_layer_matches_oracle_on_l3_cubed(fixture_dir):
                 word_oracle.commutes_with_diagonal(D, coalg) == [])
 
 
+def _basis_changed_l3_cubed(fixture_dir, N):
+    """The coalgebra that transfer builds for l3_cubed after a random basis
+    change: its D is dense, so many columns share each target word."""
+    _, g, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
+    g = instances.change_basis(g, random.Random(3))
+    return transfer(g, build_contraction(g.complex), N).coalg
+
+
+def test_compatibility_splits_each_target_once_per_length(monkeypatch,
+                                                          fixture_dir):
+    # Delta(D e_w) splits each target word of D once per length of the
+    # words w, not once per column it appears in: 36 splittings for the
+    # 2,520 nonzeros of D here
+    coalg = _basis_changed_l3_cubed(fixture_dir, 4)
+    op = coalg.perturbation_operator
+    split = []
+    diagonal = TruncatedSymCoalgebra.diagonal
+
+    def counting(self, word):
+        split.append(word)
+        return diagonal(self, word)
+
+    monkeypatch.setattr(TruncatedSymCoalgebra, "diagonal", counting)
+    assert commutes_with_diagonal(op, coalg) == []
+    pairs = {(t, len(coalg.words[s])) for t, s in op.num}
+    assert len(pairs) < len(op.num)
+    assert len(split) <= len(pairs)
+
+
 def _corruptions(op, coalg, rng, count):
     """Operators that differ from op in one entry whose target word has
     length >= 2: the middle terms of Delta of that target make the
@@ -297,12 +326,15 @@ def _corruptions(op, coalg, rng, count):
     return out
 
 
-def test_commutes_with_diagonal_reports_corrupted_words_like_oracle():
+def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
+        fixture_dir):
     rng = random.Random(11)
     cases = [ce_coalgebra(instances.nonzero_l3_dgla(), 4),
              ce_coalgebra(instances.sl2(), 3)]
     for g in (instances.random_dgla(3), instances.random_dgla(8)):
         cases.append(transfer(g, build_contraction(g.complex), 4).coalg)
+    # shared target words, within a length and across lengths
+    cases.append(_basis_changed_l3_cubed(fixture_dir, 4))
     for coalg in cases:
         for bad in _corruptions(coalg.differential, coalg, rng, 6):
             got = commutes_with_diagonal(bad, coalg)
