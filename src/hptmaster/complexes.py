@@ -36,10 +36,16 @@ class ChainComplex:
     def perturbed(self, delta):
         """The complex (space, d + delta), raising like the constructor.
         d^2 = 0 was checked on self, so of (d + delta)^2 only the rest,
-        (d + delta) delta + delta d, is computed."""
-        d_new = self.d + delta
-        if not (d_new.compose(delta) + delta.compose(self.d)).is_zero():
-            raise ValueError("d o d != 0")
+        (d + delta) delta + delta d, is tested, one column at a time on
+        numerators: d.den d_new.den delta.den times the column."""
+        d = self.d
+        d_new = d + delta
+        d_cols, delta_cols = d.num_columns(), delta.num_columns()
+        for s in set(d_cols).union(delta_cols):
+            col = d_new.add_image({}, delta_cols.get(s, {}), d.den)
+            delta.add_image(col, d_cols.get(s, {}), d_new.den)
+            if any(col.values()):
+                raise ValueError("d o d != 0")
         out = ChainComplex.__new__(ChainComplex)
         out.space, out.d = self.space, d_new
         return out

@@ -13,6 +13,7 @@ constants appear while exactness is preserved.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .bv import BVData, GerstenhaberAlgebra, bracket_from_generator
@@ -155,22 +156,25 @@ def random_dgla(seed):
     that nontrivial rational constants appear.  Deterministic per seed.
     """
     rng = random.Random(seed)
+    return change_basis(_random_family(rng), rng)
+
+
+def _random_family(rng):
+    """The dg Lie algebra of random_dgla before its basis change."""
     family = rng.randrange(4)
     if family == 0:
-        g = _random_two_layer(rng)
-    elif family == 1:
-        g = _lie3(rng.choice(sorted(_LIE3)))
-    elif family == 2:
-        g = nonzero_l3_dgla()
-    else:
-        # heisenberg in a shifted degree plus an acyclic abelian pair
-        shift = rng.choice([-1, 0, 1])
-        space = GradedVectorSpace(
-            [("e", 2 * shift), ("f", -2 * shift), ("h", 0),
-             ("u", shift + 1), ("v", shift)])
-        d = GradedMap(space, space, -1, {(4, 3): ONE})
-        g = DgLieAlgebra(ChainComplex(space, d), {(0, 1): {2: ONE}})
-    return change_basis(g, rng)
+        return _random_two_layer(rng)
+    if family == 1:
+        return _lie3(rng.choice(sorted(_LIE3)))
+    if family == 2:
+        return nonzero_l3_dgla()
+    # heisenberg in a shifted degree plus an acyclic abelian pair
+    shift = rng.choice([-1, 0, 1])
+    space = GradedVectorSpace(
+        [("e", 2 * shift), ("f", -2 * shift), ("h", 0),
+         ("u", shift + 1), ("v", shift)])
+    d = GradedMap(space, space, -1, {(4, 3): ONE})
+    return DgLieAlgebra(ChainComplex(space, d), {(0, 1): {2: ONE}})
 
 
 def _random_two_layer(rng):
@@ -193,50 +197,65 @@ def _random_two_layer(rng):
 
 
 def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
-    """Conjugate a dg Lie algebra by a random degreewise basis change."""
+    """Conjugate a dg Lie algebra by a random degreewise basis change S.
+
+    Each degree block of S is drawn as int numerators over the lcm L of
+    the pool until it is invertible: its inverse is the rank test, so a
+    block takes one elimination and the whole space none.  Conjugating by
+    L S instead of S gives the same differential and L times each bracket,
+    so neither S nor its inverse needs a Fraction per entry.
+    """
     space = g.space
     dim = space.dim
-    # the columns of the block diagonal basis change S
-    cols = [{} for _ in range(dim)]
+    L = lcm(*denominator_pool)
+    # L S and (L S)^{-1}, block by block
+    ls_num, ls_inv = {}, {}
     for deg in sorted(set(space.degrees)):
         idx = space.indices_in_degree(deg)
         n = len(idx)
         while True:
-            block = []
+            # the rows of the block are drawn, a zero row made e_a
+            cols = [{} for _ in range(n)]
             for a in range(n):
                 row = {}
                 for b in range(n):
-                    c = Fraction(rng.randrange(-2, 3),
-                                 rng.choice(denominator_pool))
+                    c = rng.randrange(-2, 3)
+                    c *= L // rng.choice(denominator_pool)
                     if c:
                         row[b] = c
-                block.append(row or {a: ONE})
-            if linalg.rank(block) == n:
-                break
-        for a, row in enumerate(block):
-            for b, c in row.items():
-                cols[idx[b]][idx[a]] = c
-    basis = GradedMap.from_columns(space, space, 0, cols)
-    to_new = GradedMap.from_columns(space, space, 0, linalg.inverse(cols))
+                for b, c in (row or {a: L}).items():
+                    cols[b][a] = c
+            try:
+                inv = linalg.inverse(cols)
+            except ValueError:
+                continue
+            break
+        for b, col in enumerate(cols):
+            for a, c in col.items():
+                ls_num[(idx[a], idx[b])] = c
+        for t, col in enumerate(inv):
+            for b, c in col.items():
+                ls_inv[(idx[b], idx[t])] = c
+    basis = GradedMap(space, space, 0, ls_num, check=False, den=1)
+    to_new = GradedMap(space, space, 0, ls_inv, check=False)
     new_space = GradedVectorSpace(
         [("b%d" % i, space.degrees[i]) for i in range(dim)])
     d = to_new.compose(g.d).compose(basis)
     # the brackets of the new basis vectors, on numerators
     bracket = g.bracket
     num_cols = basis.num_columns()
-    den = to_new.den * bracket.den * basis.den ** 2
     table = {}
     for i in range(dim):
         for j in range(i, dim):
             br = to_new.add_image({}, bracket.add_product(
                 {}, num_cols.get(i, {}), num_cols.get(j, {})))
-            br = {k: Fraction(br[k], den) for k in sorted(br) if br[k]}
+            br = {k: br[k] for k in sorted(br) if br[k]}
             if br:
                 table[(i, j)] = br
     return DgLieAlgebra(
         ChainComplex(new_space, GradedMap(new_space, new_space, -1, d.num,
                                           den=d.den)),
-        table)
+        table, den=to_new.den * bracket.den * L)
 
 
 def corpus(count=50, start_seed=0):

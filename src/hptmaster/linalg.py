@@ -3,11 +3,16 @@
 A vector is a dict {index: Fraction} that holds no zero values, the form
 GradedMap.by_column and the __call__ of maps and tables hand out.  A
 matrix is a list of vectors: its rows for rref and rank, its columns
-everywhere else; elimination runs on the Fraction values.
+everywhere else.  Elimination runs on the Fraction values, except in
+inverse, which clears the denominators of each column and eliminates
+fraction-free on ints (Bareiss), handing Fractions out.
 Pivoting takes the first nonzero entry in index order, so every function
 here is deterministic, and since a matrix has only one reduced row echelon
 form, the results are the ones dense Gauss-Jordan elimination gives.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .graded import ONE, ZERO
 
@@ -109,13 +114,60 @@ def solve(columns, rhs):
 def inverse(columns):
     """The inverse of the matrix with the given columns: for each row index
     t in increasing order, the coordinates of the unit vector e_t over the
-    columns.  Raises ValueError when the matrix is not invertible."""
+    columns.  Raises ValueError when the matrix is not invertible.
+
+    Column j times the lcm l_j of its denominators is an int column of A,
+    and Gauss-Jordan runs on the int rows of [A | I] fraction-free: each
+    step sets every other row r to (p r - r_j pivot_row) / q, with p the
+    pivot and q the one before it, a division that is exact because every
+    entry stays a minor of [A | I].  At the end each pivot row is the last
+    pivot det at its pivot j and det times row j of A^{-1} on the right,
+    and M^{-1} = diag(l) A^{-1}.
+    """
     keys = sorted(set().union(*columns))
-    if len(keys) == len(columns):
-        out = solve(columns, [{t: ONE} for t in keys])
-        if None not in out:
-            return out
-    raise ValueError("matrix not invertible")
+    n = len(columns)
+    if len(keys) != n:
+        raise ValueError("matrix not invertible")
+    position = {t: i for i, t in enumerate(keys)}
+    # row i of [A | I]: A at the keys j < n, I at the keys n + i
+    rows = [{n + i: 1} for i in range(n)]
+    scale = []
+    for j, col in enumerate(columns):
+        l = lcm(*(c.denominator for c in col.values()))
+        scale.append(l)
+        for t, c in col.items():
+            rows[position[t]][j] = c.numerator * (l // c.denominator)
+    pivot_rows = []
+    prev = 1
+    for j in range(n):
+        pivot = next((r for r in rows if j in r), None)
+        if pivot is None:
+            raise ValueError("matrix not invertible")
+        rows.remove(pivot)
+        p = pivot[j]
+        for r in rows + pivot_rows:
+            c = r.pop(j, 0)
+            for k in r:
+                r[k] *= p
+            if c:
+                for k, v in pivot.items():
+                    if k != j:
+                        x = r.get(k, 0) - c * v
+                        if x:
+                            r[k] = x
+                        else:
+                            del r[k]
+            if prev != 1:
+                for k in r:
+                    r[k] //= prev
+        pivot_rows.append(pivot)
+        prev = p
+    out = [{} for _ in range(n)]
+    for j, row in enumerate(pivot_rows):
+        for k, v in row.items():
+            if k >= n:
+                out[k - n][j] = Fraction(scale[j] * v, prev)
+    return out
 
 
 def reduce_against(v, echelon):

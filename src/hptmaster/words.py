@@ -350,21 +350,25 @@ def commutes_with_diagonal(op, coalg):
     odd = op.degree % 2 == 1
     words = coalg.words
     windex = coalg.windex
+    degs = coalg.space.degrees
     # both sides on the int numerators of op, op.den times too large
     num_cols = op.num_columns()
-    columns = [(words[s], col) for s, col in num_cols.items()]
+    columns = [(words[s], degs[s] % 2 == 1, col)
+               for s, col in num_cols.items()]
+    # the words of each length with their parities, read once per word
+    by_length = [[(Y, degs[windex[Y]] % 2 == 1)
+                  for Y in coalg.words_of_length(m, m)]
+                 for m in range(coalg.N + 1)]
     bad = []
     for n in range(coalg.N + 1):
         rhs = {}
-        for X, col in columns:
+        for X, x_odd, col in columns:
             if len(X) > n:
                 continue
-            x_odd = coalg.is_odd(X)
-            for Y in coalg.words_of_length(n - len(X), n - len(X)):
+            for Y, y_odd in by_length[n - len(X)]:
                 w, sign = merge_words(X, Y, coalg)
                 if w is None:
                     continue
-                y_odd = coalg.is_odd(Y)
                 acc = rhs.setdefault(windex[w], {})
                 # D (x) Id on the splitting (X, Y)
                 for t, c in col.items():

@@ -120,6 +120,45 @@ def test_inverse_hand():
 
 # -- parity with the dense oracle ---------------------------------------------
 
+@st.composite
+def square_matrices(draw):
+    """(M, keys): a dense n x n matrix M, n = 1-8, with rational entries,
+    singular when a drawn column is a combination of the others, and n
+    increasing row keys for its sparse columns."""
+    n = draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([fracs, sparse_fracs]))
+    M = draw(dense_matrix(n, n, entries))
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(fracs)
+        for row in M:
+            row[a] = c * row[b]
+    keys = sorted(draw(st.sets(st.integers(0, 30), min_size=n, max_size=n)))
+    return M, keys
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_inverse_matches_the_oracle_solve(case):
+    # the fraction-free inverse against the dense Fraction elimination:
+    # column t is the oracle's solution of M x = e_t
+    M, keys = case
+    n = len(M)
+    cols = [{keys[i]: row[j] for i, row in enumerate(M) if row[j]}
+            for j in range(n)]
+    if linalg_oracle.rank(M) < n:
+        with pytest.raises(ValueError):
+            linalg.inverse(cols)
+        return
+    inv = linalg.inverse(cols)
+    assert len(inv) == n
+    for t, x in enumerate(inv):
+        assert all(c for c in x.values())
+        e = [Fraction(int(i == t)) for i in range(n)]
+        assert dense(x, n) == linalg_oracle.solve(M, e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
 def test_sparse_elimination_matches_the_dense_oracle(case, data):

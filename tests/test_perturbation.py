@@ -425,3 +425,17 @@ def test_lift_sorts_no_letters(monkeypatch, fixture_dir):
     assert (lifted.nabla, lifted.pi, lifted.h) == lift_oracle.lift(
         con, big_sym, small_sym)
     assert calls["koszul_sign"] > 1000 and calls["sort_factors"] > 1000
+
+
+def test_perturbed_tests_the_cross_terms_together():
+    # x -> y, y' -> z perturbed by y -> z, x -> -y': (d + delta) delta and
+    # delta d are both nonzero on x and cancel, so the sum squares to zero;
+    # doubling delta on y leaves z on x
+    V = GradedVectorSpace([("x", 2), ("y", 1), ("y'", 1), ("z", 0)])
+    C = ChainComplex(V, GradedMap(V, V, -1, {(1, 0): F(1), (3, 2): F(1)}))
+    delta = GradedMap(V, V, -1, {(3, 1): F(1), (2, 0): F(-1)})
+    assert not delta.compose(C.d).is_zero()
+    assert C.perturbed(delta).d == ChainComplex(V, C.d + delta).d
+    corrupted = delta + GradedMap(V, V, -1, {(3, 1): F(1)})
+    with pytest.raises(ValueError, match="d o d != 0"):
+        C.perturbed(corrupted)

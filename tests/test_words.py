@@ -304,6 +304,24 @@ def test_compatibility_splits_each_target_once_per_length(monkeypatch,
     assert len(split) <= len(pairs)
 
 
+def test_compatibility_reads_word_parities_from_the_degrees(monkeypatch,
+                                                            fixture_dir):
+    # the merge side takes the parity of each word from the degrees the
+    # coalgebra holds, not from is_odd once per (column, word) pair
+    coalg = _basis_changed_l3_cubed(fixture_dir, 4)
+    op = coalg.perturbation_operator
+    calls = []
+    is_odd = TruncatedSymCoalgebra.is_odd
+
+    def counting(self, word):
+        calls.append(word)
+        return is_odd(self, word)
+
+    monkeypatch.setattr(TruncatedSymCoalgebra, "is_odd", counting)
+    assert commutes_with_diagonal(op, coalg) == []
+    assert calls == []
+
+
 def _corruptions(op, coalg, rng, count):
     """Operators that differ from op in one entry whose target word has
     length >= 2: the middle terms of Delta of that target make the
