@@ -32,27 +32,59 @@ ONE = Fraction(1)
 
 
 class GradedVectorSpace:
-    """Finite ordered basis of (label, degree) pairs; labels are unique."""
+    """Finite ordered basis of (label, degree) pairs.
+
+    A space built from (label, degree) pairs checks that its labels are
+    unique.  A space built by `derived` keeps only its degrees and calls
+    make_labels() when basis, labels or index is first read: a word
+    space, whose words are the keys, so its labels are presentation only
+    and are not checked for uniqueness.  basis, labels and index are
+    shared: read them, never modify them.
+    """
 
     def __init__(self, basis):
-        self.basis = [(str(lab), int(deg)) for lab, deg in basis]
-        self.index = {}
-        for i, (lab, _) in enumerate(self.basis):
-            if lab in self.index:
+        self._basis = [(str(lab), int(deg)) for lab, deg in basis]
+        self._labels = [lab for lab, _ in self._basis]
+        self.degrees = [deg for _, deg in self._basis]
+        self._index = {}
+        for i, lab in enumerate(self._labels):
+            if lab in self._index:
                 raise ValueError(f"duplicate basis label {lab!r}")
-            self.index[lab] = i
-        self.degrees = [deg for _, deg in self.basis]
-        self.labels = [lab for lab, _ in self.basis]
+            self._index[lab] = i
+
+    @classmethod
+    def derived(cls, degrees, make_labels):
+        """The space of the given degrees whose labels make_labels()
+        returns, called on first read."""
+        space = cls.__new__(cls)
+        space.degrees = degrees
+        space._make_labels = make_labels
+        space._basis = space._labels = space._index = None
+        return space
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = self._make_labels()
+        return self._labels
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = list(zip(self.labels, self.degrees))
+        return self._basis
+
+    @property
+    def index(self):
+        """label -> position; the last position of a repeated label of a
+        derived space."""
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._index
 
     @property
     def dim(self):
-        return len(self.basis)
-
-    def dims_by_degree(self):
-        out = {}
-        for _, deg in self.basis:
-            out[deg] = out.get(deg, 0) + 1
-        return out
+        return len(self.degrees)
 
     def indices_in_degree(self, deg):
         return [i for i, d in enumerate(self.degrees) if d == deg]
@@ -65,7 +97,9 @@ class GradedVectorSpace:
         return degs.pop()
 
     def __eq__(self, other):
-        return isinstance(other, GradedVectorSpace) and self.basis == other.basis
+        return self is other or (isinstance(other, GradedVectorSpace)
+                                 and self.degrees == other.degrees
+                                 and self.labels == other.labels)
 
     def __repr__(self):
         return f"GradedVectorSpace({self.basis!r})"

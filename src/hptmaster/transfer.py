@@ -68,7 +68,7 @@ class TransferResult:
 
     @property
     def big_coalg(self):
-        """C[g] at truncation N, shared by .extended and adjoint_report."""
+        """C[g] at truncation N, the big coalgebra of .lift and .extended."""
         if self._big_coalg is None:
             self._big_coalg = ce_coalgebra(self.g, self.truncation)
         return self._big_coalg
@@ -179,50 +179,6 @@ def extend_contraction(result):
         raise AssertionError(
             "perturbation lemma disagrees with the recursion")
     return pcon
-
-
-def adjoint_report(result):
-    """Verify that the extended inclusion is the coalgebra adjoint of tau.
-
-    Checks exactly: (a) the perturbed inclusion is a morphism of coalgebras,
-    (b) its corestriction to word length one is the suspension of tau,
-    (c) it intertwines the differentials (part of the contraction data).
-    """
-    F = result.extended.nabla
-    small = result.coalg
-    big = result.big_coalg
-
-    morphism = True
-    for wi, w in enumerate(small.words):
-        diff = big.diagonal_of_column(F.apply_basis(wi))
-        for A, B, sign in small.diagonal(w):
-            fa = F.apply_basis(small.windex[A])
-            fb = F.apply_basis(small.windex[B])
-            for ta, ca in fa.items():
-                for tb, cb in fb.items():
-                    key = (big.words[ta], big.words[tb])
-                    diff[key] = diff.get(key, 0) - sign * ca * cb
-        if any(c != 0 for c in diff.values()):
-            morphism = False
-            break
-
-    corestriction = True
-    for wi, w in enumerate(small.words):
-        tau_val = result.tau.hom.apply_basis(wi)
-        f_val = {t: c for t, c in F.apply_basis(wi).items()
-                 if len(big.words[t]) == 1}
-        want = {big.windex[(i,)]: c for i, c in tau_val.items()}
-        if f_val != want:
-            corestriction = False
-            break
-
-    chain = not result.extended.identity_failures()
-    return {
-        "coalgebra_morphism": morphism,
-        "corestriction_is_tau": corestriction,
-        "contraction_valid": chain,
-        "passed": morphism and corestriction and chain,
-    }
 
 
 def theorem_29_pipeline(m, con, N, inclusion=None):

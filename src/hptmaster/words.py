@@ -3,8 +3,9 @@
 Words are sorted tuples of generator indices into gen_space, in the
 canonical order (degree, label) that the coalgebra holds as per-generator
 `rank` and `odd` lists.  Labels appear only in `word_label` and
-`parse_word`, which write and read words for the word space, reports and
-theta files.  Suspension keeps the basis order, so a letter of a word
+`parse_word`, which write and read words for reports and theta files; the
+word space keeps its degrees and derives its labels through `word_label`
+on first read.  Suspension keeps the basis order, so a letter of a word
 over sM is also the index of the basis vector of M it suspends.
 
 The basis element e_w attached to a word w is the sum of all *distinct*
@@ -224,13 +225,12 @@ class TruncatedSymCoalgebra:
         for w in self.words:
             word_degs.append(word_degs[self.windex[w[:-1]]] + degs[w[-1]]
                              if w else 0)
-        self.space = GradedVectorSpace(
-            [("(%s)" % word_label(w, gen_space) if w else "1", deg)
-             for w, deg in zip(self.words, word_degs)])
+        words = self.words
+        self.space = GradedVectorSpace.derived(word_degs, lambda: [
+            "(%s)" % word_label(w, gen_space) if w else "1" for w in words])
         self.gen_differential = gen_differential
-        self.perturbation = perturbation or CoderivationSpec(gen_space)
+        self.perturbation = perturbation
         self._d1 = None
-        self._pert_op = None
 
     def word_length(self, index):
         return len(self.words[index])
@@ -266,6 +266,17 @@ class TruncatedSymCoalgebra:
         return self._d1
 
     @property
+    def perturbation(self):
+        """The CoderivationSpec of the perturbation; assigning a new one
+        (None for zero) drops the operators built from the old one."""
+        return self._perturbation
+
+    @perturbation.setter
+    def perturbation(self, spec):
+        self._perturbation = spec or CoderivationSpec(self.gen_space)
+        self._pert_op = self._differential = None
+
+    @property
     def perturbation_operator(self):
         if self._pert_op is None:
             self._pert_op = coderivation_operator(self.perturbation, self)
@@ -273,20 +284,14 @@ class TruncatedSymCoalgebra:
 
     @property
     def differential(self):
-        return self.d1 + self.perturbation_operator
+        """d1 plus the perturbation operator, built once per perturbation."""
+        if self._differential is None:
+            self._differential = self.d1 + self.perturbation_operator
+        return self._differential
 
     def diagonal(self, word):
         """Splittings of a basis word."""
         return list(splittings(word, self.gen_space))
-
-    def diagonal_of_column(self, column):
-        """Delta of a sparse column {word index: coefficient}, as a dict
-        {(A, B): coefficient}."""
-        out = {}
-        for t, c in column.items():
-            for A, B, sign in self.diagonal(self.words[t]):
-                out[(A, B)] = out.get((A, B), 0) + (c if sign > 0 else -c)
-        return out
 
 
 def suspended_coalgebra(d, N):

@@ -34,7 +34,7 @@ def test_d_squared_enforced():
 
 def test_homology_two_step():
     H, reps = homology(two_step())
-    assert H.dims_by_degree() == {0: 1}
+    assert H.degrees == [0]
     # the surviving class is c, up to adding a boundary multiple of b
     rep = reps[0]
     assert rep[2] == 1 and 0 not in rep

@@ -9,10 +9,11 @@ from hptmaster import cli, instances
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
 from hptmaster.graded import GradedMap, GradedVectorSpace
-from hptmaster.transfer import (adjoint_report, check_addendum_283,
-                                check_addendum_285, theorem_29_pipeline,
-                                transfer, verify_master)
-from hptmaster.words import TruncatedSymCoalgebra, sort_factors
+from hptmaster.transfer import (check_addendum_283, check_addendum_285,
+                                theorem_29_pipeline, transfer, verify_master)
+from hptmaster import words
+from hptmaster.words import (TruncatedSymCoalgebra, sort_factors,
+                             word_degree, word_label)
 
 F = Fraction
 
@@ -125,6 +126,54 @@ def test_degeneration_hypothesis_fails_on_sl2():
     assert res.D.arities() == [2]
 
 
+def adjoint_report(result):
+    """Verify that the extended inclusion is the coalgebra adjoint of tau.
+
+    Checks exactly: (a) the perturbed inclusion is a morphism of coalgebras,
+    (b) its corestriction to word length one is the suspension of tau,
+    (c) it intertwines the differentials (part of the contraction data).
+    """
+    F = result.extended.nabla
+    small = result.coalg
+    big = result.big_coalg
+
+    morphism = True
+    for wi, w in enumerate(small.words):
+        # Delta F e_w - (F (x) F) Delta e_w
+        diff = {}
+        for t, c in F.apply_basis(wi).items():
+            for A, B, sign in big.diagonal(big.words[t]):
+                diff[(A, B)] = diff.get((A, B), 0) + sign * c
+        for A, B, sign in small.diagonal(w):
+            fa = F.apply_basis(small.windex[A])
+            fb = F.apply_basis(small.windex[B])
+            for ta, ca in fa.items():
+                for tb, cb in fb.items():
+                    key = (big.words[ta], big.words[tb])
+                    diff[key] = diff.get(key, 0) - sign * ca * cb
+        if any(c != 0 for c in diff.values()):
+            morphism = False
+            break
+
+    corestriction = True
+    for wi, w in enumerate(small.words):
+        tau_val = result.tau.hom.apply_basis(wi)
+        f_val = {t: c for t, c in F.apply_basis(wi).items()
+                 if len(big.words[t]) == 1}
+        want = {big.windex[(i,)]: c for i, c in tau_val.items()}
+        if f_val != want:
+            corestriction = False
+            break
+
+    chain = not result.extended.identity_failures()
+    return {
+        "coalgebra_morphism": morphism,
+        "corestriction_is_tau": corestriction,
+        "contraction_valid": chain,
+        "passed": morphism and corestriction and chain,
+    }
+
+
 def test_adjoint_coalgebra_morphism():
     for g in (instances.nonzero_l3_dgla(), instances.lie_tensor_dgla()):
         con = build_contraction(g.complex)
@@ -234,3 +283,51 @@ def test_cli_computes_each_verdict_once(argv, identities, counted,
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert counted["identities"] == identities
+
+
+def test_pipeline_leaves_word_labels_unbuilt(monkeypatch):
+    # the words index the word spaces, so the pipeline never formats a
+    # label; one read of basis then gives the labels word_label writes
+    g = instances.random_dgla(5)
+    con = build_contraction(g.complex)
+    calls = []
+
+    def counting_label(word, gen_space):
+        calls.append(word)
+        return word_label(word, gen_space)
+
+    monkeypatch.setattr(words, "word_label", counting_label)
+    result = transfer(g, con, 4)
+    assert verify_master(result)["passed"]
+    assert result.extended.identity_failures() == []
+    assert calls == []
+    for coalg in (result.coalg, result.big_coalg):
+        assert coalg.space.basis == [
+            ("(%s)" % word_label(w, coalg.gen_space) if w else "1",
+             word_degree(w, coalg.gen_space)) for w in coalg.words]
+        assert coalg.space.basis[0] == ("1", 0)
+
+
+def _star_dgla(middle):
+    """[a, b] = c = d(u) on a, b, c of degree 0 and u of degree 1, with c
+    labelled `middle`: the letter s(a*sb) of C[g] is written like the word
+    (sa, sb) when middle is "a*sb"."""
+    space = GradedVectorSpace([("a", 0), ("b", 0), (middle, 0), ("u", 1)])
+    d = GradedMap(space, space, -1, {(2, 3): 1})
+    return DgLieAlgebra(ChainComplex(space, d), {(0, 1): {2: 1}})
+
+
+def test_labels_with_a_star_transfer_like_plain_labels():
+    # "a" < "a*sb" < "b" and "a" < "aa" < "b": the two labellings give the
+    # same canonical order, so the same words and the same maps
+    maps = []
+    for middle in ("a*sb", "aa"):
+        g = _star_dgla(middle)
+        result = transfer(g, build_contraction(g.complex), 3)
+        assert verify_master(result)["passed"]
+        ext = result.extended
+        maps.append([(m.num, m.den) for m in (ext.nabla, ext.pi, ext.h)])
+        if middle == "a*sb":
+            assert result.big_coalg.space.labels.count("(sa*sb)") == 2
+    assert maps[0] == maps[1]
+    assert maps[0][2][0]   # the homotopy is not zero

@@ -371,3 +371,18 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
     got = commutes_with_diagonal(bad, coalg)
     assert got and xy not in got
     assert got == word_oracle.commutes_with_diagonal(bad, coalg)
+
+
+def test_assigning_a_perturbation_rebuilds_the_operators():
+    coalg = ce_coalgebra(instances.nonzero_l3_dgla(), 3)
+    D = coalg.differential
+    assert coalg.differential is D   # built once per perturbation
+    old = coalg.perturbation_operator
+    coalg.perturbation = CoderivationSpec(coalg.gen_space, {
+        b: {w: {k: 2 * c for k, c in val.items()} for w, val in comp.items()}
+        for b, comp in coalg.perturbation.components.items()})
+    assert coalg.perturbation_operator == old.scale(2)
+    assert coalg.differential == coalg.d1 + old.scale(2) != D
+    coalg.perturbation = None
+    assert coalg.perturbation_operator.is_zero()
+    assert coalg.differential == coalg.d1
