@@ -164,14 +164,24 @@ def cup_bracket(a, b, coalg, target, length=None):
 
     Each splitting (A, B) of w occurs once in Delta(e_w), so
     [a, b](w) = sum over A in supp a, B in supp b merging to w of
-    sign(A, B) (-1)^{|b||A|} [a(A), b(B)].
+    term(A, B) = sign(A, B) (-1)^{|b||A|} [a(A), b(B)].
+
+    The cup square [t, t] of a map t of odd degree p (a is b) is summed
+    over the unordered pairs of its support.  The two orders of a pair
+    give equal terms: sign(B, A) = sign(A, B) (-1)^{|A||B|}, and graded
+    antisymmetry gives [t B, t A] = -(-1)^{(|A|+p)(|B|+p)} [t A, t B], so
+    term(B, A) = (-1)^{1+p} term(A, B) = term(A, B).  So only the pairs
+    of columns s_A <= s_B are visited: a pair with s_A < s_B counts twice,
+    and the diagonal pair A = B, one splitting of its merge, once (its
+    value [t A, t A] need not vanish, t A being odd).
     """
     words = coalg.words
     table = target.bracket
     b_by_length = {}
     for s, vb in b.num_columns().items():
-        b_by_length.setdefault(len(words[s]), []).append((words[s], vb))
+        b_by_length.setdefault(len(words[s]), []).append((s, words[s], vb))
     odd_b = b.degree % 2
+    square = a is b and odd_b
     # numerator units: each add_product adds table.den times a bracket of
     # columns a.den and b.den times too large
     acc = {}
@@ -182,12 +192,16 @@ def cup_bracket(a, b, coalg, target, length=None):
             n = len(A) + size
             if n > coalg.N or (length is not None and n != length):
                 continue
-            for B, vb in group:
+            for r, B, vb in group:
+                if square and r < s:
+                    continue
                 w, sign = merge_words(A, B, coalg)
                 if w is None:
                     continue
                 if flip:
                     sign = -sign
+                if square and r != s:
+                    sign *= 2
                 table.add_product(acc.setdefault(coalg.windex[w], {}),
                                   va, vb, sign)
     ent = {(t, wi): acc[wi][t] for wi in sorted(acc) for t in sorted(acc[wi])}

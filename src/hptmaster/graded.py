@@ -408,10 +408,10 @@ class StructureTable:
         return self.signed.get((i, j), {})
 
     def add_product(self, acc, u, v, sign=1):
-        """acc += sign * den * u v for sparse vectors {index: coeff} and an
-        int factor sign (+1 or -1 for a sign): the product in numerator
-        units, int when u and v are.  Returns acc, which may hold zero
-        values."""
+        """acc += sign * den * u v for sparse vectors {index: coeff} and
+        any int factor sign (a sign +-1, or +-2 for the doubled pairs of a
+        cup square): the product in numerator units, int when u and v are.
+        Returns acc, which may hold zero values."""
         signed = self.signed
         for i, a in u.items():
             for j, b in v.items():

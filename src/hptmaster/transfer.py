@@ -96,12 +96,11 @@ def transfer(g, con, N):
         # D h = nabla pi - Id forces the minus sign here: with
         # tau^b = -h (1/2)[tau, tau] the master equation closes lengthwise.
         tau_hom = tau_hom - con.h.compose(cb).scale(HALF)
-        comp = {}
+        # cb, and so pi_cb, has columns on length-b words only; the
+        # suspension is the identity on indices
         pi_cb = con.pi.compose(cb).scale(HALF)
-        for w in coalg.words_of_length(b, b):
-            val = pi_cb.apply_basis(coalg.windex[w])
-            if val:
-                comp[w] = val  # suspension is the identity on indices
+        comp = {coalg.words[s]: val
+                for s, val in sorted(pi_cb.by_column().items())}
         if comp:
             spec.set_component(b, comp)
 

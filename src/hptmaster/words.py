@@ -350,57 +350,66 @@ def commutes_with_diagonal(op, coalg):
     compared one length n at a time, in one dict that holds only that
     length's differences: the merge side is added into it, and then each
     target word t of the columns of the length-n words is split once and
-    c Delta(e_t) subtracted for every entry c of t in those columns.
+    c Delta(e_t) subtracted for every entry c of t in those columns.  A
+    tensor e_A (x) e_B is keyed by the int a * W + b, a and b the indices
+    of A and B among the W words.  Both scans are driven by the supports:
+    the merge side by the columns of D, the split side by the columns of
+    the length-n words of D, and the verdict reads the words w that the
+    dict holds, in index order, which is word order.
     """
     odd = op.degree % 2 == 1
     words = coalg.words
     windex = coalg.windex
     degs = coalg.space.degrees
-    # both sides on the int numerators of op, op.den times too large
-    num_cols = op.num_columns()
-    columns = [(words[s], degs[s] % 2 == 1, col)
-               for s, col in num_cols.items()]
-    # the words of each length with their parities, read once per word
-    by_length = [[(Y, degs[windex[Y]] % 2 == 1)
-                  for Y in coalg.words_of_length(m, m)]
-                 for m in range(coalg.N + 1)]
+    W = len(words)
+    # both sides on the int numerators of op, op.den times too large: the
+    # columns of D, and the same columns by the length of their word
+    columns = []
+    cols_by_length = [[] for _ in range(coalg.N + 1)]
+    for s, col in op.num_columns().items():
+        columns.append((words[s], degs[s] % 2 == 1, list(col.items())))
+        cols_by_length[len(words[s])].append((s, col))
+    # the words of each length with their indices and parities
+    by_length = [[] for _ in range(coalg.N + 1)]
+    for y, Y in enumerate(words):
+        by_length[len(Y)].append((Y, y, degs[y] % 2 == 1))
     bad = []
     for n in range(coalg.N + 1):
         rhs = {}
         for X, x_odd, col in columns:
             if len(X) > n:
                 continue
-            for Y, y_odd in by_length[n - len(X)]:
+            for Y, y, y_odd in by_length[n - len(X)]:
                 w, sign = merge_words(X, Y, coalg)
                 if w is None:
                     continue
                 acc = rhs.setdefault(windex[w], {})
                 # D (x) Id on the splitting (X, Y)
-                for t, c in col.items():
-                    key = (words[t], Y)
+                for t, c in col:
+                    key = t * W + y
                     acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
                 # Id (x) D on the splitting (Y, X): the Koszul signs of
                 # swapping X and Y, (-1)^{|X||Y|}, and of moving D past
                 # e_Y, (-1)^{|D||Y|}
                 if y_odd and x_odd != odd:
                     sign = -sign
-                for t, c in col.items():
-                    key = (Y, words[t])
+                yW = y * W
+                for t, c in col:
+                    key = yW + t
                     acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
         # Delta(D e_w) for the words w of length n: the columns grouped by
         # target word, so that each target is split once per length
-        length_n = coalg.words_of_length(n, n)
         uses = {}
-        for w in length_n:
-            wi = windex[w]
-            for t, c in num_cols.get(wi, {}).items():
-                uses.setdefault(t, []).append((rhs.setdefault(wi, {}), c))
+        for wi, col in cols_by_length[n]:
+            acc = rhs.setdefault(wi, {})
+            for t, c in col.items():
+                uses.setdefault(t, []).append((acc, c))
         for t, entries in uses.items():
             for A, B, sign in coalg.diagonal(words[t]):
-                key = (A, B)
+                key = windex[A] * W + windex[B]
                 for acc, c in entries:
                     acc[key] = acc.get(key, 0) - (c if sign > 0 else -c)
-        bad.extend(w for w in length_n if any(rhs.get(windex[w], {}).values()))
+        bad.extend(words[wi] for wi in sorted(rhs) if any(rhs[wi].values()))
     return bad
 
 

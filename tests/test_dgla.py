@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import word_oracle
-from hptmaster import cli, instances
+from hptmaster import cli, dgla, instances
 from hptmaster.complexes import ChainComplex, build_contraction
 from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
                             cup_bracket, is_twisting_cochain,
@@ -15,7 +15,8 @@ from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
                             validate_dgla)
 from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import transfer
-from hptmaster.words import TruncatedSymCoalgebra, check_sh_lie, parse_word
+from hptmaster.words import (TruncatedSymCoalgebra, check_sh_lie,
+                             merge_words, parse_word)
 
 F = Fraction
 
@@ -257,3 +258,44 @@ def test_cup_bracket_matches_oracle_on_hand_case():
         a, b = random_map(da), random_map(db)
         assert not cup_bracket(a, b, coalg, g).is_zero()
         _assert_cup_matches_oracle(a, b, coalg, g)
+    # cup squares: summed over the unordered pairs of the support for an
+    # odd map, where some diagonal pair (A, A) brackets to nonzero, and
+    # zero for an even one
+    diagonal = []
+    for degree in (-1, 1, 0):
+        a = random_map(degree)
+        assert cup_bracket(a, a, coalg, g).is_zero() == (degree == 0)
+        _assert_cup_matches_oracle(a, a, coalg, g)
+        if degree % 2:
+            diagonal += [g.bracket(col, col)
+                         for s, col in a.by_column().items()
+                         if 2 * len(coalg.words[s]) <= coalg.N
+                         and merge_words(coalg.words[s], coalg.words[s],
+                                         coalg)[0]]
+    assert any(diagonal)
+
+
+def test_cup_square_merges_each_unordered_pair_once(monkeypatch,
+                                                    fixture_dir):
+    # [tau, tau] visits the pairs of support columns s_A <= s_B whose
+    # lengths fit, one merge each, not both orders of a pair
+    _, g, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
+    g = instances.change_basis(g, random.Random(3))
+    tau = transfer(g, build_contraction(g.complex), 5).tau
+    coalg = tau.source
+    merges = []
+
+    def counting(A, B, coalg):
+        merges.append((A, B))
+        return merge_words(A, B, coalg)
+
+    monkeypatch.setattr(dgla, "merge_words", counting)
+    square = cup_bracket(tau.hom, tau.hom, coalg, g)
+    support = sorted(tau.hom.num_columns())
+    lengths = [len(coalg.words[s]) for s in support]
+    pairs = sum(1 for i, m in enumerate(lengths) for n in lengths[i:]
+                if m + n <= coalg.N)
+    assert len(merges) == pairs
+    assert len(set(merges)) == pairs
+    assert square.entries == word_oracle.cup_bracket(
+        tau.hom, tau.hom, coalg, g).entries
