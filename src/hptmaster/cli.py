@@ -228,9 +228,9 @@ def serialize_mc(mc):
     return {
         "coordinates": list(mc.coordinates),
         "truncation": mc.truncation,
-        "equations": {target: {"*".join(m): frac_str(c)
-                               for m, c in sorted(poly.items())}
-                      for target, poly in sorted(mc.equations.items())},
+        "equations": {target: {word_label(w, mc.space): frac_str(c)
+                               for w, c in poly.items()}
+                      for target, poly in mc.equations.items()},
     }
 
 

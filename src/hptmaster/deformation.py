@@ -16,18 +16,21 @@ from .words import (CoderivationSpec, TruncatedSymCoalgebra, check_sh_lie,
 class MCVariety:
     """Truncated Maurer-Cartan equations on the degree-one part.
 
-    coordinates are the basis labels of cohomological degree one (stored
-    homologically as degree -1); equations maps each cohomological
-    degree-two target label to a polynomial, a dict from monomials (sorted
-    tuples of coordinate labels) to rational coefficients.  The order-k
+    space is the underlying graded space; coordinates are its basis labels
+    of cohomological degree one (stored homologically as degree -1);
+    equations maps each cohomological degree-two target label to a
+    polynomial, a dict from monomials (canonical index words over space,
+    written out by words.word_label) to rational coefficients.  The order-k
     part comes from l_k via eta -> sum over k of (1/k!) l_k(eta, ..., eta);
     in the divided-power monomial basis each multiset monomial appears with
     coefficient exactly l_k of that word, so the quadratic part is
     (1/2)[eta, eta] written out.
     """
 
-    def __init__(self, coordinates, equations, truncation):
-        self.coordinates = list(coordinates)
+    def __init__(self, space, equations, truncation):
+        self.space = space
+        self.coordinates = [space.labels[i]
+                            for i in space.indices_in_degree(-1)]
         self.equations = equations
         self.truncation = truncation
 
@@ -53,8 +56,8 @@ class MCVariety:
             acc = Fraction(0)
             for mono, coeff in poly.items():
                 term = coeff
-                for lab in mono:
-                    term *= point.get(lab, Fraction(0))
+                for g in mono:
+                    term *= point.get(self.space.labels[g], Fraction(0))
                 acc += term
             out[t] = acc
         return out
@@ -74,8 +77,7 @@ def mc_equations(linf, N):
     if any(d > 0 for d in space.degrees):
         raise ValueError(
             "underlying space must sit in nonnegative cohomological degrees")
-    coords = space.indices_in_degree(-1)
-    coord_set = set(coords)
+    coord_set = set(space.indices_in_degree(-1))
     targets = {i: space.labels[i] for i in space.indices_in_degree(-2)}
     equations = {lab: {} for lab in targets.values()}
     for k, table in sorted(linf.brackets.items()):
@@ -88,11 +90,10 @@ def mc_equations(linf, N):
                 if c == 0 or gi not in targets:
                     continue
                 poly = equations[targets[gi]]
-                mono = tuple(sorted(space.labels[g] for g in word))
-                poly[mono] = poly.get(mono, Fraction(0)) + c
+                poly[word] = poly.get(word, Fraction(0)) + c
     equations = {t: {m: c for m, c in poly.items() if c != 0}
                  for t, poly in equations.items()}
-    return MCVariety([space.labels[i] for i in coords], equations, N)
+    return MCVariety(space, equations, N)
 
 
 def formality_report(result):

@@ -488,14 +488,6 @@ def _pruned(acc, den):
             for k, c in sorted(acc.items()) if c}
 
 
-def hom_differential(phi, d_src, d_tgt):
-    """D(phi) = d_tgt o phi - (-1)^{|phi|} phi o d_src."""
-    if d_src.source != phi.source or d_tgt.source != phi.target:
-        raise ValueError("differential/space mismatch")
-    sign = -1 if phi.degree % 2 == 0 else 1
-    return d_tgt.compose(phi) + phi.compose(d_src).scale(sign)
-
-
 def koszul_sign(permutation, degrees):
     """Sign of permuting homogeneous factors of the given degrees.
 
@@ -515,12 +507,6 @@ def suspend_space(space):
     """The suspension sM; labels are prefixed with "s" so that sM and M
     never collide."""
     return GradedVectorSpace([("s" + lab, deg + 1) for lab, deg in space.basis])
-
-
-def suspension_iso(space):
-    """The canonical degree-1 isomorphism M -> sM (entries all 1)."""
-    ent = {(i, i): 1 for i in range(space.dim)}
-    return GradedMap(space, suspend_space(space), 1, ent, check=False, den=1)
 
 
 def suspend_map(phi):

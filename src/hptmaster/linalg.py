@@ -3,54 +3,78 @@
 A vector is a dict {index: Fraction} that holds no zero values, the form
 GradedMap.by_column and the __call__ of maps and tables hand out.  A
 matrix is a list of vectors: its rows for rref and rank, its columns
-everywhere else.  Elimination runs on the Fraction values, except in
-inverse, which clears the denominators of each column and eliminates
-fraction-free on ints (Bareiss), handing Fractions out.
-Pivoting takes the first nonzero entry in index order, so every function
-here is deterministic, and since a matrix has only one reduced row echelon
-form, the results are the ones dense Gauss-Jordan elimination gives.
+everywhere else.  Every elimination runs in one kernel, _echelon, on int
+rows: a row given is multiplied by the lcm of its denominators, and a
+Fraction is built only for a value handed out.  A finished echelon row is
+a multiple of the reduced row with its pivot, so dividing it by the gcd of
+its entries leaves the least int multiple: the entries stay bounded by the
+reduced echelon form of the rows taken so far, not by the steps that led
+to it.  Pivoting takes the first nonzero entry in index order, so every
+function here is deterministic, and since a matrix has only one reduced
+row echelon form, the results are the ones dense Gauss-Jordan elimination
+gives.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .graded import ONE, ZERO
+from .graded import ONE
 
 
-def rref(rows):
-    """Reduced row echelon form of the matrix with the given rows.
+def _echelon(rows):
+    """The reduced row echelon form of the matrix with the given rows, on
+    ints: {pivot: row}, each row the least int multiple of the reduced row
+    with that pivot.
 
-    Returns [(pivot, row)] in increasing pivot order, without zero rows:
-    each row is 1 at its pivot, which is its first index, and 0 at the
-    pivot of every other row.  The rows are taken in turn, each cleared at
-    the pivots found so far and then cleared from the rows that hold
-    them, so the work follows the nonzero entries.  The rows given are
-    not modified.
+    The rows are taken in turn, each cleared at the pivots found so far;
+    an echelon row is 0 at the other pivots, so clearing one only scales
+    the entries of the new row there.  What is left takes its first index
+    as a pivot and is cleared from the rows that hold it.  The work follows
+    the nonzero entries, and the rows given are not modified.
     """
     echelon = {}
     for row in rows:
-        v = dict(row)
-        # an echelon row is 0 at the other pivots, so clearing one pivot
-        # leaves the entries of v at the others as they were
+        den = lcm(*(c.denominator for c in row.values()))
+        v = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
         for p in [p for p in v if p in echelon]:
-            _subtract(v, v[p], echelon[p])
+            _clear(v, echelon[p], p)
         if not v:
             continue
+        _divide_gcd(v)
         q = min(v)
-        lead = v[q]
-        if lead != 1:
-            v = {k: c / lead for k, c in v.items()}
         for r in echelon.values():
             if q in r:
-                _subtract(r, r[q], v)
+                _clear(r, v, q)
+                _divide_gcd(r)
         echelon[q] = v
-    return sorted(echelon.items())
+    return echelon
+
+
+def _clear(v, u, p):
+    """Clear index p of the int row v by the int row u, which is nonzero
+    there: v = a v - b u in place with a : b = u[p] : v[p] in lowest
+    terms."""
+    a, b = u[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in v:
+            v[k] *= a
+    _subtract(v, b, u)
+
+
+def _divide_gcd(v):
+    """Divide the int row v by the gcd of its entries, in place."""
+    g = gcd(*v.values())
+    if g != 1:
+        for k in v:
+            v[k] //= g
 
 
 def _subtract(v, f, row):
     """v -= f * row in place, dropping the entries that cancel."""
     for k, c in row.items():
-        x = v.get(k, ZERO) - f * c
+        x = v.get(k, 0) - f * c
         if x:
             v[k] = x
         else:
@@ -66,10 +90,22 @@ def _rows(columns):
     return rows.values()
 
 
+def rref(rows):
+    """Reduced row echelon form of the matrix with the given rows.
+
+    Returns [(pivot, row)] in increasing pivot order, without zero rows:
+    each row is 1 at its pivot, which is its first index, and 0 at the
+    pivot of every other row.  It is the int echelon of _echelon with each
+    row divided by its pivot entry.  The rows given are not modified.
+    """
+    return [(p, {k: Fraction(c, row[p]) for k, c in row.items()})
+            for p, row in sorted(_echelon(rows).items())]
+
+
 def rank(rows):
     """Rank of the matrix with the given rows, or with the given columns:
     a matrix and its transpose have the same rank."""
-    return len(rref(rows))
+    return len(_echelon(rows))
 
 
 def kernel_basis(columns):
@@ -80,13 +116,12 @@ def kernel_basis(columns):
     increasing order: it is 1 at f and 0 at the other free columns.  The
     keys missing from the result are the pivot columns.
     """
-    echelon = rref(_rows(columns.items()))
-    pivots = {p for p, _ in echelon}
-    basis = {f: {f: ONE} for f in sorted(columns) if f not in pivots}
-    for p, row in echelon:
+    echelon = _echelon(_rows(columns.items()))
+    basis = {f: {f: ONE} for f in sorted(columns) if f not in echelon}
+    for p, row in sorted(echelon.items()):
         for f, c in row.items():
             if f != p:
-                basis[f][p] = -c
+                basis[f][p] = Fraction(-c, row[p])
     return basis
 
 
@@ -97,15 +132,15 @@ def solve(columns, rhs):
     [M | rhs]."""
     n = len(columns)
     rhs = list(rhs)
-    echelon = rref(_rows(enumerate(list(columns) + rhs)))
+    echelon = _echelon(_rows(enumerate(list(columns) + rhs)))
     out = [{} for _ in rhs]
     # rows with a pivot in M come first; a row with its pivot in rhs
     # proves each right-hand side it touches inconsistent
-    for p, row in echelon:
+    for p, row in sorted(echelon.items()):
         for k, c in row.items():
             if k >= n:
                 if p < n:
-                    out[k - n][p] = c
+                    out[k - n][p] = Fraction(c, row[p])
                 else:
                     out[k - n] = None
     return out
@@ -116,57 +151,17 @@ def inverse(columns):
     t in increasing order, the coordinates of the unit vector e_t over the
     columns.  Raises ValueError when the matrix is not invertible.
 
-    Column j times the lcm l_j of its denominators is an int column of A,
-    and Gauss-Jordan runs on the int rows of [A | I] fraction-free: each
-    step sets every other row r to (p r - r_j pivot_row) / q, with p the
-    pivot and q the one before it, a division that is exact because every
-    entry stays a minor of [A | I].  At the end each pivot row is the last
-    pivot det at its pivot j and det times row j of A^{-1} on the right,
-    and M^{-1} = diag(l) A^{-1}.
+    It is one solve for all the e_t.  A square matrix is singular exactly
+    when its columns span less than the whole space, and then some e_t
+    lies outside the span: so the matrix is invertible exactly when every
+    e_t has a solution, which is then the only one.
     """
     keys = sorted(set().union(*columns))
-    n = len(columns)
-    if len(keys) != n:
+    if len(keys) != len(columns):
         raise ValueError("matrix not invertible")
-    position = {t: i for i, t in enumerate(keys)}
-    # row i of [A | I]: A at the keys j < n, I at the keys n + i
-    rows = [{n + i: 1} for i in range(n)]
-    scale = []
-    for j, col in enumerate(columns):
-        l = lcm(*(c.denominator for c in col.values()))
-        scale.append(l)
-        for t, c in col.items():
-            rows[position[t]][j] = c.numerator * (l // c.denominator)
-    pivot_rows = []
-    prev = 1
-    for j in range(n):
-        pivot = next((r for r in rows if j in r), None)
-        if pivot is None:
-            raise ValueError("matrix not invertible")
-        rows.remove(pivot)
-        p = pivot[j]
-        for r in rows + pivot_rows:
-            c = r.pop(j, 0)
-            for k in r:
-                r[k] *= p
-            if c:
-                for k, v in pivot.items():
-                    if k != j:
-                        x = r.get(k, 0) - c * v
-                        if x:
-                            r[k] = x
-                        else:
-                            del r[k]
-            if prev != 1:
-                for k in r:
-                    r[k] //= prev
-        pivot_rows.append(pivot)
-        prev = p
-    out = [{} for _ in range(n)]
-    for j, row in enumerate(pivot_rows):
-        for k, v in row.items():
-            if k >= n:
-                out[k - n][j] = Fraction(scale[j] * v, prev)
+    out = solve(columns, [{t: ONE} for t in keys])
+    if None in out:
+        raise ValueError("matrix not invertible")
     return out
 
 

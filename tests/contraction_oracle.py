@@ -13,7 +13,15 @@ non-standard contractions for the tests; the coalgebra lift never needs it.
 from fractions import Fraction
 
 from hptmaster.complexes import ChainComplex, Contraction
-from hptmaster.graded import GradedMap, hom_differential
+from hptmaster.graded import GradedMap
+
+
+def hom_differential(phi, d_src, d_tgt):
+    """D(phi) = d_tgt o phi - (-1)^{|phi|} phi o d_src."""
+    if d_src.source != phi.source or d_tgt.source != phi.target:
+        raise ValueError("differential/space mismatch")
+    sign = -1 if phi.degree % 2 == 0 else 1
+    return d_tgt.compose(phi) + phi.compose(d_src).scale(sign)
 
 
 def identity_failures(con):

@@ -113,15 +113,16 @@ def test_build_contraction_eliminations_do_not_grow_with_dimension(
         monkeypatch):
     # per degree: the kernel and the boundaries for homology, and one
     # elimination that finds the complement of the cycles and inverts the
-    # adapted basis, whatever the dimension
+    # adapted basis, whatever the dimension; every elimination of linalg
+    # runs in its one kernel
     calls = []
-    rref = linalg.rref
+    echelon = linalg._echelon
 
     def counting(rows):
         calls.append(rows)
-        return rref(rows)
+        return echelon(rows)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(linalg, "_echelon", counting)
     counts = []
     for n in (10, 40):
         del calls[:]

@@ -29,7 +29,7 @@ def test_mc_quadratic_part_distinct_coordinates():
     g = DgLieAlgebra(ChainComplex(V), {(0, 1): {2: F(1)}})
     mc = mc_of_dgla(g, 3)
     assert mc.coordinates == ["x", "y"]
-    assert mc.equations == {"z": {("x", "y"): F(1)}}
+    assert mc.equations == {"z": {(0, 1): F(1)}}
     assert mc.is_quadratic() and not mc.is_empty()
 
 
@@ -38,7 +38,7 @@ def test_mc_quadratic_part_odd_self_bracket():
     V = GradedVectorSpace([("x", -1), ("z", -2)])
     g = DgLieAlgebra(ChainComplex(V), {(0, 0): {1: F(1)}})
     mc = mc_of_dgla(g, 3)
-    assert mc.equations == {"z": {("x", "x"): F(1, 2)}}
+    assert mc.equations == {"z": {(0, 0): F(1, 2)}}
 
 
 def test_mc_evaluate_matches_half_bracket():
@@ -65,12 +65,14 @@ def test_mc_rejects_positive_homological_degrees():
 
 
 def test_mcvariety_helpers():
-    mc = MCVariety(["x"], {"z": {("x", "x", "x"): F(1)}}, 3)
+    V = GradedVectorSpace([("x", -1), ("z", -2)])
+    mc = MCVariety(V, {"z": {(0, 0, 0): F(1)}}, 3)
+    assert mc.coordinates == ["x"]
     assert not mc.is_empty()
     assert mc.max_order() == 3
     assert not mc.is_quadratic()
     assert mc.quadratic_part() == {"z": {}}
-    empty = MCVariety(["x"], {"z": {}}, 3)
+    empty = MCVariety(V, {"z": {}}, 3)
     assert empty.is_empty() and empty.max_order() == 0
 
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import table_oracle
+from contraction_oracle import hom_differential
 from linalg_oracle import sparse
 from hptmaster import instances
 from hptmaster.bv import GerstenhaberAlgebra
 from hptmaster.graded import (GradedMap, GradedVectorSpace, StructureTable,
-                              hom_differential, koszul_sign, suspend_map,
-                              suspend_space, suspension_iso)
+                              koszul_sign, suspend_map, suspend_space)
 
 
 def bubble_sign(perm, degrees):
@@ -66,6 +66,12 @@ def test_graded_map_degree_enforced():
         pass
     else:
         raise AssertionError("inhomogeneous entry accepted")
+
+
+def suspension_iso(space):
+    """The canonical degree-1 isomorphism M -> sM (entries all 1)."""
+    ent = {(i, i): 1 for i in range(space.dim)}
+    return GradedMap(space, suspend_space(space), 1, ent, check=False, den=1)
 
 
 def test_hom_differential_hand():

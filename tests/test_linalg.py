@@ -1,6 +1,7 @@
 """Exact linear algebra on sparse vectors: reduced echelon form, kernels,
 solving, and parity with the dense oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -249,3 +250,76 @@ def test_homology_matches_the_dense_oracle(C):
     oracle_H, oracle_reps = linalg_oracle.homology(C)
     assert H.basis == oracle_H.basis
     assert [dense(rep, C.space.dim) for rep in reps] == oracle_reps
+
+
+# -- no Fraction arithmetic inside an elimination -----------------------------
+
+def seeded_matrices(seed):
+    """A dense matrix of 1-6 rows and columns with Fraction entries, drawn
+    from Random(seed); every third one gets a column that is a multiple of
+    another, so it is singular when square."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    if seed % 2:
+        n = m
+    M = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+          if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+         for _ in range(m)]
+    if n > 1 and seed % 3 == 0:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for row in M:
+            row[n - 1] = c * row[0]
+    return M
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                       "__neg__")
+
+
+def test_eliminations_run_no_fraction_arithmetic(monkeypatch):
+    # the oracle's answers first, then rref, solve and inverse with every
+    # Fraction operator raising: Fractions are only built, from ints
+    cases = []
+    for seed in range(150):
+        M = seeded_matrices(seed)
+        m, n = len(M), len(M[0])
+        rng = random.Random(-seed)
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+        units = [[Fraction(int(i == t)) for i in range(m)] for t in range(m)]
+        R, pivots = linalg_oracle.rref(M)
+        cases.append((M, b, R[:len(pivots)], pivots,
+                      linalg_oracle.solve(M, b),
+                      [linalg_oracle.solve(M, e) for e in units]
+                      if m == n == len(pivots) else None))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside an elimination")
+
+    got = []
+    with monkeypatch.context() as patch:
+        for name in FRACTION_ARITHMETIC:
+            patch.setattr(Fraction, name, refuse)
+        for M, b, *_ in cases:
+            n = len(M[0])
+            cols = sparse_columns(M, n)
+            inv = None
+            if len(M) == n:
+                try:
+                    inv = linalg.inverse(cols)
+                except ValueError:
+                    pass
+            got.append((linalg.rref(sparse_rows(M)),
+                        linalg.solve(cols, [sparse(b)])[0], inv))
+
+    # square cases both invertible and singular
+    assert {want_inv is None for M, *_, want_inv in cases
+            if len(M) == len(M[0])} == {True, False}
+    for (M, _, R, pivots, want_x, want_inv), (echelon, x, inv) in zip(
+            cases, got):
+        n = len(M[0])
+        assert [p for p, _ in echelon] == pivots
+        assert [dense(row, n) for _, row in echelon] == R
+        assert (None if x is None else dense(x, n)) == want_x
+        assert (None if inv is None
+                else [dense(col, n) for col in inv]) == want_inv
