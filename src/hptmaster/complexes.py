@@ -36,16 +36,14 @@ class ChainComplex:
     def perturbed(self, delta):
         """The complex (space, d + delta), raising like the constructor.
         d^2 = 0 was checked on self, so of (d + delta)^2 only the rest,
-        (d + delta) delta + delta d, is tested, one column at a time on
-        numerators: d.den d_new.den delta.den times the column."""
+        (d + delta) delta + delta d, is tested, as one residual on
+        numerators: d.den d_new.den delta.den times the sum."""
         d = self.d
         d_new = d + delta
-        d_cols, delta_cols = d.num_columns(), delta.num_columns()
-        for s in set(d_cols).union(delta_cols):
-            col = d_new.add_image({}, delta_cols.get(s, {}), d.den)
-            delta.add_image(col, d_cols.get(s, {}), d_new.den)
-            if any(col.values()):
-                raise ValueError("d o d != 0")
+        delta_cols = delta.num_columns()
+        if not _vanishes([(d.den, d_new.num_columns(), delta_cols),
+                          (d_new.den, delta_cols, d.num_columns())], 0, 0):
+            raise ValueError("d o d != 0")
         out = ChainComplex.__new__(ChainComplex)
         out.space, out.d = self.space, d_new
         return out
@@ -83,49 +81,52 @@ class Contraction:
         return list(self._failures)
 
     def _check_identities(self):
-        """The failing identities, checked column by column on sparse
-        images: one pass over the basis of the small space (pi nabla = Id,
-        h nabla = 0, nabla a chain map) and one over the big space (the
-        other four).
+        """The failing identities, each tested as one residual, the sum of
+        its terms f g over every column (_vanishes).
 
-        The images are taken on numerators, so a composite f g comes out
+        The terms are taken on numerators, so a composite f g comes out
         f.den g.den times too large; each term of an identity is scaled to
         one common factor, and the identity is tested on ints."""
-        d, d_small = self.big.d, self.small.d
-        nabla, pi, h = self.nabla, self.pi, self.h
-        d_cols, d_small_cols = d.num_columns(), d_small.num_columns()
-        nabla_cols, pi_cols, h_cols = (
-            nabla.num_columns(), pi.num_columns(), h.num_columns())
-        m_d, m_s, m_n, m_p, m_h = (d.den, d_small.den, nabla.den, pi.den,
-                                   h.den)
+        maps = (self.big.d, self.small.d, self.nabla, self.pi, self.h)
+        m_d, m_s, m_n, m_p, m_h = (f.den for f in maps)
+        # the columns of the maps, named after them
+        d, d_small, nabla, pi, h = (f.num_columns() for f in maps)
+        dim_s, dim = self.small.space.dim, self.big.space.dim
         # D h = d h - (-1)^{|h|} h d
-        sign = 1 if h.degree % 2 else -1
-        failed = set()
-        for s in range(self.small.space.dim):
-            ns = nabla_cols.get(s, {})
-            if any(pi.add_image({s: -m_p * m_n}, ns).values()):
-                failed.add("pi nabla != Id")
-            if any(h.add_image({}, ns).values()):
-                failed.add("h nabla != 0")
-            acc = nabla.add_image(d.add_image({}, ns, m_s),
-                                  d_small_cols.get(s, {}), -m_d)
-            if any(acc.values()):
-                failed.add("nabla not a chain map")
-        for s in range(self.big.space.dim):
-            hs, ds = h_cols.get(s, {}), d_cols.get(s, {})
-            ps = pi_cols.get(s, {})
-            acc = d.add_image({s: m_d * m_h * m_n * m_p}, hs, m_n * m_p)
-            h.add_image(acc, ds, sign * m_n * m_p)
-            if any(nabla.add_image(acc, ps, -m_d * m_h).values()):
-                failed.add("Dh != nabla pi - Id")
-            if any(pi.add_image({}, hs).values()):
-                failed.add("pi h != 0")
-            if any(h.add_image({}, hs).values()):
-                failed.add("h h != 0")
-            acc = d_small.add_image(pi.add_image({}, ds, m_s), ps, -m_d)
-            if any(acc.values()):
-                failed.add("pi not a chain map")
-        return [name for name in _IDENTITIES if name in failed]
+        sign = 1 if self.h.degree % 2 else -1
+        residuals = (
+            ([(1, pi, nabla)], -m_p * m_n, dim_s),
+            ([(m_n * m_p, d, h), (sign * m_n * m_p, h, d),
+              (-m_d * m_h, nabla, pi)], m_d * m_h * m_n * m_p, dim),
+            ([(1, pi, h)], 0, 0),
+            ([(1, h, nabla)], 0, 0),
+            ([(1, h, h)], 0, 0),
+            ([(m_s, pi, d), (-m_d, d_small, pi)], 0, 0),
+            ([(m_s, d, nabla), (-m_d, nabla, d_small)], 0, 0),
+        )
+        return [name for name, res in zip(_IDENTITIES, residuals)
+                if not _vanishes(*res)]
+
+
+def _vanishes(terms, unit, dim):
+    """Is unit Id + the sum of scale f g over the terms (scale, f, g) zero
+    on a space of dimension dim?  f and g are int columns, source ->
+    {target: value}, as num_columns() gives them.  The sum is formed one
+    column of g at a time, so a column that no term reaches is zero, and
+    every other column is tested exactly."""
+    res = {s: {s: unit} for s in range(dim)}
+    for scale, f, g in terms:
+        for s, col in g.items():
+            acc = res.get(s)
+            if acc is None:
+                acc = res[s] = {}
+            for m, c in col.items():
+                f_col = f.get(m)
+                if f_col:
+                    c *= scale
+                    for t, n in f_col.items():
+                        acc[t] = acc.get(t, 0) + c * n
+    return not any(any(acc.values()) for acc in res.values())
 
 
 def homology(C):

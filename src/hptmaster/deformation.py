@@ -1,9 +1,9 @@
 """Deformation-theoretic layer: Maurer-Cartan equations and examples.
 
-Truncated Maurer-Cartan equations of a transferred structure, a formality
-report, free graded Lie algebras modelling loop spaces of wedges of
-spheres, and the three-sphere example family whose five-fold Massey
-products produce a positive-dimensional family of structures.
+Truncated Maurer-Cartan equations of a transferred structure, free graded
+Lie algebras modelling loop spaces of wedges of spheres, and the
+three-sphere example family whose five-fold Massey products produce a
+positive-dimensional family of structures.
 """
 
 from fractions import Fraction
@@ -33,34 +33,6 @@ class MCVariety:
                             for i in space.indices_in_degree(-1)]
         self.equations = equations
         self.truncation = truncation
-
-    def is_empty(self):
-        return all(not poly for poly in self.equations.values())
-
-    def max_order(self):
-        orders = [len(m) for poly in self.equations.values() for m in poly]
-        return max(orders) if orders else 0
-
-    def is_quadratic(self):
-        return all(len(m) == 2 for poly in self.equations.values()
-                   for m in poly)
-
-    def quadratic_part(self):
-        return {t: {m: c for m, c in poly.items() if len(m) == 2}
-                for t, poly in self.equations.items()}
-
-    def evaluate(self, point):
-        """Value of each equation at a dict coordinate label -> Fraction."""
-        out = {}
-        for t, poly in self.equations.items():
-            acc = Fraction(0)
-            for mono, coeff in poly.items():
-                term = coeff
-                for g in mono:
-                    term *= point.get(self.space.labels[g], Fraction(0))
-                acc += term
-            out[t] = acc
-        return out
 
 
 def mc_equations(linf, N):
@@ -94,21 +66,6 @@ def mc_equations(linf, N):
     equations = {t: {m: c for m, c in poly.items() if c != 0}
                  for t, poly in equations.items()}
     return MCVariety(space, equations, N)
-
-
-def formality_report(result):
-    """Does the transferred coderivation reduce to the binary bracket?
-
-    Formal at this truncation means every component that shortens words by
-    two or more vanishes; otherwise the least such shortening b >= 2 is
-    the non-formality witness (an arity b + 1 operation).
-    """
-    witnesses = sorted(b - 1 for b in result.D.arities() if b >= 3)
-    return {
-        "formal": not witnesses,
-        "witness": witnesses[0] if witnesses else None,
-        "truncation": result.truncation,
-    }
 
 
 # -- free graded Lie algebras on even generators -----------------------------
@@ -162,9 +119,6 @@ class FreeGradedLie:
                 d = sum(self.generators[i][1] for i in w)
                 degs[d] = degs.get(d, 0) + 1
         return dict(sorted(degs.items()))
-
-    def total_dimension(self):
-        return sum(len(ws) for ws in self.words_by_length.values())
 
 
 def wedge_of_spheres(dims, cap):

@@ -4,15 +4,21 @@ A contraction (nabla, pi, h) of complexes lifts to the truncated symmetric
 coalgebras on the suspended spaces.  Write v_g for the generator g, mult(w)
 for the product of the factorials of the repeat counts of a word w, and
 a . b for the graded-commutative product of words: the sorted merge with
-its Koszul sign, zero when an odd letter repeats (words.merge_words).  A
-prefix of a canonical word is canonical, so every column below is built
-from the column of a shorter word, the word without its last letter,
-which the coalgebra already holds.
+its Koszul sign, zero when an odd letter repeats.  A prefix of a
+canonical word is canonical, so every column below is built from the
+column of a shorter word, the word without its last letter, which the
+coalgebra already holds.  Each product there is one of a letter with a
+word, v_t . e_u, which the coalgebra memoises by word index
+(TruncatedSymCoalgebra.letter_products, filled by words.merge_words), so
+the columns are kept by target word index.  Each column is homogeneous,
+so a letter multiplied on the right moves to the front with one sign,
+(-1)^{|t| deg u}, for the whole column.
 
   * nabla_c and pi_c are multiplicative: f_c(e_w) is acc(w) read with
     mult(target) / mult(w) on each target word, where acc(w) is the
-    product f(v_{w_1}) . ... . f(v_{w_n}); so acc(w) = acc(w[:-1]) .
-    f(v_{w[-1]}).
+    product f(v_{w_1}) . ... . f(v_{w_n}); so, with g = w[-1] and f of
+    degree 0, acc(w) = acc(w[:-1]) . f(v_g) = (-1)^{|g| deg w[:-1]}
+    f(v_g) . acc(w[:-1]).
   * h_c(e_w), with n = |w|, is in closed form the sum over a position x
     and a subset S of the other positions: letters in S are kept, x goes
     to h and the rest R to nabla pi.  A term carries the Koszul sign of
@@ -30,14 +36,11 @@ which the coalgebra already holds.
 
     where M(u) = prod_{g in u} (v_g + t nabla pi v_g), in position
     order, and M_k(u) collects its terms that keep k letters.  M(u) =
-    M(u[:-1]) . (v_g + t nabla pi v_g), g = u[-1], is the same recurrence.
-    The positions of one run of a letter g leave the same word, and a
-    letter repeats only when it is even, where the sign is +1: each
-    distinct letter g counts count(g) times.  Every term of M(w without
-    x) has degree deg w - |x|, so h(v_x) . M_k = (-1)^{(|x|+1)(deg w - |x|)}
-    M_k . h(v_x), and all products are taken on the right: with both
-    signs, an even x carries (-1)^{deg w} and an odd x
-    (-1)^{deg(before x)}.
+    M(u[:-1]) . (v_g + t nabla pi v_g) = (-1)^{|g| deg u[:-1]} (v_g + t
+    nabla pi v_g) . M(u[:-1]), g = u[-1], is the same recurrence.  The
+    positions of one run of a letter g leave the same word, and a letter
+    repeats only when it is even, where the sign is +1: each distinct
+    letter g counts count(g) times.
 
 These are the invariant parts of the tensor-coalgebra lift with the side
 homotopy sum_k Id^k (x) h (x) (nabla pi)^{rest}: the weight is the share of
@@ -47,72 +50,70 @@ contraction, with all series finite by the filtration argument.
 """
 
 from itertools import groupby
-from math import factorial, lcm, prod
+from math import factorial, lcm
 
 from .complexes import ChainComplex, Contraction
 from .graded import GradedMap, suspend_map
-from .words import EMPTY, merge_words
-
-
-def _multiplicity(word):
-    """mult(w): the product of the factorials of the repeat counts."""
-    return prod(factorial(len(list(run))) for _, run in groupby(word))
+from .words import EMPTY
 
 
 def _lifted_map(src, tgt, degree, columns):
     """The map with the given columns (word index, acc, scale): the column
     of word index wi is acc times mult(target) over scale, for int
-    numerators acc keyed by target word.  The columns are brought to their
-    least common scale once, when the map is built, and mult is computed
-    once per target word."""
+    numerators acc keyed by target word index.  The columns are brought to
+    their least common scale once, when the map is built."""
     den = lcm(*(scale for _, _, scale in columns))
-    mults = {}
+    mult = tgt.mult
     ent = {}
     for wi, acc, scale in columns:
         factor = den // scale
-        for word, c in acc.items():
+        for ti, c in acc.items():
             if c:
-                m = mults.get(word)
-                if m is None:
-                    m = mults[word] = _multiplicity(word)
-                ent[(tgt.windex[word], wi)] = c * m * factor
+                ent[(ti, wi)] = c * mult[ti] * factor
     return GradedMap(src.space, tgt.space, degree, ent, check=False, den=den)
 
 
-def _times(out, acc, terms, coalg):
-    """out += acc . (sum of y v_t over the (t, y) in terms), for int
-    coefficients keyed by word, each product by merge_words.  Returns
-    out, which may hold zero values."""
-    for u, c in acc.items():
-        for t, y in terms:
-            word, sign = merge_words(u, (t,), coalg)
-            if word is not None:
-                out[word] = out.get(word, 0) + sign * c * y
+def _times(out, terms, acc, coalg):
+    """out += (sum of y v_t over the (t, y) in terms) . acc, for int
+    coefficients keyed by word index, each product read from the
+    coalgebra's letter products.  Returns out, which may hold zero
+    values."""
+    products = coalg.letter_products
+    for t, y in terms:
+        for u, c in acc.items():
+            w, sign = products[t, u]
+            if w is not None:
+                out[w] = out.get(w, 0) + sign * y * c
     return out
 
 
 def _lift_multiplicative(f, src, tgt):
     """The coalgebra map Sigma^c f of a degree-0 generator map f.
 
-    acc(w) = acc(w[:-1]) . f(v_{w[-1]}) on the numerators of f, so a word
-    of length n gathers f.den^n; with the 1 / mult(w) of the closed form,
-    its column is over f.den^n mult(w)."""
+    acc(w) = (-1)^{|g| deg w[:-1]} f(v_g) . acc(w[:-1]), g = w[-1], on
+    the numerators of f, so a word of length n gathers f.den^n; with the
+    1 / mult(w) of the closed form, its column is over f.den^n mult(w)."""
     cols = f.num_columns()
-    accs = {EMPTY: {EMPTY: 1}}
+    odd, degs, mult = src.odd, src.space.degrees, src.mult
+    accs = {EMPTY: {tgt.windex[EMPTY]: 1}}
     columns = []
     for wi, w in enumerate(src.words):
         if w:
-            accs[w] = _times({}, accs[w[:-1]], cols.get(w[-1], {}).items(),
-                             tgt)
+            g = w[-1]
+            terms = cols.get(g, {}).items()
+            # w[:-1] is odd when an odd g leaves an even w
+            if odd[g] and not degs[wi] % 2:
+                terms = [(t, -y) for t, y in terms]
+            accs[w] = _times({}, terms, accs[w[:-1]], tgt)
         if accs[w]:
-            columns.append((wi, accs[w], f.den ** len(w) * _multiplicity(w)))
+            columns.append((wi, accs[w], f.den ** len(w) * mult[wi]))
     return _lifted_map(src, tgt, 0, columns)
 
 
 def _lift_homotopy(h, nabla_pi, sym):
     """The symmetrized side homotopy built from h and nabla o pi.
 
-    M(u) is kept as k -> {word: coefficient}, k the number of kept
+    M(u) is kept as k -> {word index: coefficient}, k the number of kept
     letters, and is built one word length at a time from the previous
     length's M only.  On numerators a kept letter counts 1 and a nabla pi
     letter its numerator, so the weight k! (n-1-k)! / (n! mult(w)) and the
@@ -120,9 +121,9 @@ def _lift_homotopy(h, nabla_pi, sym):
     n! mult(w) h.den nabla_pi.den^(n-1)."""
     h_cols, np_cols = h.num_columns(), nabla_pi.num_columns()
     m_np = nabla_pi.den
-    odd = sym.odd
+    odd, mult, windex = sym.odd, sym.mult, sym.windex
     columns = []
-    prev = {EMPTY: {0: {EMPTY: 1}}}
+    prev = {EMPTY: {0: {windex[EMPTY]: 1}}}
     for n in range(1, sym.N + 1):
         weights = [factorial(k) * factorial(n - 1 - k) * m_np ** k
                    for k in range(n)]
@@ -131,7 +132,6 @@ def _lift_homotopy(h, nabla_pi, sym):
         for w in sym.words_of_length(n, n):
             acc = {}
             pos = 0
-            odd_w = sym.is_odd(w)
             odd_before = False
             for g, run in groupby(w):
                 count = len(list(run))
@@ -144,26 +144,27 @@ def _lift_homotopy(h, nabla_pi, sym):
                         for k, part in prev[u].items():
                             for word, c in part.items():
                                 wu[word] = wu.get(word, 0) + weights[k] * c
-                    # (-1)^{deg w} for an even g, (-1)^{deg(letters
-                    # before g)} for an odd one (module docstring)
-                    flip = odd_before if odd[g] else odd_w
-                    scale = -count if flip else count
-                    _times(acc, wu, [(t, scale * y) for t, y in col.items()],
+                    # (-1)^{|g| deg(letters before g)}
+                    scale = -count if odd[g] and odd_before else count
+                    _times(acc, [(t, scale * y) for t, y in col.items()], wu,
                            sym)
                 pos += count
                 if odd[g]:
                     odd_before = not odd_before
+            wi = windex[w]
             if acc:
-                columns.append((sym.windex[w], acc,
-                                factorial(n) * _multiplicity(w) * h.den
+                columns.append((wi, acc, factorial(n) * mult[wi] * h.den
                                 * m_np ** (n - 1)))
             if n < sym.N:
+                # odd_before is now the parity of w, and w[:-1] is odd
+                # when an odd g = w[-1] leaves an even w
                 g = w[-1]
+                sign = -1 if odd[g] and not odd_before else 1
+                terms = [(t, sign * y) for t, y in np_cols.get(g, {}).items()]
                 m = cur[w] = {}
                 for k, part in prev[w[:-1]].items():
-                    _times(m.setdefault(k + 1, {}), part, ((g, 1),), sym)
-                    _times(m.setdefault(k, {}), part,
-                           np_cols.get(g, {}).items(), sym)
+                    _times(m.setdefault(k + 1, {}), ((g, sign),), part, sym)
+                    _times(m.setdefault(k, {}), terms, part, sym)
         prev = cur
     return _lifted_map(sym, sym, 1, columns)
 

@@ -149,6 +149,26 @@ def merge_words(A, B, coalg):
     return tuple(sorted(A + B, key=rank.__getitem__)), -1 if k % 2 else 1
 
 
+class _LetterProducts(dict):
+    """(g, word index) -> (index of v_g . e_w, sign of putting g first),
+    the index None when the product is zero or longer than the truncation;
+    merge_words makes each on its first read.  It holds the coalgebra's
+    tables, not the coalgebra, so that it makes no reference cycle."""
+
+    __slots__ = ("words", "windex", "rank", "odd")
+
+    def __init__(self, coalg):
+        super().__init__()
+        self.words, self.windex = coalg.words, coalg.windex
+        self.rank, self.odd = coalg.rank, coalg.odd
+
+    def __missing__(self, key):
+        g, wi = key
+        word, sign = merge_words((g,), self.words[wi], self)
+        out = self[key] = (self.windex.get(word), sign)
+        return out
+
+
 def enumerate_words(gen_space, max_len):
     """All canonical words of length <= max_len, in deterministic order:
     by length, then lexicographically in the canonical order."""
@@ -231,6 +251,8 @@ class TruncatedSymCoalgebra:
         self.gen_differential = gen_differential
         self.perturbation = perturbation
         self._d1 = None
+        self._mult = None
+        self.letter_products = _LetterProducts(self)
 
     def word_length(self, index):
         return len(self.words[index])
@@ -240,6 +262,18 @@ class TruncatedSymCoalgebra:
         order of length)."""
         return self.words[bisect_left(self.words, lo, key=len):
                           bisect_right(self.words, hi, key=len)]
+
+    @property
+    def mult(self):
+        """mult(w) for each word index, the product of the factorials of
+        its repeat counts, built on first read from the prefixes: the last
+        letter's run, w.count(w[-1]), is one longer in w than in w[:-1]."""
+        if self._mult is None:
+            windex, mult = self.windex, []
+            for w in self.words:
+                mult.append(mult[windex[w[:-1]]] * w.count(w[-1]) if w else 1)
+            self._mult = mult
+        return self._mult
 
     def is_odd(self, word):
         """Is the degree of the word odd?"""
@@ -306,32 +340,39 @@ def coderivation_operator(spec, coalg):
 
     D(e_w) sums sign(A, B) lambda_b(A) . e_B over the splittings (A, B) of
     w with |A| = b, so it is built by merging each word A of the support of
-    lambda_b with every word B of length <= N - b.
+    lambda_b with every word B of length <= N - b.  The products of one
+    letter with B, lambda_b(A) . e_B and, for b = 1, A . B, are read from
+    the coalgebra's letter products.
     """
     # the components as int numerators over their common denominator
     den = lcm(*(c.denominator for comp in spec.components.values()
                 for val in comp.values() for c in val.values()))
     ent = {}
     windex = coalg.windex
+    products = coalg.letter_products
     for b in spec.arities():
+        # it starts at the empty word, so a position is a word index
         shorts = coalg.words_of_length(0, coalg.N - b)
         for A, val in spec.components[b].items():
             if len(A) != b or A not in windex:
                 continue
             val = [(g, c.numerator * (den // c.denominator))
                    for g, c in val.items()]
-            for B in shorts:
-                w, sign = merge_words(A, B, coalg)
-                if w is None:
+            for bi, B in enumerate(shorts):
+                if b == 1:
+                    wi, sign = products[A[0], bi]
+                else:
+                    w, sign = merge_words(A, B, coalg)
+                    wi = windex.get(w)
+                if wi is None:
                     continue
-                wi = windex[w]
                 for g, c in val:
-                    w2, sign2 = merge_words((g,), B, coalg)
+                    w2, sign2 = products[g, bi]
                     if w2 is None:
                         continue
                     # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}
                     mult = (B.count(g) + 1) * sign * sign2
-                    key = (windex[w2], wi)
+                    key = (w2, wi)
                     ent[key] = ent.get(key, 0) + mult * c
     return GradedMap(coalg.space, coalg.space, -1, ent, den=den)
 

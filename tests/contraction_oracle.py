@@ -1,9 +1,10 @@
 """Map-based contraction checks and perturbation lemma, kept as exact oracles.
 
-The library checks the contraction identities column by column and sums
-the perturbation series on the thin operands nabla, h and pi.  This module
-does both the long way: every identity as a composite of whole maps
-compared with zero, and every series as the full endomorphism
+The library tests each contraction identity as one residual, the int
+columns of its terms summed by one fused sparse product with no map built,
+and sums the perturbation series on the thin operands nabla, h and pi.
+This module does both the long way: every identity as a composite of
+whole maps compared with zero, and every series as the full endomorphism
 Id + step + step^2 + ... composed with the operands afterwards.
 
 normalize_homotopy, the standard repair of the side conditions, builds

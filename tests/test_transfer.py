@@ -1,9 +1,11 @@
 """The transfer recursion, its degenerations, and the adjoint picture."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import contraction_oracle
 import word_oracle
 from hptmaster import cli, instances
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
@@ -190,6 +192,33 @@ def test_extend_contraction_matches_recursion():
     con = build_contraction(g.complex)
     res = transfer(g, con, 3)
     assert res.extended.identity_failures() == []
+
+
+def test_identity_failures_match_oracle_on_corrupted_coalgebra_contractions(
+        corpus):
+    # one-entry corruptions of nabla, pi or h of the lift and of the
+    # perturbed contraction: the residual check names the identities that
+    # the oracle's whole-map composites name
+    rng = random.Random(0)
+    named = set()
+    for seed, _, _, result in corpus[:10]:
+        for con in (result.lift, result.extended):
+            for _ in range(3):
+                field = rng.choice(["nabla", "pi", "h"])
+                f = getattr(con, field)
+                s = rng.randrange(f.source.dim)
+                t = rng.randrange(f.target.dim)
+                bump = GradedMap(f.source, f.target, f.degree,
+                                 {(t, s): F(rng.choice([-1, 1, 2]))},
+                                 check=False)
+                maps = {"nabla": con.nabla, "pi": con.pi, "h": con.h}
+                maps[field] = f + bump
+                bad = Contraction(con.big, con.small, check=False, **maps)
+                failures = bad.identity_failures()
+                assert failures == contraction_oracle.identity_failures(
+                    bad), seed
+                named.update(failures)
+    assert len(named) == 7
 
 
 def test_theorem_29_pipeline_degenerate_case():

@@ -1,5 +1,6 @@
 """Divided-power symmetric coalgebra words, diagonal, coderivations."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lift_oracle
 import word_oracle
 from hptmaster import cli, instances
 from hptmaster.complexes import build_contraction
@@ -386,3 +388,47 @@ def test_assigning_a_perturbation_rebuilds_the_operators():
     coalg.perturbation = None
     assert coalg.perturbation_operator.is_zero()
     assert coalg.differential == coalg.d1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+       st.integers(1, 5))
+def test_letter_products_and_mult_match_merge_words(degrees, N):
+    # every letter times every word, over generators of mixed parity: the
+    # words of length N, whose products leave the truncation, and the odd
+    # letters a word already holds are among them
+    gen_space = GradedVectorSpace([("g%d" % i, deg)
+                                   for i, deg in enumerate(degrees)])
+    coalg = TruncatedSymCoalgebra(gen_space, N)
+    assert coalg.mult == [lift_oracle._multiplicity(w) for w in coalg.words]
+    for wi, w in enumerate(coalg.words):
+        for g in range(gen_space.dim):
+            word, sign = merge_words((g,), w, coalg)
+            assert coalg.letter_products[g, wi] == (coalg.windex.get(word),
+                                                    sign)
+
+
+def test_lift_and_coderivations_merge_each_letter_and_word_once(
+        monkeypatch, corpus):
+    # the lift and coderivation_operator read every product of a letter
+    # with a word from the coalgebra's memo, so merge_words sees each such
+    # pair of a coalgebra at most once however many columns and operators
+    # meet it; the letter comes first in every merge the memo makes
+    _, g, con, _ = corpus[5]
+    merged = collections.Counter()
+
+    def spy(A, B, coalg):
+        if len(A) == 1:
+            merged[id(coalg), A[0], B] += 1
+        return merge_words(A, B, coalg)
+
+    monkeypatch.setattr("hptmaster.words.merge_words", spy)
+    result = transfer(g, con, 4)
+    assert result.lift.identity_failures() == []
+    for coalg in (result.big_coalg, result.coalg):
+        assert not coalg.perturbation_operator.is_zero()
+    # 346 pairs of the two coalgebras; merged pair by pair, the same
+    # calls met 315 pairs up to 16 times each
+    assert len({coalg for coalg, _, _ in merged}) == 2
+    assert len(merged) > 300
+    assert max(merged.values()) == 1
