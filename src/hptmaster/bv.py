@@ -156,14 +156,17 @@ def validate_bv(bv):
 
     Checks product associativity, that d squares to zero and derives the
     product, that Delta squares to zero and graded-commutes with d, and
-    that the stored bracket is the one the generator produces.  Witnesses
-    are basis-label pairs or triples for the first failure of each kind.
+    that the stored bracket is the one the generator produces.  The
+    product table's first_non_associative and first_non_derivation visit
+    only the triples and pairs its supports and those of d let fail.
+    Witnesses are basis-label pairs or triples for the first failure of
+    each kind.
     """
     A = bv.algebra
     labels = A.space.labels
     report = {"passed": True}
 
-    assoc = _first_non_associative(A.multiply)
+    assoc = A.multiply.first_non_associative()
     report["associative"] = assoc is None
     if assoc:
         report["associativity_witness"] = tuple(labels[i] for i in assoc)
@@ -185,33 +188,10 @@ def validate_bv(bv):
     return report
 
 
-def _first_non_associative(product):
-    """The lexicographically first basis triple (i, j, k) with
-    (e_i e_j) e_k != e_i (e_j e_k), or None.  Both sides vanish when
-    e_i e_j = 0 and e_j e_k = 0, so only the other triples are evaluated;
-    the witness is the same.  Both sides are bilinear in the structure
-    constants, so they are compared on the int numerators, den^2 times as
-    large."""
-    dim = product.space.dim
-    partners = product.partners
-    num = product.numerators
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim) if j in partners[i] else sorted(partners[j]):
-                bad = product.add_product({}, num(i, j), {k: 1})
-                product.add_product(bad, {i: 1}, num(j, k), -1)
-                if any(bad.values()):
-                    return i, j, k
-    return None
-
-
 def koszul_identity_check(bv):
-    """Delta is a derivation of the bracket it generates, when exact.
-
-    The rule is the one StructureTable.first_non_derivation checks for
-    every odd operator and operation of degree n:
-    op(xy) = (op x) y + (-1)^{|x| + n} x (op y), here
-    Delta[x, y] = [Delta x, y] - (-1)^{|x|} [x, Delta y] with n = -1.
+    """Delta is a derivation of the bracket it generates, when exact:
+    Delta[x, y] = [Delta x, y] - (-1)^{|x|} [x, Delta y], the Leibniz rule
+    StructureTable.first_non_derivation checks for n = -1.
     """
     if not bv.delta_exact():
         return {"applicable": False, "passed": False,
@@ -222,12 +202,9 @@ def koszul_identity_check(bv):
 
 
 def proposition_37_check(bv):
-    """d is a derivation of the bracket when it commutes with Delta.
-
-    The rule is the one StructureTable.first_non_derivation checks for
-    every odd operator and operation of degree n:
-    op(xy) = (op x) y + (-1)^{|x| + n} x (op y), here
-    d[x, y] = [d x, y] - (-1)^{|x|} [x, d y] with n = -1.
+    """d is a derivation of the bracket when it commutes with Delta
+    (Prop. 3.7): d[x, y] = [d x, y] - (-1)^{|x|} [x, d y], the Leibniz
+    rule StructureTable.first_non_derivation checks for n = -1.
     """
     if not bv.weak_differential():
         raise ValueError("d does not graded-commute with Delta")

@@ -83,24 +83,16 @@ class DgLieAlgebra:
 def validate_dgla(g):
     """Exact report on antisymmetry, Jacobi, and the chain-map condition.
 
-    Jacobi is checked on triples i <= j <= k only.  The bracket is graded
-    antisymmetric by construction, so its Jacobiator
-    J(x, y, z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] is totally
-    graded antisymmetric: permuting the arguments changes J by a sign only.
-    Hence a triple fails exactly when its sorted form does, and the
-    lexicographically first failing triple, reported as the witness, is
-    sorted.  J vanishes on a triple whose pair brackets [x,y], [y,z] and
-    [x,z] all vanish, so only triples with a nonzero pair bracket are
-    evaluated, in lexicographic order, up to the first failure.  J is
-    trilinear, so with structure constants C / den it vanishes exactly
-    when its value on the int numerators C does, den^2 times as large: it
-    is tested on ints.  The chain-map condition is the Leibniz rule of d,
-    checked by StructureTable.first_non_derivation.
+    The bracket table is graded antisymmetric by construction.  Jacobi is
+    checked by its first_non_jacobi and the chain-map condition, the
+    Leibniz rule of d, by its first_non_derivation: each visits only what
+    the supports of the bracket and of d let fail, and its witness is the
+    lexicographically first failure.
     """
     space = g.space
     table = g.bracket
     antisym = True   # the bracket table's canonical storage
-    jacobi = _first_non_jacobi(table, space.degrees)
+    jacobi = table.first_non_jacobi()
     leibniz = table.first_non_derivation(g.d)
     return {
         "antisymmetry": antisym,
@@ -112,29 +104,6 @@ def validate_dgla(g):
                               tuple(space.labels[i] for i in leibniz)),
         "passed": antisym and jacobi is None and leibniz is None,
     }
-
-
-def _first_non_jacobi(table, degs):
-    """The lexicographically first sorted triple (i, j, k) on which the
-    Jacobiator of the table does not vanish, or None (see validate_dgla)."""
-    dim = len(degs)
-    partners = table.partners
-    num = table.numerators
-    for i in range(dim):
-        for j in range(i, dim):
-            if j in partners[i]:
-                ks = range(j, dim)
-            else:
-                ks = sorted(k for k in partners[i] | partners[j] if k >= j)
-            sign = 1 if degs[i] % 2 and degs[j] % 2 else -1
-            for k in ks:
-                # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
-                bad = table.add_product({}, {i: 1}, num(j, k))
-                table.add_product(bad, num(i, j), {k: 1}, -1)
-                table.add_product(bad, {j: 1}, num(i, k), sign)
-                if any(bad.values()):
-                    return i, j, k
-    return None
 
 
 class TwistingCochainHom:
@@ -173,7 +142,8 @@ def cup_bracket(a, b, coalg, target, length=None):
     term(B, A) = (-1)^{1+p} term(A, B) = term(A, B).  So only the pairs
     of columns s_A <= s_B are visited: a pair with s_A < s_B counts twice,
     and the diagonal pair A = B, one splitting of its merge, once (its
-    value [t A, t A] need not vanish, t A being odd).
+    value [t A, t A] need not vanish, t A being odd).  A pair whose
+    supports hold no bracket partners brackets to 0 and is not merged.
     """
     words = coalg.words
     table = target.bracket
@@ -187,13 +157,14 @@ def cup_bracket(a, b, coalg, target, length=None):
     acc = {}
     for s, va in a.num_columns().items():
         A = words[s]
-        flip = odd_b and coalg.is_odd(A)
+        flip = odd_b and coalg.space.degrees[s] % 2
+        reach = set().union(*(table.partners[i] for i in va))
         for size, group in b_by_length.items():
             n = len(A) + size
             if n > coalg.N or (length is not None and n != length):
                 continue
             for r, B, vb in group:
-                if square and r < s:
+                if square and r < s or reach.isdisjoint(vb):
                     continue
                 w, sign = merge_words(A, B, coalg)
                 if w is None:
@@ -215,11 +186,6 @@ def universal_cochain(coalg, space):
     basis order, so the word (i,) goes to basis vector i of M."""
     ent = {(w[0], coalg.windex[w]): 1 for w in coalg.words_of_length(1, 1)}
     return GradedMap(coalg.space, space, -1, ent, den=1)
-
-
-def universal_twisting_cochain(g, coalg):
-    """tau_g: C[g] -> g, the desuspension on word length 1 and zero else."""
-    return TwistingCochainHom(coalg, g, universal_cochain(coalg, g.space))
 
 
 def ce_coalgebra(g, N):

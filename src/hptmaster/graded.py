@@ -299,14 +299,23 @@ class StructureTable:
     index order, with rational values, divided by den when den is given
     (int numerators over den need no Fractions); values given for the
     same pair add up.  The constants are kept as int numerators over one
-    positive common denominator den, the least one, like a GradedMap's:
-    numerators(i, j) is den e_i e_j, numerator_rows() gives them for the
-    pairs i <= j, and add_product works in numerator units, adding den
-    times the product.  canonical (the nonzero values for i <= j), get
-    and __call__ hand out Fractions, built on first use.  partners[i]
-    holds the indices j with e_i e_j != 0.  Everything handed out is
-    shared: read it, never modify it.  Products of table entries are
-    formed by add_product only.
+    positive common denominator den, the least one, like a GradedMap's,
+    in one store by row: rows[i][j] is den e_i e_j for both index orders,
+    each row in index order.  numerators(i, j) reads it, numerator_rows()
+    gives the pairs i <= j, and add_product works in numerator units,
+    adding den times the product.  canonical (the nonzero values for
+    i <= j), get and __call__ hand out Fractions, built on first use.
+    partners[i] holds the indices j with e_i e_j != 0.  Pairs come in
+    index order, and everything handed out is shared: read it, never
+    modify it.
+
+    Only this class reads rows: add_product forms products of table
+    entries, and the verdict loops first_non_derivation, first_non_jacobi
+    and first_non_associative evaluate their identities on the numerators
+    (each term comes out the same power of den, times op.den, too large,
+    so ints are tested), in lexicographic order, skipping only the pairs
+    or triples on which every term vanishes: the witness is the first
+    failing one.
     """
 
     def __init__(self, space, rows=(), degree=0, symmetric=False, den=1):
@@ -349,25 +358,20 @@ class StructureTable:
             canonical[(i, j)] = val
         lcd = lcm(*(c.denominator for val in canonical.values()
                     for c in val.values()))
-        self.den = lcd * den
-        self.signed = {}
-        for (i, j), val in canonical.items():
-            num = {k: c.numerator * (lcd // c.denominator)
+        g = gcd(lcd * den, *(c.numerator * (lcd // c.denominator)
+                             for val in canonical.values()
+                             for c in val.values())) if den != 1 else 1
+        self.den = lcd * den // g
+        # in sorted order each row receives its j in index order
+        self.rows = [{} for _ in range(space.dim)]
+        for (i, j), val in sorted(canonical.items()):
+            num = {k: c.numerator * (lcd // c.denominator) // g
                    for k, c in val.items()}
-            self.signed[(i, j)] = num
+            self.rows[i][j] = num
             if i != j:
-                self.signed[(j, i)] = (num if self._swap_sign(i, j) > 0
-                                       else {k: -n for k, n in num.items()})
-        if den != 1:
-            g = gcd(self.den, *(n for num in self.signed.values()
-                                for n in num.values()))
-            if g != 1:
-                self.den //= g
-                self.signed = {key: {k: n // g for k, n in num.items()}
-                               for key, num in self.signed.items()}
-        self.partners = [set() for _ in range(space.dim)]
-        for i, j in self.signed:
-            self.partners[i].add(j)
+                self.rows[j][i] = (num if self._swap_sign(i, j) > 0
+                                   else {k: -n for k, n in num.items()})
+        self.partners = [set(row) for row in self.rows]
         self._values = None
 
     def _swap_sign(self, i, j):
@@ -376,50 +380,47 @@ class StructureTable:
         return -1 if odd == self.symmetric else 1
 
     def _fractions(self):
-        """(i, j) -> e_i e_j with Fraction values, for every nonzero
-        pair, and the canonical dict; built on first use."""
+        """rows with Fraction values and the canonical dict, built once."""
         if self._values is None:
             den = self.den
-            values = {key: {k: Fraction(n, den) for k, n in num.items()}
-                      for key, num in self.signed.items()}
-            self._values = values, {key: val for key, val in values.items()
-                                    if key[0] <= key[1]}
+            values = [{j: {k: Fraction(n, den) for k, n in num.items()}
+                       for j, num in row.items()} for row in self.rows]
+            self._values = values, {(i, j): val
+                                    for i, row in enumerate(values)
+                                    for j, val in row.items() if i <= j}
         return self._values
 
     @property
     def canonical(self):
         """(i, j) -> e_i e_j with Fraction values for the nonzero pairs
-        i <= j, in the order the rows first gave them."""
+        i <= j, in index order."""
         return self._fractions()[1]
 
     def get(self, i, j):
         """e_i e_j as a sparse dict k -> Fraction, for any index order."""
-        return self._fractions()[0].get((i, j), {})
+        return self._fractions()[0][i].get(j, {})
 
     def numerator_rows(self):
         """(i, j) -> den e_i e_j as int numerators for the nonzero pairs
-        i <= j, in the order of canonical: the rows that rebuild the table
-        over den.  The values are shared: read them, never modify them."""
-        return {key: num for key, num in self.signed.items()
-                if key[0] <= key[1]}
+        i <= j, in index order: the rows that rebuild the table over den.
+        The values are shared: read them, never modify them."""
+        return {(i, j): num for i, row in enumerate(self.rows)
+                for j, num in row.items() if i <= j}
 
     def numerators(self, i, j):
         """den e_i e_j as a sparse dict k -> int, for any index order."""
-        return self.signed.get((i, j), {})
+        return self.rows[i].get(j, {})
 
     def add_product(self, acc, u, v, sign=1):
         """acc += sign * den * u v for sparse vectors {index: coeff} and
         any int factor sign (a sign +-1, or +-2 for the doubled pairs of a
         cup square): the product in numerator units, int when u and v are.
         Returns acc, which may hold zero values."""
-        signed = self.signed
+        rows = self.rows
         for i, a in u.items():
-            for j, b in v.items():
-                val = signed.get((i, j))
-                if val:
-                    ab = sign * a * b
-                    for k, n in val.items():
-                        acc[k] = acc.get(k, 0) + ab * n
+            row = rows[i]
+            if row:
+                _add_left(acc, sign * a, row, v)
         return acc
 
     def __call__(self, u, v):
@@ -438,28 +439,118 @@ class StructureTable:
             op(e_i e_j) = (op e_i) e_j + (-1)^{|op| p_i} e_i (op e_j),
             p_i = |e_i| + degree.
 
-        Each of the three terms is evaluated on numerators, so each comes
-        out den op.den times too large and the rule is tested on ints.  A
-        pair with e_i e_j = 0, op e_i = 0 and op e_j = 0 cannot fail, so
-        only the other pairs are evaluated; the witness is the same.
+        The first term vanishes unless j is in rows[i]; the second unless
+        j is in rows[k] for some k in supp op e_i; the third unless some k
+        in rows[i] lies in supp op e_j, that is j is in
+        op_rows[k] = {j : k in supp op e_j}.  Only the pairs with j in one
+        of these sets are evaluated, so the work follows the nonzeros of
+        the table and of op, not dim^2.
         """
         cols = op.num_columns()
+        rows = self.rows
         degs = self.space.degrees
-        dim = self.space.dim
-        for i in range(dim):
-            col_i = cols.get(i)
-            js = range(dim) if col_i else sorted(self.partners[i].union(cols))
+        op_rows = {}
+        for j, col in cols.items():
+            for k in col:
+                op_rows.setdefault(k, set()).add(j)
+        none = {}
+        for i, row in enumerate(rows):
+            col_i = cols.get(i, none)
+            js = set(row)
+            for k in col_i:
+                js.update(rows[k])
+            for k in row:
+                js.update(op_rows.get(k, ()))
             sign = -1 if op.degree * (degs[i] + self.degree) % 2 else 1
-            for j in js:
-                bad = op.add_image({}, self.numerators(i, j))
-                if col_i:
-                    self.add_product(bad, col_i, {j: 1}, -1)
-                col_j = cols.get(j)
-                if col_j:
-                    self.add_product(bad, {i: 1}, col_j, -sign)
+            for j in sorted(js):
+                bad = op.add_image({}, row.get(j, none))
+                _add_right(bad, -1, col_i, rows, j)
+                _add_left(bad, -sign, row, cols.get(j, none))
                 if any(bad.values()):
                     return i, j
         return None
+
+    def first_non_jacobi(self):
+        """The lexicographically first sorted triple (i, j, k) on which the
+        Jacobiator of a degree-0 bracket does not vanish, or None.
+
+        The bracket is graded antisymmetric, so its Jacobiator
+        J(x, y, z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] is
+        totally graded antisymmetric: a triple fails exactly when its
+        sorted form does.  Each term of J(e_i, e_j, e_k) brackets e_i with
+        something, so an i with an empty row is skipped; and J vanishes
+        when [e_i, e_j], [e_j, e_k] and [e_i, e_k] all do, so for
+        [e_i, e_j] = 0 only the k in rows[i] or rows[j] are visited.
+        """
+        rows = self.rows
+        degs = self.space.degrees
+        dim = len(rows)
+        none = {}
+        for i, row_i in enumerate(rows):
+            if not row_i:
+                continue
+            for j in range(i, dim):
+                row_j = rows[j]
+                val_ij = row_i.get(j, none)
+                ks = range(j, dim) if val_ij else sorted(
+                    k for k in row_i.keys() | row_j.keys() if k >= j)
+                sign = 1 if degs[i] % 2 and degs[j] % 2 else -1
+                for k in ks:
+                    # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
+                    bad = _add_left({}, 1, row_i, row_j.get(k, none))
+                    _add_right(bad, -1, val_ij, rows, k)
+                    _add_left(bad, sign, row_j, row_i.get(k, none))
+                    if any(bad.values()):
+                        return i, j, k
+        return None
+
+    def first_non_associative(self):
+        """The lexicographically first basis triple (i, j, k) with
+        (e_i e_j) e_k != e_i (e_j e_k), or None.
+
+        Both sides multiply e_i by something, so an i with an empty row is
+        skipped; and both vanish when e_i e_j = 0 and e_j e_k = 0, so for
+        e_i e_j = 0 only the k in rows[j] are visited (a row lists its j
+        in index order).
+        """
+        rows = self.rows
+        dim = len(rows)
+        none = {}
+        for i, row_i in enumerate(rows):
+            if not row_i:
+                continue
+            for j in range(dim):
+                row_j = rows[j]
+                val_ij = row_i.get(j, none)
+                for k in range(dim) if val_ij else row_j:
+                    bad = _add_left({}, -1, row_i, row_j.get(k, none))
+                    _add_right(bad, 1, val_ij, rows, k)
+                    if any(bad.values()):
+                        return i, j, k
+        return None
+
+
+def _add_left(acc, c, row, vec):
+    """acc += c e_x vec for row = rows[x] of a table, in numerator units;
+    returns acc, which may hold zero values."""
+    for m, b in vec.items():
+        val = row.get(m)
+        if val:
+            b *= c
+            for k, n in val.items():
+                acc[k] = acc.get(k, 0) + b * n
+    return acc
+
+
+def _add_right(acc, c, vec, rows, y):
+    """acc += c vec e_y for the rows of a table and an int c, in
+    numerator units."""
+    for m, b in vec.items():
+        val = rows[m].get(y)
+        if val:
+            b *= c
+            for k, n in val.items():
+                acc[k] = acc.get(k, 0) + b * n
 
 
 def _over_common_denominator(values):

@@ -11,7 +11,7 @@ from hptmaster import cli, dgla, instances
 from hptmaster.complexes import ChainComplex, build_contraction
 from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
                             cup_bracket, is_twisting_cochain,
-                            twisted_differential, universal_twisting_cochain,
+                            twisted_differential, universal_cochain,
                             validate_dgla)
 from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import transfer
@@ -134,6 +134,11 @@ def test_ce_quadratic_component_anchor():
     coalg = ce_coalgebra(g, 2)
     comp = coalg.perturbation.components[2]
     assert comp[parse_word("se*sf", coalg.gen_space)] == {1: F(-1)}
+
+
+def universal_twisting_cochain(g, coalg):
+    """tau_g: C[g] -> g, the desuspension on word length 1 and zero else."""
+    return TwistingCochainHom(coalg, g, universal_cochain(coalg, g.space))
 
 
 def test_universal_twisting_cochain_master():
@@ -278,7 +283,8 @@ def test_cup_bracket_matches_oracle_on_hand_case():
 def test_cup_square_merges_each_unordered_pair_once(monkeypatch,
                                                     fixture_dir):
     # [tau, tau] visits the pairs of support columns s_A <= s_B whose
-    # lengths fit, one merge each, not both orders of a pair
+    # lengths fit and whose values have a nonzero bracket of basis
+    # vectors, one merge each, not both orders of a pair
     _, g, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
     g = instances.change_basis(g, random.Random(3))
     tau = transfer(g, build_contraction(g.complex), 5).tau
@@ -291,11 +297,13 @@ def test_cup_square_merges_each_unordered_pair_once(monkeypatch,
 
     monkeypatch.setattr(dgla, "merge_words", counting)
     square = cup_bracket(tau.hom, tau.hom, coalg, g)
-    support = sorted(tau.hom.num_columns())
-    lengths = [len(coalg.words[s]) for s in support]
-    pairs = sum(1 for i, m in enumerate(lengths) for n in lengths[i:]
-                if m + n <= coalg.N)
-    assert len(merges) == pairs
+    cols = tau.hom.num_columns()
+    support = sorted(cols)
+    partners = g.bracket.partners
+    pairs = sum(1 for i, s in enumerate(support) for r in support[i:]
+                if len(coalg.words[s]) + len(coalg.words[r]) <= coalg.N
+                and any(partners[x].intersection(cols[r]) for x in cols[s]))
+    assert 0 < len(merges) == pairs
     assert len(set(merges)) == pairs
     assert square.entries == word_oracle.cup_bracket(
         tau.hom, tau.hom, coalg, g).entries
