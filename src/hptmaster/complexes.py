@@ -40,9 +40,8 @@ class ChainComplex:
         numerators: d.den d_new.den delta.den times the sum."""
         d = self.d
         d_new = d + delta
-        delta_cols = delta.num_columns()
-        if not _vanishes([(d.den, d_new.num_columns(), delta_cols),
-                          (d_new.den, delta_cols, d.num_columns())], 0, 0):
+        if not _vanishes([(d.den, d_new.columns, delta.columns),
+                          (d_new.den, delta.columns, d.columns)], 0, 0):
             raise ValueError("d o d != 0")
         out = ChainComplex.__new__(ChainComplex)
         out.space, out.d = self.space, d_new
@@ -90,7 +89,7 @@ class Contraction:
         maps = (self.big.d, self.small.d, self.nabla, self.pi, self.h)
         m_d, m_s, m_n, m_p, m_h = (f.den for f in maps)
         # the columns of the maps, named after them
-        d, d_small, nabla, pi, h = (f.num_columns() for f in maps)
+        d, d_small, nabla, pi, h = (f.columns for f in maps)
         dim_s, dim = self.small.space.dim, self.big.space.dim
         # D h = d h - (-1)^{|h|} h d
         sign = 1 if self.h.degree % 2 else -1
@@ -111,9 +110,9 @@ class Contraction:
 def _vanishes(terms, unit, dim):
     """Is unit Id + the sum of scale f g over the terms (scale, f, g) zero
     on a space of dimension dim?  f and g are int columns, source ->
-    {target: value}, as num_columns() gives them.  The sum is formed one
-    column of g at a time, so a column that no term reaches is zero, and
-    every other column is tested exactly."""
+    {target: value}, as GradedMap.columns holds them.  The sum is formed
+    one column of g at a time, so a column that no term reaches is zero,
+    and every other column is tested exactly."""
     res = {s: {s: unit} for s in range(dim)}
     for scale, f, g in terms:
         for s, col in g.items():
@@ -182,8 +181,8 @@ def build_contraction(C):
     small = ChainComplex(GradedVectorSpace(H.basis))
     d_cols = C.d.by_column()
 
-    pi_ent = {}
-    h_ent = {}
+    pi_cols = {}
+    h_cols = {}
     a_above = []   # A of the degree taken last, in index order
     for n in sorted(set(space.degrees), reverse=True):
         idx_n = space.indices_in_degree(n)
@@ -202,17 +201,17 @@ def build_contraction(C):
                     continue
                 kind, ref = tags[pos]
                 if kind == "h":
-                    pi_ent[(ref, t)] = c
+                    pi_cols.setdefault(t, {})[ref] = c
                 else:
                     # h sends d(a) to -a
-                    h_ent[(ref, t)] = -c
+                    h_cols.setdefault(t, {})[ref] = -c
         a_above = sorted(kept)
         if m + len(a_above) != len(idx_n):
             raise AssertionError("adapted basis does not span degree %d" % n)
 
     nabla = GradedMap.from_columns(small.space, space, 0, reps)
-    pi = GradedMap(space, small.space, 0, pi_ent)
-    h = GradedMap(space, space, 1, h_ent)
+    pi = GradedMap.from_columns(space, small.space, 0, pi_cols)
+    h = GradedMap.from_columns(space, space, 1, h_cols)
     return Contraction(C, small, nabla, pi, h)
 
 

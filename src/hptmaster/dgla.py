@@ -120,7 +120,7 @@ class TwistingCochainHom:
         if hom.degree != -1:
             raise ValueError("twisting cochain must have degree -1")
         unit = source.windex[EMPTY]
-        if any(s == unit for (_, s) in hom.num):
+        if unit in hom.columns:
             raise ValueError("composite with the coaugmentation is nonzero")
 
 
@@ -148,14 +148,14 @@ def cup_bracket(a, b, coalg, target, length=None):
     words = coalg.words
     table = target.bracket
     b_by_length = {}
-    for s, vb in b.num_columns().items():
+    for s, vb in b.columns.items():
         b_by_length.setdefault(len(words[s]), []).append((s, words[s], vb))
     odd_b = b.degree % 2
     square = a is b and odd_b
     # numerator units: each add_product adds table.den times a bracket of
     # columns a.den and b.den times too large
     acc = {}
-    for s, va in a.num_columns().items():
+    for s, va in a.columns.items():
         A = words[s]
         flip = odd_b and coalg.space.degrees[s] % 2
         reach = set().union(*(table.partners[i] for i in va))
@@ -175,17 +175,19 @@ def cup_bracket(a, b, coalg, target, length=None):
                     sign *= 2
                 table.add_product(acc.setdefault(coalg.windex[w], {}),
                                   va, vb, sign)
-    ent = {(t, wi): acc[wi][t] for wi in sorted(acc) for t in sorted(acc[wi])}
-    return GradedMap(coalg.space, a.target, a.degree + b.degree, ent,
-                     den=table.den * a.den * b.den)
+    return GradedMap.from_columns(
+        coalg.space, a.target, a.degree + b.degree,
+        {wi: {t: acc[wi][t] for t in sorted(acc[wi])} for wi in sorted(acc)},
+        table.den * a.den * b.den)
 
 
 def universal_cochain(coalg, space):
     """The degree -1 map from the coalgebra on sM to M that desuspends the
     words of length one and kills the others.  The suspension keeps the
     basis order, so the word (i,) goes to basis vector i of M."""
-    ent = {(w[0], coalg.windex[w]): 1 for w in coalg.words_of_length(1, 1)}
-    return GradedMap(coalg.space, space, -1, ent, den=1)
+    return GradedMap.from_columns(
+        coalg.space, space, -1,
+        {coalg.windex[w]: {w[0]: 1} for w in coalg.words_of_length(1, 1)})
 
 
 def ce_coalgebra(g, N):
@@ -217,7 +219,7 @@ def is_twisting_cochain(t):
     Dt = target.d.compose(t.hom) + t.hom.compose(D_src)
     rhs = cup_bracket(t.hom, t.hom, coalg, target).scale(Fraction(1, 2))
     diff = Dt - rhs
-    bad_lengths = sorted({coalg.word_length(s) for (_, s) in diff.num})
+    bad_lengths = sorted({coalg.word_length(s) for s in diff.columns})
     return {
         "passed": not bad_lengths,
         "first_failure": bad_lengths[0] if bad_lengths else None,
@@ -239,14 +241,11 @@ def twisted_differential(gamma, target):
                               gamma, gamma, -d.den)
     if any(bad.values()):
         raise ValueError("element does not solve the master equation")
-    ent = {}
-    for s in range(space.dim):
-        # d e_s - [gamma, e_s], times d.den bracket.den
-        col = bracket.add_product(d.add_image({}, {s: bracket.den}),
-                                  gamma, {s: 1}, -d.den)
-        ent.update(((t, s), c) for t, c in col.items())
-    out = GradedMap(space, space, -1, ent).scale(
-        Fraction(1, d.den * bracket.den))
+    # d e_s - [gamma, e_s], times d.den bracket.den
+    out = GradedMap.from_columns(space, space, -1, [
+        bracket.add_product(d.add_image({}, {s: bracket.den}),
+                            gamma, {s: 1}, -d.den)
+        for s in range(space.dim)], d.den * bracket.den)
     if not out.compose(out).is_zero():
         raise ValueError("the twisted differential does not square to zero")
     return out

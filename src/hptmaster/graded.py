@@ -1,16 +1,17 @@
 """Z-graded vector spaces, homogeneous linear maps, and Koszul signs.
 
-Everything is exact over the rationals.  A GradedMap or StructureTable
-keeps Python-int numerators over one positive common denominator `den`,
-reduced by a gcd when it is built, and its kernels run on ints:
-add_image and add_product add den times their result (numerator units),
-and the caller keeps track of that scale, so a verdict-only check clears
-the denominators of its terms and tests ints for zero.  Fractions
-(fractions.Fraction) are handed out only at the boundary, built on first
-use: GradedMap.entries, by_column, apply_basis and __call__, and
-StructureTable.canonical, get and __call__.  Degrees are homological
-throughout the library; cohomological input is converted at the boundary
-via deg_hom = -deg_cohom.
+Everything is exact over the rationals.  A GradedMap keeps one store, its
+columns source index -> {target index: int}, and a StructureTable its
+rows; each holds Python-int numerators over one positive common
+denominator `den`, reduced by a gcd when it is built, and the kernels run
+on ints: add_image and add_product add den times their result (numerator
+units), and the caller keeps track of that scale, so a verdict-only check
+clears the denominators of its terms and tests ints for zero.  Fractions
+(fractions.Fraction) are handed out only at the boundary, as views built
+on first use: GradedMap.entries (keyed (target, source)), by_column,
+apply_basis and __call__, and StructureTable.canonical, get and
+__call__.  Degrees are homological throughout the library; cohomological
+input is converted at the boundary via deg_hom = -deg_cohom.
 
 Sign conventions used everywhere (single point of truth):
 
@@ -106,90 +107,92 @@ class GradedVectorSpace:
 
 
 class GradedMap:
-    """Degree-homogeneous linear map, stored sparsely as int numerators
-    over one positive common denominator.
+    """Degree-homogeneous linear map, kept in one store: columns maps a
+    source index s to its column {target index t: nonzero int}, no column
+    empty, over one positive common denominator den, so the entry at
+    (t, s) is columns[s][t] / den.  The pair is reduced by a gcd when the
+    map is built, so equal maps have equal columns and den.
 
-    num maps (target_index, source_index) -> a nonzero int and den is a
-    positive int; the entry at (t, s) is num[(t, s)] / den.  The pair is
-    reduced by a gcd when the map is built, so den is the least common
-    denominator of the entries and equal maps have equal num and den.
-    Every nonzero entry must satisfy deg(target) = deg(source) + degree.
-
-    The constructor takes rationals (int or Fraction, zeros dropped), or
-    with den given int numerators over den.  compose, +, - and scale run
-    on the numerators and combine the denominators once per map.
-    add_image works in numerator units: it adds den times the image.
-    entries, by_column, apply_basis and __call__ hand out Fraction values,
-    built on first use.
-
-    A map is immutable after construction: every operation returns a new
-    map, and the column indexes and Fraction views are kept on the map.
+    The constructor (rationals keyed (target, source)) and from_columns
+    check deg(target) = deg(source) + degree.  compose, +, - and scale
+    combine the denominators once per map; add_image adds den times the
+    image (numerator units).  entries, by_column, apply_basis and
+    __call__ are Fraction views.  A map is immutable; columns and the
+    views are shared: read them, never modify them.
     """
 
-    def __init__(self, source, target, degree, entries=None, check=True,
-                 den=None):
-        self.source = source
-        self.target = target
-        self.degree = int(degree)
-        if den is None:
-            self.num, self.den = _over_common_denominator(entries or {})
-        else:
-            self.num, self.den = _reduced(
-                {k: n for k, n in (entries or {}).items() if n}, den)
-        self._entries = self._columns = self._num_columns = None
-        if check:
-            for (t, s) in self.num:
-                if target.degrees[t] != source.degrees[s] + self.degree:
-                    raise ValueError(
-                        "inhomogeneous entry %r -> %r for degree %d map"
-                        % (source.basis[s], target.basis[t], self.degree))
+    def __init__(self, source, target, degree, entries=None):
+        columns = {}
+        for (t, s), c in (entries or {}).items():
+            columns.setdefault(s, {})[t] = c
+        self._store(*_checked(source, target, degree, columns, 1))
+
+    def _store(self, source, target, degree, columns, den):
+        """Keep int numerator columns over den > 0, without zeros or empty
+        columns, dividing them by the gcd; their degrees are not checked.
+        The column dicts are kept when the gcd is 1."""
+        g = den
+        for col in columns.values():
+            if g == 1:
+                break
+            g = gcd(g, *col.values())
+        if g != 1:
+            columns = {s: {t: n // g for t, n in col.items()}
+                       for s, col in columns.items()}
+        self.source, self.target, self.degree = source, target, degree
+        self.columns, self.den = columns, den // g
+        self._entries = self._fractions = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, source, target, degree):
-        return cls(source, target, degree, check=False, den=1)
+        return _built(source, target, degree, {}, 1)
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, 0, {(i, i): 1 for i in range(space.dim)},
-                   check=False, den=1)
+        return _built(space, space, 0, {i: {i: 1} for i in range(space.dim)},
+                      1)
 
     @classmethod
-    def from_columns(cls, source, target, degree, cols):
-        """cols[s] is the image of source basis vector s as a sparse
-        vector {target index: coeff}."""
-        return cls(source, target, degree,
-                   {(t, s): c for s, col in enumerate(cols)
-                    for t, c in col.items()})
+    def from_columns(cls, source, target, degree, cols, den=1):
+        """The map whose column s, the image of source basis vector s, is
+        cols[s] / den for a sparse vector cols[s] = {target index: value}
+        of rationals; cols is a dict or a list indexed by source index."""
+        if not isinstance(cols, dict):
+            cols = dict(enumerate(cols))
+        return _built(*_checked(source, target, degree, cols, den))
 
     # -- the Fraction views ------------------------------------------------
 
     @property
     def entries(self):
-        """(target index, source index) -> Fraction, the nonzero entries;
-        built on first use and shared: read it, never modify it."""
+        """(target index, source index) -> Fraction, the nonzero entries
+        column by column; built on first use and shared: read it, never
+        modify it."""
         if self._entries is None:
             den = self.den
-            self._entries = {k: Fraction(n, den) for k, n in self.num.items()}
+            self._entries = {(t, s): Fraction(n, den)
+                             for s, col in self.columns.items()
+                             for t, n in col.items()}
         return self._entries
 
     def by_column(self):
         """source index -> {target index: Fraction}, built once per map
         and shared by every caller: read it, never modify it."""
-        if self._columns is None:
+        if self._fractions is None:
             den = self.den
-            self._columns = {
+            self._fractions = {
                 s: {t: Fraction(n, den) for t, n in col.items()}
-                for s, col in self.num_columns().items()}
-        return self._columns
+                for s, col in self.columns.items()}
+        return self._fractions
 
     def apply_basis(self, s):
         """Image of the s-th source basis vector as a fresh dict
         t -> Fraction."""
         den = self.den
         return {t: Fraction(n, den)
-                for t, n in self.num_columns().get(s, {}).items()}
+                for t, n in self.columns.get(s, {}).items()}
 
     def __call__(self, vec):
         """Apply to a sparse vector {index: coeff}; the image is a sparse
@@ -198,21 +201,11 @@ class GradedMap:
 
     # -- the int kernels ---------------------------------------------------
 
-    def num_columns(self):
-        """source index -> {target index: numerator}, the columns of den
-        times the map; built once and shared: read it, never modify it."""
-        if self._num_columns is None:
-            columns = {}
-            for (t, s), n in self.num.items():
-                columns.setdefault(s, {})[t] = n
-            self._num_columns = columns
-        return self._num_columns
-
     def add_image(self, acc, vec, scale=1):
         """acc += scale * den * self(vec) for a sparse vector
         {index: coeff} and an int scale: the image in numerator units,
         int when vec is.  Returns acc, which may hold zero values."""
-        columns = self.num_columns()
+        columns = self.columns
         for m, c in vec.items():
             col = columns.get(m)
             if col:
@@ -226,17 +219,17 @@ class GradedMap:
         """self o other (apply other first)."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
-        ent = {}
-        columns = self.num_columns()
-        for (m, s), c in other.num.items():
-            col = columns.get(m)
-            if col:
-                for t, n in col.items():
-                    key = (t, s)
-                    ent[key] = ent.get(key, 0) + c * n
-        return GradedMap(other.source, self.target,
-                         self.degree + other.degree, ent, check=False,
-                         den=self.den * other.den)
+        columns = self.columns
+        out = {}
+        for s, col in other.columns.items():
+            acc = out[s] = {}
+            for m, c in col.items():
+                f_col = columns.get(m)
+                if f_col:
+                    for t, n in f_col.items():
+                        acc[t] = acc.get(t, 0) + c * n
+        return _built(other.source, self.target, self.degree + other.degree,
+                      _nonzero(out), self.den * other.den)
 
     def __add__(self, other):
         if (other.source != self.source or other.target != self.target
@@ -244,38 +237,42 @@ class GradedMap:
             raise ValueError("sum of incompatible maps")
         den = lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
-        ent = {k: a * n for k, n in self.num.items()}
-        for k, n in other.num.items():
-            ent[k] = ent.get(k, 0) + b * n
-        return GradedMap(self.source, self.target, self.degree, ent,
-                         check=False, den=den)
+        # the columns of self that other does not touch are shared
+        columns = {s: {t: a * n for t, n in col.items()} if a != 1 else col
+                   for s, col in self.columns.items()}
+        for s, col in other.columns.items():
+            acc = columns[s] = dict(columns.get(s, ()))
+            for t, n in col.items():
+                acc[t] = acc.get(t, 0) + b * n
+        return _built(self.source, self.target, self.degree,
+                      _nonzero(columns), den)
 
     def __sub__(self, other):
         return self + -other
 
     def scale(self, c):
         c = Fraction(c)
-        return GradedMap(self.source, self.target, self.degree,
-                         {k: c.numerator * n for k, n in self.num.items()},
-                         check=False, den=self.den * c.denominator)
+        k = c.numerator
+        return _built(self.source, self.target, self.degree,
+                      {s: {t: k * n for t, n in col.items()}
+                       for s, col in self.columns.items()} if k else {},
+                      self.den * c.denominator)
 
     def __neg__(self):
-        return GradedMap(self.source, self.target, self.degree,
-                         {k: -n for k, n in self.num.items()}, check=False,
-                         den=self.den)
+        return self.scale(-1)
 
     def is_zero(self):
-        return not self.num
+        return not self.columns
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap)
                 and self.source == other.source and self.target == other.target
                 and self.degree == other.degree and self.den == other.den
-                and self.num == other.num)
+                and self.columns == other.columns)
 
     def __repr__(self):
         return (f"GradedMap(deg={self.degree}, "
-                f"{len(self.num)} entries)")
+                f"{sum(map(len, self.columns.values()))} entries)")
 
 
 class StructureTable:
@@ -446,7 +443,7 @@ class StructureTable:
         of these sets are evaluated, so the work follows the nonzeros of
         the table and of op, not dim^2.
         """
-        cols = op.num_columns()
+        cols = op.columns
         rows = self.rows
         degs = self.space.degrees
         op_rows = {}
@@ -553,23 +550,51 @@ def _add_right(acc, c, vec, rows, y):
                 acc[k] = acc.get(k, 0) + b * n
 
 
-def _over_common_denominator(values):
-    """(num, den) for a dict of rationals: its nonzero values as int
-    numerators over their least common denominator den."""
-    values = {k: c if isinstance(c, (int, Fraction)) else Fraction(c)
-              for k, c in values.items() if c}
-    den = lcm(*(c.denominator for c in values.values()))
-    return ({k: c.numerator * (den // c.denominator)
-             for k, c in values.items()}, den)
+def _checked(source, target, degree, cols, den):
+    """(source, target, degree, columns, den) for the map with columns
+    cols / den, cols holding ints and Fractions: its int numerator
+    columns, without zeros or empty columns, and their denominator.
+    Raises ValueError for a nonzero entry outside the degree."""
+    degree = int(degree)
+    columns = {}
+    ints = True
+    for s, col in cols.items():
+        want = source.degrees[s] + degree
+        kept = {}
+        for t, c in col.items():
+            if c:
+                if target.degrees[t] != want:
+                    raise ValueError(
+                        "inhomogeneous entry %r -> %r for degree %d map"
+                        % (source.basis[s], target.basis[t], degree))
+                if type(c) is not int:
+                    ints = False
+                kept[t] = c
+        if kept:
+            columns[s] = kept
+    if not ints:
+        lcd = lcm(*(c.denominator for col in columns.values()
+                    for c in col.values()))
+        columns = {s: {t: c.numerator * (lcd // c.denominator)
+                       for t, c in col.items()} for s, col in columns.items()}
+        den *= lcd
+    return source, target, degree, columns, den
 
 
-def _reduced(num, den):
-    """(num, den) for int numerators without zero values over den > 0,
-    both divided by their gcd."""
-    g = gcd(den, *num.values()) if den != 1 else 1
-    if g == 1:
-        return num, den
-    return {k: n // g for k, n in num.items()}, den // g
+def _nonzero(columns):
+    """The columns without their zero values and empty columns; a column
+    without zeros is kept, not copied."""
+    return {s: col if all(col.values())
+            else {t: n for t, n in col.items() if n}
+            for s, col in columns.items() if any(col.values())}
+
+
+def _built(source, target, degree, columns, den):
+    """The map with int numerator columns over den > 0 (GradedMap._store),
+    degrees unchecked: the map kernels' operands are homogeneous."""
+    m = GradedMap.__new__(GradedMap)
+    m._store(source, target, degree, columns, den)
+    return m
 
 
 def _pruned(acc, den):
@@ -610,6 +635,5 @@ def suspend_map(phi):
     """
     src = suspend_space(phi.source)
     tgt = suspend_space(phi.target)
-    sign = -1 if phi.degree % 2 else 1
-    ent = {k: n * sign for k, n in phi.num.items()}
-    return GradedMap(src, tgt, phi.degree, ent, check=False, den=phi.den)
+    columns = (-phi if phi.degree % 2 else phi).columns
+    return _built(src, tgt, phi.degree, columns, phi.den)

@@ -12,7 +12,6 @@ constants appear while exactness is preserved.
 """
 
 import random
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -184,16 +183,14 @@ def _random_two_layer(rng):
         [("a%d" % i, d) for i, d in enumerate(degrees)])
     # split indices into sources and sinks so that d o d = 0 by shape
     sources = [i for i in range(dim) if rng.random() < 0.5]
-    ent = {}
+    cols = {s: {} for s in sources}
     for s in sources:
         for t in range(dim):
             if t in sources or space.degrees[t] != space.degrees[s] - 1:
                 continue
-            c = rng.randrange(-2, 3)
-            if c:
-                ent[(t, s)] = Fraction(c)
-    return DgLieAlgebra(
-        ChainComplex(space, GradedMap(space, space, -1, ent)), {})
+            cols[s][t] = rng.randrange(-2, 3)
+    return DgLieAlgebra(ChainComplex(
+        space, GradedMap.from_columns(space, space, -1, cols)), {})
 
 
 def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
@@ -209,7 +206,7 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
     dim = space.dim
     L = lcm(*denominator_pool)
     # L S and (L S)^{-1}, block by block
-    ls_num, ls_inv = {}, {}
+    ls_cols, ls_inv = {}, {}
     for deg in sorted(set(space.degrees)):
         idx = space.indices_in_degree(deg)
         n = len(idx)
@@ -231,30 +228,28 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
                 continue
             break
         for b, col in enumerate(cols):
-            for a, c in col.items():
-                ls_num[(idx[a], idx[b])] = c
+            ls_cols[idx[b]] = {idx[a]: c for a, c in col.items()}
         for t, col in enumerate(inv):
-            for b, c in col.items():
-                ls_inv[(idx[b], idx[t])] = c
-    basis = GradedMap(space, space, 0, ls_num, check=False, den=1)
-    to_new = GradedMap(space, space, 0, ls_inv, check=False)
+            ls_inv[idx[t]] = {idx[b]: c for b, c in col.items()}
+    basis = GradedMap.from_columns(space, space, 0, ls_cols)
+    to_new = GradedMap.from_columns(space, space, 0, ls_inv)
     new_space = GradedVectorSpace(
         [("b%d" % i, space.degrees[i]) for i in range(dim)])
     d = to_new.compose(g.d).compose(basis)
     # the brackets of the new basis vectors, on numerators
     bracket = g.bracket
-    num_cols = basis.num_columns()
+    basis_cols = basis.columns
     table = {}
     for i in range(dim):
         for j in range(i, dim):
             br = to_new.add_image({}, bracket.add_product(
-                {}, num_cols.get(i, {}), num_cols.get(j, {})))
+                {}, basis_cols.get(i, {}), basis_cols.get(j, {})))
             br = {k: br[k] for k in sorted(br) if br[k]}
             if br:
                 table[(i, j)] = br
     return DgLieAlgebra(
-        ChainComplex(new_space, GradedMap(new_space, new_space, -1, d.num,
-                                          den=d.den)),
+        ChainComplex(new_space, GradedMap.from_columns(
+            new_space, new_space, -1, d.columns, d.den)),
         table, den=to_new.den * bracket.den * L)
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals on sparse vectors.
 
 A vector is a dict {index: Fraction} that holds no zero values, the form
-GradedMap.by_column and the __call__ of maps and tables hand out.  A
-matrix is a list of vectors: its rows for rref and rank, its columns
-everywhere else.  Every elimination runs in one kernel, _echelon, on int
+of the Fraction views of a map's column store (GradedMap.by_column and
+apply_basis) and of the __call__ of maps and tables.  A matrix is a list
+of vectors: its rows for rref and rank, its columns everywhere else.  Every elimination runs in one kernel, _echelon, on int
 rows: a row given is multiplied by the lcm of its denominators, and a
 Fraction is built only for a value handed out.  A finished echelon row is
 a multiple of the reduced row with its pivot, so dividing it by the gcd of

@@ -64,13 +64,11 @@ def _lifted_map(src, tgt, degree, columns):
     their least common scale once, when the map is built."""
     den = lcm(*(scale for _, _, scale in columns))
     mult = tgt.mult
-    ent = {}
+    cols = {}
     for wi, acc, scale in columns:
         factor = den // scale
-        for ti, c in acc.items():
-            if c:
-                ent[(ti, wi)] = c * mult[ti] * factor
-    return GradedMap(src.space, tgt.space, degree, ent, check=False, den=den)
+        cols[wi] = {ti: c * mult[ti] * factor for ti, c in acc.items()}
+    return GradedMap.from_columns(src.space, tgt.space, degree, cols, den)
 
 
 def _times(out, terms, acc, coalg):
@@ -93,7 +91,7 @@ def _lift_multiplicative(f, src, tgt):
     acc(w) = (-1)^{|g| deg w[:-1]} f(v_g) . acc(w[:-1]), g = w[-1], on
     the numerators of f, so a word of length n gathers f.den^n; with the
     1 / mult(w) of the closed form, its column is over f.den^n mult(w)."""
-    cols = f.num_columns()
+    cols = f.columns
     odd, degs, mult = src.odd, src.space.degrees, src.mult
     accs = {EMPTY: {tgt.windex[EMPTY]: 1}}
     columns = []
@@ -119,7 +117,7 @@ def _lift_homotopy(h, nabla_pi, sym):
     letter its numerator, so the weight k! (n-1-k)! / (n! mult(w)) and the
     missing k factors nabla_pi.den bring a term over the column's scale
     n! mult(w) h.den nabla_pi.den^(n-1)."""
-    h_cols, np_cols = h.num_columns(), nabla_pi.num_columns()
+    h_cols, np_cols = h.columns, nabla_pi.columns
     m_np = nabla_pi.den
     odd, mult, windex = sym.odd, sym.mult, sym.windex
     columns = []

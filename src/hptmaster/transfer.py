@@ -147,7 +147,7 @@ def check_addendum_285(g, con, result):
                   for u in nabla for v in nabla)
     higher_zero = all(b < 2 for b in result.D.arities())
     tau_tail_zero = all(result.coalg.word_length(s) == 1
-                        for (_, s) in result.tau.hom.num)
+                        for s in result.tau.hom.columns)
     report = {
         "hypothesis_holds": hyp,
         "D_vanishes": higher_zero,

@@ -275,11 +275,6 @@ class TruncatedSymCoalgebra:
             self._mult = mult
         return self._mult
 
-    def is_odd(self, word):
-        """Is the degree of the word odd?"""
-        odd = self.odd
-        return sum(odd[g] for g in word) % 2 == 1
-
     # -- operators ---------------------------------------------------------
 
     @property
@@ -289,13 +284,9 @@ class TruncatedSymCoalgebra:
             if self.gen_differential is None or self.gen_differential.is_zero():
                 self._d1 = GradedMap.zero(self.space, self.space, -1)
             else:
-                spec = CoderivationSpec(self.gen_space)
-                comp = {}
-                for g in range(self.gen_space.dim):
-                    col = self.gen_differential.apply_basis(g)
-                    if col:
-                        comp[(g,)] = col
-                spec.set_component(1, comp)
+                cols = sorted(self.gen_differential.by_column().items())
+                spec = CoderivationSpec(self.gen_space,
+                                        {1: {(g,): col for g, col in cols}})
                 self._d1 = coderivation_operator(spec, self)
         return self._d1
 
@@ -347,7 +338,7 @@ def coderivation_operator(spec, coalg):
     # the components as int numerators over their common denominator
     den = lcm(*(c.denominator for comp in spec.components.values()
                 for val in comp.values() for c in val.values()))
-    ent = {}
+    cols = {}
     windex = coalg.windex
     products = coalg.letter_products
     for b in spec.arities():
@@ -366,15 +357,15 @@ def coderivation_operator(spec, coalg):
                     wi = windex.get(w)
                 if wi is None:
                     continue
+                col = cols.setdefault(wi, {})
                 for g, c in val:
                     w2, sign2 = products[g, bi]
                     if w2 is None:
                         continue
                     # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}
                     mult = (B.count(g) + 1) * sign * sign2
-                    key = (w2, wi)
-                    ent[key] = ent.get(key, 0) + mult * c
-    return GradedMap(coalg.space, coalg.space, -1, ent, den=den)
+                    col[w2] = col.get(w2, 0) + mult * c
+    return GradedMap.from_columns(coalg.space, coalg.space, -1, cols, den)
 
 
 def commutes_with_diagonal(op, coalg):
@@ -407,7 +398,7 @@ def commutes_with_diagonal(op, coalg):
     # columns of D, and the same columns by the length of their word
     columns = []
     cols_by_length = [[] for _ in range(coalg.N + 1)]
-    for s, col in op.num_columns().items():
+    for s, col in op.columns.items():
         columns.append((words[s], degs[s] % 2 == 1, list(col.items())))
         cols_by_length[len(words[s])].append((s, col))
     # the words of each length with their indices and parities
@@ -464,11 +455,10 @@ def check_sh_lie(coalg):
     D = coalg.differential
     sq = D.compose(D)
     failures = {}
-    for (t, s), c in sq.entries.items():
-        failures.setdefault(len(coalg.words[s]), []).append(
-            (coalg.words[s], coalg.words[t], c))
-    unit_ok = all(s != coalg.windex[EMPTY]
-                  for (t, s) in coalg.perturbation_operator.num)
+    for s, col in sq.by_column().items():
+        failures.setdefault(len(coalg.words[s]), []).extend(
+            (coalg.words[s], coalg.words[t], c) for t, c in col.items())
+    unit_ok = coalg.windex[EMPTY] not in coalg.perturbation_operator.columns
     bad_words = commutes_with_diagonal(coalg.perturbation_operator, coalg)
     return {
         "square_zero": not failures,
@@ -508,13 +498,9 @@ def extract_brackets(coalg, underlying):
     gen_space = coalg.gen_space
     brackets = {}
     if coalg.gen_differential is not None and not coalg.gen_differential.is_zero():
-        tbl = {}
-        for g in range(gen_space.dim):
-            val = coalg.gen_differential.apply_basis(g)
-            if val:
-                # l_1 = -s^{-1} d_{sV} s, the differential before suspension
-                tbl[(g,)] = {t: -c for t, c in val.items()}
-        brackets[1] = tbl
+        # l_1 = -s^{-1} d_{sV} s, the differential before suspension
+        brackets[1] = {(g,): {t: -c for t, c in val.items()} for g, val
+                       in sorted(coalg.gen_differential.by_column().items())}
     for b, comp in coalg.perturbation.components.items():
         tbl = {}
         for word, val in comp.items():

@@ -58,7 +58,7 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
     d = to_new.compose(g.d).compose(basis)
     # the brackets of the new basis vectors, on numerators
     bracket = g.bracket
-    num_cols = basis.num_columns()
+    num_cols = basis.columns
     den = to_new.den * bracket.den * basis.den ** 2
     table = {}
     for i in range(dim):
@@ -69,6 +69,6 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
             if br:
                 table[(i, j)] = br
     return DgLieAlgebra(
-        ChainComplex(new_space, GradedMap(new_space, new_space, -1, d.num,
-                                          den=d.den)),
+        ChainComplex(new_space, GradedMap.from_columns(
+            new_space, new_space, -1, d.columns, d.den)),
         table)

@@ -39,13 +39,12 @@ def _lifted_map(src, tgt, degree, columns):
     numerators acc keyed by target word.  The columns are brought to their
     least common scale once, when the map is built."""
     den = lcm(*(scale for _, _, scale in columns))
-    ent = {}
+    cols = {}
     for wi, acc, scale in columns:
         factor = den // scale
-        for word, c in acc.items():
-            if c:
-                ent[(tgt.windex[word], wi)] = c * _multiplicity(word) * factor
-    return GradedMap(src.space, tgt.space, degree, ent, check=False, den=den)
+        cols[wi] = {tgt.windex[word]: c * _multiplicity(word) * factor
+                    for word, c in acc.items()}
+    return GradedMap.from_columns(src.space, tgt.space, degree, cols, den)
 
 
 def _lift_multiplicative(f, src, tgt):
@@ -53,7 +52,7 @@ def _lift_multiplicative(f, src, tgt):
 
     On the numerators of f, a word of length n gathers f.den^n; with the
     1 / mult(w) of the closed form, its column is over f.den^n mult(w)."""
-    cols = f.num_columns()
+    cols = f.columns
     sort = memo_sorter(tgt.gen_space)
     columns = []
     for wi, w in enumerate(src.words):
@@ -71,7 +70,7 @@ def _lift_homotopy(h, nabla_pi, sym):
     nabla pi slots; its weight k! (n-1-k)! / (n! mult(w)) and the missing
     k factors nabla_pi.den bring it over the column's scale
     n! mult(w) h.den nabla_pi.den^(n-1)."""
-    h_cols, np_cols = h.num_columns(), nabla_pi.num_columns()
+    h_cols, np_cols = h.columns, nabla_pi.columns
     m_np = nabla_pi.den
     degrees = sym.gen_space.degrees
     sort = memo_sorter(sym.gen_space)

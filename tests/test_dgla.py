@@ -297,7 +297,7 @@ def test_cup_square_merges_each_unordered_pair_once(monkeypatch,
 
     monkeypatch.setattr(dgla, "merge_words", counting)
     square = cup_bracket(tau.hom, tau.hom, coalg, g)
-    cols = tau.hom.num_columns()
+    cols = tau.hom.columns
     support = sorted(cols)
     partners = g.bracket.partners
     pairs = sum(1 for i, s in enumerate(support) for r in support[i:]

@@ -70,8 +70,8 @@ def test_graded_map_degree_enforced():
 
 def suspension_iso(space):
     """The canonical degree-1 isomorphism M -> sM (entries all 1)."""
-    ent = {(i, i): 1 for i in range(space.dim)}
-    return GradedMap(space, suspend_space(space), 1, ent, check=False, den=1)
+    return GradedMap.from_columns(space, suspend_space(space), 1,
+                                  [{i: 1} for i in range(space.dim)])
 
 
 def test_hom_differential_hand():

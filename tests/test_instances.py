@@ -11,7 +11,7 @@ from test_int_kernels import direct_sum
 
 
 def _assert_same(g, rng, oracle_g, oracle_rng):
-    assert (g.d.num, g.d.den) == (oracle_g.d.num, oracle_g.d.den)
+    assert (g.d.columns, g.d.den) == (oracle_g.d.columns, oracle_g.d.den)
     assert ((g.bracket.numerator_rows(), g.bracket.den)
             == (oracle_g.bracket.numerator_rows(), oracle_g.bracket.den))
     assert g.space == oracle_g.space

@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracle
 from hptmaster import instances
-from hptmaster.complexes import ChainComplex, Contraction
+from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.dgla import DgLieAlgebra, validate_dgla
 from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
+from hptmaster.transfer import extend_contraction, transfer, verify_master
 
 # mixed denominators, zeros twice as likely as any other value
 NONZERO = [Fraction(c) for c in ("1", "-1", "2", "1/2", "-2/3", "5/6",
@@ -36,6 +37,14 @@ def assert_reduced(num, den):
     """num over den is the least common denominator form."""
     assert den > 0 and 0 not in num.values()
     assert gcd(den, *num.values()) == 1
+
+
+def assert_reduced_columns(m):
+    """The column store of m holds no empty column and no zero value, over
+    the least common denominator."""
+    assert all(m.columns.values())
+    assert_reduced({(t, s): n for s, col in m.columns.items()
+                    for t, n in col.items()}, m.den)
 
 
 @st.composite
@@ -73,8 +82,10 @@ def test_map_kernels_match_the_fraction_oracle(case):
     f, f2, g, vec, scale = case
     for m in (f, f2, g, f.compose(g), f + f2, f - f2,
               f.scale(Fraction(-3, 4)), -f):
-        assert_reduced(m.num, m.den)
-        assert m.entries == {k: Fraction(n, m.den) for k, n in m.num.items()}
+        assert_reduced_columns(m)
+        assert m.entries == {(t, s): Fraction(n, m.den)
+                             for s, col in m.columns.items()
+                             for t, n in col.items()}
         # the same map built from its Fraction view is equal
         assert GradedMap(m.source, m.target, m.degree, m.entries) == m
     assert f.compose(g).entries == fraction_oracle.compose(f, g)
@@ -290,3 +301,24 @@ def test_contraction_identities_do_no_fraction_arithmetic(monkeypatch,
     assert counts == {"*": 0, "+": 0}
     assert fraction_oracle.identity_failures(fresh) == []
     assert counts["*"] > 100
+
+
+def test_the_pipeline_builds_no_fraction_pair_view(monkeypatch, corpus):
+    # transfer, verify_master and extend_contraction read the column store;
+    # with the (target, source) Fraction view refused they reach the same
+    # transfer, report and perturbed contraction
+    def outcome(result, extended):
+        return (result.D.components, result.tau.hom, verify_master(result),
+                extended.big, extended.small,
+                [extended.nabla, extended.pi, extended.h])
+
+    _, g, _, result = corpus[1]
+    want = outcome(result, result.extended)
+
+    def refused(m):
+        raise AssertionError("GradedMap.entries read")
+
+    monkeypatch.setattr(GradedMap, "entries", property(refused))
+    fresh = transfer(g, build_contraction(g.complex), result.truncation)
+    assert outcome(fresh, extend_contraction(fresh)) == want
+    assert want[2]["passed"] and result.D.components

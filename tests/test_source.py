@@ -21,11 +21,21 @@ def unread_imports(source):
                   if name not in read)
 
 
+def names_a_label(node):
+    """Does the expression name a label: a name or attribute holding
+    "lab", such as lab, label, labels or word_label?"""
+    return any((isinstance(n, ast.Name) and "lab" in n.id)
+               or (isinstance(n, ast.Attribute) and "lab" in n.attr)
+               for n in ast.walk(node))
+
+
 def prefix_handling(source, allowed=()):
     """[(line, function)] of the places that add or strip the "s" that
     suspension puts before a label: a string constant "s" (or a format
-    string that begins with it) or a [1:] slice, outside the functions
-    named in allowed."""
+    string that begins with it) or a [1:] slice of an expression that
+    names a label, outside the functions named in allowed.  A [1:] of
+    anything else, such as the suffix w[1:] of a word tuple, keeps the
+    prefix of no label."""
     found = []
 
     def visit(node, func):
@@ -36,9 +46,11 @@ def prefix_handling(source, allowed=()):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value == "s" or node.value.startswith(("s%", "s{")):
                 found.append((node.lineno, func))
-        elif (isinstance(node, ast.Slice) and node.upper is None
-              and node.step is None and isinstance(node.lower, ast.Constant)
-              and node.lower.value == 1):
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.slice, ast.Slice)
+              and node.slice.upper is None and node.slice.step is None
+              and isinstance(node.slice.lower, ast.Constant)
+              and node.slice.lower.value == 1 and names_a_label(node.value)):
             found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -54,6 +66,12 @@ def test_prefix_handling_is_found():
     assert prefix_handling(source) == [(2, "f"), (2, "f"), (4, "g"),
                                        (4, "g"), (5, None)]
     assert prefix_handling(source, {"f", "g"}) == [(5, None)]
+    # a word suffix is not a label; a label reached through an attribute
+    # or a call is
+    source = ('def h(w, coalg):\n    return w[1:], coalg.words[1:]\n'
+              'def k(space, w):\n'
+              '    return space.labels[0][1:], word_label(w, space)[1:]\n')
+    assert prefix_handling(source) == [(4, "k"), (4, "k")]
 
 
 def test_only_suspend_space_handles_the_suspension_prefix():
@@ -96,6 +114,15 @@ def test_only_graded_reads_the_signed_structure_constants():
     found = {(p.name, attr): attribute_reads(p.read_text(), attr)
              for p in sorted(SRC.glob("*.py")) if p.name != "graded.py"
              for attr in ("signed", "rows")}
+    assert {key: f for key, f in found.items() if f} == {}
+
+
+def test_no_library_module_reads_a_second_map_store():
+    # a GradedMap keeps its numerators in one store, by column; no pair-keyed
+    # copy or column index built from one comes back
+    found = {(p.name, attr): attribute_reads(p.read_text(), attr)
+             for p in sorted(SRC.glob("*.py"))
+             for attr in ("num", "num_columns", "_num_columns")}
     assert {key: f for key, f in found.items() if f} == {}
 
 

@@ -186,8 +186,7 @@ def conjugated_standard_complex(scale, seed=1):
             add(t, j, c * x)
         for s in list(row_support[j]):
             add(i, s, -c * cols[s][j])
-    d = GradedMap(space, space, -1, {(t, s): x for s, col in cols.items()
-                                     for t, x in col.items() if x}, den=1)
+    d = GradedMap.from_columns(space, space, -1, cols)
     return DgLieAlgebra(ChainComplex(space, d), ())
 
 
@@ -226,14 +225,14 @@ def test_validate_work_follows_the_nonzeros_of_d():
     counts, sizes = [], []
     for scale in (20, 160):
         g = conjugated_standard_complex(scale)
-        size = g.space.dim + len(g.d.num)
+        size = g.space.dim + len(g.d.entries)
         try:
             count, report = graded_line_events(lambda: validate_dgla(g),
                                                budget=20 * size)
         except OverBudget as exc:
             pytest.fail("validate_dgla ran over %d lines of graded.py at dim "
                         "%d with %d nonzeros in d" % (exc.args[0], g.space.dim,
-                                                      len(g.d.num)))
+                                                      len(g.d.entries)))
         assert report["passed"]
         counts.append(count)
         sizes.append(size)

@@ -16,7 +16,7 @@ def first_non_derivation(table, op):
     """The first basis pair (i, j) on which op fails the Leibniz rule
     op(e_i e_j) = (op e_i) e_j + (-1)^{|op| p_i} e_i (op e_j),
     p_i = |e_i| + degree, or None."""
-    cols = op.num_columns()
+    cols = op.columns
     degs = table.space.degrees
     dim = table.space.dim
     for i in range(dim):
