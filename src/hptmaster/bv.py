@@ -8,6 +8,7 @@ constants; everything downstream (transfer, twisting cochains) runs on the
 regraded side.
 """
 
+from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -231,12 +232,13 @@ def regrade_to_lie(algebra):
 
 def _kernel_subspace(op, space):
     """Homogeneous basis of ker(op), as sparse vectors over space."""
-    cols = op.by_column()
+    cols = op.columns
     vecs = []
     for deg in sorted(set(space.degrees)):
-        vecs.extend(linalg.kernel_basis(
-            {s: cols.get(s, {}) for s in space.indices_in_degree(deg)})
-            .values())
+        vecs.extend({k: Fraction(c, v[f]) for k, c in v.items()}
+                    for f, v in linalg.kernel_basis(
+                        {s: cols.get(s, {})
+                         for s in space.indices_in_degree(deg)}).items())
     return vecs
 
 
@@ -254,32 +256,35 @@ def _delta_splitting(bv):
     space = bv.algebra.space
     ker = _kernel_subspace(bv.delta, space)
     image = linalg.rref(bv.delta.by_column().values())
-    # grow a separate working echelon when selecting independent
-    # representatives, so that image spans im Delta only
-    work = list(image)
+    # the representatives are the remainders modulo im Delta and the
+    # representatives before them, so that image spans im Delta only
     basis = []
     reps = []
     counters = {}
-    for v in ker:
-        resid = linalg.reduce_against(v, work)
-        if resid is None:
+    for v, rem in zip(ker, linalg.remainders(ker, [row for _, row in image])):
+        if rem is None:
             continue
-        work.append((min(resid), resid))
+        resid, den = rem
         deg = space.vector_degree(v)
         k = counters.get(deg, 0)
         counters[deg] = k + 1
         basis.append(("H%d_%d" % (deg, k), deg))
-        reps.append(resid)
+        reps.append({i: Fraction(c, den) for i, c in resid.items()})
     return ker, basis, reps, image
+
+
+def _in_span(vectors, echelon):
+    """Do all the vectors lie in the span of the echelon rows?"""
+    return not any(linalg.remainders(vectors, [row for _, row in echelon]))
 
 
 def _projection_columns(vectors, reps, image):
     """The columns of the projection onto H(A, Delta): column s holds the
     coordinates of vectors[s] over the representatives, modulo im Delta."""
-    cols = linalg.coordinates(vectors, reps, [row for _, row in image])
+    cols, den = linalg.coordinates(vectors, reps, [row for _, row in image])
     if None in cols:
         raise AssertionError("kernel element escaped ker/im analysis")
-    return cols
+    return cols, den
 
 
 def kahler_formality_check(bv):
@@ -311,19 +316,19 @@ def _formality_report(bv):
     m_space = GradedVectorSpace(
         [("m%d" % i, -space.vector_degree(v)) for i, v in enumerate(ker)])
     d_ker = [A.d(v) for v in ker]
-    d_m_cols = linalg.solve(ker, d_ker)
+    d_m_cols, den = linalg.solve(ker, d_ker)
     if None in d_m_cols:
         raise AssertionError("ker Delta is not d-stable")
     m_cx = ChainComplex(m_space, GradedMap.from_columns(m_space, m_space, -1,
-                                                        d_m_cols))
+                                                        d_m_cols, den))
     m_homology = homology(m_cx)  # shared by both comparison maps
     incl = GradedMap.from_columns(m_space, neg, 0, ker)
     first = is_quasi_iso(incl, m_cx, A_cx, m_homology)
 
     H_space = GradedVectorSpace([(lab, -deg) for lab, deg in h_basis])
     proj = GradedMap.from_columns(m_space, H_space, 0,
-                                  _projection_columns(ker, h_reps, image))
-    chain_map = all(linalg.reduce_against(dv, image) is None for dv in d_ker)
+                                  *_projection_columns(ker, h_reps, image))
+    chain_map = _in_span(d_ker, image)
     second = chain_map and is_quasi_iso(proj, m_cx, ChainComplex(H_space),
                                         m_homology)
     return {
@@ -355,7 +360,7 @@ def theorem_38_pipeline(bv, N):
     H_space = GradedVectorSpace([(lab, 1 - deg) for lab, deg in h_basis])
     m_cols = [incl.apply_basis(s) for s in range(m.space.dim)]
     pi = GradedMap.from_columns(m.space, H_space, 0,
-                                _projection_columns(m_cols, h_reps, image))
+                                *_projection_columns(m_cols, h_reps, image))
     con = contraction_extending_projection(m.complex, pi, H_space)
 
     result, report = theorem_29_pipeline(m, con, N, inclusion=incl)
@@ -365,10 +370,9 @@ def theorem_38_pipeline(bv, N):
     delta_tau_zero = not any(bv.delta(col)
                              for col in tau_in_A.by_column().values())
     # (iii) tau_k values in im Delta for k >= 2
-    values_in_im = all(
-        linalg.reduce_against(col, image) is None
-        for wi, col in tau_in_A.by_column().items()
-        if result.coalg.word_length(wi) >= 2)
+    values_in_im = _in_span(
+        [col for wi, col in tau_in_A.by_column().items()
+         if result.coalg.word_length(wi) >= 2], image)
     report = dict(report)
     report["delta_tau_zero"] = delta_tau_zero
     report["tau_k_in_im_delta"] = values_in_im

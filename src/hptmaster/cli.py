@@ -5,6 +5,13 @@ Problem files are JSON documents with exact rationals written as strings
 produce byte-identical output.  Exit codes: 0 all checks pass, 1 a
 verification failed, 2 the input could not be parsed or was inconsistent.
 Wall-clock timing goes to stderr only, never into the report bytes.
+
+A coefficient is read as an int pair (p, q).  A dg Lie problem reaches
+the library as int numerators over each section's lcm, and tau is written
+to the transfer report from its int columns.  Fractions are built for the
+product and bracket rows of BV problem files and for theta files, whose
+modules keep Fraction vectors, and are read back for the coderivation
+and bracket sections of a report and for the bv and massey reports.
 """
 
 import argparse
@@ -16,6 +23,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 from .bv import (BVData, GerstenhaberAlgebra, addendum_382_flat_identity,
                  bracket_from_generator, kahler_formality_check,
@@ -38,20 +46,50 @@ class InputError(Exception):
 
 
 # the whole coefficient grammar: an integer, a decimal or p/q with ASCII
-# digits; Fraction alone would also take exponents (unbounded work for
-# "1e1000000"), spaces and, from Python 3.11 on, underscores
-_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+# digits, in groups (sign, integer part, denominator, decimals, decimals
+# after a bare point); Fraction alone would also take exponents (unbounded
+# work for "1e1000000"), spaces and, from Python 3.11 on, underscores
+_RATIONAL = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+)|\.([0-9]*))?"
+                       r"|\.([0-9]+))")
 
 
-def _frac(text, where):
-    if not _RATIONAL.fullmatch(str(text)):
+def _ratio(text, where):
+    """The coefficient text as ints (p, q), q > 0, with p / q its value.
+
+    The digits are converted as Fraction(text) converts them, so an
+    integer past the interpreter's int-string limit, and a zero
+    denominator, are refused with the messages Fraction gives."""
+    m = _RATIONAL.fullmatch(str(text))
+    if m is None:
         raise InputError("%s: bad rational %r (expected an integer, a "
                          "decimal or p/q)" % (where, text))
+    sign, whole, den, decimals, fraction = m.groups()
+    decimals = decimals or fraction
     try:
-        value = Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        p = int(whole or "0")
+        if den:
+            q = int(den)
+        else:
+            q = 1
+            if decimals:
+                q = 10 ** len(decimals)
+                p = p * q + int(decimals)
+    except ValueError as exc:
         raise InputError("%s: bad rational %r (%s)" % (where, text, exc))
-    return value
+    if sign == "-":
+        p = -p
+    if not q:
+        raise InputError("%s: bad rational %r (Fraction(%d, 0))"
+                         % (where, text, p))
+    return p, q
+
+
+def _ratio_str(n, den):
+    """n / den in lowest terms as "p" or "p/q", for ints n and den > 0."""
+    g = gcd(n, den)
+    if g == den:
+        return str(n // g)
+    return "%d/%d" % (n // g, den // g)
 
 
 def frac_str(value):
@@ -133,55 +171,61 @@ def load_problem(path):
             raise InputError("%s: unknown label %r" % (where, label))
         return index[label]
 
-    def sparse_map(section, degree):
-        entries = {}
-        for pos, entry in enumerate(_rows(doc, section)):
-            where = "%s[%d]" % (section, pos)
-            if not _is_row(entry, 3):
-                raise InputError("%s: expected [src, dst, coefficient]"
-                                 % where)
-            src, dst = look(entry[0], where), look(entry[1], where)
-            key = (dst, src)
-            entries[key] = entries.get(key, Fraction(0)) + _frac(entry[2],
-                                                                 where)
-        try:
-            return GradedMap(space, space, degree, entries)
-        except ValueError as exc:
-            raise InputError("%s: %s" % (section, exc))
+    def section(name, shape):
+        """The rows of a section in file order, each checked, as (label
+        indices, p, q), and the lcm of their q."""
+        width = shape.count(",") + 1
+        rows = []
+        for pos, entry in enumerate(_rows(doc, name)):
+            where = "%s[%d]" % (name, pos)
+            if not _is_row(entry, width):
+                raise InputError("%s: expected %s" % (where, shape))
+            at = tuple([look(label, where) for label in entry[:-1]])
+            rows.append((at, *_ratio(entry[-1], where)))
+        return rows, lcm(*(q for _, _, q in rows))
 
-    def bilinear_rows(section):
+    def sparse_map(name, degree):
+        # columns in file order, duplicate rows added up as numerators
+        # over the section's lcm
+        rows, den = section(name, "[src, dst, coefficient]")
+        columns = {}
+        for (src, dst), p, q in rows:
+            col = columns.setdefault(src, {})
+            col[dst] = col.get(dst, 0) + p * (den // q)
+        try:
+            return GradedMap.from_columns(space, space, degree, columns, den)
+        except ValueError as exc:
+            raise InputError("%s: %s" % (name, exc))
+
+    def bilinear_rows(name):
         # rows in file order; the structure table canonicalises them and
         # names the section in its errors
-        rows = []
-        for pos, entry in enumerate(_rows(doc, section)):
-            where = "%s[%d]" % (section, pos)
-            if not _is_row(entry, 4):
-                raise InputError("%s: expected [x, y, dst, coefficient]"
-                                 % where)
-            i, j = look(entry[0], where), look(entry[1], where)
-            k = look(entry[2], where)
-            rows.append(((i, j), {k: _frac(entry[3], where)}))
-        return rows
+        return section(name, "[x, y, dst, coefficient]")
+
+    def fraction_rows(name):
+        return [((i, j), {k: Fraction(p, q)})
+                for (i, j, k), p, q in bilinear_rows(name)[0]]
 
     if kind == "dgla":
         d = sparse_map("differential", -1)
-        bracket = bilinear_rows("bracket")
+        rows, den = bilinear_rows("bracket")
+        bracket = [((i, j), {k: p * (den // q)}) for (i, j, k), p, q in rows]
         try:
-            g = DgLieAlgebra(ChainComplex(space, d), bracket)
+            g = DgLieAlgebra(ChainComplex(space, d), bracket, den=den)
         except (ValueError, AssertionError) as exc:
             raise InputError(str(exc))
         return kind, g, digest
 
     d = sparse_map("differential", 1)
     delta = sparse_map("delta", -1)
-    product = bilinear_rows("product")
+    product = fraction_rows("product")
     unit_label = doc.get("unit")
     unit_index = look(unit_label, "unit") if unit_label is not None else 0
     try:
         plain = GerstenhaberAlgebra(space, product, d=d,
                                     unit_index=unit_index)
         if "bracket" in doc:
-            bracket = bilinear_rows("bracket")
+            bracket = fraction_rows("bracket")
         else:
             bracket = bracket_from_generator(plain, delta)
         # the bracket joins the product table already built
@@ -207,8 +251,12 @@ def serialize_transfer(result):
         return {word_label(w, coalg.gen_space): _sparse_labels(space, val)
                 for w, val in table.items() if val}
 
-    tau = by_word({coalg.words[s]: col for s, col
-                   in result.tau.hom.by_column().items()}, result.g.space)
+    # tau from its int columns over den
+    hom = result.tau.hom
+    labels = result.g.space.labels
+    tau = {word_label(coalg.words[s], coalg.gen_space):
+           {labels[t]: _ratio_str(n, hom.den) for t, n in sorted(col.items())}
+           for s, col in hom.columns.items()}
     brackets = {"l%d" % k: by_word(table, small)
                 for k, table in result.brackets.brackets.items()
                 if any(table.values())}
@@ -360,7 +408,8 @@ def _parse_theta(args):
     doc = _parse_json(raw, args.theta)
     if not isinstance(doc, dict):
         raise InputError("theta: expected an object of word -> rational")
-    return {key: _frac(value, "theta") for key, value in doc.items()}
+    return {key: Fraction(*_ratio(value, "theta"))
+            for key, value in doc.items()}
 
 
 def cmd_massey(args, started):

@@ -10,8 +10,11 @@ choices (pivoting, representatives) are deterministic, so the result is a
 pure function of the input.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from . import linalg
-from .graded import GradedMap, GradedVectorSpace, ONE
+from .graded import GradedMap, GradedVectorSpace
 
 # names of the contraction identities, in the order identity_failures
 # reports them
@@ -132,29 +135,29 @@ def homology(C):
     """A chosen basis of ker d / im d, as a GradedVectorSpace.
 
     Returns (H, representatives) where representatives[i] is a cycle in C
-    (a sparse vector) representing the i-th basis class.  Classes are
-    reduced row echelon representatives of ker d modulo im d; labels are
-    "h{n}_{k}" for the k-th class in degree n.
+    (a sparse vector of Fractions) representing the i-th basis class.
+    Classes are reduced row echelon representatives of ker d modulo im d;
+    labels are "h{n}_{k}" for the k-th class in degree n.  Each kernel
+    vector of degree n is reduced modulo the image of d from degree n+1
+    and the classes kept before it, on the int columns of d
+    (linalg.remainders); a remainder r that is not zero gives the
+    representative r / r[lead], lead its first index.
     """
     space = C.space
-    d_cols = C.d.by_column()
+    d_cols = C.d.columns
+    none = {}
     reps = []
     labels = []
     for n in sorted(set(space.degrees)):
         kern = linalg.kernel_basis(
-            {s: d_cols.get(s, {}) for s in space.indices_in_degree(n)})
-        # echelon rows spanning the image of d from degree n+1; extend by
-        # kernel vectors
-        span = linalg.rref(d_cols.get(s, {})
-                           for s in space.indices_in_degree(n + 1))
+            {s: d_cols.get(s, none) for s in space.indices_in_degree(n)})
+        image = (d_cols.get(s, none) for s in space.indices_in_degree(n + 1))
         k = 0
-        for v in kern.values():
-            resid = linalg.reduce_against(v, span)
-            if resid is not None:
-                lead = min(resid)
-                resid = {i: c / resid[lead] for i, c in resid.items()}
-                span.append((lead, resid))
-                reps.append(resid)
+        for rem in linalg.remainders(kern.values(), image):
+            if rem is not None:
+                resid = rem[0]
+                lead = resid[min(resid)]
+                reps.append({i: Fraction(c, lead) for i, c in resid.items()})
                 labels.append((f"h{n}_{k}", n))
                 k += 1
     return GradedVectorSpace(labels), reps
@@ -170,19 +173,21 @@ def build_contraction(C):
 
     Degrees are taken from the top down, so d(A_{n+1}) is known in degree
     n, and each takes one elimination: it solves for the unit vectors of
-    degree n over the columns d(A_{n+1}), the representatives and then
-    the unit vectors themselves.  The unit vectors it keeps as pivot
+    degree n over the int columns of d on A_{n+1}, the representatives and
+    then the unit vectors themselves.  The unit vectors it keeps as pivot
     columns complete the cycles to a basis in index order; since d kills
     exactly the cycles, they sit at the pivot columns of d, and they are
-    A_n.  The solutions are the coordinates over that adapted basis.
+    A_n.  The solutions are the coordinates over that adapted basis, int
+    numerators over one den per degree; a coordinate over a column of d
+    is d.den times the one over its numerators.
     """
     space = C.space
     H, reps = homology(C)
-    small = ChainComplex(GradedVectorSpace(H.basis))
-    d_cols = C.d.by_column()
+    small = ChainComplex(H)
+    d_cols = C.d.columns
+    m_d = C.d.den
 
-    pi_cols = {}
-    h_cols = {}
+    parts = []     # (den, pi columns, h columns) of each degree
     a_above = []   # A of the degree taken last, in index order
     for n in sorted(set(space.degrees), reverse=True):
         idx_n = space.indices_in_degree(n)
@@ -192,10 +197,12 @@ def build_contraction(C):
                 + [("h", k) for k in range(H.dim) if H.degrees[k] == n])
         block = [d_cols[j] if kind == "b" else reps[j] for kind, j in tags]
         m = len(tags)
-        units = [{s: ONE} for s in idx_n]
+        units = [{s: 1} for s in idx_n]
+        coords, den = linalg.solve(block + units, units)
+        pi_cols, h_cols = {}, {}
         kept = set()
-        for t, coords in zip(idx_n, linalg.solve(block + units, units)):
-            for pos, c in coords.items():
+        for t, x in zip(idx_n, coords):
+            for pos, c in x.items():
                 if pos >= m:
                     kept.add(idx_n[pos - m])
                     continue
@@ -204,14 +211,24 @@ def build_contraction(C):
                     pi_cols.setdefault(t, {})[ref] = c
                 else:
                     # h sends d(a) to -a
-                    h_cols.setdefault(t, {})[ref] = -c
+                    h_cols.setdefault(t, {})[ref] = -c * m_d
+        parts.append((den, pi_cols, h_cols))
         a_above = sorted(kept)
         if m + len(a_above) != len(idx_n):
             raise AssertionError("adapted basis does not span degree %d" % n)
 
+    # one den for all degrees
+    den = lcm(*(part[0] for part in parts))
+    pi_cols, h_cols = {}, {}
+    for m, *cols in parts:
+        f = den // m
+        for out, part in zip((pi_cols, h_cols), cols):
+            for t, col in part.items():
+                out[t] = {k: c * f for k, c in col.items()} if f != 1 else col
+
     nabla = GradedMap.from_columns(small.space, space, 0, reps)
-    pi = GradedMap.from_columns(space, small.space, 0, pi_cols)
-    h = GradedMap.from_columns(space, space, 1, h_cols)
+    pi = GradedMap.from_columns(space, small.space, 0, pi_cols, den)
+    h = GradedMap.from_columns(space, space, 1, h_cols, den)
     return Contraction(C, small, nabla, pi, h)
 
 
@@ -231,10 +248,10 @@ def contraction_extending_projection(C, pi, small_space):
     joint = [pi.apply_basis(s) for s in range(space.dim)]
     for s, col in C.d.by_column().items():
         joint[s].update((shift + t, c) for t, c in col.items())
-    nabla_cols = linalg.solve(joint, [{k: ONE} for k in range(shift)])
+    nabla_cols, den = linalg.solve(joint, [{k: 1} for k in range(shift)])
     if None in nabla_cols:
         raise ValueError("projection admits no cycle-valued section")
-    nabla = GradedMap.from_columns(small.space, space, 0, nabla_cols)
+    nabla = GradedMap.from_columns(small.space, space, 0, nabla_cols, den)
 
     # acyclic complement: the image of Id - nabla pi, with an echelon
     # basis in each degree
@@ -249,20 +266,21 @@ def contraction_extending_projection(C, pi, small_space):
     # one elimination gives d on the complement and the coordinates of the
     # columns of Id - nabla pi
     n_sub = len(sub_basis)
-    coords = linalg.solve(sub_basis, [C.d(v) for v in sub_basis]
-                          + [proj_cols.get(s, {}) for s in range(space.dim)])
+    coords, den = linalg.solve(
+        sub_basis, [C.d(v) for v in sub_basis]
+        + [proj_cols.get(s, {}) for s in range(space.dim)])
     if None in coords[:n_sub]:
         raise AssertionError("complement not d-stable")
     if None in coords[n_sub:]:
         raise AssertionError("projection image escaped the complement")
     sub = ChainComplex(sub_space, GradedMap.from_columns(
-        sub_space, sub_space, -1, coords[:n_sub]))
+        sub_space, sub_space, -1, coords[:n_sub], den))
     sub_con = build_contraction(sub)
     if sub_con.small.space.dim != 0:
         raise ValueError("projection is not a quasi-isomorphism")
     # transport h of the acyclic complement back to C
     incl = GradedMap.from_columns(sub_space, space, 0, sub_basis)
-    to_sub = GradedMap.from_columns(space, sub_space, 0, coords[n_sub:])
+    to_sub = GradedMap.from_columns(space, sub_space, 0, coords[n_sub:], den)
     h = incl.compose(sub_con.h).compose(to_sub)
     return Contraction(C, small, nabla, pi, h)
 
@@ -277,14 +295,14 @@ def induced_map_on_homology(f, C_src, C_tgt, src_homology=None):
     H_tgt, reps_tgt = homology(C_tgt)
     # express each f(rep) in homology of the target: one solve against
     # [reps | im d]
-    cols = linalg.coordinates([f(rep) for rep in reps_src], reps_tgt,
-                              list(C_tgt.d.by_column().values()))
+    cols, den = linalg.coordinates([f(rep) for rep in reps_src], reps_tgt,
+                                   list(C_tgt.d.columns.values()))
     if None in cols:
         raise ValueError("f(cycle) is not a cycle mod boundaries")
-    return GradedMap.from_columns(H_src, H_tgt, 0, cols), H_src, H_tgt
+    return GradedMap.from_columns(H_src, H_tgt, 0, cols, den), H_src, H_tgt
 
 
 def is_quasi_iso(f, C_src, C_tgt, src_homology=None):
     M, H_src, H_tgt = induced_map_on_homology(f, C_src, C_tgt, src_homology)
     return (H_src.dim == H_tgt.dim
-            and linalg.rank(M.by_column().values()) == H_src.dim)
+            and linalg.rank(M.columns.values()) == H_src.dim)

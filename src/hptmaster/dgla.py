@@ -68,14 +68,15 @@ class DgLieAlgebra:
                 if br:
                     brackets[(i, j)] = br
         # the coordinates of d and of the brackets in one elimination
-        coords = linalg.solve(basis_vecs, [self.d(v) for v in basis_vecs]
-                              + list(brackets.values()))
+        coords, den = linalg.solve(basis_vecs,
+                                   [self.d(v) for v in basis_vecs]
+                                   + list(brackets.values()))
         if None in coords:
             raise ValueError("subspace is not closed")
         sub = DgLieAlgebra(
             ChainComplex(sub_space, GradedMap.from_columns(
-                sub_space, sub_space, -1, coords[:n])),
-            dict(zip(brackets, coords[n:])))
+                sub_space, sub_space, -1, coords[:n], den)),
+            dict(zip(brackets, coords[n:])), den=den)
         incl = GradedMap.from_columns(sub_space, space, 0, basis_vecs)
         return sub, incl
 
@@ -225,27 +226,3 @@ def is_twisting_cochain(t):
         "first_failure": bad_lengths[0] if bad_lengths else None,
         "failing_lengths": bad_lengths,
     }
-
-
-def twisted_differential(gamma, target):
-    """d_Gamma(a) = d a - [Gamma, a] for a Maurer-Cartan solution.
-
-    gamma is a sparse degree -1 element of the target; refuses input that
-    does not solve the master equation, since the result would not square
-    to zero.
-    """
-    space = target.space
-    d, bracket = target.d, target.bracket
-    # 2 d gamma - [gamma, gamma], times d.den bracket.den
-    bad = bracket.add_product(d.add_image({}, gamma, 2 * bracket.den),
-                              gamma, gamma, -d.den)
-    if any(bad.values()):
-        raise ValueError("element does not solve the master equation")
-    # d e_s - [gamma, e_s], times d.den bracket.den
-    out = GradedMap.from_columns(space, space, -1, [
-        bracket.add_product(d.add_image({}, {s: bracket.den}),
-                            gamma, {s: 1}, -d.den)
-        for s in range(space.dim)], d.den * bracket.den)
-    if not out.compose(out).is_zero():
-        raise ValueError("the twisted differential does not square to zero")
-    return out

@@ -127,11 +127,12 @@ class GradedMap:
             columns.setdefault(s, {})[t] = c
         self._store(*_checked(source, target, degree, columns, 1))
 
-    def _store(self, source, target, degree, columns, den):
+    def _store(self, source, target, degree, columns, den, reduced=False):
         """Keep int numerator columns over den > 0, without zeros or empty
-        columns, dividing them by the gcd; their degrees are not checked.
-        The column dicts are kept when the gcd is 1."""
-        g = den
+        columns, dividing them by the gcd unless they are reduced already;
+        their degrees are not checked.  The column dicts are kept when the
+        gcd is 1."""
+        g = 1 if reduced else den
         for col in columns.values():
             if g == 1:
                 break
@@ -232,11 +233,18 @@ class GradedMap:
                       _nonzero(out), self.den * other.den)
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign other for sign +-1, in one pass over other."""
         if (other.source != self.source or other.target != self.target
                 or other.degree != self.degree):
             raise ValueError("sum of incompatible maps")
         den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
+        a, b = den // self.den, sign * (den // other.den)
         # the columns of self that other does not touch are shared
         columns = {s: {t: a * n for t, n in col.items()} if a != 1 else col
                    for s, col in self.columns.items()}
@@ -247,11 +255,8 @@ class GradedMap:
         return _built(self.source, self.target, self.degree,
                       _nonzero(columns), den)
 
-    def __sub__(self, other):
-        return self + -other
-
     def scale(self, c):
-        c = Fraction(c)
+        """c times the map, for an int or a Fraction c."""
         k = c.numerator
         return _built(self.source, self.target, self.degree,
                       {s: {t: k * n for t, n in col.items()}
@@ -259,7 +264,10 @@ class GradedMap:
                       self.den * c.denominator)
 
     def __neg__(self):
-        return self.scale(-1)
+        # negated numerators over the same den stay reduced
+        return _built(self.source, self.target, self.degree,
+                      {s: {t: -n for t, n in col.items()}
+                       for s, col in self.columns.items()}, self.den, True)
 
     def is_zero(self):
         return not self.columns
@@ -589,11 +597,11 @@ def _nonzero(columns):
             for s, col in columns.items() if any(col.values())}
 
 
-def _built(source, target, degree, columns, den):
+def _built(source, target, degree, columns, den, reduced=False):
     """The map with int numerator columns over den > 0 (GradedMap._store),
     degrees unchecked: the map kernels' operands are homogeneous."""
     m = GradedMap.__new__(GradedMap)
-    m._store(source, target, degree, columns, den)
+    m._store(source, target, degree, columns, den, reduced)
     return m
 
 

@@ -508,8 +508,9 @@ def extract_brackets(coalg, underlying):
             k = len(word)
             exp = (k * (k - 1)) // 2 + sum((k - 1 - i) * degs[i]
                                            for i in range(k))
-            sign = -1 if exp % 2 else 1
-            tbl[word] = {g: sign * c for g, c in val.items()}
+            # (-1)^exp, applied by negation
+            tbl[word] = ({g: -c for g, c in val.items()} if exp % 2
+                         else dict(val))
         if tbl:
             brackets[b] = tbl
     return LInfinityStructure(underlying, brackets)

@@ -21,9 +21,9 @@ def fraction_inverse(columns):
     columns.  Raises ValueError when the matrix is not invertible."""
     keys = sorted(set().union(*columns))
     if len(keys) == len(columns):
-        out = linalg.solve(columns, [{t: ONE} for t in keys])
+        out, den = linalg.solve(columns, [{t: ONE} for t in keys])
         if None not in out:
-            return out
+            return [{k: Fraction(c, den) for k, c in x.items()} for x in out]
     raise ValueError("matrix not invertible")
 
 

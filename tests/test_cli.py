@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -112,6 +113,55 @@ def test_malformed_sections_exit_two_with_location(text, message, tmp_path,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+# the coefficient parser as it stood before it read ints, kept as the
+# oracle of cli._ratio: the grammar check, then Fraction(text)
+FRACTION_GRAMMAR = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
+def fraction_coefficient(text, where):
+    if not FRACTION_GRAMMAR.fullmatch(str(text)):
+        raise cli.InputError("%s: bad rational %r (expected an integer, a "
+                             "decimal or p/q)" % (where, text))
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise cli.InputError("%s: bad rational %r (%s)" % (where, text, exc))
+
+
+digit_runs = st.text("0123456789", max_size=5)
+signs = st.sampled_from(["", "+", "-"])
+coefficient_texts = st.one_of(
+    # integers, p/q and decimals with signs and leading zeros; an empty
+    # run gives "", "1/", "/2", "1.", ".5" or "."
+    st.builds(lambda sign, a: sign + a, signs, digit_runs),
+    st.builds(lambda sign, a, b: sign + a + "/" + b, signs, digit_runs,
+              digit_runs),
+    st.builds(lambda sign, a, b: sign + a + "." + b, signs, digit_runs,
+              digit_runs),
+    # near misses: exponents, underscores, spaces, stray signs
+    st.text("0123456789+-./e_ ", max_size=8),
+    st.sampled_from(["1/0", "0/0", "-0/0", "+3/000", "1e3", "1_000", " 1",
+                     "-1.50", "1" + "0" * 4300, "1." + "5" * 4301,
+                     "-2/" + "3" * 4301]),
+    # JSON numbers and other values
+    st.integers(-10 ** 6, 10 ** 6), st.floats(), st.booleans(), st.none())
+
+
+@settings(max_examples=500, deadline=None)
+@given(coefficient_texts)
+def test_coefficient_parser_matches_fraction(text):
+    try:
+        want = fraction_coefficient(text, "x[0]")
+    except cli.InputError as exc:
+        with pytest.raises(cli.InputError) as refused:
+            cli._ratio(text, "x[0]")
+        assert str(refused.value) == str(exc)
+        return
+    p, q = cli._ratio(text, "x[0]")
+    assert type(p) is int and type(q) is int and q > 0
+    assert Fraction(p, q) == want == Fraction(str(text))
 
 
 def test_non_utf8_input_exit_two(tmp_path, capsys):

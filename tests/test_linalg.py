@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linalg_oracle
-from linalg_oracle import dense, sparse
+from linalg_oracle import dense, dense_column, sparse
 from hptmaster import linalg
-from hptmaster.complexes import ChainComplex, homology
+from hptmaster.complexes import ChainComplex, build_contraction, homology
 from hptmaster.graded import GradedMap, GradedVectorSpace
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -41,6 +41,11 @@ def sparse_columns(M, n_cols):
     return [sparse([row[c] for row in M]) for c in range(n_cols)]
 
 
+def over(x, den):
+    """The Fraction vector of int numerators x over den (None stays)."""
+    return None if x is None else {k: Fraction(c, den) for k, c in x.items()}
+
+
 def test_rref_hand():
     M = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(2)}]
     assert linalg.rref(M) == [(0, {0: Fraction(1), 1: Fraction(2)})]
@@ -57,9 +62,11 @@ def test_kernel_hand():
 
 def test_solve_hand():
     M = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
-    x = linalg.solve(M, [{0: Fraction(3), 1: Fraction(1)}])
-    assert x == [{0: Fraction(2), 1: Fraction(1)}]
-    assert linalg.solve([{}], [{0: Fraction(1)}]) == [None]
+    [x], den = linalg.solve(M, [{0: Fraction(3), 1: Fraction(1)}])
+    assert over(x, den) == {0: Fraction(2), 1: Fraction(1)}
+    assert linalg.solve([{}], [{0: Fraction(1)}])[0] == [None]
+    # int numerators over one den for all right-hand sides
+    assert linalg.solve([{0: 2}], [{0: 1}, {0: 3}]) == ([{0: 1}, {0: 3}], 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,7 +83,8 @@ def test_rref_pivots_are_unit_columns(M):
 @given(dense_matrix(3, 4))
 def test_kernel_vectors_annihilate(M):
     K = linalg.kernel_basis(dict(enumerate(sparse_columns(M, 4))))
-    for v in K.values():
+    for f, v in K.items():
+        assert type(v[f]) is int and v[f] > 0
         for row in M:
             assert sum(row[j] * c for j, c in v.items()) == 0
 
@@ -92,8 +100,9 @@ def test_rank_nullity(M):
 @given(dense_matrix(3, 3), st.lists(fracs, min_size=3, max_size=3))
 def test_solve_consistency(M, x):
     rhs = [sum(M[i][j] * x[j] for j in range(3)) for i in range(3)]
-    [sol] = linalg.solve(sparse_columns(M, 3), [sparse(rhs)])
+    [sol], den = linalg.solve(sparse_columns(M, 3), [sparse(rhs)])
     assert sol is not None
+    sol = over(sol, den)
     back = [sum(M[i][j] * c for j, c in sol.items()) for i in range(3)]
     assert back == rhs
 
@@ -177,7 +186,7 @@ def test_sparse_elimination_matches_the_dense_oracle(case, data):
     # kernel: the same vectors in the same order, keyed by free column
     K = linalg.kernel_basis(dict(enumerate(cols)))
     oracle_K = linalg_oracle.kernel_basis(M, n_cols)
-    assert [dense(v, n_cols) for v in K.values()] == oracle_K
+    assert [dense(over(v, v[f]), n_cols) for f, v in K.items()] == oracle_K
     assert list(K) == [c for c in range(n_cols) if c not in pivots]
 
     # solve: one elimination for several right-hand sides, some of them
@@ -189,7 +198,8 @@ def test_sparse_elimination_matches_the_dense_oracle(case, data):
             for i in range(n_rows)] for x in xs]
     rhs += data.draw(st.lists(st.lists(fracs, min_size=n_rows,
                                        max_size=n_rows), max_size=3))
-    got = linalg.solve(cols, [sparse(b) for b in rhs])
+    got, den = linalg.solve(cols, [sparse(b) for b in rhs])
+    got = [over(x, den) for x in got]
     # without rows the oracle sizes its solution by the rows
     want = [linalg_oracle.solve(M, b) if n_rows else [Fraction(0)] * n_cols
             for b in rhs]
@@ -197,12 +207,18 @@ def test_sparse_elimination_matches_the_dense_oracle(case, data):
     for x in got[:len(xs)]:
         assert x is not None
 
-    # reduce_against: the same remainder over the echelon rows
-    v = data.draw(st.lists(fracs, min_size=n_cols, max_size=n_cols))
-    resid = linalg.reduce_against(sparse(v), echelon)
-    oracle_resid = linalg_oracle.reduce_against(
-        v, linalg_oracle.echelon_basis(M))
-    assert (None if resid is None else dense(resid, n_cols)) == oracle_resid
+    # remainders: the same remainder over the echelon rows, and the next
+    # vector reduced modulo the rows and that remainder too
+    v, w = data.draw(st.lists(st.lists(fracs, min_size=n_cols,
+                                       max_size=n_cols),
+                              min_size=2, max_size=2))
+    span = linalg_oracle.echelon_basis(M)
+    got = linalg.remainders([sparse(v), sparse(w)], rows)
+    for vec, rem in zip((v, w), got):
+        want = linalg_oracle.reduce_against(vec, span)
+        assert (None if rem is None else dense(over(*rem), n_cols)) == want
+        if want is not None:
+            span.append(want)
 
     # inverse: the oracle's solutions for the unit vectors
     if n_rows == n_cols:
@@ -250,6 +266,19 @@ def test_homology_matches_the_dense_oracle(C):
     oracle_H, oracle_reps = linalg_oracle.homology(C)
     assert H.basis == oracle_H.basis
     assert [dense(rep, C.space.dim) for rep in reps] == oracle_reps
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes())
+def test_build_contraction_matches_the_dense_oracle_homology(C):
+    # the contraction's small space and nabla are the oracle's classes
+    # and representatives, and its identities hold
+    oracle_H, oracle_reps = linalg_oracle.homology(C)
+    con = build_contraction(C)
+    assert con.small.space.basis == oracle_H.basis
+    assert [dense_column(con.nabla, k)
+            for k in range(oracle_H.dim)] == oracle_reps
+    assert con.identity_failures() == []
 
 
 # -- no Fraction arithmetic inside an elimination -----------------------------
@@ -309,8 +338,8 @@ def test_eliminations_run_no_fraction_arithmetic(monkeypatch):
                     inv = linalg.inverse(cols)
                 except ValueError:
                     pass
-            got.append((linalg.rref(sparse_rows(M)),
-                        linalg.solve(cols, [sparse(b)])[0], inv))
+            [x], den = linalg.solve(cols, [sparse(b)])
+            got.append((linalg.rref(sparse_rows(M)), (x, den), inv))
 
     # square cases both invertible and singular
     assert {want_inv is None for M, *_, want_inv in cases
@@ -320,6 +349,7 @@ def test_eliminations_run_no_fraction_arithmetic(monkeypatch):
         n = len(M[0])
         assert [p for p, _ in echelon] == pivots
         assert [dense(row, n) for _, row in echelon] == R
+        x = over(*x)
         assert (None if x is None else dense(x, n)) == want_x
         assert (None if inv is None
                 else [dense(col, n) for col in inv]) == want_inv
