@@ -248,20 +248,20 @@ def _delta_splitting(bv):
     Returns (ker, basis, reps, image): a homogeneous basis of ker Delta;
     the labels and degrees of the classes of H(A, Delta); a representative
     of each class, grown from ker Delta modulo im Delta; and the echelon
-    rows (pivot, row) of im Delta.  All vectors are sparse over A.  Every
+    rows of im Delta.  All vectors are sparse over A.  Every
     vector is homogeneous, so reducing one against image only uses the
     rows of its own degree.  When Delta Delta = 0, reps and image together
     are a basis of ker Delta.
     """
     space = bv.algebra.space
     ker = _kernel_subspace(bv.delta, space)
-    image = linalg.rref(bv.delta.by_column().values())
+    image = [row for _, row in linalg.rref(bv.delta.by_column().values())]
     # the representatives are the remainders modulo im Delta and the
     # representatives before them, so that image spans im Delta only
     basis = []
     reps = []
     counters = {}
-    for v, rem in zip(ker, linalg.remainders(ker, [row for _, row in image])):
+    for v, rem in zip(ker, linalg.remainders(ker, image)):
         if rem is None:
             continue
         resid, den = rem
@@ -273,15 +273,10 @@ def _delta_splitting(bv):
     return ker, basis, reps, image
 
 
-def _in_span(vectors, echelon):
-    """Do all the vectors lie in the span of the echelon rows?"""
-    return not any(linalg.remainders(vectors, [row for _, row in echelon]))
-
-
 def _projection_columns(vectors, reps, image):
     """The columns of the projection onto H(A, Delta): column s holds the
     coordinates of vectors[s] over the representatives, modulo im Delta."""
-    cols, den = linalg.coordinates(vectors, reps, [row for _, row in image])
+    cols, den = linalg.coordinates(vectors, reps, image)
     if None in cols:
         raise AssertionError("kernel element escaped ker/im analysis")
     return cols, den
@@ -328,7 +323,7 @@ def _formality_report(bv):
     H_space = GradedVectorSpace([(lab, -deg) for lab, deg in h_basis])
     proj = GradedMap.from_columns(m_space, H_space, 0,
                                   *_projection_columns(ker, h_reps, image))
-    chain_map = _in_span(d_ker, image)
+    chain_map = linalg.in_span(image, d_ker)
     second = chain_map and is_quasi_iso(proj, m_cx, ChainComplex(H_space),
                                         m_homology)
     return {
@@ -370,9 +365,9 @@ def theorem_38_pipeline(bv, N):
     delta_tau_zero = not any(bv.delta(col)
                              for col in tau_in_A.by_column().values())
     # (iii) tau_k values in im Delta for k >= 2
-    values_in_im = _in_span(
-        [col for wi, col in tau_in_A.by_column().items()
-         if result.coalg.word_length(wi) >= 2], image)
+    values_in_im = linalg.in_span(
+        image, [col for wi, col in tau_in_A.by_column().items()
+                if result.coalg.word_length(wi) >= 2])
     report = dict(report)
     report["delta_tau_zero"] = delta_tau_zero
     report["tau_k_in_im_delta"] = values_in_im

@@ -33,7 +33,7 @@ from .deformation import massey_parameters, morgan_example, wedge_of_spheres
 from .dgla import DgLieAlgebra, validate_dgla
 from .graded import GradedMap, GradedVectorSpace
 from .transfer import transfer, verify_master
-from .words import word_label
+from .words import extract_brackets, word_label
 
 SCHEMA = "hptmaster/1"
 EXIT_OK = 0
@@ -93,9 +93,7 @@ def _ratio_str(n, den):
 
 
 def frac_str(value):
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    return _ratio_str(value.numerator, value.denominator)
 
 
 def _parse_json(raw, path):
@@ -258,8 +256,7 @@ def serialize_transfer(result):
            {labels[t]: _ratio_str(n, hom.den) for t, n in sorted(col.items())}
            for s, col in hom.columns.items()}
     brackets = {"l%d" % k: by_word(table, small)
-                for k, table in result.brackets.brackets.items()
-                if any(table.values())}
+                for k, table in extract_brackets(coalg).items()}
     coder = {"arity_%d" % b: by_word(comp, coalg.gen_space)
              for b, comp in result.D.components.items()
              if any(comp.values())}

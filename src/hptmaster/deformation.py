@@ -35,24 +35,24 @@ class MCVariety:
         self.truncation = truncation
 
 
-def mc_equations(linf, N):
+def mc_equations(space, brackets, N):
     """Truncated Maurer-Cartan equations of an L-infinity structure.
 
-    linf is an LInfinityStructure whose underlying space is concentrated
-    in nonpositive homological degrees (nonnegative cohomological
-    degrees).  Coordinates are the homological degree -1 basis labels and
-    equations land in degree -2.  For coordinates of homological degree -1
-    the suspension sign dictionary is trivial, so the monomial coefficient
-    of a word w in the divided-power expansion is exactly l_k(w).
+    brackets is an l_k table on space, as words.extract_brackets returns
+    it, and space is concentrated in nonpositive homological degrees
+    (nonnegative cohomological degrees).  Coordinates are the homological
+    degree -1 basis labels and equations land in degree -2.  For
+    coordinates of homological degree -1 the suspension sign dictionary is
+    trivial, so the monomial coefficient of a word w in the divided-power
+    expansion is exactly l_k(w).
     """
-    space = linf.underlying
     if any(d > 0 for d in space.degrees):
         raise ValueError(
             "underlying space must sit in nonnegative cohomological degrees")
     coord_set = set(space.indices_in_degree(-1))
     targets = {i: space.labels[i] for i in space.indices_in_degree(-2)}
     equations = {lab: {} for lab in targets.values()}
-    for k, table in sorted(linf.brackets.items()):
+    for k, table in sorted(brackets.items()):
         if k > N:
             continue
         for word, val in table.items():
@@ -165,10 +165,9 @@ class MorganInstance:
     theta is the arity-5 component of coalg.perturbation.
     """
 
-    def __init__(self, homology, coalg, brackets, mc):
+    def __init__(self, homology, coalg, mc):
         self.homology = homology
         self.coalg = coalg
-        self.brackets = brackets
         self.mc = mc
 
 
@@ -218,23 +217,20 @@ def morgan_example(N=5, theta=None):
     spec = CoderivationSpec(sH, {5: component} if component else None)
     coalg = TruncatedSymCoalgebra(sH, N, perturbation=spec)
     sh = check_sh_lie(coalg)
-    brackets = extract_brackets(coalg, underlying=H)
+    brackets = extract_brackets(coalg)
 
     # Maurer-Cartan presentation: the same structure constants on the
     # deformation regrading with a, b in cohomological degree 1 and c in
-    # degree 2, where the quintic terms become visible equations.
-    # sa sorts before sb in both gradings, so the words stay canonical
+    # degree 2, where the quintic terms become visible equations.  The
+    # regrading keeps each degree's parity and the canonical order (sc,
+    # then sa, then sb), so the words and the decalage signs are the same
     H_def = GradedVectorSpace([("a", -1), ("b", -1), ("c", -2)])
-    sH_def = suspend_space(H_def)
-    coalg_def = TruncatedSymCoalgebra(
-        sH_def, N, perturbation=CoderivationSpec(
-            sH_def, {5: component} if component else None))
-    mc = mc_equations(extract_brackets(coalg_def, underlying=H_def), N)
+    mc = mc_equations(H_def, brackets, N)
 
     aut_dim = sum(len(H.indices_in_degree(d)) ** 2
                   for d in sorted(set(H.degrees)))
     lie = wedge_of_spheres([3, 3], 5)
-    arity_support = brackets.arity_support()
+    arity_support = sorted(brackets)
     report = {
         "parameter_dimension": len(param_words),
         "automorphism_dimension": aut_dim,
@@ -248,5 +244,5 @@ def morgan_example(N=5, theta=None):
         "witness": 4 if component else None,
         "distinguishes_family": len(param_words) - aut_dim >= 1,
     }
-    instance = MorganInstance(H, coalg, brackets, mc)
+    instance = MorganInstance(H, coalg, mc)
     return instance, report

@@ -28,7 +28,6 @@ Sign conventions used everywhere (single point of truth):
 from fractions import Fraction
 from math import gcd, lcm
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -610,21 +609,6 @@ def _pruned(acc, den):
     values, in index order; acc holds ints or Fractions."""
     return {k: Fraction(c, den) if type(c) is int else c / den
             for k, c in sorted(acc.items()) if c}
-
-
-def koszul_sign(permutation, degrees):
-    """Sign of permuting homogeneous factors of the given degrees.
-
-    permutation[i] = original position of the element now at slot i.  The
-    sign is (-1)^k with k the number of inversions (i < j, permutation[i] >
-    permutation[j]) in which both factors have odd degree.
-    """
-    perm = list(permutation)
-    if sorted(perm) != list(range(len(degrees))):
-        raise ValueError("malformed permutation")
-    odd = [p for p in perm if degrees[p] % 2]
-    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
-    return -1 if inversions % 2 else 1
 
 
 def suspend_space(space):

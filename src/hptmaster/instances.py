@@ -1,12 +1,8 @@
 """Deterministic example builders and the randomized test corpus.
 
-The engineered instances were designed by hand around the transfer
+The engineered instance was designed by hand around the transfer
 machinery: a dg Lie algebra whose transferred structure has a nonzero
-ternary bracket, a degeneration instance whose homology lifts commute
-while the algebra does not, and a seven-dimensional weak differential BV
-algebra built from one Hodge square plus harmonic classes so that the
-formality predicate holds with a nonzero quadratic twisting-cochain
-component.  Randomized dg Lie algebras come from structured families
+ternary bracket.  Randomized dg Lie algebras come from structured families
 composed with random degreewise basis changes, so denominators and dense
 constants appear while exactness is preserved.
 """
@@ -15,7 +11,6 @@ import random
 from math import lcm
 
 from . import linalg
-from .bv import BVData, GerstenhaberAlgebra, bracket_from_generator
 from .complexes import ChainComplex
 from .dgla import DgLieAlgebra
 from .graded import GradedMap, GradedVectorSpace, ONE
@@ -25,10 +20,6 @@ def abelian_dgla(degrees=(0, 1)):
     space = GradedVectorSpace(
         [("a%d" % i, d) for i, d in enumerate(degrees)])
     return DgLieAlgebra(ChainComplex(space), {})
-
-
-def sl2():
-    return _lie3("sl2")
 
 
 # three-dimensional Lie algebras on the basis e, f, h
@@ -42,49 +33,6 @@ _LIE3 = {
 def _lie3(kind):
     space = GradedVectorSpace([("e", 0), ("f", 0), ("h", 0)])
     return DgLieAlgebra(ChainComplex(space), _LIE3[kind])
-
-
-def lie_tensor_dgla(kind="sl2"):
-    """g (x) (c, u, v) with d(u) = v and u, v products vanishing.
-
-    A three-dimensional Lie algebra tensored with the three-dimensional
-    commutative algebra spanned by an idempotent-free unit-like element c
-    and an acyclic pair u -> v whose products with everything vanish.  The
-    result has nonzero differential and nonzero brackets with homology
-    equal to the original Lie algebra.
-    """
-    return _lie_tensor(kind, (("c", "c", "c"), ("c", "u", "u"),
-                              ("c", "v", "v")))
-
-
-def _lie_tensor(kind, products):
-    """g (x) B for B spanned by c, u (degree 1), v with d(u) = v.
-
-    products lists the nonzero products (a1, a2, a1 a2) of B; the bracket
-    is [x (x) a1, y (x) a2] = [x, y] (x) a1 a2.
-    """
-    base = _lie3(kind)
-    gens = base.space.labels
-    space = GradedVectorSpace(
-        [("%s_%s" % (g, a), 1 if a == "u" else 0)
-         for g in gens for a in ("c", "u", "v")])
-    idx = space.index
-    rows = []
-    for x, g1 in enumerate(gens):
-        for y, g2 in enumerate(gens):
-            for a1, a2, a3 in products:
-                if a1 == a2 and x > y:
-                    continue  # the pair that (g2, g1) already hands in
-                val = {idx["%s_%s" % (gens[k], a3)]: c
-                       for k, c in base.bracket.get(x, y).items()}
-                if val:
-                    rows.append(((idx["%s_%s" % (g1, a1)],
-                                  idx["%s_%s" % (g2, a2)]), val))
-    d_ent = {}
-    for g in gens:
-        d_ent[(idx["%s_v" % g], idx["%s_u" % g])] = ONE
-    return DgLieAlgebra(
-        ChainComplex(space, GradedMap(space, space, -1, d_ent)), rows)
 
 
 def nonzero_l3_dgla():
@@ -103,56 +51,17 @@ def nonzero_l3_dgla():
     return DgLieAlgebra(ChainComplex(space, d), table)
 
 
-def commuting_lifts_dgla(kind="sl2"):
-    """Nonabelian dg Lie algebra whose homology lifts commute.
-
-    g (x) B where B is spanned by c, u, v with d(u) = v, v v = v,
-    u v = u, and c orthogonal to everything.  Homology is carried by the
-    c-slice, whose brackets vanish (c c = 0), while the u, v slices carry
-    nonzero brackets.  Both degeneration hypotheses (projected bracket
-    zero; lifted brackets zero) hold exactly.
-    """
-    return _lie_tensor(kind, (("v", "v", "v"), ("u", "v", "u")))
-
-
-def kahler_bv_instance():
-    """Seven-dimensional weak differential BV algebra with nonzero tau_2.
-
-    Cohomological basis: 1 (degree 0); alpha, c (degree 1); beta, p, e
-    (degree 2); t (degree 3).  The only nontrivial product is
-    alpha beta = -t; the differential is c -> e, p -> t; the generator is
-    p -> c, t -> -e.  The harmonic part {1, alpha, beta} maps
-    isomorphically onto both homologies and {p, t, c, e} is a single
-    Hodge square, so the formality predicate holds.  The generated bracket
-    is [alpha, beta] = -e, so the transferred twisting cochain has the
-    nonzero quadratic component h(-e) with value in im(Delta).
-    """
-    space = GradedVectorSpace(
-        [("1", 0), ("alpha", 1), ("c", 1), ("beta", 2), ("p", 2),
-         ("e", 2), ("t", 3)])
-    ix = space.index
-    prod = {(ix["alpha"], ix["beta"]): {ix["t"]: -ONE}}
-    d = GradedMap(space, space, 1,
-                  {(ix["e"], ix["c"]): ONE, (ix["t"], ix["p"]): ONE})
-    delta = GradedMap(space, space, -1,
-                      {(ix["c"], ix["p"]): ONE, (ix["e"], ix["t"]): -ONE})
-    alg0 = GerstenhaberAlgebra(space, prod, d=d, unit_index=ix["1"])
-    alg = GerstenhaberAlgebra(space, alg0.multiply,
-                              bracket_from_generator(alg0, delta), d=d,
-                              unit_index=ix["1"])
-    return BVData(alg, delta)
-
-
 # -- randomized corpus -------------------------------------------------------
 
 def random_dgla(seed):
     """A random valid dg Lie algebra of total dimension <= 6.
 
-    Families: abelian with a random two-layer differential, classical Lie
-    algebras in degree zero, a Lie algebra tensored with a small
-    differential coefficient algebra, and the engineered ternary-bracket
-    instance; each is composed with a random degreewise basis change so
-    that nontrivial rational constants appear.  Deterministic per seed.
+    Families: abelian with a random two-layer differential, the
+    three-dimensional Lie algebras of _LIE3 in degree zero, the engineered
+    ternary-bracket instance, and a Heisenberg algebra in a shifted degree
+    plus an acyclic abelian pair; each is composed with a random
+    degreewise basis change so that nontrivial rational constants appear.
+    Deterministic per seed.
     """
     rng = random.Random(seed)
     return change_basis(_random_family(rng), rng)

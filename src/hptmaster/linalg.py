@@ -229,6 +229,6 @@ def coordinates(vectors, basis, modulo):
             for x in out], den
 
 
-def in_span(vectors, v):
-    """Is v in the span of the given vectors?  Exact test."""
-    return solve(vectors, [v])[0][0] is not None
+def in_span(rows, vectors):
+    """Do all the vectors lie in the span of the rows?  One elimination."""
+    return not any(remainders(vectors, rows))

@@ -22,8 +22,7 @@ from fractions import Fraction
 from .dgla import (TwistingCochainHom, cup_bracket, is_twisting_cochain,
                    ce_coalgebra, universal_cochain)
 from .perturbation import symmetric_coalgebra_contraction, perturbation_lemma
-from .words import (CoderivationSpec, extract_brackets, check_sh_lie,
-                    suspended_coalgebra)
+from .words import CoderivationSpec, check_sh_lie, suspended_coalgebra
 
 HALF = Fraction(1, 2)
 
@@ -33,19 +32,18 @@ class TransferResult:
 
     Fields: D (CoderivationSpec of the transferred components, arities
     >= 2), tau (TwistingCochainHom into g), coalg (the perturbed small
-    coalgebra), brackets (the extracted l_k family on the small space),
-    truncation N, and lazily the lift of the contraction to coalgebras and
-    its BPL extension.
+    coalgebra, whose words.extract_brackets are the l_k family on the
+    small space), truncation N, and lazily the lift of the contraction to
+    coalgebras and its BPL extension.
     """
 
-    def __init__(self, g, contraction, N, D, tau, coalg, brackets):
+    def __init__(self, g, contraction, N, D, tau, coalg):
         self.g = g
         self.contraction = contraction
         self.truncation = N
         self.D = D
         self.tau = tau
         self.coalg = coalg
-        self.brackets = brackets
         self._extended = None
         self._big_coalg = None
         self._lift = None
@@ -106,8 +104,7 @@ def transfer(g, con, N):
 
     coalg.perturbation = spec
     tau = TwistingCochainHom(coalg, g, tau_hom)
-    brackets = extract_brackets(coalg, underlying=small.space)
-    return TransferResult(g, con, N, spec, tau, coalg, brackets)
+    return TransferResult(g, con, N, spec, tau, coalg)
 
 
 def verify_master(result):
@@ -215,9 +212,9 @@ def theorem_29_pipeline(m, con, N, inclusion=None):
     if inclusion is not None:
         from . import linalg
         cols = [inclusion.apply_basis(s) for s in range(m.space.dim)]
-        report["values_in_subalgebra"] = all(
-            linalg.in_span(cols, inclusion(col))
-            for col in result.tau.hom.by_column().values())
+        taus = result.tau.hom.by_column().values()
+        report["values_in_subalgebra"] = linalg.in_span(
+            cols, [inclusion(col) for col in taus])
     report["passed"] = (master["passed"] and report["pi_tau_universal"]
                         and report["D_zero"]
                         and report.get("values_in_subalgebra", True))

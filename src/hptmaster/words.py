@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 
-from .graded import GradedMap, GradedVectorSpace, koszul_sign, suspend_map
+from .graded import GradedMap, GradedVectorSpace, suspend_map
 
 EMPTY = ()
 
@@ -59,29 +59,11 @@ def parse_word(text, gen_space):
         letters = [gen_space.index[lab] for lab in text.split("*")]
     except KeyError as exc:
         raise ValueError("unknown generator label %s" % exc) from None
-    word, _ = sort_factors(letters, gen_space)
-    if word is None:
+    degs = gen_space.degrees
+    word = tuple(sorted(letters, key=lambda g: (degs[g], gen_space.labels[g])))
+    if any(a == b and degs[a] % 2 for a, b in zip(word, word[1:])):
         raise ValueError("odd letter repeats in %r" % text)
     return word
-
-
-def sort_factors(letters, gen_space):
-    """Canonical form of a sequence of generator indices.
-
-    Returns (word, sign), sign an int +-1; the word is None (sign 0) when
-    an odd-degree letter repeats.  Sorting is by (degree, label) with the
-    Koszul sign of the sorting permutation.
-    """
-    letters = list(letters)
-    degs = [gen_space.degrees[g] for g in letters]
-    keyed = sorted(range(len(letters)),
-                   key=lambda i: (degs[i], gen_space.labels[letters[i]], i))
-    sign = koszul_sign(keyed, degs)
-    word = tuple(letters[i] for i in keyed)
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1] and degs[keyed[i]] % 2:
-            return None, 0
-    return word, sign
 
 
 def word_degree(word, gen_space):
@@ -470,30 +452,15 @@ def check_sh_lie(coalg):
     }
 
 
-class LInfinityStructure:
-    """Brackets l_k on the desuspended space, extracted from a coderivation.
+def extract_brackets(coalg):
+    """The l_k family of the coalgebra's differential, on the desuspended
+    generators: k -> {word: {index: Fraction}}, only the nonzero tables.
 
-    brackets[k] maps a word over the suspended generators (whose letters
-    are also indices into the underlying basis) to a sparse dict
-    index -> Fraction over the underlying basis.  l_1 is the differential,
-    l_2 the binary bracket, l_3 the Jacobi homotopy, and so on.
-    """
-
-    def __init__(self, underlying, brackets):
-        self.underlying = underlying
-        self.brackets = brackets
-
-    def arity_support(self):
-        return sorted(k for k, tbl in self.brackets.items()
-                      if any(v for v in tbl.values()))
-
-
-def extract_brackets(coalg, underlying):
-    """Extract the l_k family from the coalgebra's perturbation components.
-
-    The generators of coalg are the suspension of `underlying`.  The sign
-    dictionary is the decalage convention pinned so that l_2(x, y) agrees
-    with the transferred binary bracket pi[nabla x, nabla y].
+    A word's letters are indices of the suspended generators and so also
+    of the basis they suspend.  l_1 is the differential, l_2 the binary
+    bracket, l_3 the Jacobi homotopy, and so on.  The sign dictionary is
+    the decalage convention pinned so that l_2(x, y) agrees with the
+    transferred binary bracket pi[nabla x, nabla y].
     """
     gen_space = coalg.gen_space
     brackets = {}
@@ -513,4 +480,4 @@ def extract_brackets(coalg, underlying):
                          else dict(val))
         if tbl:
             brackets[b] = tbl
-    return LInfinityStructure(underlying, brackets)
+    return brackets

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hptmaster import instances
+from hptmaster import cli, instances
 from hptmaster.complexes import build_contraction
 from hptmaster.transfer import transfer
 
@@ -14,6 +14,14 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 CORPUS_SIZE = 50
 CORPUS_N = 4
+
+
+def kahler_bv():
+    """The seven-dimensional weak differential BV algebra of
+    fixtures/kahler_bv.json, one Hodge square plus harmonic classes (see
+    README), as a fresh BVData: a BVData keeps what it derives, so each
+    caller gets its own."""
+    return cli.load_problem(os.path.join(FIXTURES, "kahler_bv.json"))[1]
 
 
 @pytest.fixture(scope="session")

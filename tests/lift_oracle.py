@@ -11,8 +11,8 @@ arrangement (S, x, rest) and (-1)^{deg S} for moving h past S.
 from itertools import combinations, groupby, product as iproduct
 from math import factorial, lcm, prod
 
-from hptmaster.graded import GradedMap, koszul_sign, suspend_map
-from word_oracle import memo_sorter
+from hptmaster.graded import GradedMap, suspend_map
+from word_oracle import koszul_sign, memo_sorter
 
 
 def _multiplicity(word):

@@ -9,7 +9,9 @@ nonzero entry in basis order, so every function here is deterministic.
 from fractions import Fraction
 from typing import Optional
 
-from hptmaster.graded import GradedVectorSpace, ZERO
+from hptmaster.graded import GradedVectorSpace
+
+ZERO = Fraction(0)
 
 
 def zeros(m, n):

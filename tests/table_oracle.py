@@ -96,7 +96,7 @@ LIE3 = {
     "b2x": {("e", "f"): {"f": 1}},
     "heis": {("e", "f"): {"h": 1}},
 }
-# the products of B in instances.lie_tensor_dgla and commuting_lifts_dgla
+# the products of B in lie_instances.lie_tensor_dgla and commuting_lifts_dgla
 LIE_TENSOR_PRODUCTS = (("c", "c", "c"), ("c", "u", "u"), ("c", "v", "v"))
 COMMUTING_LIFTS_PRODUCTS = (("v", "v", "v"), ("u", "v", "u"))
 

@@ -10,9 +10,9 @@ symmetric coalgebra through the invariants embedding and projection.
 from itertools import permutations, product as iproduct
 from math import factorial
 
-from hptmaster.graded import (GradedMap, GradedVectorSpace, koszul_sign,
-                              suspend_map, ONE, ZERO)
-from hptmaster.words import TruncatedSymCoalgebra, sort_factors
+from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_map, ONE
+from hptmaster.words import TruncatedSymCoalgebra
+from word_oracle import ZERO, koszul_sign, sort_factors
 
 
 def tensor_word_label(word, gen_space):

@@ -9,7 +9,9 @@ transfers at truncation four.
 import json
 from fractions import Fraction
 
-from hptmaster import cli, instances
+import lie_instances
+from conftest import kahler_bv
+from hptmaster import cli
 from hptmaster.bv import addendum_382_flat_identity, theorem_38_pipeline
 from hptmaster.complexes import ChainComplex, Contraction
 from hptmaster.deformation import morgan_example, necklace_count, \
@@ -18,6 +20,7 @@ from hptmaster.dgla import DgLieAlgebra, ce_coalgebra, validate_dgla
 from hptmaster.graded import GradedMap
 from hptmaster.transfer import (check_addendum_283, check_addendum_285,
                                 theorem_29_pipeline, transfer, verify_master)
+from hptmaster.words import extract_brackets
 
 F = Fraction
 
@@ -44,7 +47,7 @@ def _l2_as_dgla(res):
     homology (zero differential), index-canonicalized."""
     small = res.contraction.small.space
     table = {}
-    for word, val in res.brackets.brackets.get(2, {}).items():
+    for word, val in extract_brackets(res.coalg).get(2, {}).items():
         i, j = word
         sign = F(1)
         if i > j:
@@ -86,7 +89,7 @@ def test_criterion_3_contraction_identities(corpus):
 def test_criterion_4_degeneration_hypotheses():
     failures = []
     for kind in ("sl2", "b2x", "heis"):
-        g = instances.commuting_lifts_dgla(kind)
+        g = lie_instances.commuting_lifts_dgla(kind)
         from hptmaster.complexes import build_contraction
         con = build_contraction(g.complex)
         res = transfer(g, con, 4)
@@ -106,7 +109,7 @@ def test_criterion_4_degeneration_hypotheses():
 
 def test_criterion_5_bv_formality_pipelines():
     failures = []
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     _, full = theorem_38_pipeline(bv, 3)
     for key in ("passed", "delta_tau_zero", "pi_tau_universal",
                 "tau_k_in_im_delta", "D_zero"):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bv_oracle
-from hptmaster import bv as bv_module, cli, complexes, instances
+from conftest import kahler_bv
+from hptmaster import bv as bv_module, cli, complexes
 from hptmaster.bv import (BVData, GerstenhaberAlgebra,
                           addendum_382_flat_identity, bracket_from_generator,
                           kahler_formality_check, koszul_identity_check,
@@ -112,7 +113,7 @@ def test_bracket_checks_read_numerators(monkeypatch):
 def test_generated_bracket_is_checked_on_numerators(monkeypatch):
     # bracket_from_generator checks antisymmetry on int numerators, so the
     # table it generates hands out no Fraction view
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     viewed = []
     generated = []
     fractions = StructureTable._fractions
@@ -145,7 +146,7 @@ def test_validate_bv_flags_broken_associativity():
 
 
 def test_validate_bv_flags_non_commuting_generator():
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     sp = bv.algebra.space
     ix = sp.index
     bad_delta = GradedMap(sp, sp, -1, {(ix["c"], ix["p"]): F(1),
@@ -158,7 +159,7 @@ def test_validate_bv_flags_non_commuting_generator():
 
 
 def test_kahler_instance_passes_everything():
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     assert validate_bv(bv)["passed"]
     assert koszul_identity_check(bv)["passed"]
     assert proposition_37_check(bv)["passed"]
@@ -178,7 +179,7 @@ def test_kahler_predicate_fails_without_exactness_interplay():
 
 
 def test_theorem_38_pipeline_full():
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     result, report = theorem_38_pipeline(bv, 3)
     assert report["passed"], report
     assert report["delta_tau_zero"]
@@ -193,7 +194,7 @@ def test_theorem_38_pipeline_full():
 
 def test_theorem_38_tau2_is_hodge_partner():
     # tau_2 on the word (s[alpha], s[beta]) must be a multiple of c = Delta p
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     result, report = theorem_38_pipeline(bv, 3)
     m_dim = result.g.space.dim
     two = [(t, s) for (t, s) in result.tau.hom.entries
@@ -203,7 +204,7 @@ def test_theorem_38_tau2_is_hodge_partner():
 
 
 def test_addendum_382_flat_unit():
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     result, report = addendum_382_flat_identity(bv, 3)
     assert report["passed"], report
     assert report["tau_k_avoids_unit"]
@@ -244,7 +245,7 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
         return kernel(op, space)
 
     monkeypatch.setattr(bv_module, "_kernel_subspace", counting)
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     theorem_38_pipeline(bv, 3)
     assert len(calls) == 1
     # the same BVData keeps its splitting for the second pipeline

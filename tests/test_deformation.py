@@ -1,18 +1,22 @@
 """Maurer-Cartan equations, free Lie models, and the wedge example."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import lie_instances
 from hptmaster import instances
 from hptmaster.complexes import ChainComplex, build_contraction
-from hptmaster.deformation import (FreeGradedLie, MCVariety, mc_equations,
+from hptmaster.deformation import (FreeGradedLie, MCVariety,
+                                   massey_parameters, mc_equations,
                                    morgan_example, necklace_count,
                                    wedge_of_spheres)
 from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
-from hptmaster.graded import GradedVectorSpace
+from hptmaster.graded import GradedVectorSpace, suspend_space
 from hptmaster.transfer import transfer
-from hptmaster.words import extract_brackets
+from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
+                             extract_brackets, word_label)
 
 F = Fraction
 
@@ -72,7 +76,7 @@ def formality_report(result):
 
 def mc_of_dgla(g, N):
     coalg = ce_coalgebra(g, N)
-    return mc_equations(extract_brackets(coalg, underlying=g.space), N)
+    return mc_equations(g.space, extract_brackets(coalg), N)
 
 
 def test_mc_quadratic_part_distinct_coordinates():
@@ -108,7 +112,7 @@ def test_mc_evaluate_matches_half_bracket():
 
 
 def test_mc_rejects_positive_homological_degrees():
-    g = instances.sl2()  # concentrated in degree 0 is fine
+    g = lie_instances.sl2()  # concentrated in degree 0 is fine
     mc = mc_of_dgla(g, 2)
     assert is_empty(mc)  # no degree -1 coordinates at all
     V = GradedVectorSpace([("x", 1), ("z", -2)])
@@ -191,7 +195,7 @@ def test_morgan_example_numbers():
     assert report["l5_nonzero"]
     assert not report["formal"]
     assert report["witness"] == 4
-    assert instance.brackets.arity_support() == [5]
+    assert sorted(extract_brackets(instance.coalg)) == [5]
 
 
 def test_morgan_zero_theta_is_formal():
@@ -212,6 +216,49 @@ def test_morgan_mc_is_quintic():
     # the chosen theta word shows up as a genuine quintic monomial
     assert any(len(m) == 5 and c != 0
                for poly in mc.equations.values() for m, c in poly.items())
+
+
+def regraded_brackets(instance, N):
+    """The oracle of the Maurer-Cartan presentation: a second coalgebra
+    on the deformation regrading (a, b in cohomological degree 1, c in
+    degree 2) carrying the same theta, its words and its own l_k table,
+    and the equations read from that table."""
+    H_def = GradedVectorSpace([("a", -1), ("b", -1), ("c", -2)])
+    sH_def = suspend_space(H_def)
+    theta = instance.coalg.perturbation.components
+    coalg = TruncatedSymCoalgebra(
+        sH_def, N, perturbation=CoderivationSpec(sH_def, theta or None))
+    brackets = extract_brackets(coalg)
+    return coalg.words, brackets, mc_equations(H_def, brackets, N)
+
+
+def seeded_thetas(count):
+    """The zero theta, then count seeded ones: rationals on random
+    nonempty sets of parameter words."""
+    _, sH, words = massey_parameters()
+    yield {}
+    for seed in range(count):
+        rng = random.Random(seed)
+        chosen = rng.sample(words, rng.randint(1, len(words)))
+        yield {word_label(w, sH): F(rng.choice([-3, -1, 1, 2, 5]),
+                                    rng.choice([1, 2, 3, 7]))
+               for w in chosen}
+
+
+def test_mc_equations_match_the_regraded_coalgebra():
+    # the regrading keeps each degree's parity and the canonical order, so
+    # one coalgebra's l_k table gives the equations over H_def
+    for N in (5, 6, 7):
+        for theta in seeded_thetas(40):
+            instance, report = morgan_example(N, theta=theta)
+            words, brackets, mc = regraded_brackets(instance, N)
+            assert words == instance.coalg.words
+            assert brackets == extract_brackets(instance.coalg)
+            assert sorted(brackets) == ([5] if theta else [])
+            assert mc.coordinates == instance.mc.coordinates == ["a", "b"]
+            assert mc.equations == instance.mc.equations
+            assert mc.truncation == instance.mc.truncation == N
+            assert report["l5_nonzero"] == bool(theta)
 
 
 def test_morgan_rejects_short_truncation():

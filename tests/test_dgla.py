@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lie_instances
 import word_oracle
 from hptmaster import cli, dgla, instances
 from hptmaster.complexes import ChainComplex, build_contraction
@@ -27,7 +28,7 @@ def b2():
 
 
 def test_validate_passes_classical():
-    assert validate_dgla(instances.sl2())["passed"]
+    assert validate_dgla(lie_instances.sl2())["passed"]
     assert validate_dgla(b2())["passed"]
     assert validate_dgla(instances.nonzero_l3_dgla())["passed"]
 
@@ -112,7 +113,7 @@ def test_even_self_bracket_rejected():
 
 
 def test_bracket_antisymmetry_sign():
-    g = instances.sl2()
+    g = lie_instances.sl2()
     e = {0: F(1)}
     f = {1: F(1)}
     assert g.bracket(e, f) == {2: F(1)}
@@ -120,7 +121,7 @@ def test_bracket_antisymmetry_sign():
 
 
 def test_ce_coalgebra_sh_lie():
-    for g in (instances.sl2(), b2(), instances.nonzero_l3_dgla()):
+    for g in (lie_instances.sl2(), b2(), instances.nonzero_l3_dgla()):
         coalg = ce_coalgebra(g, 3)
         report = check_sh_lie(coalg)
         assert report["passed"]
@@ -141,7 +142,7 @@ def universal_twisting_cochain(g, coalg):
 
 
 def test_universal_twisting_cochain_master():
-    for g in (instances.sl2(), instances.nonzero_l3_dgla()):
+    for g in (lie_instances.sl2(), instances.nonzero_l3_dgla()):
         coalg = ce_coalgebra(g, 3)
         tau = universal_twisting_cochain(g, coalg)
         report = is_twisting_cochain(tau)
@@ -216,7 +217,7 @@ def test_twisted_differential_refuses_a_non_square_zero_result():
 
 
 def test_sub_algebra_inclusion():
-    g = instances.commuting_lifts_dgla()
+    g = lie_instances.commuting_lifts_dgla()
     dim = g.space.dim
     vectors = [{j: F(1)} for j in range(dim)]
     sub, incl = g.sub_algebra(vectors)

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lie_instances
 import table_oracle
 from contraction_oracle import hom_differential
 from linalg_oracle import sparse
-from hptmaster import instances
+from word_oracle import koszul_sign
 from hptmaster.bv import GerstenhaberAlgebra
 from hptmaster.graded import (GradedMap, GradedVectorSpace, StructureTable,
-                              koszul_sign, suspend_map, suspend_space)
+                              suspend_map, suspend_space)
 
 
 def bubble_sign(perm, degrees):
@@ -222,8 +223,8 @@ def test_unital_product_matches_the_parent_sign_code(case):
 @pytest.mark.parametrize("kind", sorted(table_oracle.LIE3))
 def test_lie_tensor_instances_match_the_parent_tables(kind):
     for build, products in (
-            (instances.lie_tensor_dgla, table_oracle.LIE_TENSOR_PRODUCTS),
-            (instances.commuting_lifts_dgla,
+            (lie_instances.lie_tensor_dgla, table_oracle.LIE_TENSOR_PRODUCTS),
+            (lie_instances.commuting_lifts_dgla,
              table_oracle.COMMUTING_LIFTS_PRODUCTS)):
         g = build(kind)
         expected = table_oracle.lie_tensor_table(kind, products)

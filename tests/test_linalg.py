@@ -109,8 +109,8 @@ def test_solve_consistency(M, x):
 
 def test_in_span():
     cols = [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
-    assert linalg.in_span(cols, {0: Fraction(5), 1: Fraction(3)})
-    assert not linalg.in_span([cols[0]], {1: Fraction(1)})
+    assert linalg.in_span(cols, [{0: Fraction(5), 1: Fraction(3)}])
+    assert not linalg.in_span([cols[0]], [{1: Fraction(1)}])
 
 
 def test_rref_deterministic():

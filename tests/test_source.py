@@ -1,9 +1,11 @@
-"""Source hygiene of the library modules."""
+"""Source hygiene of the library modules, and README's example."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hptmaster"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hptmaster"
+BENCH = ROOT / "bench"
 
 
 def unread_imports(source):
@@ -172,3 +174,80 @@ def test_no_library_module_allocates_dense_vectors():
     found = {p.name: dense_allocations(p.read_text())
              for p in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+# the library-only checks of numbered results that README lists: the
+# tier-1 tests call them, no library or benchmark module does
+LIBRARY_ONLY = {("bv", "koszul_identity_check"),
+                ("bv", "proposition_37_check"),
+                ("transfer", "check_addendum_285")}
+
+
+def public_definitions(source):
+    """[(line, name)] of the public module-level names: functions,
+    classes and assigned names not starting with "_"."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        found.extend((node.lineno, name) for name in names
+                     if not name.startswith("_"))
+    return found
+
+
+def referenced_names(source):
+    """The names a module reads, as names or attributes, or imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_unreferenced_names_are_found():
+    source = ("import os\nA = 1\n_B = 2\nC, D = 3, 4\n"
+              "def f():\n    return A + os.sep\nclass G:\n    pass\n")
+    assert public_definitions(source) == [(2, "A"), (5, "f"), (7, "G")]
+    assert referenced_names(source) == {"os", "A", "sep"}
+
+
+def test_every_public_library_name_is_referenced():
+    # a public name that no library or benchmark module reads is an API
+    # that nothing in the system calls: it is deleted, or moved under
+    # tests/ when only tests use it
+    modules = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    read = set().union(*(referenced_names(p.read_text()) for p in modules))
+    unread = {(p.stem, name) for p in sorted(SRC.glob("*.py"))
+              for _, name in public_definitions(p.read_text())
+              if name not in read}
+    assert unread == LIBRARY_ONLY
+
+
+def test_no_library_module_sorts_letters_with_a_sign():
+    # words are built sorted by merges and one-letter products, and theta
+    # files are read by a sort without sign; the signed sort and the
+    # permutation sign serve only the oracles (tests/word_oracle.py)
+    found = {p.name: referenced_names(p.read_text()) & {
+        "koszul_sign", "sort_factors"} for p in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def readme_example():
+    """The Python example of README.md, the one python code block."""
+    text = (ROOT / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    return blocks[0].split("```")[0]
+
+
+def test_readme_example_runs(capsys):
+    exec(compile(readme_example(), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[3]\n"

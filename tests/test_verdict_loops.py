@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bv_oracle
+import lie_instances
 import verdict_oracle
+from conftest import kahler_bv
 from hptmaster import graded, instances
 from hptmaster.complexes import ChainComplex
 from hptmaster.dgla import DgLieAlgebra, validate_dgla
@@ -29,11 +31,11 @@ def _valid_sources():
     """(table, op) pairs of genuine dgLas and BV algebras: each op derives
     its table, and each dgLa bracket satisfies Jacobi."""
     out = []
-    for g in ([instances.sl2(), instances.nonzero_l3_dgla(),
-               instances.lie_tensor_dgla(), instances.commuting_lifts_dgla()]
+    for g in ([lie_instances.sl2(), instances.nonzero_l3_dgla(),
+               lie_instances.lie_tensor_dgla(), lie_instances.commuting_lifts_dgla()]
               + [instances.random_dgla(seed) for seed in range(12)]):
         out.append((g.bracket, g.d))
-    bv = instances.kahler_bv_instance()
+    bv = kahler_bv()
     A = bv.algebra
     out += [(A.multiply, A.d), (A.bracket, A.d), (A.bracket, bv.delta)]
     return out

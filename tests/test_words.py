@@ -8,19 +8,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lie_instances
 import lift_oracle
 import word_oracle
+from word_oracle import koszul_sign, sort_factors
 from hptmaster import cli, instances
 from hptmaster.complexes import build_contraction
 from hptmaster.dgla import ce_coalgebra
-from hptmaster.graded import (GradedMap, GradedVectorSpace, koszul_sign,
-                              suspend_space)
+from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_space
 from hptmaster.transfer import transfer
 from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
                              check_sh_lie, coderivation_operator,
                              commutes_with_diagonal, enumerate_words,
-                             merge_words, parse_word, sort_factors,
-                             splittings, word_degree, word_label)
+                             merge_words, parse_word, splittings,
+                             word_degree, word_label)
 
 F = Fraction
 
@@ -340,7 +341,7 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
         fixture_dir):
     rng = random.Random(11)
     cases = [ce_coalgebra(instances.nonzero_l3_dgla(), 4),
-             ce_coalgebra(instances.sl2(), 3)]
+             ce_coalgebra(lie_instances.sl2(), 3)]
     for g in (instances.random_dgla(3), instances.random_dgla(8)):
         cases.append(transfer(g, build_contraction(g.complex), 4).coalg)
     # shared target words, within a length and across lengths

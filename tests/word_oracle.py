@@ -10,20 +10,57 @@ the Jacobi loop over every ordered triple, a recursion step that
 evaluates the cup bracket on every word with dense pairings and then
 drops the columns of the other lengths, and the per-word cup bracket,
 coderivation and compatibility check that enumerate every splitting of
-every word.
+every word.  It also keeps koszul_sign, the sign of a permutation of
+graded factors, and sort_factors, the signed sort of a sequence of
+letters; the library reads theta words with a sort that needs no sign.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from hptmaster.graded import GradedMap, koszul_sign, ONE, ZERO
-from hptmaster.words import (CoderivationSpec, sort_factors,
-                             suspended_coalgebra, word_degree)
+from hptmaster.graded import GradedMap, ONE
+from hptmaster.words import (CoderivationSpec, suspended_coalgebra,
+                             word_degree)
 from linalg_oracle import dense
 from table_oracle import bilinear
 
+ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+def koszul_sign(permutation, degrees):
+    """Sign of permuting homogeneous factors of the given degrees.
+
+    permutation[i] = original position of the element now at slot i.  The
+    sign is (-1)^k with k the number of inversions (i < j, permutation[i] >
+    permutation[j]) in which both factors have odd degree.
+    """
+    perm = list(permutation)
+    if sorted(perm) != list(range(len(degrees))):
+        raise ValueError("malformed permutation")
+    odd = [p for p in perm if degrees[p] % 2]
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def sort_factors(letters, gen_space):
+    """Canonical form of a sequence of generator indices.
+
+    Returns (word, sign), sign an int +-1; the word is None (sign 0) when
+    an odd-degree letter repeats.  Sorting is by (degree, label) with the
+    Koszul sign of the sorting permutation.
+    """
+    letters = list(letters)
+    degs = [gen_space.degrees[g] for g in letters]
+    keyed = sorted(range(len(letters)),
+                   key=lambda i: (degs[i], gen_space.labels[letters[i]], i))
+    sign = koszul_sign(keyed, degs)
+    word = tuple(letters[i] for i in keyed)
+    for i in range(len(word) - 1):
+        if word[i] == word[i + 1] and degs[keyed[i]] % 2:
+            return None, 0
+    return word, sign
 
 
 def memo_sorter(gen_space):
