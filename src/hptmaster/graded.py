@@ -329,6 +329,7 @@ class StructureTable:
         if isinstance(rows, dict):
             rows = rows.items()
         sums = {}
+        ints = True
         for (i, j), val in rows:
             flip = False
             if i > j:
@@ -336,8 +337,10 @@ class StructureTable:
                 flip = self._swap_sign(i, j) < 0
             acc = sums.setdefault((i, j), {})
             for k, c in val.items():
-                if type(c) is not Fraction and type(c) is not int:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    ints = False
+                    if type(c) is not Fraction:
+                        c = Fraction(c)
                 if flip:
                     c = -c
                 acc[k] = acc[k] + c if k in acc else c
@@ -360,17 +363,23 @@ class StructureTable:
                         "wrong degree" % (name, space.labels[i],
                                           space.labels[j], space.labels[k]))
             canonical[(i, j)] = val
-        lcd = lcm(*(c.denominator for val in canonical.values()
-                    for c in val.values()))
-        g = gcd(lcd * den, *(c.numerator * (lcd // c.denominator)
-                             for val in canonical.values()
-                             for c in val.values())) if den != 1 else 1
-        self.den = lcd * den // g
+        # int numerators over den: only a den handed in can share a
+        # factor with all of them, not the Fractions' least common one
+        reduce = den != 1
+        if not ints:
+            lcd = lcm(*(c.denominator for val in canonical.values()
+                        for c in val.values()))
+            canonical = {ij: {k: c.numerator * (lcd // c.denominator)
+                              for k, c in val.items()}
+                         for ij, val in canonical.items()}
+            den *= lcd
+        g = gcd(den, *(n for val in canonical.values()
+                       for n in val.values())) if reduce else 1
+        self.den = den // g
         # in sorted order each row receives its j in index order
         self.rows = [{} for _ in range(space.dim)]
         for (i, j), val in sorted(canonical.items()):
-            num = {k: c.numerator * (lcd // c.denominator) // g
-                   for k, c in val.items()}
+            num = val if g == 1 else {k: n // g for k, n in val.items()}
             self.rows[i][j] = num
             if i != j:
                 self.rows[j][i] = (num if self._swap_sign(i, j) > 0

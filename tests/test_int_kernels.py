@@ -158,6 +158,38 @@ def test_table_kernels_match_the_fraction_oracle(case):
             == fraction_oracle.first_non_derivation(table, op))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TABLE_KINDS), spaces(),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 3), st.integers(-4, 4)),
+                max_size=10),
+       st.sampled_from([1, 2, 6, 12]), st.sampled_from([1, 2, 3]))
+def test_int_rows_over_a_den_build_the_fraction_rows_table(
+        kind, space, entries, den, factor):
+    # the same rows handed as int numerators over den and as Fractions,
+    # in either index order and with repeated pairs; every numerator a
+    # multiple of factor, so den and the numerators may share a factor
+    degree, symmetric = kind
+    degs = space.degrees
+    n = space.dim
+    rows = []
+    for i, j, k, c in entries:
+        i, j, k = i % n, j % n, k % n
+        if (degs[k] == degs[i] + degs[j] + degree
+                and not (i == j and ((degs[i] + degree) % 2 == 1)
+                         == symmetric)):
+            rows.append(((i, j), {k: factor * c}))
+    ints = StructureTable(space, rows, degree, symmetric, den=den)
+    fractions = StructureTable(
+        space, [(ij, {k: Fraction(c, den) for k, c in val.items()})
+                for ij, val in rows], degree, symmetric)
+    assert (ints.rows, ints.den, ints.partners) == (
+        fractions.rows, fractions.den, fractions.partners)
+    assert_reduced({(i, j, k): c for i, row in enumerate(ints.rows)
+                    for j, val in row.items() for k, c in val.items()},
+                   ints.den)
+
+
 def corrupted_dgla(g, rng):
     """g with one structure constant of the bracket changed, or one entry
     of the differential changed (kept only when d d = 0 still holds)."""

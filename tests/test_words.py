@@ -14,14 +14,15 @@ import word_oracle
 from word_oracle import koszul_sign, sort_factors
 from hptmaster import cli, instances
 from hptmaster.complexes import build_contraction
+from hptmaster.deformation import morgan_example
 from hptmaster.dgla import ce_coalgebra
 from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_space
 from hptmaster.transfer import transfer
 from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
                              check_sh_lie, coderivation_operator,
                              commutes_with_diagonal, enumerate_words,
-                             merge_words, parse_word, splittings,
-                             word_degree, word_label)
+                             is_coderivation, merge_words, parse_word,
+                             splittings, word_degree, word_label)
 
 F = Fraction
 
@@ -337,6 +338,48 @@ def _corruptions(op, coalg, rng, count):
     return out
 
 
+def _changed(op, coalg, rng, count, keys):
+    """Operators that differ from op in one entry, at a key (t, s) drawn
+    from keys."""
+    out = []
+    for _ in range(count):
+        key = rng.choice(keys)
+        ent = dict(op.entries)
+        ent[key] = ent.get(key, F(0)) + F(rng.choice([1, -1, 3]), 2)
+        out.append(GradedMap(coalg.space, coalg.space, op.degree, ent))
+    return out
+
+
+def _short_target_keys(op, coalg):
+    """The keys (t, s) of op's degree whose target word t is empty, and
+    those whose t is one letter g with |s| < N and some letter x that
+    makes both s x and g x words.  A change c e_t of column s is no
+    coderivation: one onto the empty word has eps != 0, and one onto g
+    differs from its own coderivation extension, which maps e_{s x} to a
+    multiple of e_{g x}.  So changing op = D by it is always caught."""
+    space, words = coalg.space, coalg.words
+    letters = range(coalg.gen_space.dim)
+
+    def extends(s, g):
+        return len(words[s]) < coalg.N and any(
+            merge_words(words[s], (x,), coalg)[0] is not None
+            and merge_words((g,), (x,), coalg)[0] is not None
+            for x in letters)
+
+    return [(t, s) for s in range(space.dim) for t in range(space.dim)
+            if space.degrees[t] == space.degrees[s] + op.degree
+            and (not words[t] or len(words[t]) == 1
+                 and extends(s, words[t][0]))]
+
+
+def _length_operator(coalg):
+    """e_w -> |w| e_w, a coderivation of degree 0: Delta(e_w) splits w
+    into words of lengths adding up to |w|."""
+    return GradedMap(coalg.space, coalg.space, 0,
+                     {(w, w): len(word) for w, word in enumerate(coalg.words)
+                      if word})
+
+
 def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
         fixture_dir):
     rng = random.Random(11)
@@ -347,10 +390,50 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
     # shared target words, within a length and across lengths
     cases.append(_basis_changed_l3_cubed(fixture_dir, 4))
     for coalg in cases:
+        assert is_coderivation(coalg.differential, coalg) is True
         for bad in _corruptions(coalg.differential, coalg, rng, 6):
             got = commutes_with_diagonal(bad, coalg)
             assert got
             assert got == word_oracle.commutes_with_diagonal(bad, coalg)
+            assert is_coderivation(bad, coalg) is False
+    # changes onto the empty word and onto length-one targets, which the
+    # one-letter part and eps decide without the longer targets
+    short = random.Random(12)
+    for coalg in cases[:4]:
+        D = coalg.differential
+        keys = _short_target_keys(D, coalg)
+        assert any(not coalg.words[t] for t, _ in keys)
+        assert any(coalg.words[t] for t, _ in keys)
+        empty = [k for k in keys if not coalg.words[k[0]]]
+        for bad in (_changed(D, coalg, short, 4, keys)
+                    + _changed(D, coalg, short, 2, empty)):
+            got = commutes_with_diagonal(bad, coalg)
+            assert got
+            assert got == word_oracle.commutes_with_diagonal(bad, coalg)
+            assert is_coderivation(bad, coalg) is False
+    # an entry on the empty word from a word of length N has no one-letter
+    # term: eps alone refuses it
+    coalg = TruncatedSymCoalgebra(MIXED, 2)
+    bad = GradedMap(coalg.space, coalg.space, -1,
+                    {(coalg.windex[()], coalg.windex[(P, U)]): F(1)})
+    assert commutes_with_diagonal(bad, coalg) == [(P, U)]
+    assert is_coderivation(bad, coalg) is False
+    # degree 0: the word-length operator and its one-entry changes, which
+    # may or may not be coderivations
+    for coalg in cases[:4]:
+        L = _length_operator(coalg)
+        assert commutes_with_diagonal(L, coalg) == []
+        assert is_coderivation(L, coalg) is True
+        keys = [(t, s) for s in range(coalg.space.dim)
+                for t in range(coalg.space.dim)
+                if coalg.space.degrees[t] == coalg.space.degrees[s]]
+        verdicts = set()
+        for bad in _changed(L, coalg, short, 8, keys):
+            got = commutes_with_diagonal(bad, coalg)
+            assert got == word_oracle.commutes_with_diagonal(bad, coalg)
+            assert is_coderivation(bad, coalg) == (got == [])
+            verdicts.add(got == [])
+        assert False in verdicts
     # a changed corestriction breaks compatibility on the longer words
     # that contain the changed word, not on the word itself
     coalg = cases[0]
@@ -364,6 +447,66 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
     got = commutes_with_diagonal(bad, coalg)
     assert got and xy not in got
     assert got == word_oracle.commutes_with_diagonal(bad, coalg)
+    assert is_coderivation(bad, coalg) is False
+
+
+def test_check_sh_lie_lists_words_only_when_its_verdict_fails(
+        monkeypatch, fixture_dir):
+    # on passing coalgebras is_coderivation alone decides: the per-word
+    # check, which lists the incompatible words, is never called
+    _, l3_cubed, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
+    g = instances.random_dgla(3)
+    coalgs = [transfer(h, build_contraction(h.complex), 4).coalg
+              for h in (l3_cubed, g)]
+
+    def refuse(op, coalg):
+        raise AssertionError("commutes_with_diagonal on a passing input")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("hptmaster.words.commutes_with_diagonal", refuse)
+        for coalg in coalgs:
+            assert check_sh_lie(coalg)["passed"]
+        assert morgan_example()[1]["sh_lie"]
+    # a corrupted perturbation lists the words the per-word oracle finds
+    coalg = coalgs[1]
+    bad = _corruptions(coalg.perturbation_operator, coalg,
+                       random.Random(4), 1)[0]
+    monkeypatch.setattr(coalg, "_pert_op", bad)
+    monkeypatch.setattr(coalg, "_differential", None)
+    report = check_sh_lie(coalg)
+    assert not report["coalgebra_compatible"] and not report["passed"]
+    assert (report["incompatible_words"]
+            == word_oracle.commutes_with_diagonal(bad, coalg) != [])
+
+
+def test_is_coderivation_splits_each_target_once_and_merges_components(
+        monkeypatch, fixture_dir):
+    # the diagonal is read once per distinct target word of op, and only
+    # the columns with a length-one target are merged with words
+    coalg = _basis_changed_l3_cubed(fixture_dir, 4)
+    op = coalg.perturbation_operator
+    words = coalg.words
+    split = collections.Counter()
+    merged = set()
+    diagonal = TruncatedSymCoalgebra.diagonal
+
+    def counting(self, word):
+        split[word] += 1
+        return diagonal(self, word)
+
+    def spy(A, B, coalg):
+        merged.add(A)
+        return merge_words(A, B, coalg)
+
+    monkeypatch.setattr(TruncatedSymCoalgebra, "diagonal", counting)
+    monkeypatch.setattr("hptmaster.words.merge_words", spy)
+    assert is_coderivation(op, coalg)
+    targets = {words[t] for col in op.columns.values() for t in col}
+    assert set(split) <= targets and max(split.values()) == 1
+    components = {words[s] for s, col in op.columns.items()
+                  if any(len(words[t]) == 1 for t in col)}
+    assert merged and merged <= components
+    assert len(components) < len(op.columns)
 
 
 def test_assigning_a_perturbation_rebuilds_the_operators():
