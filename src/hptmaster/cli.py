@@ -7,11 +7,12 @@ verification failed, 2 the input could not be parsed or was inconsistent.
 Wall-clock timing goes to stderr only, never into the report bytes.
 
 A coefficient is read as an int pair (p, q).  A dg Lie problem reaches
-the library as int numerators over each section's lcm, and tau is written
-to the transfer report from its int columns.  Fractions are built for the
-product and bracket rows of BV problem files and for theta files, whose
-modules keep Fraction vectors, and are read back for the coderivation
-and bracket sections of a report and for the bv and massey reports.
+the library as int numerators over each section's lcm, and tau and the
+coderivation are written to the transfer report from their int columns,
+as is the massey theta.  Fractions are built for the product and bracket
+rows of BV problem files and for theta files, whose modules keep
+Fraction vectors, and are read back for the bracket section of a report
+and for the rest of the bv and massey reports.
 """
 
 import argparse
@@ -245,21 +246,25 @@ def serialize_transfer(result):
     coalg = result.coalg
     small = result.contraction.small.space
 
-    def by_word(table, space):
-        return {word_label(w, coalg.gen_space): _sparse_labels(space, val)
-                for w, val in table.items() if val}
+    def int_columns(m, labels):
+        # a map's columns written from its int numerators over den, keyed
+        # by source word
+        return {coalg.words[s]: {labels[t]: _ratio_str(n, m.den)
+                                 for t, n in sorted(col.items())}
+                for s, col in m.columns.items()}
 
-    # tau from its int columns over den
-    hom = result.tau.hom
-    labels = result.g.space.labels
-    tau = {word_label(coalg.words[s], coalg.gen_space):
-           {labels[t]: _ratio_str(n, hom.den) for t, n in sorted(col.items())}
-           for s, col in hom.columns.items()}
-    brackets = {"l%d" % k: by_word(table, small)
+    tau = {word_label(w, coalg.gen_space): col for w, col
+           in int_columns(result.tau.hom, result.g.space.labels).items()}
+    brackets = {"l%d" % k: {word_label(w, coalg.gen_space):
+                            _sparse_labels(small, val)
+                            for w, val in table.items()}
                 for k, table in extract_brackets(coalg).items()}
-    coder = {"arity_%d" % b: by_word(comp, coalg.gen_space)
-             for b, comp in result.D.components.items()
-             if any(comp.values())}
+    # the coderivation's columns on the words of length b are lambda_b
+    coder = {}
+    for w, col in int_columns(coalg.perturbation,
+                            coalg.gen_space.labels).items():
+        coder.setdefault("arity_%d" % len(w), {})[
+            word_label(w, coalg.gen_space)] = col
     return {
         "truncation": result.truncation,
         "homology_basis": [[lab, deg] for lab, deg in small.basis],
@@ -425,10 +430,12 @@ def cmd_massey(args, started):
         except ValueError as exc:
             raise InputError(str(exc))
         report["report"] = _plain(morgan)
-        theta = instance.coalg.perturbation.components.get(5, {})
+        coalg = instance.coalg
+        theta = coalg.perturbation
         report["theta"] = {
-            word_label(w, instance.coalg.gen_space): frac_str(sum(v.values()))
-            for w, v in theta.items()}
+            word_label(coalg.words[s], coalg.gen_space):
+            _ratio_str(sum(col.values()), theta.den)
+            for s, col in theta.columns.items()}
         report["mc_equations"] = serialize_mc(instance.mc)
         _emit(report, args, started)
         return EXIT_OK if morgan["sh_lie"] else EXIT_VERIFY

@@ -8,9 +8,9 @@ positive-dimensional family of structures.
 
 from fractions import Fraction
 
-from .graded import GradedVectorSpace, suspend_space, ONE
-from .words import (CoderivationSpec, TruncatedSymCoalgebra, check_sh_lie,
-                    enumerate_words, extract_brackets, parse_word)
+from .graded import GradedMap, GradedVectorSpace, suspend_space, ONE
+from .words import (TruncatedSymCoalgebra, check_sh_lie, enumerate_words,
+                    extract_brackets, parse_word)
 
 
 class MCVariety:
@@ -162,7 +162,8 @@ def necklace_count(rank, length):
 class MorganInstance:
     """The perturbed minimal model data for S^3 v S^3 v S^12.
 
-    theta is the arity-5 component of coalg.perturbation.
+    theta is coalg.perturbation, whose columns are on words of length
+    five.
     """
 
     def __init__(self, homology, coalg, mc):
@@ -213,9 +214,10 @@ def morgan_example(N=5, theta=None):
             values[word] = Fraction(value)
     if N < 5:
         raise ValueError("truncation must be at least 5 to hold theta")
-    component = {w: {c: v} for w, v in values.items() if v != 0}
-    spec = CoderivationSpec(sH, {5: component} if component else None)
-    coalg = TruncatedSymCoalgebra(sH, N, perturbation=spec)
+    coalg = TruncatedSymCoalgebra(sH, N)
+    coalg.perturbation = lam = GradedMap.from_columns(
+        coalg.space, sH, -1, {coalg.windex[w]: {c: v}
+                              for w, v in values.items()})
     sh = check_sh_lie(coalg)
     brackets = extract_brackets(coalg)
 
@@ -240,8 +242,8 @@ def morgan_example(N=5, theta=None):
         "sh_lie": sh["passed"],
         "lower_brackets_vanish": all(k >= 5 for k in arity_support),
         "l5_nonzero": 5 in arity_support,
-        "formal": not component,
-        "witness": 4 if component else None,
+        "formal": lam.is_zero(),
+        "witness": None if lam.is_zero() else 4,
         "distinguishes_family": len(param_words) - aut_dim >= 1,
     }
     instance = MorganInstance(H, coalg, mc)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .complexes import ChainComplex
 from .graded import GradedMap, GradedVectorSpace, StructureTable
-from .words import CoderivationSpec, EMPTY, merge_words, suspended_coalgebra
+from .words import EMPTY, merge_words, suspended_coalgebra
 
 
 class DgLieAlgebra:
@@ -203,8 +203,8 @@ def ce_coalgebra(g, N):
     half = cup_bracket(tau1, tau1, coalg, g, length=2).scale(Fraction(1, 2))
     # (1/2)[tau^1, tau^1] on the length-2 words; target indices coincide
     # under s
-    comp2 = {coalg.words[s]: col for s, col in half.by_column().items()}
-    coalg.perturbation = CoderivationSpec(coalg.gen_space, {2: comp2})
+    coalg.perturbation = GradedMap.from_columns(
+        coalg.space, coalg.gen_space, -1, half.columns, half.den)
     return coalg
 
 

@@ -29,15 +29,15 @@ order).  `merge_words` evaluates it, so sums over the diagonal such as cup
 brackets and coderivations run over pairs of words taken from column
 supports instead of over every splitting of every word.
 
-Coderivations are determined by component families lambda_b mapping
-length-b words to generators; the induced operator lowers word length by
-b - 1.
+A coderivation is determined by its corestriction, a degree -1 map
+lambda from the word space to the generators (Lada-Stasheff,
+hep-th/9209099): its columns on the words of length b are the component
+lambda_b, whose extension lowers word length by b - 1.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
 
 from .graded import GradedMap, GradedVectorSpace, suspend_map
 
@@ -64,10 +64,6 @@ def parse_word(text, gen_space):
     if any(a == b and degs[a] % 2 for a, b in zip(word, word[1:])):
         raise ValueError("odd letter repeats in %r" % text)
     return word
-
-
-def word_degree(word, gen_space):
-    return sum(gen_space.degrees[g] for g in word)
 
 
 def _canonical_order(gen_space):
@@ -166,51 +162,17 @@ def enumerate_words(gen_space, max_len):
     return words
 
 
-class CoderivationSpec:
-    """Cogenerating components lambda_b: length-b words -> generators.
-
-    components[b][word] is a sparse dict generator_index -> Fraction; every
-    component has degree -1.
-    """
-
-    def __init__(self, gen_space, components=None):
-        self.gen_space = gen_space
-        self.components = {}
-        if components:
-            for b, comp in components.items():
-                self.set_component(b, comp)
-
-    def set_component(self, b, comp):
-        clean = {}
-        for word, val in comp.items():
-            deg_w = word_degree(word, self.gen_space)
-            val = {g: Fraction(c) for g, c in val.items() if c != 0}
-            for g in val:
-                if self.gen_space.degrees[g] != deg_w - 1:
-                    raise ValueError("component of arity %d is not degree -1" % b)
-            if val:
-                clean[word] = val
-        if clean:
-            self.components[int(b)] = clean
-
-    def arities(self):
-        return sorted(self.components)
-
-    def is_zero(self):
-        return not self.components
-
-
 class TruncatedSymCoalgebra:
     """Sigma^c[gen_space] truncated at word length N.
 
     The differential is d1 (induced by a degree -1 differential on the
-    generators) plus the coderivation of a CoderivationSpec.  Both lower or
-    preserve word length, so the truncation is an honest subcomplex and all
-    identities can be checked exactly on word lengths <= N.
+    generators) plus the coderivation extending the perturbation.  Both
+    lower or preserve word length, so the truncation is an honest
+    subcomplex and all identities can be checked exactly on word lengths
+    <= N.
     """
 
-    def __init__(self, gen_space, max_word_length, gen_differential=None,
-                 perturbation=None):
+    def __init__(self, gen_space, max_word_length, gen_differential=None):
         self.gen_space = gen_space
         self.N = int(max_word_length)
         self.words = enumerate_words(gen_space, self.N)
@@ -231,7 +193,7 @@ class TruncatedSymCoalgebra:
         self.space = GradedVectorSpace.derived(word_degs, lambda: [
             "(%s)" % word_label(w, gen_space) if w else "1" for w in words])
         self.gen_differential = gen_differential
-        self.perturbation = perturbation
+        self.perturbation = None
         self._d1 = None
         self._mult = None
         self.letter_products = _LetterProducts(self)
@@ -261,26 +223,38 @@ class TruncatedSymCoalgebra:
 
     @property
     def d1(self):
-        """Coderivation induced by the generator differential."""
+        """Coderivation induced by the generator differential: its
+        corestriction is the differential on the one-letter words."""
         if self._d1 is None:
-            if self.gen_differential is None or self.gen_differential.is_zero():
+            d = self.gen_differential
+            if d is None or d.is_zero():
                 self._d1 = GradedMap.zero(self.space, self.space, -1)
             else:
-                cols = sorted(self.gen_differential.by_column().items())
-                spec = CoderivationSpec(self.gen_space,
-                                        {1: {(g,): col for g, col in cols}})
-                self._d1 = coderivation_operator(spec, self)
+                lam = GradedMap.from_columns(
+                    self.space, self.gen_space, -1,
+                    {self.windex[(g,)]: col for g, col in d.columns.items()},
+                    d.den)
+                self._d1 = coderivation_operator(lam, self)
         return self._d1
 
     @property
     def perturbation(self):
-        """The CoderivationSpec of the perturbation; assigning a new one
-        (None for zero) drops the operators built from the old one."""
+        """The corestriction of the perturbation, a degree -1 GradedMap
+        from the word space to the generators whose columns on the words
+        of length b are lambda_b.  Assigning a new one (None for zero)
+        drops the operators built from the old one; a map of another
+        degree or between other spaces raises ValueError."""
         return self._perturbation
 
     @perturbation.setter
-    def perturbation(self, spec):
-        self._perturbation = spec or CoderivationSpec(self.gen_space)
+    def perturbation(self, lam):
+        if lam is None:
+            lam = GradedMap.zero(self.space, self.gen_space, -1)
+        elif (lam.degree != -1 or lam.source != self.space
+              or lam.target != self.gen_space):
+            raise ValueError("a perturbation is a degree -1 map from the "
+                             "coalgebra's words to its generators")
+        self._perturbation = lam
         self._pert_op = self._differential = None
 
     @property
@@ -308,46 +282,46 @@ def suspended_coalgebra(d, N):
     return TruncatedSymCoalgebra(d_s.source, N, gen_differential=d_s)
 
 
-def coderivation_operator(spec, coalg):
-    """The coderivation of the truncated coalgebra extending the components.
+def coderivation_operator(lam, coalg):
+    """The coderivation of the truncated coalgebra extending lam, a
+    degree -1 map from the word space to the generators.
 
-    D(e_w) sums sign(A, B) lambda_b(A) . e_B over the splittings (A, B) of
-    w with |A| = b, so it is built by merging each word A of the support of
-    lambda_b with every word B of length <= N - b.  The products of one
-    letter with B, lambda_b(A) . e_B and, for b = 1, A . B, are read from
-    the coalgebra's letter products.
+    D(e_w) sums sign(A, B) lam(e_A) . e_B over the splittings (A, B) of w,
+    so it is built by merging each word A of the column support of lam
+    with every word B of length <= N - |A|, on lam's int numerators over
+    lam.den.  The products of one letter with B, lam(e_A) . e_B and, for
+    |A| = 1, A . B, are read from the coalgebra's letter products.
     """
-    # the components as int numerators over their common denominator
-    den = lcm(*(c.denominator for comp in spec.components.values()
-                for val in comp.values() for c in val.values()))
     cols = {}
     windex = coalg.windex
+    words = coalg.words
     products = coalg.letter_products
-    for b in spec.arities():
-        # it starts at the empty word, so a position is a word index
-        shorts = coalg.words_of_length(0, coalg.N - b)
-        for A, val in spec.components[b].items():
-            if len(A) != b or A not in windex:
+    b = None
+    # word indices come by length, so the lengths of A come in order
+    for a, val in sorted(lam.columns.items()):
+        A = words[a]
+        if len(A) != b:
+            b = len(A)
+            # it starts at the empty word, so a position is a word index
+            shorts = coalg.words_of_length(0, coalg.N - b)
+        val = list(val.items())
+        for bi, B in enumerate(shorts):
+            if b == 1:
+                wi, sign = products[A[0], bi]
+            else:
+                w, sign = merge_words(A, B, coalg)
+                wi = windex.get(w)
+            if wi is None:
                 continue
-            val = [(g, c.numerator * (den // c.denominator))
-                   for g, c in val.items()]
-            for bi, B in enumerate(shorts):
-                if b == 1:
-                    wi, sign = products[A[0], bi]
-                else:
-                    w, sign = merge_words(A, B, coalg)
-                    wi = windex.get(w)
-                if wi is None:
+            col = cols.setdefault(wi, {})
+            for g, c in val:
+                w2, sign2 = products[g, bi]
+                if w2 is None:
                     continue
-                col = cols.setdefault(wi, {})
-                for g, c in val:
-                    w2, sign2 = products[g, bi]
-                    if w2 is None:
-                        continue
-                    # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}
-                    mult = (B.count(g) + 1) * sign * sign2
-                    col[w2] = col.get(w2, 0) + mult * c
-    return GradedMap.from_columns(coalg.space, coalg.space, -1, cols, den)
+                # divided powers: gamma_1 gamma_m = (m+1) gamma_{m+1}
+                mult = (B.count(g) + 1) * sign * sign2
+                col[w2] = col.get(w2, 0) + mult * c
+    return GradedMap.from_columns(coalg.space, coalg.space, -1, cols, lam.den)
 
 
 def commutes_with_diagonal(op, coalg):
@@ -542,10 +516,11 @@ def check_sh_lie(coalg):
     """
     D = coalg.differential
     sq = D.compose(D)
+    words = coalg.words
     failures = {}
-    for s, col in sq.by_column().items():
-        failures.setdefault(len(coalg.words[s]), []).extend(
-            (coalg.words[s], coalg.words[t], c) for t, c in col.items())
+    for s, col in sq.columns.items():
+        failures.setdefault(len(words[s]), []).extend(
+            (words[s], words[t], Fraction(n, sq.den)) for t, n in col.items())
     op = coalg.perturbation_operator
     unit_ok = coalg.windex[EMPTY] not in op.columns
     bad_words = ([] if is_coderivation(op, coalg)
@@ -572,20 +547,20 @@ def extract_brackets(coalg):
     """
     gen_space = coalg.gen_space
     brackets = {}
-    if coalg.gen_differential is not None and not coalg.gen_differential.is_zero():
+    d = coalg.gen_differential
+    if d is not None and not d.is_zero():
         # l_1 = -s^{-1} d_{sV} s, the differential before suspension
-        brackets[1] = {(g,): {t: -c for t, c in val.items()} for g, val
-                       in sorted(coalg.gen_differential.by_column().items())}
-    for b, comp in coalg.perturbation.components.items():
-        tbl = {}
-        for word, val in comp.items():
-            degs = [gen_space.degrees[g] - 1 for g in word]
-            k = len(word)
-            exp = (k * (k - 1)) // 2 + sum((k - 1 - i) * degs[i]
-                                           for i in range(k))
-            # (-1)^exp, applied by negation
-            tbl[word] = ({g: -c for g, c in val.items()} if exp % 2
-                         else dict(val))
-        if tbl:
-            brackets[b] = tbl
+        brackets[1] = {(g,): {t: Fraction(-n, d.den) for t, n in col.items()}
+                       for g, col in sorted(d.columns.items())}
+    lam = coalg.perturbation
+    for s in sorted(lam.columns):
+        word = coalg.words[s]
+        degs = [gen_space.degrees[g] - 1 for g in word]
+        k = len(word)
+        exp = (k * (k - 1)) // 2 + sum((k - 1 - i) * degs[i]
+                                       for i in range(k))
+        # (-1)^exp, applied by negation
+        brackets.setdefault(k, {})[word] = {
+            g: Fraction(-n if exp % 2 else n, lam.den)
+            for g, n in lam.columns[s].items()}
     return brackets

@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 
 import lie_instances
+import word_oracle
 from conftest import kahler_bv
 from hptmaster import cli
 from hptmaster.bv import addendum_382_flat_identity, theorem_38_pipeline
@@ -98,9 +99,10 @@ def test_criterion_4_degeneration_hypotheses():
         for name, rep in (("projected-bracket", r283), ("lifted", r285)):
             if not (rep["hypothesis_holds"] and rep["passed"]):
                 failures.append("%s %s: %s" % (kind, name, rep))
-        if res.D.arities():
-            failures.append("%s: surviving arities %s" % (kind,
-                                                          res.D.arities()))
+        if not res.coalg.perturbation.is_zero():
+            failures.append("%s: surviving arities %s" % (
+                kind, sorted(word_oracle.components(res.coalg.perturbation,
+                                                    res.coalg))))
         _, pipe = theorem_29_pipeline(g, con, 3)
         if not (pipe["passed"] and pipe["D_zero"]):
             failures.append("%s pipeline: %s" % (kind, pipe))
@@ -152,7 +154,7 @@ def test_criterion_7_round_trips(corpus):
         zero_h = GradedMap.zero(g.space, g.space, 1)
         idcon = Contraction(g.complex, g.complex, iden, iden, zero_h)
         rt = transfer(g, idcon, 3)
-        if rt.D.components != ce.perturbation.components:
+        if rt.coalg.perturbation != ce.perturbation:
             failures.append("seed %d: identity transfer != CE" % seed)
     _verdict(7, failures)
 

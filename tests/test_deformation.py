@@ -13,10 +13,10 @@ from hptmaster.deformation import (FreeGradedLie, MCVariety,
                                    morgan_example, necklace_count,
                                    wedge_of_spheres)
 from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
-from hptmaster.graded import GradedVectorSpace, suspend_space
+from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_space
 from hptmaster.transfer import transfer
-from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
-                             extract_brackets, word_label)
+from hptmaster.words import (TruncatedSymCoalgebra, extract_brackets,
+                             word_label)
 
 F = Fraction
 
@@ -66,7 +66,9 @@ def formality_report(result):
     two or more vanishes; otherwise the least such shortening b >= 2 is
     the non-formality witness (an arity b + 1 operation).
     """
-    witnesses = sorted(b - 1 for b in result.D.arities() if b >= 3)
+    coalg = result.coalg
+    arities = {coalg.word_length(s) for s in coalg.perturbation.columns}
+    witnesses = sorted(b - 1 for b in arities if b >= 3)
     return {
         "formal": not witnesses,
         "witness": witnesses[0] if witnesses else None,
@@ -225,9 +227,11 @@ def regraded_brackets(instance, N):
     and the equations read from that table."""
     H_def = GradedVectorSpace([("a", -1), ("b", -1), ("c", -2)])
     sH_def = suspend_space(H_def)
-    theta = instance.coalg.perturbation.components
-    coalg = TruncatedSymCoalgebra(
-        sH_def, N, perturbation=CoderivationSpec(sH_def, theta or None))
+    theta = instance.coalg.perturbation
+    coalg = TruncatedSymCoalgebra(sH_def, N)
+    # the regrading keeps the words, so theta keeps its columns
+    coalg.perturbation = GradedMap.from_columns(
+        coalg.space, sH_def, -1, theta.columns, theta.den)
     brackets = extract_brackets(coalg)
     return coalg.words, brackets, mc_equations(H_def, brackets, N)
 

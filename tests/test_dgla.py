@@ -132,7 +132,7 @@ def test_ce_quadratic_component_anchor():
     # sign is -1, so the component on (se, sf) is -sf
     g = b2()
     coalg = ce_coalgebra(g, 2)
-    comp = coalg.perturbation.components[2]
+    comp = word_oracle.components(coalg.perturbation, coalg)[2]
     assert comp[parse_word("se*sf", coalg.gen_space)] == {1: F(-1)}
 
 

@@ -339,23 +339,28 @@ def test_contraction_identities_do_no_fraction_arithmetic(monkeypatch,
 
 def test_the_pipeline_builds_no_fraction_pair_view(monkeypatch, corpus):
     # transfer, verify_master and extend_contraction read the column store;
-    # with the (target, source) Fraction view refused they reach the same
-    # transfer, report and perturbed contraction
+    # with the Fraction views of a map refused (the (target, source)
+    # entries, the columns and the image of one basis vector) they reach
+    # the same transfer, report and perturbed contraction
     def outcome(result, extended):
-        return (result.D.components, result.tau.hom, verify_master(result),
-                extended.big, extended.small,
+        return (result.coalg.perturbation, result.tau.hom,
+                verify_master(result), extended.big, extended.small,
                 [extended.nabla, extended.pi, extended.h])
 
     _, g, _, result = corpus[1]
     want = outcome(result, result.extended)
 
-    def refused(m):
-        raise AssertionError("GradedMap.entries read")
+    def refused(name):
+        def read(*args):
+            raise AssertionError("GradedMap.%s read" % name)
+        return read
 
-    monkeypatch.setattr(GradedMap, "entries", property(refused))
+    monkeypatch.setattr(GradedMap, "entries", property(refused("entries")))
+    for name in ("by_column", "apply_basis"):
+        monkeypatch.setattr(GradedMap, name, refused(name))
     fresh = transfer(g, build_contraction(g.complex), result.truncation)
     assert outcome(fresh, extend_contraction(fresh)) == want
-    assert want[2]["passed"] and result.D.components
+    assert want[2]["passed"] and not result.coalg.perturbation.is_zero()
 
 
 def test_negation_and_difference_build_no_fraction(monkeypatch):

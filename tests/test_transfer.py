@@ -1,5 +1,7 @@
 """The transfer recursion, its degenerations, and the adjoint picture."""
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 import contraction_oracle
 import lie_instances
 import word_oracle
-from word_oracle import sort_factors
+from word_oracle import components, sort_factors, word_degree
 from hptmaster import cli, graded, instances
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
@@ -16,7 +18,7 @@ from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import (check_addendum_283, check_addendum_285,
                                 theorem_29_pipeline, transfer, verify_master)
 from hptmaster import words
-from hptmaster.words import TruncatedSymCoalgebra, word_degree, word_label
+from hptmaster.words import TruncatedSymCoalgebra, word_label
 
 F = Fraction
 
@@ -34,7 +36,7 @@ def test_lengthwise_recursion_matches_full_cup_oracle(corpus):
             res = res4 if N == 4 else transfer(g, con, N)
             tau, D = word_oracle.transfer_tau_and_D(g, con, N)
             assert res.tau.hom.entries == tau.entries
-            assert res.D.components == D.components
+            assert res.coalg.perturbation == D
 
 
 def test_engineered_l3_hand_values():
@@ -66,11 +68,27 @@ def test_engineered_l3_hand_values():
     assert res.tau.hom.apply_basis(wi) == {ix["u"]: F(-1)}
 
     word3, _ = sort_factors([by_col["w"], by_col["x"], by_col["y"]], gens)
-    comp = res.D.components[3]
-    assert comp[word3] == {by_col["z"]: F(1)}
+    comp = components(res.coalg.perturbation, res.coalg)
+    assert comp[3][word3] == {by_col["z"]: F(1)}
     # no binary operation survives on homology
-    assert 2 not in res.D.components
+    assert 2 not in comp
     assert sorted(words.extract_brackets(res.coalg)) == [3]
+
+
+def test_bench_counts_the_nonzeros_of_the_perturbation(corpus):
+    # bench/tracing.py counts transfer.D_nnz from TransferResult.D, the
+    # perturbation's columns grouped by arity; on a transfer with an l2
+    # and one with an l3 it counts the perturbation's nonzeros
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location(
+        "tracing", path / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, _, _, result in (corpus[1], corpus[5]):
+        counters = dict.fromkeys(tracing.SIZE_COUNTERS, 0)
+        tracing._after_transfer(counters, result)
+        nnz = sum(map(len, result.coalg.perturbation.columns.values()))
+        assert counters["transfer.D_nnz"] == nnz > 0
 
 
 def test_master_fails_when_component_zeroed():
@@ -93,7 +111,7 @@ def test_identity_contraction_reproduces_ce():
         con = Contraction(g.complex, g.complex, iden, iden, zero_h)
         res = transfer(g, con, 3)
         ce = ce_coalgebra(g, 3)
-        assert res.D.components == ce.perturbation.components
+        assert res.coalg.perturbation == ce.perturbation
         assert verify_master(res)["passed"]
 
 
@@ -116,7 +134,7 @@ def test_degeneration_commuting_lifts():
     r285 = check_addendum_285(g, con, res)
     assert r283["passed"] and r283["hypothesis_holds"]
     assert r285["passed"] and r285["hypothesis_holds"]
-    assert res.D.arities() == []
+    assert res.coalg.perturbation.is_zero()
     # but the algebra itself is not abelian
     assert g.bracket_table
 
@@ -126,7 +144,7 @@ def test_degeneration_hypothesis_fails_on_sl2():
     con = build_contraction(g.complex)
     res = transfer(g, con, 3)
     assert not check_addendum_285(g, con, res)["hypothesis_holds"]
-    assert res.D.arities() == [2]
+    assert sorted(components(res.coalg.perturbation, res.coalg)) == [2]
 
 
 def adjoint_report(result):
@@ -275,7 +293,7 @@ def test_pipeline_builds_each_coalgebra_and_verdict_once(counted):
     g = instances.random_dgla(5)   # the nonzero-l3 family: D has l3
     con = build_contraction(g.complex)
     result = transfer(g, con, 4)
-    assert result.D.arities() == [3]
+    assert sorted(components(result.coalg.perturbation, result.coalg)) == [3]
     assert verify_master(result)["passed"]
     assert result.extended.identity_failures() == []
     assert adjoint_report(result)["passed"]

@@ -11,18 +11,17 @@ from hypothesis import given, settings, strategies as st
 import lie_instances
 import lift_oracle
 import word_oracle
-from word_oracle import koszul_sign, sort_factors
+from word_oracle import corestriction, koszul_sign, sort_factors, word_degree
 from hptmaster import cli, instances
 from hptmaster.complexes import build_contraction
 from hptmaster.deformation import morgan_example
 from hptmaster.dgla import ce_coalgebra
 from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_space
 from hptmaster.transfer import transfer
-from hptmaster.words import (CoderivationSpec, TruncatedSymCoalgebra,
-                             check_sh_lie, coderivation_operator,
-                             commutes_with_diagonal, enumerate_words,
-                             is_coderivation, merge_words, parse_word,
-                             splittings, word_degree, word_label)
+from hptmaster.words import (TruncatedSymCoalgebra, check_sh_lie,
+                             coderivation_operator, commutes_with_diagonal,
+                             enumerate_words, is_coderivation, merge_words,
+                             parse_word, splittings, word_label)
 
 F = Fraction
 
@@ -152,20 +151,19 @@ def test_coderivation_is_coalgebra_compatible():
     # compatibility with the diagonal plus the prescribed corestriction
     # uniquely characterizes the coderivation extension
     gen = GradedVectorSpace([("a", 0), ("b", 1), ("c", 2)])
-    spec = CoderivationSpec(gen, {2: {
-        (0, 1): {0: F(2)},
-        (1, 1): {1: F(1)},
-        (0, 0): {}}})
     coalg = TruncatedSymCoalgebra(gen, 4)
-    op = coderivation_operator(spec, coalg)
+    # bb, an odd square, is no word, so ac -> b stands in its place
+    lam = corestriction(coalg, {(0, 1): {0: F(2)}, (0, 2): {1: F(1)},
+                                (0, 0): {}})
+    op = coderivation_operator(lam, coalg)
     assert commutes_with_diagonal(op, coalg) == []
 
 
 def test_coderivation_corestriction_matches_components():
     gen = GradedVectorSpace([("a", 0), ("b", 1)])
-    spec = CoderivationSpec(gen, {2: {(0, 1): {0: F(3)}}})
     coalg = TruncatedSymCoalgebra(gen, 3)
-    op = coderivation_operator(spec, coalg)
+    op = coderivation_operator(corestriction(coalg, {(0, 1): {0: F(3)}}),
+                               coalg)
     wi = coalg.windex[(0, 1)]
     assert op.apply_basis(wi) == {coalg.windex[(0,)]: F(3)}
 
@@ -174,26 +172,40 @@ def test_coderivation_divided_power_multiplicity():
     # inserting a generator already present m times multiplies by m + 1:
     # on e_{aab} the component ab -> 2a inserts a next to an existing a
     gen = GradedVectorSpace([("a", 0), ("b", 1)])
-    spec = CoderivationSpec(gen, {2: {(0, 1): {0: F(1)}}})
     coalg = TruncatedSymCoalgebra(gen, 3)
-    op = coderivation_operator(spec, coalg)
+    op = coderivation_operator(corestriction(coalg, {(0, 1): {0: F(1)}}),
+                               coalg)
     wi = coalg.windex[(0, 0, 1)]
     assert op.apply_basis(wi) == {coalg.windex[(0, 0)]: F(2)}
 
 
 def test_component_degree_enforced():
     gen = GradedVectorSpace([("a", 0), ("b", 1)])
+    coalg = TruncatedSymCoalgebra(gen, 3)
+    # ab has degree 1, so a component entry on it must land in degree 0
     with pytest.raises(ValueError):
-        CoderivationSpec(gen, {2: {(0, 1): {1: F(1)}}})
+        corestriction(coalg, {(0, 1): {1: F(1)}})
+    # the perturbation is a degree -1 map from these words to gen
+    good = corestriction(coalg, {(0, 1): {0: F(1)}})
+    wrong_degree = GradedMap.from_columns(coalg.space, gen, 0,
+                                          {coalg.windex[(1,)]: {1: 1}})
+    other = TruncatedSymCoalgebra(gen, 2)
+    other_words = corestriction(other, {(0, 1): {0: F(1)}})
+    for lam in (wrong_degree, other_words):
+        with pytest.raises(ValueError):
+            coalg.perturbation = lam
+    assert coalg.perturbation.is_zero()
+    coalg.perturbation = good
+    assert coalg.perturbation is good
 
 
 def test_check_sh_lie_flags_broken_square():
     gen = GradedVectorSpace([("a", 1), ("b", 1), ("c", 1)])
     # lambda_2(ab) = c with lambda_2(bc) = b does not square to zero:
     # applying D twice to the word abc reaches c with coefficient +-1
-    spec = CoderivationSpec(gen, {2: {(0, 1): {2: F(1)},
-                                      (1, 2): {1: F(1)}}})
-    coalg = TruncatedSymCoalgebra(gen, 3, perturbation=spec)
+    coalg = TruncatedSymCoalgebra(gen, 3)
+    coalg.perturbation = corestriction(coalg, {(0, 1): {2: F(1)},
+                                               (1, 2): {1: F(1)}})
     report = check_sh_lie(coalg)
     assert not report["passed"]
 
@@ -223,9 +235,8 @@ def test_merge_words_inverts_splittings():
 
 
 def _hand_spec(rng, gen_space, coalg, arities):
-    spec = CoderivationSpec(gen_space)
+    comp = {}
     for b in arities:
-        comp = {}
         for w in coalg.words:
             if len(w) != b or rng.random() < 0.5:
                 continue
@@ -234,18 +245,17 @@ def _hand_spec(rng, gen_space, coalg, arities):
                        if gen_space.degrees[g] == deg]
             if targets:
                 comp[w] = {rng.choice(targets): F(rng.randrange(-3, 4), 2)}
-        spec.set_component(b, comp)
-    return spec
+    return corestriction(coalg, comp)
 
 
 def test_coderivation_matches_oracle_on_hand_case():
     rng = random.Random(5)
     coalg = TruncatedSymCoalgebra(HAND, 5)
     for arities in ((1,), (2,), (1, 2, 3), (3, 4, 5)):
-        spec = _hand_spec(rng, HAND, coalg, arities)
-        op = coderivation_operator(spec, coalg)
+        lam = _hand_spec(rng, HAND, coalg, arities)
+        op = coderivation_operator(lam, coalg)
         assert op.entries == word_oracle.coderivation_operator(
-            spec, coalg).entries
+            lam, coalg).entries
         assert commutes_with_diagonal(op, coalg) == []
 
 
@@ -254,13 +264,12 @@ def test_word_layer_matches_oracle_on_corpus(corpus):
         for N in (2, 3, 4):
             res = res4 if N == 4 else transfer(g, con, N)
             coalg = res.coalg
-            for spec in (coalg.perturbation, CoderivationSpec(
-                    coalg.gen_space, {1: {(i,): coalg.gen_differential
-                                          .apply_basis(i) for i in
-                                          range(coalg.gen_space.dim)}})):
-                op = coderivation_operator(spec, coalg)
+            for lam in (coalg.perturbation, corestriction(
+                    coalg, {(i,): coalg.gen_differential.apply_basis(i)
+                            for i in range(coalg.gen_space.dim)})):
+                op = coderivation_operator(lam, coalg)
                 assert op.entries == word_oracle.coderivation_operator(
-                    spec, coalg).entries
+                    lam, coalg).entries
             D = coalg.differential
             assert (commutes_with_diagonal(D, coalg) ==
                     word_oracle.commutes_with_diagonal(D, coalg) == [])
@@ -514,9 +523,7 @@ def test_assigning_a_perturbation_rebuilds_the_operators():
     D = coalg.differential
     assert coalg.differential is D   # built once per perturbation
     old = coalg.perturbation_operator
-    coalg.perturbation = CoderivationSpec(coalg.gen_space, {
-        b: {w: {k: 2 * c for k, c in val.items()} for w, val in comp.items()}
-        for b, comp in coalg.perturbation.components.items()})
+    coalg.perturbation = coalg.perturbation.scale(2)
     assert coalg.perturbation_operator == old.scale(2)
     assert coalg.differential == coalg.d1 + old.scale(2) != D
     coalg.perturbation = None

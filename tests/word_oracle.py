@@ -13,6 +13,10 @@ coderivation and compatibility check that enumerate every splitting of
 every word.  It also keeps koszul_sign, the sign of a permutation of
 graded factors, and sort_factors, the signed sort of a sequence of
 letters; the library reads theta words with a sort that needs no sign.
+A coderivation is given, as in the library, by its corestriction: a
+degree -1 GradedMap from the word space to the generators, which
+corestriction builds from a table word -> {generator: value} and
+components reads back by arity.
 """
 
 from fractions import Fraction
@@ -20,13 +24,34 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from hptmaster.graded import GradedMap, ONE
-from hptmaster.words import (CoderivationSpec, suspended_coalgebra,
-                             word_degree)
+from hptmaster.words import suspended_coalgebra
 from linalg_oracle import dense
 from table_oracle import bilinear
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+def word_degree(word, gen_space):
+    return sum(gen_space.degrees[g] for g in word)
+
+
+def corestriction(coalg, table):
+    """The degree -1 map from coalg's words to its generators with column
+    table[w] on the word w, for a table word -> {generator: value}."""
+    return GradedMap.from_columns(
+        coalg.space, coalg.gen_space, -1,
+        {coalg.windex[w]: col for w, col in table.items()})
+
+
+def components(lam, coalg):
+    """The corestriction lam by arity: b -> {word: {generator: Fraction}},
+    only the arities with a nonzero column, so sorted() of it is the arity
+    support."""
+    out = {}
+    for s, col in sorted(lam.by_column().items()):
+        out.setdefault(len(coalg.words[s]), {})[coalg.words[s]] = col
+    return out
 
 
 def koszul_sign(permutation, degrees):
@@ -183,7 +208,8 @@ def full_cup_bracket(a, b, coalg, g):
 
 
 def transfer_tau_and_D(g, con, N):
-    """(tau map, D spec) of the Thm 2.9 recursion, one full cup per step."""
+    """(tau map, corestriction of D) of the Thm 2.9 recursion, one full cup
+    per step."""
     coalg = suspended_coalgebra(con.small.d, N)
     tau_ent = {}
     for wi, w in enumerate(coalg.words):
@@ -191,7 +217,7 @@ def transfer_tau_and_D(g, con, N):
             for t, c in con.nabla.apply_basis(w[0]).items():
                 tau_ent[(t, wi)] = c
     tau_hom = GradedMap(coalg.space, g.space, -1, tau_ent)
-    spec = CoderivationSpec(coalg.gen_space)
+    lam = {}
     for b in range(2, N + 1):
         full = full_cup_bracket(tau_hom, tau_hom, coalg, g)
         cb = GradedMap(coalg.space, g.space, full.degree,
@@ -199,15 +225,12 @@ def transfer_tau_and_D(g, con, N):
                         if coalg.word_length(s) == b})
         tau_hom = tau_hom - con.h.compose(cb).scale(HALF)
         pi_cb = con.pi.compose(cb).scale(HALF)
-        comp = {}
         for wi, w in enumerate(coalg.words):
             if len(w) == b:
                 val = pi_cb.apply_basis(wi)
                 if val:
-                    comp[w] = val
-        if comp:
-            spec.set_component(b, comp)
-    return tau_hom, spec
+                    lam[w] = val
+    return tau_hom, corestriction(coalg, lam)
 
 
 def cup_bracket(a, b, coalg, target, length=None):
@@ -235,18 +258,19 @@ def cup_bracket(a, b, coalg, target, length=None):
     return GradedMap(coalg.space, a.target, a.degree + b.degree, ent)
 
 
-def coderivation_operator(spec, coalg):
-    """The coderivation extending spec, word by word over the splittings
-    whose left factor has the arity of a component."""
+def coderivation_operator(lam, coalg):
+    """The coderivation extending the corestriction lam, word by word over
+    the splittings whose left factor has the arity of a component."""
     ent = {}
     gen_space = coalg.gen_space
     sort = memo_sorter(gen_space)
+    table = components(lam, coalg)
     for wi, w in enumerate(coalg.words):
-        for b in spec.arities():
+        for b in sorted(table):
             if b > len(w):
                 continue
             for A, B, sign in splittings(w, gen_space, left_size=b):
-                val = spec.components[b].get(A)
+                val = table[b].get(A)
                 if not val:
                     continue
                 for g, c in val.items():
