@@ -238,10 +238,15 @@ class GradedMap:
         return self._plus(other, -1)
 
     def _plus(self, other, sign):
-        """self + sign other for sign +-1, in one pass over other."""
+        """self + sign other for sign +-1, in one pass over other; with a
+        zero operand, the other operand itself (negated for -)."""
         if (other.source != self.source or other.target != self.target
                 or other.degree != self.degree):
             raise ValueError("sum of incompatible maps")
+        if not other.columns:
+            return self
+        if not self.columns:
+            return other if sign > 0 else -other
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         # the columns of self that other does not touch are shared
@@ -318,8 +323,9 @@ class StructureTable:
     and first_non_associative evaluate their identities on the numerators
     (each term comes out the same power of den, times op.den, too large,
     so ints are tested), in lexicographic order, skipping only the pairs
-    or triples on which every term vanishes: the witness is the first
-    failing one.
+    or triples on which every term vanishes and the cases their swap rule
+    decides, where the defect is identically zero or +- that of a case
+    visited earlier: the witness is the first failing one.
     """
 
     def __init__(self, space, rows=(), degree=0, symmetric=False, den=1):
@@ -458,6 +464,17 @@ class StructureTable:
         op_rows[k] = {j : k in supp op e_j}.  Only the pairs with j in one
         of these sets are evaluated, so the work follows the nonzeros of
         the table and of op, not dim^2.
+
+        The swap rule decides the pairs with j < i: the defect
+        L(i, j) = op(e_i e_j) - (op e_i) e_j - (-1)^{|op| p_i} e_i (op e_j)
+        obeys L(j, i) = sign(i, j) L(i, j).  As op e_i has shifted degree
+        p_i + |op|, swapping the three products gives
+        op(e_j e_i) = sign(i, j) op(e_i e_j),
+        (op e_j) e_i = sign(i, j) (-1)^{|op| p_i} e_i (op e_j) and
+        (-1)^{|op| p_j} e_j (op e_i) = sign(i, j) (op e_i) e_j.  So the
+        first failing pair has i <= j, and only j >= i is visited; j = i
+        is skipped too where sign(i, i) = -1, since there
+        L(i, i) = -L(i, i).
         """
         cols = op.columns
         rows = self.rows
@@ -475,7 +492,8 @@ class StructureTable:
             for k in row:
                 js.update(op_rows.get(k, ()))
             sign = -1 if op.degree * (degs[i] + self.degree) % 2 else 1
-            for j in sorted(js):
+            first = i if self._swap_sign(i, i) > 0 else i + 1
+            for j in sorted(j for j in js if j >= first):
                 bad = op.add_image({}, row.get(j, none))
                 _add_right(bad, -1, col_i, rows, j)
                 _add_left(bad, -sign, row, cols.get(j, none))
@@ -494,19 +512,29 @@ class StructureTable:
         something, so an i with an empty row is skipped; and J vanishes
         when [e_i, e_j], [e_j, e_k] and [e_i, e_k] all do, so for
         [e_i, e_j] = 0 only the k in rows[i] or rows[j] are visited.
+
+        The swap rule decides the sorted triples with a repeated even
+        letter.  For |x| even, [x, x] = 0 and the outer terms of
+        J(x, x, z) cancel; for |y| even, [y, y] = 0 and
+        [y, [x, y]] = -[[x, y], y], so J(x, y, y) = 0.  So j = i is
+        skipped for an even e_i and k = j for an even e_j.  Every other
+        sorted triple the supports leave is evaluated.  A table of another
+        degree or symmetry obeys neither identity and skips neither.
         """
         rows = self.rows
         degs = self.space.degrees
         dim = len(rows)
+        lie = self.degree == 0 and not self.symmetric
         none = {}
         for i, row_i in enumerate(rows):
             if not row_i:
                 continue
-            for j in range(i, dim):
+            for j in range(i + 1 if lie and degs[i] % 2 == 0 else i, dim):
                 row_j = rows[j]
                 val_ij = row_i.get(j, none)
-                ks = range(j, dim) if val_ij else sorted(
-                    k for k in row_i.keys() | row_j.keys() if k >= j)
+                first = j + 1 if lie and degs[j] % 2 == 0 else j
+                ks = range(first, dim) if val_ij else sorted(
+                    k for k in row_i.keys() | row_j.keys() if k >= first)
                 sign = 1 if degs[i] % 2 and degs[j] % 2 else -1
                 for k in ks:
                     # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
@@ -525,17 +553,29 @@ class StructureTable:
         skipped; and both vanish when e_i e_j = 0 and e_j e_k = 0, so for
         e_i e_j = 0 only the k in rows[j] are visited (a row lists its j
         in index order).
+
+        The swap rule decides the triples with k < i: a product has the
+        shifted degree p_x + p_y, so swapping the outer and then the inner
+        factors gives (z y) x = s x (y z) and z (y x) = s (x y) z with
+        s = (-1)^{p_x p_y + p_y p_z + p_z p_x}, and the associator
+        a(x, y, z) = (x y) z - x (y z) obeys a(z, y, x) = -s a(x, y, z).
+        So the first failing triple has i <= k, and only k >= i is
+        visited; k = i is skipped too for an even p_i, where s = 1 and
+        a(x, y, x) = -a(x, y, x).
         """
         rows = self.rows
+        degs = self.space.degrees
         dim = len(rows)
         none = {}
         for i, row_i in enumerate(rows):
             if not row_i:
                 continue
+            first = i + 1 if (degs[i] + self.degree) % 2 == 0 else i
             for j in range(dim):
                 row_j = rows[j]
                 val_ij = row_i.get(j, none)
-                for k in range(dim) if val_ij else row_j:
+                for k in range(first, dim) if val_ij else [
+                        k for k in row_j if k >= first]:
                     bad = _add_left({}, -1, row_i, row_j.get(k, none))
                     _add_right(bad, 1, val_ij, rows, k)
                     if any(bad.values()):

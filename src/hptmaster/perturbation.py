@@ -116,8 +116,11 @@ def _lift_homotopy(h, nabla_pi, sym):
     length's M only.  On numerators a kept letter counts 1 and a nabla pi
     letter its numerator, so the weight k! (n-1-k)! / (n! mult(w)) and the
     missing k factors nabla_pi.den bring a term over the column's scale
-    n! mult(w) h.den nabla_pi.den^(n-1)."""
+    n! mult(w) h.den nabla_pi.den^(n-1).  Every term holds one h letter,
+    so an h without columns (d = 0) lifts to zero."""
     h_cols, np_cols = h.columns, nabla_pi.columns
+    if not h_cols:
+        return GradedMap.zero(sym.space, sym.space, 1)
     m_np = nabla_pi.den
     odd, mult, windex = sym.odd, sym.mult, sym.windex
     columns = []

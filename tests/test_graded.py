@@ -125,6 +125,12 @@ def test_compose_and_arithmetic():
     assert g.compose(f).apply_basis(0) == {0: Fraction(6)}
     assert (f + f).apply_basis(0) == {1: Fraction(4)}
     assert f.scale(Fraction(1, 2)).apply_basis(0) == {1: Fraction(1)}
+    # a zero operand hands back the other one, after the compatibility check
+    zero = GradedMap.zero(V, V, 1)
+    assert f + zero is f and f - zero is f and zero + f is f
+    assert zero - f == -f == GradedMap(V, V, 1, {(1, 0): Fraction(-2)})
+    with pytest.raises(ValueError):
+        g + GradedMap.zero(V, V, 1)
 
 
 # -- structure tables --------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hptmaster import instances
+from hptmaster import instances, perturbation
 from hptmaster.cli import load_problem
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
 from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_map
@@ -394,6 +394,21 @@ def test_prefix_recurrences_match_the_closed_forms(data):
     if not con.identity_failures():
         lifted = symmetric_coalgebra_contraction(con, big_sym, small_sym)
         assert (lifted.nabla, lifted.pi, lifted.h) == new
+
+
+def test_zero_homotopy_lifts_to_zero_at_once(monkeypatch):
+    # d = 0: h has no column, and no word's M(u) is built
+    g = instances.random_dgla(1)
+    con = build_contraction(g.complex)
+    assert g.d.is_zero() and con.h.is_zero()
+    big_sym = suspended_coalgebra(con.big.d, 4)
+    small_sym = suspended_coalgebra(con.small.d, 4)
+    want = lift_oracle.lift(con, big_sym, small_sym)[2]
+    nabla_pi = suspend_map(con.nabla).compose(suspend_map(con.pi))
+    calls = count_calls(monkeypatch, {"_times": perturbation._times})
+    h_c = _lift_homotopy(suspend_map(con.h), nabla_pi, big_sym)
+    assert h_c == want == GradedMap.zero(big_sym.space, big_sym.space, 1)
+    assert h_c.den == 1 and calls["_times"] == 0
 
 
 def count_calls(monkeypatch, functions):

@@ -37,6 +37,12 @@ def test_lengthwise_recursion_matches_full_cup_oracle(corpus):
             tau, D = word_oracle.transfer_tau_and_D(g, con, N)
             assert res.tau.hom.entries == tau.entries
             assert res.coalg.perturbation == D
+            # the small complex is homology, so d1 = 0 and the sum d1 + D
+            # hands back an operand: D itself, or d1 when D = 0 too
+            coalg = res.coalg
+            op = coalg.perturbation_operator
+            assert coalg.d1.is_zero()
+            assert coalg.differential is (op if op.columns else coalg.d1)
 
 
 def test_engineered_l3_hand_values():

@@ -1,8 +1,8 @@
 """The verdict loops of StructureTable (the Leibniz rule, Jacobi and
 associativity) against the loops they replaced (tests/verdict_oracle.py)
 and the dense Leibniz check (tests/bv_oracle.py), on sparse tables whose
-pruning matters, and a count guard that their work follows the nonzeros
-of d rather than dim^2."""
+pruning matters, and count guards: their work follows the nonzeros of d
+rather than dim^2, and they skip the cases their swap rule decides."""
 
 import random
 import sys
@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import bv_oracle
 import lie_instances
@@ -20,6 +20,7 @@ from hptmaster import graded, instances
 from hptmaster.complexes import ChainComplex
 from hptmaster.dgla import DgLieAlgebra, validate_dgla
 from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
+from test_int_kernels import direct_sum
 
 NONZERO = [Fraction(c) for c in ("1", "-1", "2", "1/2", "-2/3", "3")]
 # (degree, symmetric): dg Lie bracket, graded commutative product,
@@ -48,14 +49,44 @@ def _square_vanishes(degs, degree, symmetric, i):
     return ((degs[i] + degree) % 2 == 1) == symmetric
 
 
-def _corrupt(rows, op_ent, degs, degree, symmetric, op_degree, rng):
-    """One table slot or one operator slot changed by a nonzero value."""
+def _slots(degs, degree, symmetric, op_degree):
+    """The table slots ((i, j), k), i <= j, and the operator slots (t, s)
+    that may hold a nonzero value."""
     n = len(degs)
-    slots = [("table", (i, j), k) for i in range(n) for j in range(i, n)
+    table = [((i, j), k) for i in range(n) for j in range(i, n)
              if not (i == j and _square_vanishes(degs, degree, symmetric, i))
              for k in range(n) if degs[k] == degs[i] + degs[j] + degree]
-    slots += [("op", (t, s), None) for s in range(n) for t in range(n)
-              if degs[t] == degs[s] + op_degree]
+    op = [(t, s) for s in range(n) for t in range(n)
+          if degs[t] == degs[s] + op_degree]
+    return table, op
+
+
+def _corrupt(rows, op_ent, degs, degree, symmetric, op_degree, rng):
+    """One table slot or one operator slot changed by a nonzero value; or,
+    drawn as often, a change that tends to put the first failure on a
+    repeated index or on a pair the loops reach only through its mirror:
+    the square of a letter whose square may be nonzero (an odd letter of a
+    bracket), several entries of one operator column, or one product
+    beside a unit (an index whose row multiplies every partner by 1)."""
+    table, op_slots = _slots(degs, degree, symmetric, op_degree)
+    kind = rng.choice(["any", "square", "column", "unit"])
+    if kind == "column" and op_slots:
+        s = rng.choice(op_slots)[1]
+        column = [key for key in op_slots if key[1] == s]
+        for key in rng.sample(column, rng.randint(1, len(column))):
+            op_ent[key] = op_ent.get(key, 0) + rng.choice(NONZERO)
+        return
+    if kind == "square":
+        table = [slot for slot in table if slot[0][0] == slot[0][1]]
+    elif kind == "unit":
+        units = {u for u in range(len(degs))
+                 if any(u in ij for ij in rows)
+                 and all(val == {ij[0] + ij[1] - u: 1}
+                         for ij, val in rows.items() if u in ij)}
+        table = [slot for slot in table if units & set(slot[0])]
+    slots = [("table",) + slot for slot in table]
+    if kind == "any":
+        slots += [("op", key, None) for key in op_slots]
     if not slots:
         return
     where, key, k = rng.choice(slots)
@@ -128,15 +159,57 @@ def test_verdict_loops_match_the_oracles_on_sparse_tables(case):
     table, op = case
     leibniz = table.first_non_derivation(op)
     assert leibniz == verdict_oracle.first_non_derivation(table, op)
-    assert table.first_non_jacobi() == verdict_oracle.first_non_jacobi(table)
-    assert (table.first_non_associative()
-            == verdict_oracle.first_non_associative(table))
+    jacobi = table.first_non_jacobi()
+    assert jacobi == verdict_oracle.first_non_jacobi(table)
+    assoc = table.first_non_associative()
+    assert assoc == verdict_oracle.first_non_associative(table)
+    # how often a witness sits where the swap rule could have skipped
+    for name, witness in (("Leibniz", leibniz), ("Jacobi", jacobi),
+                          ("associativity", assoc)):
+        event("%s witness %s" % (name, "none" if witness is None
+                                 else "on a repeated index"
+                                 if len(set(witness)) < len(witness)
+                                 else "on distinct indices"))
     if op.degree % 2 and table.space.dim <= 10:
         # the dense check evaluates every pair; its rule for an odd op is
         # the product's for degree 0 and the bracket's for degree -1
         A = SimpleNamespace(space=table.space, multiply=table, bracket=table)
         assert leibniz == bv_oracle.non_derivation(
             A, op, bracket=table.degree % 2 == 1)
+
+
+def test_every_one_entry_corruption_of_a_valid_source_matches_the_oracles():
+    # 729 tables and operators; the first failure sits on a repeated index
+    # for 36 Leibniz and 63 Jacobi witnesses
+    repeated = {"Leibniz": 0, "Jacobi": 0}
+    for table, op in VALID:
+        degs = table.space.degrees
+        table_slots, op_slots = _slots(degs, table.degree, table.symmetric,
+                                       op.degree)
+        for where, (key, k) in ([("table", slot) for slot in table_slots]
+                                + [("op", (key, None)) for key in op_slots]):
+            rows = {ij: dict(val) for ij, val in table.canonical.items()}
+            op_ent = dict(op.entries)
+            if where == "table":
+                val = rows.setdefault(key, {})
+                val[k] = val.get(k, 0) + 1
+            else:
+                op_ent[key] = op_ent.get(key, 0) + 1
+            bad = StructureTable(table.space, rows, table.degree,
+                                 table.symmetric)
+            bad_op = GradedMap(op.source, op.target, op.degree, op_ent)
+            for name, got, want in (
+                    ("Leibniz", bad.first_non_derivation(bad_op),
+                     verdict_oracle.first_non_derivation(bad, bad_op)),
+                    ("Jacobi", bad.first_non_jacobi(),
+                     verdict_oracle.first_non_jacobi(bad)),
+                    ("associativity", bad.first_non_associative(),
+                     verdict_oracle.first_non_associative(bad))):
+                assert got == want, (name, where, key, k)
+                if name in repeated and got and len(set(got)) < len(got):
+                    repeated[name] += 1
+    # the cases the swap rule leaves on the diagonal are reached
+    assert repeated["Leibniz"] and repeated["Jacobi"]
 
 
 def test_valid_sources_pass_their_checks():
@@ -240,3 +313,46 @@ def test_validate_work_follows_the_nonzeros_of_d():
         sizes.append(size)
     # linear in dim + nnz(d): eight times the size, not 64 times the work
     assert counts[1] <= 1.25 * counts[0] * sizes[1] / sizes[0]
+
+
+def evaluated_cases(f, names):
+    """(f(), the cases its verdict loop evaluates, in order): each
+    evaluated pair or triple calls graded._add_right once, and the loop's
+    indices, its locals of the given names, are read at that call."""
+    cases = []
+    add_right = graded._add_right
+
+    def counting(*args):
+        loop = sys._getframe(1).f_locals
+        cases.append(tuple(loop[name] for name in names))
+        return add_right(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded, "_add_right", counting)
+        return f(), cases
+
+
+def test_verdict_loops_skip_the_cases_their_swap_rule_decides():
+    l3 = instances.nonzero_l3_dgla()
+    g = instances.change_basis(direct_sum([l3, l3]), random.Random(1))
+    table, degs = g.bracket, g.space.degrees
+    verdict, pairs = evaluated_cases(
+        lambda: table.first_non_derivation(g.d), "ij")
+    assert verdict is None and len(set(pairs)) == len(pairs)
+    # L(j, i) = sign(i, j) L(i, j): no j < i, no (i, i) with sign -1
+    assert all(i < j or (i == j and table._swap_sign(i, i) > 0)
+               for i, j in pairs)
+    verdict, triples = evaluated_cases(table.first_non_jacobi, "ijk")
+    assert verdict is None and len(set(triples)) == len(triples)
+    # J(x, x, z) = J(x, y, y) = 0 for even x, y
+    assert all(i <= j <= k for i, j, k in triples)
+    assert not any((i == j and degs[i] % 2 == 0)
+                   or (j == k and degs[j] % 2 == 0) for i, j, k in triples)
+    product = kahler_bv().algebra.multiply
+    verdict, assoc = evaluated_cases(product.first_non_associative, "ijk")
+    assert verdict is None and len(set(assoc)) == len(assoc)
+    # a(z, y, x) = -(-1)^{|x||y|+|y||z|+|z||x|} a(x, y, z)
+    assert all(i < k or (i == k and product.space.degrees[i] % 2)
+               for i, _, k in assoc)
+    # the loops without the swap rule evaluated 136, 332 and 149
+    assert (len(pairs), len(triples), len(assoc)) == (70, 246, 71)
