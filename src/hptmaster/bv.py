@@ -37,7 +37,10 @@ class GerstenhaberAlgebra:
                  unit_index=0):
         self.space = space
         self.unit_index = unit_index
-        if space.dim and space.degrees[unit_index] != 0:
+        if not 0 <= unit_index < space.dim:
+            raise ValueError("unit: no basis element at position %d"
+                             % unit_index)
+        if space.degrees[unit_index] != 0:
             raise ValueError("unit: %r must have degree 0"
                              % space.labels[unit_index])
         if isinstance(product_rows, StructureTable):

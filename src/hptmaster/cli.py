@@ -372,20 +372,10 @@ def cmd_bv(args, started):
         report["error"] = str(exc)
         _emit(report, args, started)
         return EXIT_VERIFY
-    report["pipeline_report"] = _plain(pipe)
+    report["pipeline_report"] = pipe
     report["result"] = serialize_transfer(result)
     _emit(report, args, started)
     return EXIT_OK if pipe["passed"] else EXIT_VERIFY
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    return obj
 
 
 def _parse_theta(args):
@@ -429,7 +419,7 @@ def cmd_massey(args, started):
             instance, morgan = morgan_example(args.order, theta=theta)
         except ValueError as exc:
             raise InputError(str(exc))
-        report["report"] = _plain(morgan)
+        report["report"] = morgan
         coalg = instance.coalg
         theta = coalg.perturbation
         report["theta"] = {

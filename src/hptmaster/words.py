@@ -15,8 +15,10 @@ this normalization the diagonal takes the form
     Delta(e_w) = sum over ordered multiset splittings (A, B) of
                  sign(A, B) e_A (x) e_B,
 
-each splitting counted once.  A repeated odd-degree factor makes a word
-zero; this is enforced at construction.
+each splitting counted once (`splittings`; the coderivation check,
+`coderivation_defects`, keeps only those with a one-letter left factor).
+A repeated odd-degree factor makes a word zero; this is enforced at
+construction.
 
 Read the other way round, this is the merge form of the diagonal: every
 pair of words (A, B) whose sorted merge w = A u B has no repeated odd
@@ -270,10 +272,6 @@ class TruncatedSymCoalgebra:
             self._differential = self.d1 + self.perturbation_operator
         return self._differential
 
-    def diagonal(self, word):
-        """Splittings of a basis word."""
-        return list(splittings(word, self.gen_space))
-
 
 def suspended_coalgebra(d, N):
     """Sigma^c[sM] truncated at word length N, with d1 induced by the
@@ -324,91 +322,15 @@ def coderivation_operator(lam, coalg):
     return GradedMap.from_columns(coalg.space, coalg.space, -1, cols, lam.den)
 
 
-def commutes_with_diagonal(op, coalg):
-    """Does Delta o D = (D (x) Id + Id (x) D) o Delta exactly?
+def coderivation_defects(op, coalg):
+    """The source words w, in word order, where D = op (homogeneous) shows
+    a defect in one of two parts of delta = Delta D - (D (x) Id + Id (x) D)
+    Delta: eps D e_w != 0, or the one-letter part (pr1 (x) Id) delta(e_w)
+    != 0, pr1 the projection onto the words of length one.
 
-    op must be a homogeneous operator of odd degree (a candidate
-    coderivation).  Returns the list of words where compatibility fails,
-    in word order.
-
-    The two sides enumerate Delta independently: Delta(D e_w) runs over
-    the splittings of the words in D e_w, while (D (x) Id + Id (x) D)
-    Delta(e_w) is built by merging each word X of the column support of D
-    with every word Y of length |w| - |X|, on either side.  Words are
-    compared one length n at a time, in one dict that holds only that
-    length's differences: the merge side is added into it, and then each
-    target word t of the columns of the length-n words is split once and
-    c Delta(e_t) subtracted for every entry c of t in those columns.  A
-    tensor e_A (x) e_B is keyed by the int a * W + b, a and b the indices
-    of A and B among the W words.  Both scans are driven by the supports:
-    the merge side by the columns of D, the split side by the columns of
-    the length-n words of D, and the verdict reads the words w that the
-    dict holds, in index order, which is word order.
-    """
-    odd = op.degree % 2 == 1
-    words = coalg.words
-    windex = coalg.windex
-    degs = coalg.space.degrees
-    W = len(words)
-    # both sides on the int numerators of op, op.den times too large: the
-    # columns of D, and the same columns by the length of their word
-    columns = []
-    cols_by_length = [[] for _ in range(coalg.N + 1)]
-    for s, col in op.columns.items():
-        columns.append((words[s], degs[s] % 2 == 1, list(col.items())))
-        cols_by_length[len(words[s])].append((s, col))
-    # the words of each length with their indices and parities
-    by_length = [[] for _ in range(coalg.N + 1)]
-    for y, Y in enumerate(words):
-        by_length[len(Y)].append((Y, y, degs[y] % 2 == 1))
-    bad = []
-    for n in range(coalg.N + 1):
-        rhs = {}
-        for X, x_odd, col in columns:
-            if len(X) > n:
-                continue
-            for Y, y, y_odd in by_length[n - len(X)]:
-                w, sign = merge_words(X, Y, coalg)
-                if w is None:
-                    continue
-                acc = rhs.setdefault(windex[w], {})
-                # D (x) Id on the splitting (X, Y)
-                for t, c in col:
-                    key = t * W + y
-                    acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
-                # Id (x) D on the splitting (Y, X): the Koszul signs of
-                # swapping X and Y, (-1)^{|X||Y|}, and of moving D past
-                # e_Y, (-1)^{|D||Y|}
-                if y_odd and x_odd != odd:
-                    sign = -sign
-                yW = y * W
-                for t, c in col:
-                    key = yW + t
-                    acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
-        # Delta(D e_w) for the words w of length n: the columns grouped by
-        # target word, so that each target is split once per length
-        uses = {}
-        for wi, col in cols_by_length[n]:
-            acc = rhs.setdefault(wi, {})
-            for t, c in col.items():
-                uses.setdefault(t, []).append((acc, c))
-        for t, entries in uses.items():
-            for A, B, sign in coalg.diagonal(words[t]):
-                key = windex[A] * W + windex[B]
-                for acc, c in entries:
-                    acc[key] = acc.get(key, 0) - (c if sign > 0 else -c)
-        bad.extend(words[wi] for wi in sorted(rhs) if any(rhs[wi].values()))
-    return bad
-
-
-def is_coderivation(op, coalg):
-    """Is commutes_with_diagonal(op, coalg) empty?  The same verdict, read
-    from two parts of delta = Delta D - (D (x) Id + Id (x) D) Delta only,
-    D = op homogeneous: eps D, and the one-letter part (pr1 (x) Id) delta,
-    pr1 the projection onto the words of length one.
-
-    Why they suffice, over Q (Lada-Stasheff, hep-th/9209099, for the
-    cofree cocommutative coalgebra):
+    The list is empty exactly when D is a coderivation, over Q
+    (Lada-Stasheff, hep-th/9209099, for the cofree cocommutative
+    coalgebra):
     - eps D = 0, no entry of D on the empty word, gives (eps (x) Id) delta
       = (Id (x) eps) delta = 0 by the counit.  It is also necessary:
       eps (x) eps of delta(e_w) is -eps D e_w.
@@ -423,6 +345,16 @@ def is_coderivation(op, coalg):
     - In divided powers the product after p is m o p = |t| Id, so p is
       injective on the words with |t| >= 1.  So delta(e_w) lies in
       e_1 (x) C, and (eps (x) Id) delta(e_w) = 0 makes it zero.
+
+    Against the full list, the words w with delta(e_w) != 0:
+    - it is a subset, since eps (x) eps of delta(e_w) is -eps D e_w and
+      the one-letter part is a projection of delta(e_w);
+    - it starts with the same word w0.  Every word shorter than w0
+      passes, so eps D vanishes on the proper subwords of w0, and
+      (eps (x) Id) delta(e_w0), which sums eps D e_A e_B over the
+      splittings (A, B) of w0, is -eps D e_w0.  If that is 0, the step
+      above applies to w0: a zero one-letter part would make delta(e_w0)
+      zero.
 
     The one-letter part is built on the int numerators of op, keyed per
     source word w by g * W + b for e_g (x) e_B, b the index of B among
@@ -449,9 +381,10 @@ def is_coderivation(op, coalg):
     res = {}
     uses = {}
     ones = []
+    bad = set()
     for s, col in op.columns.items():
         if empty in col:
-            return False
+            bad.add(s)
         acc = res.setdefault(s, {})
         one = []
         for t, c in col.items():
@@ -462,7 +395,7 @@ def is_coderivation(op, coalg):
             ones.append((words[s], one))
     # Delta D e_w
     for t, entries in uses.items():
-        for A, B, sign in coalg.diagonal(words[t]):
+        for A, B, sign in splittings(words[t], coalg.gen_space):
             if len(A) != 1:
                 continue
             key = A[0] * W + windex[B]
@@ -503,7 +436,8 @@ def is_coderivation(op, coalg):
             for t, c in col:
                 key = base + t
                 acc[key] = acc.get(key, 0) + (c if neg else -c)
-    return not any(any(acc.values()) for acc in res.values())
+    bad.update(wi for wi, acc in res.items() if any(acc.values()))
+    return [words[wi] for wi in sorted(bad)]
 
 
 def check_sh_lie(coalg):
@@ -511,8 +445,10 @@ def check_sh_lie(coalg):
 
     Returns a report dict with the word lengths at which (d + del)^2 fails,
     whether the perturbation kills the coaugmentation, and the words where
-    coalgebra compatibility fails.  The verdict is is_coderivation's;
-    commutes_with_diagonal lists the failing words only when it fails.
+    coalgebra compatibility fails, as coderivation_defects lists them from
+    eps D and the one-letter part: none exactly when the perturbation
+    operator is a coderivation, and otherwise a subset of the words where
+    Delta D != (D (x) 1 + 1 (x) D) Delta that starts with the first one.
     """
     D = coalg.differential
     sq = D.compose(D)
@@ -523,8 +459,7 @@ def check_sh_lie(coalg):
             (words[s], words[t], Fraction(n, sq.den)) for t, n in col.items())
     op = coalg.perturbation_operator
     unit_ok = coalg.windex[EMPTY] not in op.columns
-    bad_words = ([] if is_coderivation(op, coalg)
-                 else commutes_with_diagonal(op, coalg))
+    bad_words = coderivation_defects(op, coalg)
     return {
         "square_zero": not failures,
         "square_failures_by_length": {k: sorted(v) for k, v in failures.items()},

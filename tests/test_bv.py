@@ -419,3 +419,11 @@ def test_sparse_bv_checks_match_the_dense_oracle(case):
                       (A.bracket, bv.delta)):
         assert table.first_non_derivation(op) == bv_oracle.non_derivation(
             A, op, bracket=table is A.bracket)
+
+
+def test_unit_must_be_a_basis_element():
+    space = GradedVectorSpace([("1", 0), ("x", 2)])
+    for empty, unit_index in ((True, 0), (False, 2), (False, -1)):
+        with pytest.raises(ValueError, match="unit: no basis element"):
+            GerstenhaberAlgebra(GradedVectorSpace([]) if empty else space,
+                                {}, unit_index=unit_index)

@@ -481,6 +481,18 @@ def test_massey_wedge_rejects_order_below_one(capsys, order):
     assert doc["free_lie"]["dimensions_by_length"] == {"1": 2}
 
 
+def test_bv_file_without_a_unit_exits_two(tmp_path, capsys):
+    # an empty basis has no element for the unit to be
+    path = tmp_path / "empty.json"
+    path.write_text('{"basis": [], "product": []}')
+    for argv in (["validate"], ["bv"], ["bv", "--pipeline", "flat-unit"]):
+        code, out, err = run(argv + [str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: unit: ")
+
+
 def test_massey_bad_input_exit_two(capsys):
     code, _, _ = run(["massey", "--spheres", "1,3"], capsys)
     assert code == 2

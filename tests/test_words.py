@@ -19,9 +19,9 @@ from hptmaster.dgla import ce_coalgebra
 from hptmaster.graded import GradedMap, GradedVectorSpace, suspend_space
 from hptmaster.transfer import transfer
 from hptmaster.words import (TruncatedSymCoalgebra, check_sh_lie,
-                             coderivation_operator, commutes_with_diagonal,
-                             enumerate_words, is_coderivation, merge_words,
-                             parse_word, splittings, word_label)
+                             coderivation_defects, coderivation_operator,
+                             enumerate_words, merge_words, parse_word,
+                             splittings, word_label)
 
 F = Fraction
 
@@ -135,11 +135,11 @@ def test_diagonal_coassociative():
     for w in coalg.words:
         left = {}
         right = {}
-        for A, B, s1 in coalg.diagonal(w):
+        for A, B, s1 in splittings(w, MIXED):
             for A1, A2, s2 in splittings(A, MIXED):
                 key = (A1, A2, B)
                 left[key] = left.get(key, 0) + s1 * s2
-        for A, B, s1 in coalg.diagonal(w):
+        for A, B, s1 in splittings(w, MIXED):
             for B1, B2, s2 in splittings(B, MIXED):
                 key = (A, B1, B2)
                 right[key] = right.get(key, 0) + s1 * s2
@@ -156,7 +156,8 @@ def test_coderivation_is_coalgebra_compatible():
     lam = corestriction(coalg, {(0, 1): {0: F(2)}, (0, 2): {1: F(1)},
                                 (0, 0): {}})
     op = coderivation_operator(lam, coalg)
-    assert commutes_with_diagonal(op, coalg) == []
+    assert (coderivation_defects(op, coalg)
+            == word_oracle.commutes_with_diagonal(op, coalg) == [])
 
 
 def test_coderivation_corestriction_matches_components():
@@ -256,7 +257,8 @@ def test_coderivation_matches_oracle_on_hand_case():
         op = coderivation_operator(lam, coalg)
         assert op.entries == word_oracle.coderivation_operator(
             lam, coalg).entries
-        assert commutes_with_diagonal(op, coalg) == []
+        assert (coderivation_defects(op, coalg)
+                == word_oracle.commutes_with_diagonal(op, coalg) == [])
 
 
 def test_word_layer_matches_oracle_on_corpus(corpus):
@@ -271,7 +273,7 @@ def test_word_layer_matches_oracle_on_corpus(corpus):
                 assert op.entries == word_oracle.coderivation_operator(
                     lam, coalg).entries
             D = coalg.differential
-            assert (commutes_with_diagonal(D, coalg) ==
+            assert (coderivation_defects(D, coalg) ==
                     word_oracle.commutes_with_diagonal(D, coalg) == [])
 
 
@@ -284,7 +286,7 @@ def test_word_layer_matches_oracle_on_l3_cubed(fixture_dir):
         assert op.entries == word_oracle.coderivation_operator(
             coalg.perturbation, coalg).entries
         D = coalg.differential
-        assert (commutes_with_diagonal(D, coalg) ==
+        assert (coderivation_defects(D, coalg) ==
                 word_oracle.commutes_with_diagonal(D, coalg) == [])
 
 
@@ -294,35 +296,6 @@ def _basis_changed_l3_cubed(fixture_dir, N):
     _, g, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
     g = instances.change_basis(g, random.Random(3))
     return transfer(g, build_contraction(g.complex), N).coalg
-
-
-def test_compatibility_splits_each_target_once_per_length(monkeypatch,
-                                                          fixture_dir):
-    # Delta(D e_w) splits each target word of D once per length of the
-    # words w, not once per column it appears in: 36 splittings for the
-    # 2,520 nonzeros of D here
-    coalg = _basis_changed_l3_cubed(fixture_dir, 4)
-    op = coalg.perturbation_operator
-    split = []
-    diagonal = TruncatedSymCoalgebra.diagonal
-
-    def counting(self, word):
-        split.append(word)
-        return diagonal(self, word)
-
-    monkeypatch.setattr(TruncatedSymCoalgebra, "diagonal", counting)
-    assert commutes_with_diagonal(op, coalg) == []
-    pairs = {(t, len(coalg.words[s])) for s, col in op.columns.items()
-             for t in col}
-    assert len(pairs) < len(op.entries)
-    assert len(split) <= len(pairs)
-
-
-def test_compatibility_reads_word_parities_from_the_degrees(fixture_dir):
-    # the merge side takes the parity of each word from the degrees the
-    # coalgebra's word space holds, the only word parity it keeps
-    coalg = _basis_changed_l3_cubed(fixture_dir, 4)
-    assert commutes_with_diagonal(coalg.perturbation_operator, coalg) == []
 
 
 def _corruptions(op, coalg, rng, count):
@@ -389,7 +362,20 @@ def _length_operator(coalg):
                       if word})
 
 
-def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
+def _defects_like_oracle(op, coalg):
+    """coderivation_defects(op, coalg), required to be empty exactly when
+    the per-word oracle's list is, to be a subset of that list in word
+    order, and to start with the same word."""
+    got = coderivation_defects(op, coalg)
+    want = word_oracle.commutes_with_diagonal(op, coalg)
+    assert (got == []) == (want == [])
+    assert set(got) <= set(want)
+    assert got == sorted(got, key=coalg.windex.__getitem__)
+    assert got[:1] == want[:1]
+    return got
+
+
+def test_coderivation_defects_match_the_oracle_on_corrupted_operators(
         fixture_dir):
     rng = random.Random(11)
     cases = [ce_coalgebra(instances.nonzero_l3_dgla(), 4),
@@ -399,12 +385,9 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
     # shared target words, within a length and across lengths
     cases.append(_basis_changed_l3_cubed(fixture_dir, 4))
     for coalg in cases:
-        assert is_coderivation(coalg.differential, coalg) is True
+        assert _defects_like_oracle(coalg.differential, coalg) == []
         for bad in _corruptions(coalg.differential, coalg, rng, 6):
-            got = commutes_with_diagonal(bad, coalg)
-            assert got
-            assert got == word_oracle.commutes_with_diagonal(bad, coalg)
-            assert is_coderivation(bad, coalg) is False
+            assert _defects_like_oracle(bad, coalg)
     # changes onto the empty word and onto length-one targets, which the
     # one-letter part and eps decide without the longer targets
     short = random.Random(12)
@@ -416,32 +399,23 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
         empty = [k for k in keys if not coalg.words[k[0]]]
         for bad in (_changed(D, coalg, short, 4, keys)
                     + _changed(D, coalg, short, 2, empty)):
-            got = commutes_with_diagonal(bad, coalg)
-            assert got
-            assert got == word_oracle.commutes_with_diagonal(bad, coalg)
-            assert is_coderivation(bad, coalg) is False
+            assert _defects_like_oracle(bad, coalg)
     # an entry on the empty word from a word of length N has no one-letter
     # term: eps alone refuses it
     coalg = TruncatedSymCoalgebra(MIXED, 2)
     bad = GradedMap(coalg.space, coalg.space, -1,
                     {(coalg.windex[()], coalg.windex[(P, U)]): F(1)})
-    assert commutes_with_diagonal(bad, coalg) == [(P, U)]
-    assert is_coderivation(bad, coalg) is False
+    assert _defects_like_oracle(bad, coalg) == [(P, U)]
     # degree 0: the word-length operator and its one-entry changes, which
     # may or may not be coderivations
     for coalg in cases[:4]:
         L = _length_operator(coalg)
-        assert commutes_with_diagonal(L, coalg) == []
-        assert is_coderivation(L, coalg) is True
+        assert _defects_like_oracle(L, coalg) == []
         keys = [(t, s) for s in range(coalg.space.dim)
                 for t in range(coalg.space.dim)
                 if coalg.space.degrees[t] == coalg.space.degrees[s]]
-        verdicts = set()
-        for bad in _changed(L, coalg, short, 8, keys):
-            got = commutes_with_diagonal(bad, coalg)
-            assert got == word_oracle.commutes_with_diagonal(bad, coalg)
-            assert is_coderivation(bad, coalg) == (got == [])
-            verdicts.add(got == [])
+        verdicts = {_defects_like_oracle(bad, coalg) == []
+                    for bad in _changed(L, coalg, short, 8, keys)}
         assert False in verdicts
     # a changed corestriction breaks compatibility on the longer words
     # that contain the changed word, not on the word itself
@@ -453,69 +427,95 @@ def test_commutes_with_diagonal_reports_corrupted_words_like_oracle(
     key = (coalg.windex[parse_word("sv", coalg.gen_space)], wi)
     ent[key] = ent.get(key, F(0)) + 1
     bad = GradedMap(coalg.space, coalg.space, -1, ent)
-    got = commutes_with_diagonal(bad, coalg)
+    got = _defects_like_oracle(bad, coalg)
     assert got and xy not in got
-    assert got == word_oracle.commutes_with_diagonal(bad, coalg)
-    assert is_coderivation(bad, coalg) is False
+
+
+def _corrupted_perturbation(coalg, seed):
+    """Make coalg's perturbation operator a one-entry corruption of itself
+    (the operators built from it are dropped) and return it."""
+    bad = _corruptions(coalg.perturbation_operator, coalg,
+                       random.Random(seed), 1)[0]
+    coalg._pert_op, coalg._differential = bad, None
+    return bad
 
 
 def test_check_sh_lie_lists_words_only_when_its_verdict_fails(
         monkeypatch, fixture_dir):
-    # on passing coalgebras is_coderivation alone decides: the per-word
-    # check, which lists the incompatible words, is never called
+    # one call of coderivation_defects gives both the verdict and the
+    # words: none on passing coalgebras, the defects on a corrupted one
     _, l3_cubed, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
     g = instances.random_dgla(3)
     coalgs = [transfer(h, build_contraction(h.complex), 4).coalg
               for h in (l3_cubed, g)]
+    calls = []
 
-    def refuse(op, coalg):
-        raise AssertionError("commutes_with_diagonal on a passing input")
+    def counting(op, coalg):
+        calls.append(op)
+        return coderivation_defects(op, coalg)
 
-    with monkeypatch.context() as patch:
-        patch.setattr("hptmaster.words.commutes_with_diagonal", refuse)
-        for coalg in coalgs:
-            assert check_sh_lie(coalg)["passed"]
-        assert morgan_example()[1]["sh_lie"]
-    # a corrupted perturbation lists the words the per-word oracle finds
+    monkeypatch.setattr("hptmaster.words.coderivation_defects", counting)
+    for coalg in coalgs:
+        report = check_sh_lie(coalg)
+        assert report["passed"] and report["incompatible_words"] == []
+    assert morgan_example()[1]["sh_lie"]
+    assert len(calls) == 3
     coalg = coalgs[1]
-    bad = _corruptions(coalg.perturbation_operator, coalg,
-                       random.Random(4), 1)[0]
-    monkeypatch.setattr(coalg, "_pert_op", bad)
-    monkeypatch.setattr(coalg, "_differential", None)
+    bad = _corrupted_perturbation(coalg, 4)
     report = check_sh_lie(coalg)
+    assert calls[-1] is bad and len(calls) == 4
     assert not report["coalgebra_compatible"] and not report["passed"]
-    assert (report["incompatible_words"]
-            == word_oracle.commutes_with_diagonal(bad, coalg) != [])
+    assert report["incompatible_words"] == _defects_like_oracle(bad, coalg)
+    assert report["incompatible_words"]
 
 
-def test_is_coderivation_splits_each_target_once_and_merges_components(
+def _counting_splittings(monkeypatch):
+    """Count the words that hptmaster.words.splittings is called on."""
+    split = collections.Counter()
+
+    def counting(word, gen_space):
+        split[word] += 1
+        return splittings(word, gen_space)
+
+    monkeypatch.setattr("hptmaster.words.splittings", counting)
+    return split
+
+
+def test_coderivation_defects_split_each_target_once_and_merge_components(
         monkeypatch, fixture_dir):
     # the diagonal is read once per distinct target word of op, and only
     # the columns with a length-one target are merged with words
     coalg = _basis_changed_l3_cubed(fixture_dir, 4)
     op = coalg.perturbation_operator
     words = coalg.words
-    split = collections.Counter()
+    split = _counting_splittings(monkeypatch)
     merged = set()
-    diagonal = TruncatedSymCoalgebra.diagonal
-
-    def counting(self, word):
-        split[word] += 1
-        return diagonal(self, word)
 
     def spy(A, B, coalg):
         merged.add(A)
         return merge_words(A, B, coalg)
 
-    monkeypatch.setattr(TruncatedSymCoalgebra, "diagonal", counting)
     monkeypatch.setattr("hptmaster.words.merge_words", spy)
-    assert is_coderivation(op, coalg)
+    assert coderivation_defects(op, coalg) == []
     targets = {words[t] for col in op.columns.values() for t in col}
     assert set(split) <= targets and max(split.values()) == 1
     components = {words[s] for s, col in op.columns.items()
                   if any(len(words[t]) == 1 for t in col)}
     assert merged and merged <= components
     assert len(components) < len(op.columns)
+
+
+def test_check_sh_lie_splits_each_target_once_on_a_failing_coalgebra(
+        monkeypatch, fixture_dir):
+    # listing the incompatible words reads no more of the diagonal than
+    # the verdict does: at most one splitting per distinct target word
+    coalg = _basis_changed_l3_cubed(fixture_dir, 4)
+    bad = _corrupted_perturbation(coalg, 5)
+    split = _counting_splittings(monkeypatch)
+    report = check_sh_lie(coalg)
+    assert report["incompatible_words"] and not report["passed"]
+    targets = {coalg.words[t] for col in bad.columns.values() for t in col}
+    assert split and set(split) <= targets and max(split.values()) == 1
 
 
 def test_assigning_a_perturbation_rebuilds_the_operators():
