@@ -1,7 +1,9 @@
-"""Gerstenhaber algebras, BV generators, and the odd-Laplacian pipeline.
+"""BV algebras, their generated brackets, and the odd-Laplacian pipeline.
 
 This module works in cohomological degrees: the product has degree 0, the
 bracket degree -1, a differential d degree +1, a generator Delta degree -1.
+A BV problem is one BVData, built once: its bracket is given, or else
+generated from Delta once, at construction, on the pairs i <= j.
 The regrading g_n = A^{1-n} turns the bracket into an ordinary degree-0
 graded Lie bracket with homological differential, with the same structure
 constants; everything downstream (transfer, twisting cochains) runs on the
@@ -19,72 +21,25 @@ from .graded import GradedMap, GradedVectorSpace, StructureTable
 from .transfer import theorem_29_pipeline
 
 
-class GerstenhaberAlgebra:
-    """Graded commutative algebra with a degree -1 bracket, cohomological.
+def bracket_from_generator(product, delta):
+    """The bracket measured by the failure of Delta to be a derivation of
+    the product table `product`.
 
-    multiply is the StructureTable of the product, built from rows
-    (i, j) -> {k: c} in either index order, with the unit's rows
-    1 x = x 1 = x written in (rows given for the unit are replaced).
-    bracket is the table of the bracket, whose swap rule is the shifted
-    antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b].  Either may be
-    handed in as a table already built, such as another algebra's
-    multiply or the result of bracket_from_generator, and is then used as
-    it is.  product_table and bracket_table are their canonical i <= j
-    dicts.  An optional degree +1 differential completes the data.
-    """
-
-    def __init__(self, space, product_rows, bracket_rows=None, d=None,
-                 unit_index=0):
-        self.space = space
-        self.unit_index = unit_index
-        if not 0 <= unit_index < space.dim:
-            raise ValueError("unit: no basis element at position %d"
-                             % unit_index)
-        if space.degrees[unit_index] != 0:
-            raise ValueError("unit: %r must have degree 0"
-                             % space.labels[unit_index])
-        if isinstance(product_rows, StructureTable):
-            self.multiply = product_rows
-        else:
-            if isinstance(product_rows, dict):
-                product_rows = product_rows.items()
-            rows = [(key, val) for key, val in product_rows
-                    if unit_index not in key]
-            rows += [((unit_index, j), {j: 1}) for j in range(space.dim)]
-            self.multiply = StructureTable(space, rows, symmetric=True)
-        if isinstance(bracket_rows, StructureTable):
-            self.bracket = bracket_rows
-        else:
-            self.bracket = StructureTable(space, bracket_rows or (),
-                                          degree=-1)
-        if d is None:
-            d = GradedMap.zero(space, space, 1)
-        if d.degree != 1:
-            raise ValueError("differential must have degree +1")
-        self.d = d
-
-    @property
-    def product_table(self):
-        return self.multiply.canonical
-
-    @property
-    def bracket_table(self):
-        return self.bracket.canonical
-
-
-def bracket_from_generator(algebra, delta):
-    """The bracket measured by the failure of Delta to be a derivation.
-
-    [a, b] = (-1)^{|a|} ( Delta(ab) - (Delta a) b - (-1)^{|a|} a (Delta b) ).
-    Returns the StructureTable of the bracket; raises when the formula
-    fails shifted graded antisymmetry (it never does for homogeneous
-    degree -1 Delta).
+    [a, b] = (-1)^{|a|} F(a, b), where
+    F(a, b) = Delta(ab) - (Delta a) b - (-1)^{|a|} a (Delta b).
+    Returns the StructureTable of the bracket, evaluated on the pairs
+    i <= j only.  The table derives the others by its swap rule, which the
+    formula obeys: graded commutativity of the product, applied also to
+    the homogeneous Delta b of degree |b| - 1, gives
+    F(b, a) = (-1)^{|a||b|} F(a, b), so
+    [b, a] = (-1)^{|a|+|b|+|a||b|} [a, b] = -(-1)^{(|a|-1)(|b|-1)} [a, b],
+    the swap rule of a degree -1 table.  For odd a it gives [a, a] = 0, so
+    the table's refusal of the squares that rule forces to vanish never
+    fires.  Neither argument uses associativity.
     """
     if delta.degree != -1:
         raise ValueError("generator must have degree -1")
-    space = algebra.space
-    dim = space.dim
-    product = algebra.multiply
+    space = product.space
     dcols = delta.columns
     # each term on numerators comes out product.den delta.den times too
     # large
@@ -97,36 +52,65 @@ def bracket_from_generator(algebra, delta):
         product.add_product(out, {i: 1}, dcols.get(j, {}), -1)
         return {k: out[k] for k in sorted(out) if out[k]}
 
-    # the table refuses the squares the swap rule forces to vanish; the
-    # values on pairs i > j must be the ones it derives, compared over the
-    # two denominators
-    table = StructureTable(space, [((i, j), value(i, j))
-                                   for i in range(dim)
-                                   for j in range(i, dim)], degree=-1,
-                           den=den)
-    for i in range(dim):
-        for j in range(i):
-            if ({k: n * table.den for k, n in value(i, j).items()}
-                    != {k: n * den
-                        for k, n in table.numerators(i, j).items()}):
-                raise AssertionError("generated bracket is not antisymmetric")
-    return table
+    return StructureTable(space, [((i, j), value(i, j))
+                                  for i in range(space.dim)
+                                  for j in range(i, space.dim)],
+                          degree=-1, den=den)
 
 
 class BVData:
-    """A Gerstenhaber algebra together with its generating operator."""
+    """A BV algebra, cohomological: a graded commutative product with a
+    unit, a degree -1 generator Delta, its degree -1 bracket and an
+    optional degree +1 differential d.
 
-    def __init__(self, algebra, delta):
+    multiply is the StructureTable of the product, built from rows
+    (i, j) -> {k: c} in either index order, with the unit's rows
+    1 x = x 1 = x written in (rows given for the unit are replaced).
+    bracket is the table of the bracket, whose swap rule is the shifted
+    antisymmetry [b,a] = -(-1)^{(|a|-1)(|b|-1)}[a,b]: built from
+    bracket_rows when they are given, and otherwise generated from Delta
+    once, here (bracket_from_generator).
+    """
+
+    def __init__(self, space, product_rows, delta, bracket_rows=None, d=None,
+                 unit_index=0):
+        self.space = space
+        self.unit_index = unit_index
+        if not 0 <= unit_index < space.dim:
+            raise ValueError("unit: no basis element at position %d"
+                             % unit_index)
+        if space.degrees[unit_index] != 0:
+            raise ValueError("unit: %r must have degree 0"
+                             % space.labels[unit_index])
+        if isinstance(product_rows, dict):
+            product_rows = product_rows.items()
+        rows = [(key, val) for key, val in product_rows
+                if unit_index not in key]
+        rows += [((unit_index, j), {j: 1}) for j in range(space.dim)]
+        self.multiply = StructureTable(space, rows, symmetric=True)
+        if d is None:
+            d = GradedMap.zero(space, space, 1)
+        if d.degree != 1:
+            raise ValueError("differential must have degree +1")
+        self.d = d
         if delta.degree != -1:
             raise ValueError("generator must have degree -1")
-        self.algebra = algebra
         self.delta = delta
+        self.bracket_given = bracket_rows is not None
+        if self.bracket_given:
+            self.bracket = StructureTable(space, bracket_rows, degree=-1)
+        else:
+            self.bracket = bracket_from_generator(self.multiply, delta)
 
     def generates_bracket(self):
-        gen = bracket_from_generator(self.algebra, self.delta)
-        table = self.algebra.bracket
-        return (gen.den == table.den
-                and gen.numerator_rows() == table.numerator_rows())
+        """Whether the bracket is the one Delta generates: so by
+        construction when it was generated; a given bracket is compared
+        with one generation."""
+        if not self.bracket_given:
+            return True
+        gen = bracket_from_generator(self.multiply, self.delta)
+        return (gen.den == self.bracket.den
+                and gen.numerator_rows() == self.bracket.numerator_rows())
 
     # BVData is never mutated, so the Delta-splitting and the formality
     # report are computed on first use and then shared by every check and
@@ -143,16 +127,15 @@ class BVData:
     def kernel_algebra(self):
         """(m, incl): ker Delta as a sub-dgLa of the regraded algebra, and
         its inclusion."""
-        return regrade_to_lie(self.algebra).sub_algebra(
-            self.delta_splitting[0])
+        return regrade_to_lie(self).sub_algebra(self.delta_splitting[0])
 
     def delta_exact(self):
         return self.delta.compose(self.delta).is_zero()
 
     def weak_differential(self):
         """[d, Delta] = d Delta + Delta d = 0 (both are odd)."""
-        d = self.algebra.d
-        return (d.compose(self.delta) + self.delta.compose(d)).is_zero()
+        return (self.d.compose(self.delta)
+                + self.delta.compose(self.d)).is_zero()
 
 
 def validate_bv(bv):
@@ -166,18 +149,17 @@ def validate_bv(bv):
     Witnesses are basis-label pairs or triples for the first failure of
     each kind.
     """
-    A = bv.algebra
-    labels = A.space.labels
+    labels = bv.space.labels
     report = {"passed": True}
 
-    assoc = A.multiply.first_non_associative()
+    assoc = bv.multiply.first_non_associative()
     report["associative"] = assoc is None
     if assoc:
         report["associativity_witness"] = tuple(labels[i] for i in assoc)
 
-    report["d_squared_zero"] = A.d.compose(A.d).is_zero()
+    report["d_squared_zero"] = bv.d.compose(bv.d).is_zero()
 
-    leib = A.multiply.first_non_derivation(A.d)
+    leib = bv.multiply.first_non_derivation(bv.d)
     report["d_product_derivation"] = leib is None
     if leib:
         report["derivation_witness"] = (labels[leib[0]], labels[leib[1]])
@@ -201,7 +183,7 @@ def koszul_identity_check(bv):
         return {"applicable": False, "passed": False,
                 "reason": "Delta Delta != 0"}
     return {"applicable": True,
-            "passed": bv.algebra.bracket.first_non_derivation(bv.delta)
+            "passed": bv.bracket.first_non_derivation(bv.delta)
             is None}
 
 
@@ -212,12 +194,11 @@ def proposition_37_check(bv):
     """
     if not bv.weak_differential():
         raise ValueError("d does not graded-commute with Delta")
-    A = bv.algebra
-    return {"passed": A.bracket.first_non_derivation(A.d) is None}
+    return {"passed": bv.bracket.first_non_derivation(bv.d) is None}
 
 
-def regrade_to_lie(algebra):
-    """The dg Lie algebra with g_n = A^{1-n}.
+def regrade_to_lie(bv):
+    """The dg Lie algebra with g_n = A^{1-n}, for the BVData bv.
 
     Structure constants of bracket and differential carry over verbatim;
     only the grading bookkeeping changes (shifted antisymmetry becomes
@@ -225,12 +206,10 @@ def regrade_to_lie(algebra):
     product of the new degrees).
     """
     space = GradedVectorSpace(
-        [(lab, 1 - deg) for lab, deg in algebra.space.basis])
-    d = GradedMap.from_columns(space, space, -1, algebra.d.columns,
-                               algebra.d.den)
-    return DgLieAlgebra(ChainComplex(space, d),
-                        algebra.bracket.numerator_rows(),
-                        den=algebra.bracket.den)
+        [(lab, 1 - deg) for lab, deg in bv.space.basis])
+    d = GradedMap.from_columns(space, space, -1, bv.d.columns, bv.d.den)
+    return DgLieAlgebra(ChainComplex(space, d), bv.bracket.numerator_rows(),
+                        den=bv.bracket.den)
 
 
 def _kernel_subspace(op, space):
@@ -256,7 +235,7 @@ def _delta_splitting(bv):
     rows of its own degree.  When Delta Delta = 0, reps and image together
     are a basis of ker Delta.
     """
-    space = bv.algebra.space
+    space = bv.space
     ker = _kernel_subspace(bv.delta, space)
     image = [row for _, row in linalg.rref(bv.delta.by_column().values())]
     # the representatives are the remainders modulo im Delta and the
@@ -297,9 +276,8 @@ def kahler_formality_check(bv):
 
 
 def _formality_report(bv):
-    A = bv.algebra
-    space = A.space
-    if not A.d.compose(A.d).is_zero():
+    space = bv.space
+    if not bv.d.compose(bv.d).is_zero():
         raise ValueError("d d != 0")
     if not bv.delta_exact():
         raise ValueError("Delta Delta != 0")
@@ -308,12 +286,12 @@ def _formality_report(bv):
     ker, h_basis, h_reps, image = bv.delta_splitting
 
     neg = GradedVectorSpace([(lab, -deg) for lab, deg in space.basis])
-    d_neg = GradedMap.from_columns(neg, neg, -1, A.d.columns, A.d.den)
+    d_neg = GradedMap.from_columns(neg, neg, -1, bv.d.columns, bv.d.den)
     A_cx = ChainComplex(neg, d_neg)
 
     m_space = GradedVectorSpace(
         [("m%d" % i, -space.vector_degree(v)) for i, v in enumerate(ker)])
-    d_ker = [A.d(v) for v in ker]
+    d_ker = [bv.d(v) for v in ker]
     d_m_cols, den = linalg.solve(ker, d_ker)
     if None in d_m_cols:
         raise AssertionError("ker Delta is not d-stable")
@@ -390,15 +368,14 @@ def addendum_382_flat_identity(bv, N):
     the complement; the components tau_k, k >= 2, then take values away
     from the unit line, which is verified exactly.
     """
-    A = bv.algebra
-    space = A.space
-    u = A.unit_index
+    space = bv.space
+    u = bv.unit_index
     if space.degrees[u] != 0 or any(
             space.degrees[i] == 0 for i in range(space.dim) if i != u):
         raise ValueError("A^0 must be spanned by the unit")
     if u in bv.delta.columns:
         raise ValueError("Delta(1) != 0")
-    if u in A.d.columns:
+    if u in bv.d.columns:
         raise ValueError("d(1) != 0")
     # [1] nonzero in homology: 1 must not lie in im Delta, whose degree-0
     # part Delta(A^1) lies on the unit line, since the unit spans A^0

@@ -12,7 +12,9 @@ coderivation are written to the transfer report from their int columns,
 as is the massey theta.  Fractions are built for the product and bracket
 rows of BV problem files and for theta files, whose modules keep
 Fraction vectors, and are read back for the bracket section of a report
-and for the rest of the bv and massey reports.
+and for the rest of the bv and massey reports.  A BV problem file becomes
+one bv.BVData, which generates the bracket from Delta when the file has
+no bracket section.
 """
 
 import argparse
@@ -26,8 +28,7 @@ import time
 from fractions import Fraction
 from math import gcd, lcm
 
-from .bv import (BVData, GerstenhaberAlgebra, addendum_382_flat_identity,
-                 bracket_from_generator, kahler_formality_check,
+from .bv import (BVData, addendum_382_flat_identity, kahler_formality_check,
                  theorem_38_pipeline, validate_bv)
 from .complexes import ChainComplex, build_contraction
 from .deformation import massey_parameters, morgan_example, wedge_of_spheres
@@ -220,18 +221,12 @@ def load_problem(path):
     product = fraction_rows("product")
     unit_label = doc.get("unit")
     unit_index = look(unit_label, "unit") if unit_label is not None else 0
+    # without a bracket section, BVData generates the bracket from Delta
+    bracket = fraction_rows("bracket") if "bracket" in doc else None
     try:
-        plain = GerstenhaberAlgebra(space, product, d=d,
-                                    unit_index=unit_index)
-        if "bracket" in doc:
-            bracket = fraction_rows("bracket")
-        else:
-            bracket = bracket_from_generator(plain, delta)
-        # the bracket joins the product table already built
-        algebra = GerstenhaberAlgebra(space, plain.multiply, bracket, d=d,
-                                      unit_index=unit_index)
-        bv = BVData(algebra, delta)
-    except (ValueError, AssertionError) as exc:
+        bv = BVData(space, product, delta, bracket, d=d,
+                    unit_index=unit_index)
+    except ValueError as exc:
         raise InputError(str(exc))
     return kind, bv, digest
 
@@ -379,12 +374,13 @@ def cmd_bv(args, started):
 
 
 def _parse_theta(args):
-    # keyed by word labels, which morgan_example reads
+    # keyed by word labels, which morgan_example reads; the parser takes
+    # at most one of --theta and --seed
     if args.theta is None and args.seed is None:
         return None
     if args.theta == "zero":
         return {}
-    if args.seed is not None and args.theta is None:
+    if args.seed is not None:
         _, sH, words = massey_parameters()
         rng = random.Random(args.seed)
         theta = {}
@@ -429,6 +425,8 @@ def cmd_massey(args, started):
         report["mc_equations"] = serialize_mc(instance.mc)
         _emit(report, args, started)
         return EXIT_OK if morgan["sh_lie"] else EXIT_VERIFY
+    if args.theta is not None or args.seed is not None:
+        raise InputError("--theta and --seed apply only to --spheres 3,3,12")
     if args.order < 1:
         raise InputError("--order must be at least 1")
     cap = args.order
@@ -479,9 +477,10 @@ def build_parser():
     p = sub.add_parser("massey", help="wedge-of-spheres example family")
     p.add_argument("--spheres", default="3,3,12")
     p.add_argument("--order", type=int, default=5)
-    p.add_argument("--theta", default=None,
-                   help="'zero' or a JSON file of word -> rational")
-    p.add_argument("--seed", type=int, default=None)
+    theta = p.add_mutually_exclusive_group()
+    theta.add_argument("--theta", default=None,
+                       help="'zero' or a JSON file of word -> rational")
+    theta.add_argument("--seed", type=int, default=None)
     p.add_argument("--output")
     p.set_defaults(func=cmd_massey)
     return parser

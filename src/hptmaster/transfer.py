@@ -18,6 +18,7 @@ are cup brackets over the unperturbed diagonal.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 from .dgla import (TwistingCochainHom, cup_bracket, is_twisting_cochain,
@@ -46,9 +47,6 @@ class TransferResult:
         self.truncation = N
         self.tau = tau
         self.coalg = coalg
-        self._extended = None
-        self._big_coalg = None
-        self._lift = None
 
     @property
     def D(self):
@@ -61,28 +59,22 @@ class TransferResult:
             components.setdefault(len(words[s]), {})[words[s]] = cols[s]
         return SimpleNamespace(components=components)
 
-    @property
+    @cached_property
     def extended(self):
         """The perturbation-lemma extension of the coalgebra contraction."""
-        if self._extended is None:
-            self._extended = extend_contraction(self)
-        return self._extended
+        return extend_contraction(self)
 
-    @property
+    @cached_property
     def lift(self):
         """The input contraction lifted between big_coalg and coalg, the
         contraction that .extended perturbs."""
-        if self._lift is None:
-            self._lift = symmetric_coalgebra_contraction(
-                self.contraction, self.big_coalg, self.coalg)
-        return self._lift
+        return symmetric_coalgebra_contraction(self.contraction,
+                                               self.big_coalg, self.coalg)
 
-    @property
+    @cached_property
     def big_coalg(self):
         """C[g] at truncation N, the big coalgebra of .lift and .extended."""
-        if self._big_coalg is None:
-            self._big_coalg = ce_coalgebra(self.g, self.truncation)
-        return self._big_coalg
+        return ce_coalgebra(self.g, self.truncation)
 
 
 def transfer(g, con, N):

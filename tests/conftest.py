@@ -19,8 +19,9 @@ CORPUS_N = 4
 def kahler_bv():
     """The seven-dimensional weak differential BV algebra of
     fixtures/kahler_bv.json, one Hodge square plus harmonic classes (see
-    README), as a fresh BVData: a BVData keeps what it derives, so each
-    caller gets its own."""
+    README), as a fresh BVData, built in one step with the bracket its
+    Delta generates: a BVData keeps what it derives, so each caller gets
+    its own."""
     return cli.load_problem(os.path.join(FIXTURES, "kahler_bv.json"))[1]
 
 

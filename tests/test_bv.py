@@ -1,5 +1,6 @@
 """Gerstenhaber/BV layer: generated brackets, predicates, pipelines."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 import bv_oracle
 from conftest import kahler_bv
 from hptmaster import bv as bv_module, cli, complexes
-from hptmaster.bv import (BVData, GerstenhaberAlgebra,
-                          addendum_382_flat_identity, bracket_from_generator,
-                          kahler_formality_check, koszul_identity_check,
-                          proposition_37_check, regrade_to_lie,
-                          theorem_38_pipeline, validate_bv)
+from hptmaster.bv import (BVData, addendum_382_flat_identity,
+                          bracket_from_generator, kahler_formality_check,
+                          koszul_identity_check, proposition_37_check,
+                          regrade_to_lie, theorem_38_pipeline, validate_bv)
 from hptmaster.dgla import validate_dgla
 from hptmaster.transfer import check_addendum_283, transfer
 from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
@@ -30,29 +30,29 @@ def exterior_two():
 
 def test_bracket_from_generator_hand():
     space, prod, delta = exterior_two()
-    alg = GerstenhaberAlgebra(space, prod)
-    table = bracket_from_generator(alg, delta)
+    bv = BVData(space, prod, delta)
     # [x, y] = (-1)^1 (Delta(xy) - 0 - 0) = -x, and
     # [y, xy] = -(Delta(y xy) - 0 + y Delta(xy)) = -(0 + yx) = xy
-    assert table.canonical == {(1, 2): {1: F(-1)}, (2, 3): {3: F(1)}}
+    assert bv.bracket.canonical == {(1, 2): {1: F(-1)}, (2, 3): {3: F(1)}}
+    assert (bracket_from_generator(bv.multiply, delta).numerator_rows()
+            == bv.bracket.numerator_rows())
 
 
 def test_squares_forced_to_vanish_are_refused():
     # x x = -x x for odd x
     space = GradedVectorSpace([("1", 0), ("x", 1), ("y", 2)])
     with pytest.raises(ValueError, match="product: the square of 'x'"):
-        GerstenhaberAlgebra(space, {(1, 1): {2: F(1)}})
+        BVData(space, {(1, 1): {2: F(1)}}, GradedMap.zero(space, space, -1))
     # [x, x] = -[x, x] when |x| - 1 is even
     space = GradedVectorSpace([("1", 0), ("x", 1), ("y", 1)])
     with pytest.raises(ValueError, match="bracket: the square of 'x'"):
-        GerstenhaberAlgebra(space, {}, {(1, 1): {2: F(1)}})
+        BVData(space, {}, GradedMap.zero(space, space, -1),
+               {(1, 1): {2: F(1)}})
 
 
 def test_koszul_identity_and_weak_differential():
     space, prod, delta = exterior_two()
-    alg0 = GerstenhaberAlgebra(space, prod)
-    table = bracket_from_generator(alg0, delta)
-    bv = BVData(GerstenhaberAlgebra(space, prod, table), delta)
+    bv = BVData(space, prod, delta)
     assert bv.generates_bracket()
     assert bv.delta_exact()
     assert koszul_identity_check(bv)["passed"]
@@ -62,9 +62,7 @@ def test_koszul_identity_and_weak_differential():
 def test_proposition_37_requires_commuting_generator():
     space, prod, delta = exterior_two()
     d = GradedMap(space, space, 1, {(3, 1): F(1)})  # d(x) = xy
-    alg0 = GerstenhaberAlgebra(space, prod, d=d)
-    table = bracket_from_generator(alg0, delta)
-    bv = BVData(GerstenhaberAlgebra(space, prod, table, d=d), delta)
+    bv = BVData(space, prod, delta, d=d)
     assert not bv.weak_differential()
     with pytest.raises(ValueError):
         proposition_37_check(bv)
@@ -72,9 +70,7 @@ def test_proposition_37_requires_commuting_generator():
 
 def test_regrade_to_lie():
     space, prod, delta = exterior_two()
-    alg0 = GerstenhaberAlgebra(space, prod)
-    table = bracket_from_generator(alg0, delta)
-    g = regrade_to_lie(GerstenhaberAlgebra(space, prod, table))
+    g = regrade_to_lie(BVData(space, prod, delta))
     assert g.space.degrees == [1, 0, 0, -1]
     assert validate_dgla(g)["passed"]
 
@@ -94,26 +90,26 @@ def test_bracket_checks_read_numerators(monkeypatch):
     space, prod, _ = exterior_two()
     half = F(1, 2)
     delta = GradedMap(space, space, -1, {(1, 3): half})
-    alg = GerstenhaberAlgebra(space, prod,
-                              {(1, 2): {1: -half}, (2, 3): {3: half}})
-    assert BVData(alg, delta).generates_bracket()
-    assert not BVData(alg, delta.scale(2)).generates_bracket()
-    g = regrade_to_lie(alg)
+    bracket = {(1, 2): {1: -half}, (2, 3): {3: half}}
+    bv = BVData(space, prod, delta, bracket)
+    assert bv.generates_bracket()
+    assert not BVData(space, prod, delta.scale(2),
+                      bracket).generates_bracket()
+    g = regrade_to_lie(bv)
     assert (g.bracket.den, g.bracket.numerator_rows()) == (
-        2, alg.bracket.numerator_rows())
+        2, bv.bracket.numerator_rows())
     con = complexes.build_contraction(g.complex)
     assert not check_addendum_283(g, con, transfer(g, con, 2))[
         "hypothesis_holds"]
-    assert all(table is not alg.bracket and table is not g.bracket
+    assert all(table is not bv.bracket and table is not g.bracket
                for table in viewed)
-    assert g.bracket_table == alg.bracket_table
+    assert g.bracket_table == bv.bracket.canonical
     assert validate_dgla(g)["passed"]
 
 
 def test_generated_bracket_is_checked_on_numerators(monkeypatch):
-    # bracket_from_generator checks antisymmetry on int numerators, so the
-    # table it generates hands out no Fraction view
-    bv = kahler_bv()
+    # the bracket is generated once, at construction, and generates_bracket
+    # then trusts it; the generated table hands out no Fraction view
     viewed = []
     generated = []
     fractions = StructureTable._fractions
@@ -123,13 +119,16 @@ def test_generated_bracket_is_checked_on_numerators(monkeypatch):
         viewed.append(self)
         return fractions(self)
 
-    def keeping(algebra, delta):
-        generated.append(generate(algebra, delta))
+    def keeping(product, delta):
+        generated.append(generate(product, delta))
         return generated[-1]
 
     monkeypatch.setattr(StructureTable, "_fractions", recording)
     monkeypatch.setattr(bv_module, "bracket_from_generator", keeping)
+    bv = kahler_bv()
+    assert len(generated) == 1 and bv.bracket is generated[0]
     assert bv.generates_bracket()
+    assert validate_bv(bv)["bracket_generated"]
     assert len(generated) == 1
     assert not any(table is generated[0] for table in viewed)
 
@@ -137,8 +136,7 @@ def test_generated_bracket_is_checked_on_numerators(monkeypatch):
 def test_validate_bv_flags_broken_associativity():
     space = GradedVectorSpace([("1", 0), ("a", 0), ("b", 0)])
     prod = {(1, 1): {2: F(1)}, (1, 2): {0: F(1)}, (2, 2): {}}
-    alg = GerstenhaberAlgebra(space, prod)
-    bv = BVData(alg, GradedMap.zero(space, space, -1))
+    bv = BVData(space, prod, GradedMap.zero(space, space, -1))
     report = validate_bv(bv)
     assert not report["associative"]
     assert report["associativity_witness"] == ("a", "a", "b")
@@ -147,13 +145,12 @@ def test_validate_bv_flags_broken_associativity():
 
 def test_validate_bv_flags_non_commuting_generator():
     bv = kahler_bv()
-    sp = bv.algebra.space
+    sp = bv.space
     ix = sp.index
     bad_delta = GradedMap(sp, sp, -1, {(ix["c"], ix["p"]): F(1),
                                        (ix["e"], ix["t"]): F(1)})
-    broken = BVData(GerstenhaberAlgebra(sp, bv.algebra.product_table,
-                                        bv.algebra.bracket_table,
-                                        d=bv.algebra.d), bad_delta)
+    broken = BVData(sp, bv.multiply.canonical, bad_delta,
+                    bv.bracket.canonical, d=bv.d)
     report = validate_bv(broken)
     assert not report["d_delta_commute"]
 
@@ -171,8 +168,7 @@ def test_kahler_predicate_fails_without_exactness_interplay():
     # d(x) = y escapes im Delta = 0, so the projection is not a chain map
     space = GradedVectorSpace([("1", 0), ("x", 1), ("y", 2)])
     d = GradedMap(space, space, 1, {(2, 1): F(1)})
-    bv = BVData(GerstenhaberAlgebra(space, {}, d=d),
-                GradedMap.zero(space, space, -1))
+    bv = BVData(space, {}, GradedMap.zero(space, space, -1), d=d)
     report = kahler_formality_check(bv)
     assert not report["projection_chain_map"]
     assert not report["passed"]
@@ -212,16 +208,14 @@ def test_addendum_382_flat_unit():
 
 def test_addendum_382_rejects_fat_degree_zero():
     space = GradedVectorSpace([("1", 0), ("z", 0)])
-    bv = BVData(GerstenhaberAlgebra(space, {}),
-                GradedMap.zero(space, space, -1))
+    bv = BVData(space, {}, GradedMap.zero(space, space, -1))
     with pytest.raises(ValueError):
         addendum_382_flat_identity(bv, 3)
 
 
 def test_load_problem_builds_each_bv_table_once(monkeypatch, fixture_dir):
-    # kahler_bv.json has no bracket section: the product table, the empty
-    # bracket of the algebra that generates the bracket, and the generated
-    # bracket table, each built once
+    # kahler_bv.json has no bracket section: the product table and the
+    # generated bracket table, each built once
     built = []
     init = StructureTable.__init__
 
@@ -231,8 +225,48 @@ def test_load_problem_builds_each_bv_table_once(monkeypatch, fixture_dir):
 
     monkeypatch.setattr(StructureTable, "__init__", counting)
     kind, bv, _ = cli.load_problem(str(fixture_dir / "kahler_bv.json"))
-    assert kind == "bv" and bv.algebra.bracket_table
-    assert built == [(0, True), (-1, False), (-1, False)]
+    assert kind == "bv" and bv.bracket.canonical
+    assert built == [(0, True), (-1, False)]
+
+
+def unit_bv_file(path, n, bracket=False):
+    """The unit plus n - 1 degree-2 elements, with no products and no
+    Delta, and an empty bracket section when bracket is set."""
+    doc = {"basis": [["1", 0]] + [["x%d" % k, 2] for k in range(1, n)],
+           "unit": "1", "product": [], "delta": []}
+    if bracket:
+        doc["bracket"] = []
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [7, 40])
+def test_bracket_generated_once_on_the_unordered_pairs(n, monkeypatch,
+                                                       tmp_path, capsys):
+    # one validate call generates the bracket once, on the n(n + 1)/2 pairs
+    # i <= j, each evaluated with one image under Delta; a file with a
+    # bracket section generates it once, to compare
+    generations = []
+    generate = bv_module.bracket_from_generator
+    add_image = GradedMap.add_image
+
+    def counting_image(self, acc, vec, scale=1):
+        generations[-1] += 1
+        return add_image(self, acc, vec, scale)
+
+    def counting(product, delta):
+        generations.append(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedMap, "add_image", counting_image)
+            return generate(product, delta)
+
+    monkeypatch.setattr(bv_module, "bracket_from_generator", counting)
+    for bracket in (False, True):
+        del generations[:]
+        path = unit_bv_file(tmp_path / ("unit-%s.json" % bracket), n, bracket)
+        assert cli.main(["validate", path]) == 0
+        assert generations == [n * (n + 1) // 2]
+    capsys.readouterr()
 
 
 def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
@@ -317,10 +351,7 @@ def bv_from_case(case):
         [("1" if i == 0 else "x%d" % i, deg) for i, deg in enumerate(degrees)])
     d = GradedMap(space, space, 1, d)
     delta = GradedMap(space, space, -1, delta)
-    if bracket is None:
-        bracket = bracket_from_generator(
-            GerstenhaberAlgebra(space, product, d=d), delta)
-    return BVData(GerstenhaberAlgebra(space, product, bracket, d=d), delta)
+    return BVData(space, product, delta, bracket, d=d)
 
 
 @st.composite
@@ -378,11 +409,10 @@ FAILING_BV_CASES = {
 
 def bv_check_fails(case, check):
     bv = bv_from_case(case)
-    A = bv.algebra
     if check == "bracket_d":
-        return A.bracket.first_non_derivation(A.d) is not None
+        return bv.bracket.first_non_derivation(bv.d) is not None
     if check == "bracket_delta":
-        return A.bracket.first_non_derivation(bv.delta) is not None
+        return bv.bracket.first_non_derivation(bv.delta) is not None
     return not validate_bv(bv)[check]
 
 
@@ -409,21 +439,24 @@ def _outcome(f, *args):
 @example(FAILING_BV_CASES["bracket_d"])
 @example(FAILING_BV_CASES["bracket_delta"])
 def test_sparse_bv_checks_match_the_dense_oracle(case):
+    # the oracle evaluates the generated bracket on every ordered pair and
+    # raises where the pairs i > j break the swap rule: the case that
+    # bracket_from_generator, evaluating i <= j only, proves cannot arise
     bv = bv_from_case(case)
-    A = bv.algebra
     assert _outcome(validate_bv, bv) == _outcome(bv_oracle.validate_bv, bv)
     assert (_outcome(lambda *args: bracket_from_generator(*args).canonical,
-                     A, bv.delta)
-            == _outcome(bv_oracle.bracket_from_generator, A, bv.delta))
-    for table, op in ((A.multiply, A.d), (A.bracket, A.d),
-                      (A.bracket, bv.delta)):
+                     bv.multiply, bv.delta)
+            == _outcome(bv_oracle.bracket_from_generator, bv, bv.delta))
+    for table, op in ((bv.multiply, bv.d), (bv.bracket, bv.d),
+                      (bv.bracket, bv.delta)):
         assert table.first_non_derivation(op) == bv_oracle.non_derivation(
-            A, op, bracket=table is A.bracket)
+            bv, op, bracket=table is bv.bracket)
 
 
 def test_unit_must_be_a_basis_element():
     space = GradedVectorSpace([("1", 0), ("x", 2)])
     for empty, unit_index in ((True, 0), (False, 2), (False, -1)):
+        on = GradedVectorSpace([]) if empty else space
         with pytest.raises(ValueError, match="unit: no basis element"):
-            GerstenhaberAlgebra(GradedVectorSpace([]) if empty else space,
-                                {}, unit_index=unit_index)
+            BVData(on, {}, GradedMap.zero(on, on, -1),
+                   unit_index=unit_index)

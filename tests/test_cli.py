@@ -493,6 +493,21 @@ def test_bv_file_without_a_unit_exits_two(tmp_path, capsys):
         assert err.startswith("error: unit: ")
 
 
+def test_massey_refuses_flags_it_would_ignore(capsys):
+    # --seed draws a theta that --theta also gives, and the other wedges
+    # take no theta at all
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["massey", "--seed", "3", "--theta", "zero"])
+    assert refused.value.code == 2
+    assert "--theta: not allowed with argument --seed" in (
+        capsys.readouterr().err)
+    for flags in (["--seed", "3"], ["--theta", "zero"]):
+        code, out, err = run(["massey", "--spheres", "3,5"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: --theta and --seed apply only to --spheres 3,3,12" in err
+
+
 def test_massey_bad_input_exit_two(capsys):
     code, _, _ = run(["massey", "--spheres", "1,3"], capsys)
     assert code == 2

@@ -10,7 +10,7 @@ import table_oracle
 from contraction_oracle import hom_differential
 from linalg_oracle import sparse
 from word_oracle import koszul_sign
-from hptmaster.bv import GerstenhaberAlgebra
+from hptmaster.bv import BVData
 from hptmaster.graded import (GradedMap, GradedVectorSpace, StructureTable,
                               suspend_map, suspend_space)
 
@@ -210,11 +210,13 @@ def test_unital_product_matches_the_parent_sign_code(case):
     _, degrees, rows, u, v = case
     expected = table_oracle.canonical_rows(rows, degrees, 0, True)
     handed = [((i, j), {k: c}) for i, j, k, c in rows]
+    space = _space(degrees)
+    zero = GradedMap.zero(space, space, -1)
     if _first_forced_square(expected, degrees, 0, True, skip=0) is not None:
         with pytest.raises(ValueError, match="must vanish"):
-            GerstenhaberAlgebra(_space(degrees), handed)
+            BVData(space, handed, zero)
         return
-    product = GerstenhaberAlgebra(_space(degrees), handed).multiply
+    product = BVData(space, handed, zero).multiply
     n = len(degrees)
 
     def basis(i, j):

@@ -37,8 +37,7 @@ def _valid_sources():
               + [instances.random_dgla(seed) for seed in range(12)]):
         out.append((g.bracket, g.d))
     bv = kahler_bv()
-    A = bv.algebra
-    out += [(A.multiply, A.d), (A.bracket, A.d), (A.bracket, bv.delta)]
+    out += [(bv.multiply, bv.d), (bv.bracket, bv.d), (bv.bracket, bv.delta)]
     return out
 
 
@@ -348,7 +347,7 @@ def test_verdict_loops_skip_the_cases_their_swap_rule_decides():
     assert all(i <= j <= k for i, j, k in triples)
     assert not any((i == j and degs[i] % 2 == 0)
                    or (j == k and degs[j] % 2 == 0) for i, j, k in triples)
-    product = kahler_bv().algebra.multiply
+    product = kahler_bv().multiply
     verdict, assoc = evaluated_cases(product.first_non_associative, "ijk")
     assert verdict is None and len(set(assoc)) == len(assoc)
     # a(z, y, x) = -(-1)^{|x||y|+|y||z|+|z||x|} a(x, y, z)
