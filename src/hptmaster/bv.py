@@ -7,7 +7,10 @@ generated from Delta once, at construction, on the pairs i <= j.
 The regrading g_n = A^{1-n} turns the bracket into an ordinary degree-0
 graded Lie bracket with homological differential, with the same structure
 constants; everything downstream (transfer, twisting cochains) runs on the
-regraded side.
+regraded side.  There BVData.kernel_algebra builds the one copy of
+(ker Delta, d), a sub-dgLa, with its inclusion and its projection onto
+H(A, Delta): the formality predicate checks these maps, and both Thm 3.8
+pipelines contract along them.
 """
 
 from fractions import Fraction
@@ -125,9 +128,22 @@ class BVData:
 
     @cached_property
     def kernel_algebra(self):
-        """(m, incl): ker Delta as a sub-dgLa of the regraded algebra, and
-        its inclusion."""
-        return regrade_to_lie(self).sub_algebra(self.delta_splitting[0])
+        """(lie, m, incl, pi): the regraded dgLa, its sub-dgLa m =
+        (ker Delta, d) with the inclusion, and the projection of m onto
+        H(A, Delta).  The formality report checks these maps and the
+        pipelines contract along them.  Raises ValueError when the bracket
+        leaves ker Delta (kahler_formality_check)."""
+        ker, h_basis, reps, image = self.delta_splitting
+        lie = regrade_to_lie(self)
+        m, incl = lie.sub_algebra(ker)
+        # column s of pi: the coordinates of the s-th basis vector of m over
+        # the representatives, modulo im Delta
+        cols, den = linalg.coordinates(
+            [incl.apply_basis(s) for s in range(m.space.dim)], reps, image)
+        if None in cols:
+            raise AssertionError("kernel element escaped ker/im analysis")
+        H = GradedVectorSpace([(lab, 1 - deg) for lab, deg in h_basis])
+        return lie, m, incl, GradedMap.from_columns(m.space, H, 0, cols, den)
 
     def delta_exact(self):
         return self.delta.compose(self.delta).is_zero()
@@ -255,57 +271,42 @@ def _delta_splitting(bv):
     return ker, basis, reps, image
 
 
-def _projection_columns(vectors, reps, image):
-    """The columns of the projection onto H(A, Delta): column s holds the
-    coordinates of vectors[s] over the representatives, modulo im Delta."""
-    cols, den = linalg.coordinates(vectors, reps, image)
-    if None in cols:
-        raise AssertionError("kernel element escaped ker/im analysis")
-    return cols, den
-
-
 def kahler_formality_check(bv):
     """Both comparison maps out of (ker Delta, d) are quasi-isomorphisms.
 
     The inclusion into (A, d) and the projection onto (H(A, Delta), 0); the
     latter is only a chain map when d(ker Delta) lies in im Delta, which is
-    reported separately.  Homology ranks are computed exactly after the
-    homological regrading of all three complexes.
+    reported separately.  The maps are those of BVData.kernel_algebra, in
+    the grading g_n = A^{1-n} that the pipelines contract in; homology
+    ranks are computed exactly and do not see a shift of grading.
+
+    Raises ValueError when d d, Delta Delta or d Delta + Delta d is not
+    zero, and ValueError("subspace is not closed") when ker Delta is not
+    closed under the bracket.  A bracket that Delta generates never is, if
+    Delta Delta = 0: on a, b in ker Delta, [a, b] = (-1)^{|a|} Delta(ab),
+    which Delta kills (the Koszul identity, Delta deriving the bracket it
+    generates, restricted to ker Delta).  So only a given bracket that
+    fails validate_bv's bracket_generated can raise it, and the bv
+    subcommand stops at validate_bv before.  d maps ker Delta into itself
+    because Delta d = -d Delta.
     """
     return bv.formality
 
 
 def _formality_report(bv):
-    space = bv.space
     if not bv.d.compose(bv.d).is_zero():
         raise ValueError("d d != 0")
     if not bv.delta_exact():
         raise ValueError("Delta Delta != 0")
     if not bv.weak_differential():
         raise ValueError("d does not graded-commute with Delta")
-    ker, h_basis, h_reps, image = bv.delta_splitting
-
-    neg = GradedVectorSpace([(lab, -deg) for lab, deg in space.basis])
-    d_neg = GradedMap.from_columns(neg, neg, -1, bv.d.columns, bv.d.den)
-    A_cx = ChainComplex(neg, d_neg)
-
-    m_space = GradedVectorSpace(
-        [("m%d" % i, -space.vector_degree(v)) for i, v in enumerate(ker)])
-    d_ker = [bv.d(v) for v in ker]
-    d_m_cols, den = linalg.solve(ker, d_ker)
-    if None in d_m_cols:
-        raise AssertionError("ker Delta is not d-stable")
-    m_cx = ChainComplex(m_space, GradedMap.from_columns(m_space, m_space, -1,
-                                                        d_m_cols, den))
-    m_homology = homology(m_cx)  # shared by both comparison maps
-    incl = GradedMap.from_columns(m_space, neg, 0, ker)
-    first = is_quasi_iso(incl, m_cx, A_cx, m_homology)
-
-    H_space = GradedVectorSpace([(lab, -deg) for lab, deg in h_basis])
-    proj = GradedMap.from_columns(m_space, H_space, 0,
-                                  *_projection_columns(ker, h_reps, image))
-    chain_map = linalg.in_span(image, d_ker)
-    second = chain_map and is_quasi_iso(proj, m_cx, ChainComplex(H_space),
+    lie, m, incl, pi = bv.kernel_algebra
+    m_homology = homology(m.complex)  # shared by both comparison maps
+    first = is_quasi_iso(incl, m.complex, lie.complex, m_homology)
+    # pi kills d(ker Delta) exactly when d(ker Delta) lies in im Delta, as
+    # reps and im Delta are a basis of ker Delta (_delta_splitting)
+    chain_map = pi.compose(m.d).is_zero()
+    second = chain_map and is_quasi_iso(pi, m.complex, ChainComplex(pi.target),
                                         m_homology)
     return {
         "inclusion_quasi_iso": first,
@@ -322,22 +323,17 @@ def theorem_38_pipeline(bv, N):
     extends the projection onto H(A, Delta) to a contraction, and runs the
     vanishing-bracket transfer.  Asserts exactly: (i) Delta o tau = 0,
     (ii) pi tau is the universal twisting cochain, (iii) the values of the
-    components tau_k, k >= 2, lie in im Delta.  The kernel sub-dgLa and its
-    inclusion are cached on bv (BVData.kernel_algebra), where
-    addendum_382_flat_identity, which runs this pipeline, reads them too.
+    components tau_k, k >= 2, lie in im Delta.  The kernel sub-dgLa, its
+    inclusion and the projection are the maps the formality predicate
+    checked (BVData.kernel_algebra), where addendum_382_flat_identity,
+    which runs this pipeline, reads the inclusion too.
     """
     predicate = bv.formality
     if not predicate["passed"]:
         raise ValueError("formality predicate fails")
-    ker, h_basis, h_reps, image = bv.delta_splitting
-    m, incl = bv.kernel_algebra
-
-    # regrade H to the Lie side and project m onto it
-    H_space = GradedVectorSpace([(lab, 1 - deg) for lab, deg in h_basis])
-    m_cols = [incl.apply_basis(s) for s in range(m.space.dim)]
-    pi = GradedMap.from_columns(m.space, H_space, 0,
-                                *_projection_columns(m_cols, h_reps, image))
-    con = contraction_extending_projection(m.complex, pi, H_space)
+    image = bv.delta_splitting[3]
+    _, m, incl, pi = bv.kernel_algebra
+    con = contraction_extending_projection(m.complex, pi)
 
     result, report = theorem_29_pipeline(m, con, N, inclusion=incl)
 
@@ -383,7 +379,7 @@ def addendum_382_flat_identity(bv, N):
         raise ValueError("the class of 1 vanishes in homology")
 
     result, report = theorem_38_pipeline(bv, N)
-    tau_in_A = bv.kernel_algebra[1].compose(result.tau.hom)
+    tau_in_A = bv.kernel_algebra[2].compose(result.tau.hom)
     # tau_k values avoid the unit line for k >= 2
     away = all(u not in col for s, col in tau_in_A.columns.items()
                if result.coalg.word_length(s) >= 2)

@@ -232,14 +232,15 @@ def build_contraction(C):
     return Contraction(C, small, nabla, pi, h)
 
 
-def contraction_extending_projection(C, pi, small_space):
-    """Extend a surjective chain map pi: C -> (small, 0) to a contraction.
+def contraction_extending_projection(C, pi):
+    """Extend a surjective chain map pi: C -> (pi.target, 0) to a
+    contraction.
 
-    Requires pi to be a quasi-isomorphism onto a complex with zero
+    Requires pi to be a quasi-isomorphism onto its target with zero
     differential.  nabla is chosen with image in ker d, determined by the
     deterministic solve; h contracts the acyclic complement ker(pi-part).
     """
-    small = ChainComplex(GradedVectorSpace(small_space.basis))
+    small = ChainComplex(pi.target)
     space = C.space
 
     # nabla: a section of pi with values in ker d; its columns solve

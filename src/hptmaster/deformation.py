@@ -7,6 +7,7 @@ positive-dimensional family of structures.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .graded import GradedMap, GradedVectorSpace, suspend_space, ONE
 from .words import (TruncatedSymCoalgebra, check_sh_lie, enumerate_words,
@@ -70,25 +71,17 @@ def mc_equations(space, brackets, N):
 
 # -- free graded Lie algebras on even generators -----------------------------
 
-def _lyndon_words(alphabet_size, max_len):
-    """All Lyndon words over 0..alphabet_size-1 up to max_len (Duval)."""
-    out = {length: [] for length in range(1, max_len + 1)}
-    if alphabet_size == 0 or max_len == 0:
-        return out
-    w = [0]
-    while w:
-        if len(w) <= max_len:
-            out[len(w)].append(tuple(w))
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == alphabet_size - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-    for length in out:
-        out[length].sort()
-    return out
+def _mobius(n):
+    """The Moebius function mu(n)."""
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
 
 
 class FreeGradedLie:
@@ -99,25 +92,48 @@ class FreeGradedLie:
     because each basis element is a fixed bracketing of a Lyndon word.
     Odd-degree generators are accepted but marked experimental, since the
     classical basis over- and under-counts in the presence of odd squares.
+
+    counts[n][e] is the number of Lyndon words of length n <= cap and
+    degree e, by the graded Witt formula
+    L(n, e) = (1/n) sum over k | gcd(n, e) of mu(k) W(n/k, e/k), where
+    W(m, e) counts all words of length m and degree e.  Every word is u^k
+    for one primitive word u, and the primitive words of length m fall
+    into rotation classes of m words with one Lyndon word each, so
+    W(n, e) = sum over k | gcd(n, e) of (n/k) L(n/k, e/k), which Moebius
+    inversion solves.
     """
 
     def __init__(self, generators, cap):
         if cap < 1 and generators:
             raise ValueError("bracket-length cap too small")
-        self.generators = list(generators)
-        self.cap = cap
-        self.experimental = any(d % 2 for _, d in self.generators)
-        self.words_by_length = _lyndon_words(len(self.generators), cap)
+        degrees = [d for _, d in generators]
+        self.experimental = any(d % 2 for d in degrees)
+        words = [{0: 1}]  # words[m][e] = W(m, e)
+        for _ in range(cap):
+            nxt = {}
+            for e, w in words[-1].items():
+                for d in degrees:
+                    nxt[e + d] = nxt.get(e + d, 0) + w
+            words.append(nxt)
+        self.counts = {}
+        for n in range(1, cap + 1):
+            row = {}
+            for e in words[n]:
+                g = gcd(n, e)
+                total = sum(_mobius(k) * words[n // k].get(e // k, 0)
+                            for k in range(1, g + 1) if g % k == 0)
+                if total:
+                    row[e] = total // n
+            self.counts[n] = row
 
     def dimension(self, length):
-        return len(self.words_by_length.get(length, []))
+        return sum(self.counts.get(length, {}).values())
 
     def dimensions_by_degree(self):
         degs = {}
-        for length, words in self.words_by_length.items():
-            for w in words:
-                d = sum(self.generators[i][1] for i in w)
-                degs[d] = degs.get(d, 0) + 1
+        for row in self.counts.values():
+            for e, c in row.items():
+                degs[e] = degs.get(e, 0) + c
         return dict(sorted(degs.items()))
 
 
@@ -137,24 +153,8 @@ def wedge_of_spheres(dims, cap):
 
 def necklace_count(rank, length):
     """Moebius necklace formula for free-Lie dimensions, as an oracle."""
-    def mobius(n):
-        result, p, m = 1, 2, n
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                result = -result
-            p += 1
-        if m > 1:
-            result = -result
-        return result
-
-    total = 0
-    for d in range(1, length + 1):
-        if length % d == 0:
-            total += mobius(d) * rank ** (length // d)
-    return total // length
+    return sum(_mobius(k) * rank ** (length // k)
+               for k in range(1, length + 1) if length % k == 0) // length
 
 
 # -- the S^3 v S^3 v S^12 example --------------------------------------------

@@ -9,11 +9,19 @@ ordered pairs with the sign chosen by hand for the product or the bracket
 (`bracket_from_generator`).  Dense products go through
 `table_oracle.bilinear` on the table's signed lookup, so nothing here calls
 the table's own product.
+
+`formality_report` is the Kahler-type formality predicate as it stood
+before `bv.BVData.kernel_algebra` owned (ker Delta, d): it builds its own
+copy of that complex on the raw kernel basis, in the grading -deg, solves
+for d on it, builds its own projection onto H(A, Delta) and decides the
+chain-map condition by an elimination against im Delta.
 """
 
 from fractions import Fraction
 
-from hptmaster.graded import StructureTable
+from hptmaster import linalg
+from hptmaster.complexes import ChainComplex, homology, is_quasi_iso
+from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
 from linalg_oracle import dense_column
 from table_oracle import bilinear
 
@@ -132,3 +140,47 @@ def validate_bv(bv):
                             "d_product_derivation", "delta_squared_zero",
                             "d_delta_commute", "bracket_generated"))
     return report
+
+
+def formality_report(bv):
+    """The report of `bv.kahler_formality_check`, on a second copy of
+    (ker Delta, d) and of the projection."""
+    space = bv.space
+    if not bv.d.compose(bv.d).is_zero():
+        raise ValueError("d d != 0")
+    if not bv.delta_exact():
+        raise ValueError("Delta Delta != 0")
+    if not bv.weak_differential():
+        raise ValueError("d does not graded-commute with Delta")
+    ker, h_basis, h_reps, image = bv.delta_splitting
+
+    neg = GradedVectorSpace([(lab, -deg) for lab, deg in space.basis])
+    d_neg = GradedMap.from_columns(neg, neg, -1, bv.d.columns, bv.d.den)
+    A_cx = ChainComplex(neg, d_neg)
+
+    m_space = GradedVectorSpace(
+        [("m%d" % i, -space.vector_degree(v)) for i, v in enumerate(ker)])
+    d_ker = [bv.d(v) for v in ker]
+    d_m_cols, den = linalg.solve(ker, d_ker)
+    if None in d_m_cols:
+        raise AssertionError("ker Delta is not d-stable")
+    m_cx = ChainComplex(m_space, GradedMap.from_columns(m_space, m_space, -1,
+                                                        d_m_cols, den))
+    m_homology = homology(m_cx)
+    incl = GradedMap.from_columns(m_space, neg, 0, ker)
+    first = is_quasi_iso(incl, m_cx, A_cx, m_homology)
+
+    H_space = GradedVectorSpace([(lab, -deg) for lab, deg in h_basis])
+    cols, den = linalg.coordinates(ker, h_reps, image)
+    if None in cols:
+        raise AssertionError("kernel element escaped ker/im analysis")
+    proj = GradedMap.from_columns(m_space, H_space, 0, cols, den)
+    chain_map = linalg.in_span(image, d_ker)
+    second = chain_map and is_quasi_iso(proj, m_cx, ChainComplex(H_space),
+                                        m_homology)
+    return {
+        "inclusion_quasi_iso": first,
+        "projection_chain_map": chain_map,
+        "projection_quasi_iso": second,
+        "passed": first and second,
+    }

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import bv_oracle
 from conftest import kahler_bv
-from hptmaster import bv as bv_module, cli, complexes
+from hptmaster import bv as bv_module, cli, complexes, linalg
 from hptmaster.bv import (BVData, addendum_382_flat_identity,
                           bracket_from_generator, kahler_formality_check,
                           koszul_identity_check, proposition_37_check,
                           regrade_to_lie, theorem_38_pipeline, validate_bv)
-from hptmaster.dgla import validate_dgla
+from hptmaster.dgla import DgLieAlgebra, validate_dgla
 from hptmaster.transfer import check_addendum_283, transfer
 from hptmaster.graded import GradedMap, GradedVectorSpace, StructureTable
 
@@ -174,6 +174,18 @@ def test_kahler_predicate_fails_without_exactness_interplay():
     assert not report["passed"]
 
 
+def test_kahler_predicate_fails_when_delta_kills_too_little():
+    # Delta y = x, d = 0: ker Delta = <1, x> misses the class of y in
+    # (A, 0), and x is Delta-exact, so the projection, a chain map since
+    # d = 0, is no quasi-isomorphism either
+    space = GradedVectorSpace([("1", 0), ("x", 1), ("y", 2)])
+    bv = BVData(space, {}, GradedMap(space, space, -1, {(1, 2): F(1)}))
+    assert validate_bv(bv)["passed"]
+    assert kahler_formality_check(bv) == {
+        "inclusion_quasi_iso": False, "projection_chain_map": True,
+        "projection_quasi_iso": False, "passed": False}
+
+
 def test_theorem_38_pipeline_full():
     bv = kahler_bv()
     result, report = theorem_38_pipeline(bv, 3)
@@ -286,10 +298,26 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
     addendum_382_flat_identity(bv, 3)
     assert len(calls) == 1
 
-    # one bv run: one splitting and one formality predicate (two
-    # quasi-isomorphism checks), shared by the report and the pipeline;
-    # the two checks share the homology of (ker Delta, d), so four
-    # distinct complexes take four homology computations
+    # one bv run: one splitting, one copy of (ker Delta, d) and one
+    # formality predicate (two quasi-isomorphism checks), shared by the
+    # report and the pipeline; the two checks share the homology of
+    # (ker Delta, d), so four distinct complexes take four homology
+    # computations, and the run takes 47 (full) or 20 (flat-unit)
+    # eliminations
+    sub_algebras = []
+    sub_algebra = DgLieAlgebra.sub_algebra
+
+    def counting_sub_algebra(self, vectors):
+        sub_algebras.append(vectors)
+        return sub_algebra(self, vectors)
+
+    echelons = []
+    echelon = linalg._echelon
+
+    def counting_echelon(rows):
+        echelons.append(rows)
+        return echelon(rows)
+
     quasi_isos = []
     is_quasi_iso = bv_module.is_quasi_iso
 
@@ -307,12 +335,18 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
     monkeypatch.setattr(bv_module, "is_quasi_iso", counting_quasi_iso)
     monkeypatch.setattr(complexes, "homology", counting_homology)
     monkeypatch.setattr(bv_module, "homology", counting_homology)
-    for argv in (["bv", str(fixture_dir / "kahler_bv.json")],
-                 ["bv", str(fixture_dir / "unit_bv.json"),
-                  "--pipeline", "flat-unit"]):
-        del calls[:], quasi_isos[:], homologies[:]
+    monkeypatch.setattr(DgLieAlgebra, "sub_algebra", counting_sub_algebra)
+    monkeypatch.setattr(linalg, "_echelon", counting_echelon)
+    for argv, eliminations in (
+            (["bv", str(fixture_dir / "kahler_bv.json")], 47),
+            (["bv", str(fixture_dir / "unit_bv.json"),
+              "--pipeline", "flat-unit"], 20)):
+        del calls[:], sub_algebras[:], echelons[:], quasi_isos[:]
+        del homologies[:]
         assert cli.main(argv + ["--max-word-length", "3"]) == 0
         assert len(calls) == 1
+        assert len(sub_algebras) == 1
+        assert len(echelons) == eliminations
         assert len(quasi_isos) == 2
         assert len(homologies) == 4
         assert len({id(C) for C in homologies}) == 4
@@ -451,6 +485,44 @@ def test_sparse_bv_checks_match_the_dense_oracle(case):
                       (bv.bracket, bv.delta)):
         assert table.first_non_derivation(op) == bv_oracle.non_derivation(
             bv, op, bracket=table is bv.bracket)
+
+
+# a given bracket [a, a] = t that Delta does not generate, with Delta t = s:
+# a lies in ker Delta and t does not, so ker Delta is not bracket-closed
+UNCLOSED_KERNEL_CASE = ([0, 2, 3, 2], {}, {(1, 1): {2: 1}}, {}, {(3, 2): 1})
+
+
+def test_unclosed_kernel_raises_only_for_a_given_bracket():
+    bv = bv_from_case(UNCLOSED_KERNEL_CASE)
+    assert not validate_bv(bv)["bracket_generated"]
+    # the oracle reports on it: d = 0, and ker Delta misses the class of t
+    assert bv_oracle.formality_report(bv) == {
+        "inclusion_quasi_iso": False, "projection_chain_map": True,
+        "projection_quasi_iso": False, "passed": False}
+    with pytest.raises(ValueError, match="subspace is not closed"):
+        kahler_formality_check(bv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bv_cases())
+@example(UNCLOSED_KERNEL_CASE)
+def test_formality_report_matches_the_oracle(case):
+    # the oracle checks a second copy of (ker Delta, d) in the grading
+    # -deg; the library reads BVData.kernel_algebra, whose sub-dgLa
+    # refuses a kernel that the bracket leaves, which a generated bracket
+    # never does
+    bv = bv_from_case(case)
+    want = _outcome(bv_oracle.formality_report, bv)
+    try:
+        got = kahler_formality_check(bv)
+    except ValueError as exc:
+        if str(exc) != "subspace is not closed":
+            got = ValueError
+        else:
+            assert isinstance(want, dict)
+            assert not validate_bv(bv)["bracket_generated"]
+            return
+    assert got == want
 
 
 def test_unit_must_be_a_basis_element():

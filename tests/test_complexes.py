@@ -83,7 +83,7 @@ def test_contraction_extending_projection_hand():
     small = GradedVectorSpace([("h", 0)])
     # project onto the class of c
     pi = GradedMap(C.space, small, 0, {(0, 2): F(1)})
-    con = contraction_extending_projection(C, pi, small)
+    con = contraction_extending_projection(C, pi)
     assert con.identity_failures() == []
     assert con.pi.entries == pi.entries
 

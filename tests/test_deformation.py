@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lie_instances
+import lyndon_oracle
 from hptmaster import instances
 from hptmaster.complexes import ChainComplex, build_contraction
 from hptmaster.deformation import (FreeGradedLie, MCVariety,
@@ -56,7 +58,7 @@ def evaluate(mc, point):
 
 
 def total_dimension(lie):
-    return sum(len(ws) for ws in lie.words_by_length.values())
+    return sum(sum(row.values()) for row in lie.counts.values())
 
 
 def formality_report(result):
@@ -156,6 +158,19 @@ def test_free_lie_dimensions_match_necklace_oracle():
         for length in range(1, 7):
             assert lie.dimension(length) == necklace_count(rank, length), \
                 (rank, length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(2, 7), max_size=4), st.integers(1, 7))
+def test_witt_counts_match_the_lyndon_enumeration(dims, cap):
+    lie = wedge_of_spheres(dims, cap)
+    want = lyndon_oracle.counts([n - 1 for n in dims], cap)
+    assert lie.counts == want
+    degs = {}
+    for row in want.values():
+        for d, c in row.items():
+            degs[d] = degs.get(d, 0) + c
+    assert lie.dimensions_by_degree() == dict(sorted(degs.items()))
 
 
 def test_wedge_of_spheres_basic():
