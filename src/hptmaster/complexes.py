@@ -5,9 +5,11 @@ nabla: M -> N together with a degree +1 homotopy h on N satisfying
 
     pi nabla = Id,   Dh = nabla pi - Id,   pi h = 0,  h nabla = 0,  h h = 0.
 
-build_contraction produces one onto homology for any finite complex; the
-choices (pivoting, representatives) are deterministic, so the result is a
-pure function of the input.
+build_contraction produces one onto homology for any finite complex, and
+contraction_extending_projection one extending a given quasi-isomorphism
+onto (H, 0), both along one adapted basis (_adapted); the choices
+(pivoting, representatives) are deterministic, so the result is a pure
+function of the input.
 """
 
 from fractions import Fraction
@@ -164,58 +166,107 @@ def homology(C):
 
 
 def build_contraction(C):
-    """A contraction of C onto its homology (zero differential).
+    """A contraction of C onto its homology (zero differential): _adapted
+    on the homology representatives, with the unit vectors as candidates.
 
-    Decompose each degree as im(d) + homology representatives + a complement
-    A of the cycles; d maps A isomorphically onto the next im(d), and h is
-    minus the inverse of that isomorphism (zero elsewhere).  All five
-    contraction identities then hold on the nose.
+    Each degree is im(d) + representatives + a complement A of the cycles
+    at pivot columns of d, and h is minus the inverse of d on A.  Neither
+    refusal of _adapted can happen: d(A) and the representatives are a
+    basis of the cycles, d is one-to-one on A, and A is empty above a
+    missing degree, where d is zero.
+    """
+    H, reps = homology(C)
+    return _adapted(C, GradedMap.from_columns(H, C.space, 0, reps))
 
-    Degrees are taken from the top down, so d(A_{n+1}) is known in degree
-    n, and each takes one elimination: it solves for the unit vectors of
-    degree n over the int columns of d on A_{n+1}, the representatives and
-    then the unit vectors themselves.  The unit vectors it keeps as pivot
-    columns complete the cycles to a basis in index order; since d kills
-    exactly the cycles, they sit at the pivot columns of d, and they are
-    A_n.  The solutions are the coordinates over that adapted basis, int
-    numerators over one den per degree; a coordinate over a column of d
-    is d.den times the one over its numerators.
+
+def contraction_extending_projection(C, pi):
+    """Extend a chain map pi: C -> (pi.target, 0) to a contraction.
+
+    Refuses pi (ValueError) unless pi d = 0, pi has a cycle-valued section
+    and ker pi is acyclic: by the long exact sequence of
+    0 -> ker pi -> C -> H -> 0, the last two say pi is a quasi-isomorphism.
+    _adapted picks A from the rref of the columns of Id - nabla pi.
+    """
+    if not pi.compose(C.d).is_zero():
+        raise ValueError("projection is not a chain map")
+    space = C.space
+    # nabla solves pi(v) = e_k and d(v) = 0 (d's rows on numerators)
+    shift = pi.target.dim
+    joint = [pi.apply_basis(s) for s in range(space.dim)]
+    for s, col in C.d.columns.items():
+        joint[s].update((shift + t, c) for t, c in col.items())
+    nabla_cols, den = linalg.solve(joint, [{k: 1} for k in range(shift)])
+    if None in nabla_cols:
+        raise ValueError("projection admits no cycle-valued section")
+    nabla = GradedMap.from_columns(pi.target, space, 0, nabla_cols, den)
+
+    by_degree = {}
+    for s, col in (GradedMap.identity(space)
+                   - nabla.compose(pi)).columns.items():
+        by_degree.setdefault(space.degrees[s], []).append(col)
+    return _adapted(C, nabla, {n: [row for _, row in linalg.rref(cols)]
+                               for n, cols in by_degree.items()}, pi)
+
+
+def _adapted(C, nabla, candidates=None, pi=None):
+    """The contraction of C onto (nabla.source, 0), nabla a section by
+    cycles, along a basis [d(A_{n+1}) | nabla | A_n] of each degree n.
+
+    From the top degree down, one solve per degree takes the unit vectors
+    over [d(A_{n+1}) | nabla | candidates[n] (unit vectors if None)]: A_n
+    is the candidates at pivot columns, h sends d(a) to -a, and pi, unless
+    given, is the coordinates over nabla (d and nabla read on numerators).
+    ValueError when the columns are not a basis of some degree, or when a
+    nonempty A lies above a missing degree or below the lowest one, where d
+    kills it; else the cycles of degree n are d(A_{n+1}) + nabla H_n, and
+    d is one-to-one on A_n.  nabla H and the candidates span each degree
+    in both callers, so every unit vector has a solution.
+
+    For a projection pi, h is build_contraction's on (ker pi, d) on the
+    candidates, carried back along Id - nabla pi: the candidates lie in
+    ker pi, which meets nabla H only in 0, so a candidate is a pivot
+    exactly when it is one after d(A) alone; and pi(e_t) = y in
+    e_t = sum x d(a) + sum y nabla + sum z c, so the coordinates of e_t
+    over d(A) are those of (Id - nabla pi) e_t.
     """
     space = C.space
-    H, reps = homology(C)
-    small = ChainComplex(H)
-    d_cols = C.d.columns
-    m_d = C.d.den
-
+    small = ChainComplex(nabla.source)
+    d_cols, m_d, m_n = C.d.columns, C.d.den, nabla.den
+    none = {}
     parts = []     # (den, pi columns, h columns) of each degree
-    a_above = []   # A of the degree taken last, in index order
-    for n in sorted(set(space.degrees), reverse=True):
+    a_above, images = [], []   # A of the degree taken last, and d(A)
+    degrees = sorted(set(space.degrees), reverse=True)
+    for n, below in zip(degrees, degrees[1:] + [None]):
         idx_n = space.indices_in_degree(n)
-        # the adapted basis [d(A_{n+1}) | reps | A_n] of degree n, with
-        # tags ("b", a_index) | ("h", class_index) for its first part
-        tags = ([("b", j) for j in a_above if space.degrees[j] == n + 1]
-                + [("h", k) for k in range(H.dim) if H.degrees[k] == n])
-        block = [d_cols[j] if kind == "b" else reps[j] for kind, j in tags]
-        m = len(tags)
+        sections = small.space.indices_in_degree(n)
+        b = len(images)
+        block = images + [nabla.columns.get(k, none) for k in sections]
+        m = len(block)
         units = [{s: 1} for s in idx_n]
-        coords, den = linalg.solve(block + units, units)
+        cands = units if candidates is None else candidates.get(n, [])
+        coords, den = linalg.solve(block + cands, units)
         pi_cols, h_cols = {}, {}
         kept = set()
         for t, x in zip(idx_n, coords):
             for pos, c in x.items():
                 if pos >= m:
-                    kept.add(idx_n[pos - m])
-                    continue
-                kind, ref = tags[pos]
-                if kind == "h":
-                    pi_cols.setdefault(t, {})[ref] = c
-                else:
-                    # h sends d(a) to -a
-                    h_cols.setdefault(t, {})[ref] = -c * m_d
+                    kept.add(pos - m)
+                elif pos >= b:
+                    pi_cols.setdefault(t, {})[sections[pos - b]] = c * m_n
+                else:   # h sends d(a) to -a
+                    acc = h_cols.setdefault(t, {})
+                    c *= -m_d
+                    for s, v in a_above[pos].items():
+                        acc[s] = acc.get(s, 0) + c * v
+        if m + len(kept) != len(idx_n) or kept and below != n - 1:
+            raise ValueError("projection is not a quasi-isomorphism")
         parts.append((den, pi_cols, h_cols))
-        a_above = sorted(kept)
-        if m + len(a_above) != len(idx_n):
-            raise AssertionError("adapted basis does not span degree %d" % n)
+        kept = sorted(kept)
+        a_above = [cands[i] for i in kept]
+        images = ([d_cols.get(idx_n[i], none) for i in kept]
+                  if candidates is None else
+                  [{t: c for t, c in C.d.add_image({}, a).items() if c}
+                   for a in a_above])
 
     # one den for all degrees
     den = lcm(*(part[0] for part in parts))
@@ -225,74 +276,18 @@ def build_contraction(C):
         for out, part in zip((pi_cols, h_cols), cols):
             for t, col in part.items():
                 out[t] = {k: c * f for k, c in col.items()} if f != 1 else col
-
-    nabla = GradedMap.from_columns(small.space, space, 0, reps)
-    pi = GradedMap.from_columns(space, small.space, 0, pi_cols, den)
+    if pi is None:
+        pi = GradedMap.from_columns(space, small.space, 0, pi_cols, den)
     h = GradedMap.from_columns(space, space, 1, h_cols, den)
     return Contraction(C, small, nabla, pi, h)
 
 
-def contraction_extending_projection(C, pi):
-    """Extend a surjective chain map pi: C -> (pi.target, 0) to a
-    contraction.
-
-    Requires pi to be a quasi-isomorphism onto its target with zero
-    differential.  nabla is chosen with image in ker d, determined by the
-    deterministic solve; h contracts the acyclic complement ker(pi-part).
-    """
-    small = ChainComplex(pi.target)
-    space = C.space
-
-    # nabla: a section of pi with values in ker d; its columns solve
-    # pi(v) = e_k and d(v) = 0 jointly, with d's rows after pi's
-    shift = small.space.dim
-    joint = [pi.apply_basis(s) for s in range(space.dim)]
-    for s, col in C.d.by_column().items():
-        joint[s].update((shift + t, c) for t, c in col.items())
-    nabla_cols, den = linalg.solve(joint, [{k: 1} for k in range(shift)])
-    if None in nabla_cols:
-        raise ValueError("projection admits no cycle-valued section")
-    nabla = GradedMap.from_columns(small.space, space, 0, nabla_cols, den)
-
-    # acyclic complement: the image of Id - nabla pi, with an echelon
-    # basis in each degree
-    proj = GradedMap.identity(space) - nabla.compose(pi)
-    proj_cols = proj.by_column()
-    sub_basis = []
-    for deg in sorted({space.degrees[s] for s in proj_cols}):
-        sub_basis.extend(row for _, row in linalg.rref(
-            col for s, col in proj_cols.items() if space.degrees[s] == deg))
-    sub_space = GradedVectorSpace(
-        [("c%d" % i, space.vector_degree(v)) for i, v in enumerate(sub_basis)])
-    # one elimination gives d on the complement and the coordinates of the
-    # columns of Id - nabla pi
-    n_sub = len(sub_basis)
-    coords, den = linalg.solve(
-        sub_basis, [C.d(v) for v in sub_basis]
-        + [proj_cols.get(s, {}) for s in range(space.dim)])
-    if None in coords[:n_sub]:
-        raise AssertionError("complement not d-stable")
-    if None in coords[n_sub:]:
-        raise AssertionError("projection image escaped the complement")
-    sub = ChainComplex(sub_space, GradedMap.from_columns(
-        sub_space, sub_space, -1, coords[:n_sub], den))
-    sub_con = build_contraction(sub)
-    if sub_con.small.space.dim != 0:
-        raise ValueError("projection is not a quasi-isomorphism")
-    # transport h of the acyclic complement back to C
-    incl = GradedMap.from_columns(sub_space, space, 0, sub_basis)
-    to_sub = GradedMap.from_columns(space, sub_space, 0, coords[n_sub:], den)
-    h = incl.compose(sub_con.h).compose(to_sub)
-    return Contraction(C, small, nabla, pi, h)
-
-
-def induced_map_on_homology(f, C_src, C_tgt, src_homology=None):
+def induced_map_on_homology(f, C_src, C_tgt):
     """H(f) with respect to the chosen homology bases, as a GradedMap.
 
     Returns (H(f), H_src, H_tgt).  f must be a chain map of degree 0.
-    src_homology, when given, is homology(C_src) computed earlier.
     """
-    H_src, reps_src = src_homology or homology(C_src)
+    H_src, reps_src = homology(C_src)
     H_tgt, reps_tgt = homology(C_tgt)
     # express each f(rep) in homology of the target: one solve against
     # [reps | im d]
@@ -303,7 +298,7 @@ def induced_map_on_homology(f, C_src, C_tgt, src_homology=None):
     return GradedMap.from_columns(H_src, H_tgt, 0, cols, den), H_src, H_tgt
 
 
-def is_quasi_iso(f, C_src, C_tgt, src_homology=None):
-    M, H_src, H_tgt = induced_map_on_homology(f, C_src, C_tgt, src_homology)
+def is_quasi_iso(f, C_src, C_tgt):
+    M, H_src, H_tgt = induced_map_on_homology(f, C_src, C_tgt)
     return (H_src.dim == H_tgt.dim
             and linalg.rank(M.columns.values()) == H_src.dim)

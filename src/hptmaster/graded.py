@@ -8,10 +8,10 @@ on ints: add_image and add_product add den times their result (numerator
 units), and the caller keeps track of that scale, so a verdict-only check
 clears the denominators of its terms and tests ints for zero.  Fractions
 (fractions.Fraction) are handed out only at the boundary, as views built
-on first use: GradedMap.entries (keyed (target, source)), by_column,
-apply_basis and __call__, and StructureTable.canonical, get and
-__call__.  Degrees are homological throughout the library; cohomological
-input is converted at the boundary via deg_hom = -deg_cohom.
+on first use: GradedMap.entries (keyed (target, source)), apply_basis
+and __call__, and StructureTable.canonical, get and __call__.  Degrees
+are homological throughout the library; cohomological input is converted
+at the boundary via deg_hom = -deg_cohom.
 
 Sign conventions used everywhere (single point of truth):
 
@@ -115,9 +115,9 @@ class GradedMap:
     The constructor (rationals keyed (target, source)) and from_columns
     check deg(target) = deg(source) + degree.  compose, +, - and scale
     combine the denominators once per map; add_image adds den times the
-    image (numerator units).  entries, by_column, apply_basis and
-    __call__ are Fraction views.  A map is immutable; columns and the
-    views are shared: read them, never modify them.
+    image (numerator units).  entries, apply_basis and __call__ are
+    Fraction views.  A map is immutable; columns and the views are
+    shared: read them, never modify them.
     """
 
     def __init__(self, source, target, degree, entries=None):
@@ -141,7 +141,7 @@ class GradedMap:
                        for s, col in columns.items()}
         self.source, self.target, self.degree = source, target, degree
         self.columns, self.den = columns, den // g
-        self._entries = self._fractions = None
+        self._entries = None
 
     # -- constructors ------------------------------------------------------
 
@@ -176,16 +176,6 @@ class GradedMap:
                              for s, col in self.columns.items()
                              for t, n in col.items()}
         return self._entries
-
-    def by_column(self):
-        """source index -> {target index: Fraction}, built once per map
-        and shared by every caller: read it, never modify it."""
-        if self._fractions is None:
-            den = self.den
-            self._fractions = {
-                s: {t: Fraction(n, den) for t, n in col.items()}
-                for s, col in self.columns.items()}
-        return self._fractions
 
     def apply_basis(self, s):
         """Image of the s-th source basis vector as a fresh dict

@@ -1,22 +1,23 @@
 """Exact linear algebra over the rationals on sparse vectors.
 
 A vector is a dict {index: value} that holds no zero values, with int or
-Fraction values: the int numerator columns of a map (GradedMap.columns)
-or its Fraction views.  A matrix is a list of vectors: its rows for rref
-and rank, its columns everywhere else.  Every elimination runs in one
-kernel, _echelon, on int rows: a row given is multiplied by the lcm of
-its denominators.  kernel_basis, solve, coordinates and remainders hand
-back int numerators (a den, or the entry at a free column, says what to
-divide by), which GradedMap.from_columns takes as they are; only rref and
-inverse build Fractions, for the callers that keep Fraction vectors
-(dgla.sub_algebra, bv and contraction_extending_projection).  A
-finished echelon row is a multiple of the reduced row with its pivot, so
-dividing it by the gcd of its entries leaves the least int multiple: the
-entries stay bounded by the reduced echelon form of the rows taken so
-far, not by the steps that led to it.  Pivoting takes the first nonzero
-entry in index order, so every function here is deterministic, and since
-a matrix has only one reduced row echelon form, the results are the ones
-dense Gauss-Jordan elimination gives.
+Fraction values: the int numerator columns of a map (GradedMap.columns),
+read as they are where only their span counts, or Fraction vectors.  A
+matrix is a list of vectors: its rows for rref and rank, its columns
+everywhere else.  Every elimination runs in one kernel, _echelon, on int
+rows: a row given is multiplied by the lcm of its denominators.
+kernel_basis, solve, coordinates and remainders hand back int numerators
+(a den, or the entry at a free column, says what to divide by), which
+GradedMap.from_columns takes as they are; only rref and inverse build
+Fractions, for the callers that keep Fraction vectors (dgla.sub_algebra,
+bv and contraction_extending_projection).  A finished echelon row is a
+multiple of the reduced row with its pivot, so dividing it by the gcd of
+its entries leaves the least int multiple: the entries stay bounded by
+the reduced echelon form of the rows taken so far, not by the steps that
+led to it.  Pivoting takes the first nonzero entry in index order, so
+every function here is deterministic, and since a matrix has only one
+reduced row echelon form, the results are the ones dense Gauss-Jordan
+elimination gives.
 """
 
 from fractions import Fraction

@@ -216,7 +216,7 @@ def theorem_29_pipeline(m, con, N, inclusion=None):
     if inclusion is not None:
         from . import linalg
         cols = [inclusion.apply_basis(s) for s in range(m.space.dim)]
-        taus = result.tau.hom.by_column().values()
+        taus = result.tau.hom.columns.values()
         report["values_in_subalgebra"] = linalg.in_span(
             cols, [inclusion(col) for col in taus])
     report["passed"] = (master["passed"] and report["pi_tau_universal"]

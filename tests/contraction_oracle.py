@@ -9,12 +9,22 @@ Id + step + step^2 + ... composed with the operands afterwards.
 
 normalize_homotopy, the standard repair of the side conditions, builds
 non-standard contractions for the tests; the coalgebra lift never needs it.
+
+build_contraction and contraction_extending_projection are the two
+constructions as they stood before one adapted-basis loop built both: the
+first solves each degree over [d(A) | representatives | unit vectors]
+with the unit vectors as its own candidates; the second writes ker pi as
+a second ChainComplex on an echelon basis, solves for d on it, contracts
+it with build_contraction and carries h back to C along two compositions.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from hptmaster.complexes import ChainComplex, Contraction
-from hptmaster.graded import GradedMap
+from hptmaster import linalg
+from hptmaster.complexes import ChainComplex, Contraction, homology
+from hptmaster.graded import GradedMap, GradedVectorSpace
+from fraction_oracle import by_column
 
 
 def hom_differential(phi, d_src, d_tgt):
@@ -100,3 +110,106 @@ def normalize_homotopy(con):
     h1 = proj.compose(con.h).compose(proj)
     h2 = h1.compose(big.d).compose(h1).scale(Fraction(-1))
     return Contraction(big, small, con.nabla, con.pi, h2)
+
+
+def build_contraction(C):
+    """A contraction of C onto its homology, one elimination per degree,
+    from the top degree down: the unit vectors of degree n solved over
+    [d(A_{n+1}) | representatives | unit vectors]; the pivot units are A_n,
+    and h sends d(a) to -a."""
+    space = C.space
+    H, reps = homology(C)
+    small = ChainComplex(H)
+    d_cols = C.d.columns
+    m_d = C.d.den
+
+    parts = []
+    a_above = []
+    for n in sorted(set(space.degrees), reverse=True):
+        idx_n = space.indices_in_degree(n)
+        tags = ([("b", j) for j in a_above if space.degrees[j] == n + 1]
+                + [("h", k) for k in range(H.dim) if H.degrees[k] == n])
+        block = [d_cols[j] if kind == "b" else reps[j] for kind, j in tags]
+        m = len(tags)
+        units = [{s: 1} for s in idx_n]
+        coords, den = linalg.solve(block + units, units)
+        pi_cols, h_cols = {}, {}
+        kept = set()
+        for t, x in zip(idx_n, coords):
+            for pos, c in x.items():
+                if pos >= m:
+                    kept.add(idx_n[pos - m])
+                    continue
+                kind, ref = tags[pos]
+                if kind == "h":
+                    pi_cols.setdefault(t, {})[ref] = c
+                else:
+                    h_cols.setdefault(t, {})[ref] = -c * m_d
+        parts.append((den, pi_cols, h_cols))
+        a_above = sorted(kept)
+        if m + len(a_above) != len(idx_n):
+            raise AssertionError("adapted basis does not span degree %d" % n)
+
+    den = lcm(*(part[0] for part in parts))
+    pi_cols, h_cols = {}, {}
+    for m, *cols in parts:
+        f = den // m
+        for out, part in zip((pi_cols, h_cols), cols):
+            for t, col in part.items():
+                out[t] = {k: c * f for k, c in col.items()}
+
+    nabla = GradedMap.from_columns(small.space, space, 0, reps)
+    pi = GradedMap.from_columns(space, small.space, 0, pi_cols, den)
+    h = GradedMap.from_columns(space, space, 1, h_cols, den)
+    return Contraction(C, small, nabla, pi, h)
+
+
+def contraction_extending_projection(C, pi):
+    """Extend a chain map pi: C -> (pi.target, 0) that is a
+    quasi-isomorphism to a contraction by contracting ker pi as a complex
+    of its own.  Raises ValueError("projection admits no cycle-valued
+    section") or ValueError("projection is not a quasi-isomorphism"), and
+    AssertionError on a pi that is not a chain map."""
+    small = ChainComplex(pi.target)
+    space = C.space
+
+    # nabla: a section of pi with values in ker d, from one joint solve
+    shift = small.space.dim
+    joint = [pi.apply_basis(s) for s in range(space.dim)]
+    for s, col in by_column(C.d).items():
+        joint[s].update((shift + t, c) for t, c in col.items())
+    nabla_cols, den = linalg.solve(joint, [{k: 1} for k in range(shift)])
+    if None in nabla_cols:
+        raise ValueError("projection admits no cycle-valued section")
+    nabla = GradedMap.from_columns(small.space, space, 0, nabla_cols, den)
+
+    # the complement ker pi, the image of Id - nabla pi, on an echelon
+    # basis in each degree
+    proj = GradedMap.identity(space) - nabla.compose(pi)
+    proj_cols = by_column(proj)
+    sub_basis = []
+    for deg in sorted({space.degrees[s] for s in proj_cols}):
+        sub_basis.extend(row for _, row in linalg.rref(
+            col for s, col in proj_cols.items() if space.degrees[s] == deg))
+    sub_space = GradedVectorSpace(
+        [("c%d" % i, space.vector_degree(v)) for i, v in enumerate(sub_basis)])
+    # d on the complement and the coordinates of the columns of
+    # Id - nabla pi, from one elimination
+    n_sub = len(sub_basis)
+    coords, den = linalg.solve(
+        sub_basis, [C.d(v) for v in sub_basis]
+        + [proj_cols.get(s, {}) for s in range(space.dim)])
+    if None in coords[:n_sub]:
+        raise AssertionError("complement not d-stable")
+    if None in coords[n_sub:]:
+        raise AssertionError("projection image escaped the complement")
+    sub = ChainComplex(sub_space, GradedMap.from_columns(
+        sub_space, sub_space, -1, coords[:n_sub], den))
+    sub_con = build_contraction(sub)
+    if sub_con.small.space.dim != 0:
+        raise ValueError("projection is not a quasi-isomorphism")
+    # carry h of the complement back to C
+    incl = GradedMap.from_columns(sub_space, space, 0, sub_basis)
+    to_sub = GradedMap.from_columns(space, sub_space, 0, coords[n_sub:], den)
+    h = incl.compose(sub_con.h).compose(to_sub)
+    return Contraction(C, small, nabla, pi, h)

@@ -2,8 +2,8 @@
 GradedMap and StructureTable kept int numerators over one common
 denominator, kept as exact oracles.
 
-Every function reads the Fraction views only (GradedMap.entries and
-by_column, StructureTable.get) and computes with Fraction values
+Every function reads the Fraction views only (GradedMap.entries,
+by_column below, StructureTable.get) and computes with Fraction values
 throughout, one gcd per operation.  Maps come back as entry dicts
 (target, source) -> Fraction without zeros, vectors as sparse dicts that
 may hold zero values, and add_image and add_product give the true image
@@ -16,11 +16,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def by_column(f):
+    """source index -> {target index: Fraction}: the columns of the map f
+    as Fractions, the view GradedMap kept before every reader took its int
+    columns."""
+    den = f.den
+    return {s: {t: Fraction(n, den) for t, n in col.items()}
+            for s, col in f.columns.items()}
+
+
 def add_image(f, acc, vec, scale=ONE):
     """acc += scale * f(vec); returns acc, which may hold zero values."""
     if scale != 1:
         vec = {m: c * scale for m, c in vec.items()}
-    columns = f.by_column()
+    columns = by_column(f)
     for m, c in vec.items():
         col = columns.get(m)
         if col:
@@ -32,7 +41,7 @@ def add_image(f, acc, vec, scale=ONE):
 def compose(f, g):
     """The entries of f o g (apply g first)."""
     ent = {}
-    columns = f.by_column()
+    columns = by_column(f)
     for (m, s), c in g.entries.items():
         for t, c2 in columns.get(m, {}).items():
             key = (t, s)
@@ -67,7 +76,7 @@ def first_non_derivation(table, op):
     """The first basis pair (i, j) on which op fails the Leibniz rule
     op(e_i e_j) = (op e_i) e_j + (-1)^{|op| p_i} e_i (op e_j),
     p_i = |e_i| + degree, or None."""
-    cols = op.by_column()
+    cols = by_column(op)
     degs = table.space.degrees
     dim = table.space.dim
     for i in range(dim):
@@ -134,9 +143,9 @@ def identity_failures(con):
     """The failing contraction identities, column by column in Fractions."""
     d, d_small = con.big.d, con.small.d
     nabla, pi, h = con.nabla, con.pi, con.h
-    d_cols, d_small_cols = d.by_column(), d_small.by_column()
+    d_cols, d_small_cols = by_column(d), by_column(d_small)
     nabla_cols, pi_cols, h_cols = (
-        nabla.by_column(), pi.by_column(), h.by_column())
+        by_column(nabla), by_column(pi), by_column(h))
     sign = ONE if h.degree % 2 else -ONE
     failed = set()
     for s in range(con.small.space.dim):

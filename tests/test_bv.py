@@ -298,12 +298,12 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
     addendum_382_flat_identity(bv, 3)
     assert len(calls) == 1
 
-    # one bv run: one splitting, one copy of (ker Delta, d) and one
-    # formality predicate (two quasi-isomorphism checks), shared by the
-    # report and the pipeline; the two checks share the homology of
-    # (ker Delta, d), so four distinct complexes take four homology
-    # computations, and the run takes 47 (full) or 20 (flat-unit)
-    # eliminations
+    # one bv run: one splitting, one copy of (ker Delta, d), one
+    # contraction extending its projection and one formality predicate,
+    # shared by the report and the pipeline; the predicate checks the
+    # inclusion with one quasi-isomorphism check, which takes the homology
+    # of (ker Delta, d) and of the regraded algebra, the extension takes
+    # none, and the run takes 35 (full) or 16 (flat-unit) eliminations
     sub_algebras = []
     sub_algebra = DgLieAlgebra.sub_algebra
 
@@ -334,22 +334,21 @@ def test_kernel_of_delta_computed_once_per_pipeline(monkeypatch, fixture_dir,
 
     monkeypatch.setattr(bv_module, "is_quasi_iso", counting_quasi_iso)
     monkeypatch.setattr(complexes, "homology", counting_homology)
-    monkeypatch.setattr(bv_module, "homology", counting_homology)
     monkeypatch.setattr(DgLieAlgebra, "sub_algebra", counting_sub_algebra)
     monkeypatch.setattr(linalg, "_echelon", counting_echelon)
     for argv, eliminations in (
-            (["bv", str(fixture_dir / "kahler_bv.json")], 47),
+            (["bv", str(fixture_dir / "kahler_bv.json")], 35),
             (["bv", str(fixture_dir / "unit_bv.json"),
-              "--pipeline", "flat-unit"], 20)):
+              "--pipeline", "flat-unit"], 16)):
         del calls[:], sub_algebras[:], echelons[:], quasi_isos[:]
         del homologies[:]
         assert cli.main(argv + ["--max-word-length", "3"]) == 0
         assert len(calls) == 1
         assert len(sub_algebras) == 1
         assert len(echelons) == eliminations
-        assert len(quasi_isos) == 2
-        assert len(homologies) == 4
-        assert len({id(C) for C in homologies}) == 4
+        assert len(quasi_isos) == 1
+        assert len(homologies) == 2
+        assert len({id(C) for C in homologies}) == 2
     capsys.readouterr()
 
 

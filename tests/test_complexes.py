@@ -5,11 +5,13 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hptmaster import graded, instances, linalg
 from hptmaster.complexes import (ChainComplex, Contraction, build_contraction,
                                  contraction_extending_projection, homology,
                                  induced_map_on_homology, is_quasi_iso)
+from hptmaster.dgla import DgLieAlgebra
 from hptmaster.graded import GradedMap, GradedVectorSpace
 
 import contraction_oracle
@@ -88,6 +90,115 @@ def test_contraction_extending_projection_hand():
     assert con.pi.entries == pi.entries
 
 
+def test_projection_that_is_not_a_chain_map_is_refused():
+    # pi(b) = 1 with b = d(a): pi d != 0, refused before any elimination
+    C = two_step()
+    small = GradedVectorSpace([("h", 0)])
+    for entries in ({(0, 1): F(1)}, {(0, 1): F(1), (0, 2): F(1)}):
+        with pytest.raises(ValueError,
+                           match="^projection is not a chain map$"):
+            contraction_extending_projection(
+                C, GradedMap(C.space, small, 0, entries))
+
+
+def _refusal(extend, C, pi):
+    with pytest.raises(ValueError) as info:
+        extend(C, pi)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("extend", [
+    contraction_extending_projection,
+    contraction_oracle.contraction_extending_projection],
+    ids=["library", "oracle"])
+def test_each_refusal_of_an_extension_is_named(extend):
+    # a class hit only by a chain that is not a cycle: a -> b, pi(a) = h
+    C = two_step()
+    small = GradedVectorSpace([("h", 1)])
+    pi = GradedMap(C.space, small, 0, {(0, 0): F(1)})
+    assert (_refusal(extend, C, pi)
+            == "projection admits no cycle-valued section")
+    # chain maps with a cycle-valued section and a kernel that is not
+    # acyclic; the library finds A holding a cycle below the lowest degree
+    # (the class of c dropped), across a gap (x in degree 2 over y in
+    # degree 0) and as a zero column d(a) of [d(A) | nabla] (a a cycle
+    # over the class of b)
+    gap = GradedVectorSpace([("x", 2), ("y", 0)])
+    flat = GradedVectorSpace([("a", 1), ("b", 0)])
+    for C, pi in (
+            (C, GradedMap(C.space, GradedVectorSpace([]), 0)),
+            (ChainComplex(gap), GradedMap(gap, GradedVectorSpace([("h", 0)]),
+                                          0, {(0, 1): F(1)})),
+            (ChainComplex(flat), GradedMap(
+                flat, GradedVectorSpace([("h", 0)]), 0, {(0, 1): F(1)}))):
+        assert (_refusal(extend, C, pi)
+                == "projection is not a quasi-isomorphism")
+
+
+def _drawn_projection(data, C, pi):
+    """S P pi + psi d for the projection pi onto homology: P drops the
+    classes drawn, S is a drawn degree-0 map of what is left and psi a
+    drawn degree +1 map into it, so the result is a chain map."""
+    H = pi.target
+    coeffs = st.sampled_from([-2, -1, 0, 0, 1, 1, 3])
+    keep = [k for k in range(H.dim) if data.draw(st.integers(0, 5))]
+    T = GradedVectorSpace([H.basis[k] for k in keep])
+    drop = GradedMap.from_columns(H, T, 0, {k: {i: 1}
+                                            for i, k in enumerate(keep)})
+    S = GradedMap(T, T, 0, {(t, s): F(data.draw(coeffs))
+                            for s in range(T.dim) for t in range(T.dim)
+                            if T.degrees[s] == T.degrees[t]})
+    psi = GradedMap(C.space, T, 1, {
+        (t, s): F(data.draw(coeffs)) for s in range(C.dim)
+        for t in range(T.dim) if T.degrees[t] == C.space.degrees[s] + 1})
+    return S.compose(drop).compose(pi) + psi.compose(C.d)
+
+
+def _contraction_or_refusal(extend, *args):
+    try:
+        con = extend(*args)
+    except ValueError as exc:
+        return str(exc)
+    return con.small.space, con.nabla, con.pi, con.h
+
+
+@st.composite
+def complexes(draw):
+    """The complex of a random_dgla seed, or a standard complex (classes
+    and pairs y -> x = d(y) in degrees 0..3) conjugated by change_basis,
+    whose degrees hold several kernel vectors each."""
+    seed = draw(st.integers(0, 1499))
+    if draw(st.booleans()):
+        return instances.random_dgla(seed).complex
+    basis, d = [], {}
+    for n in range(4):
+        basis += [("z%d_%d" % (n, k), n)
+                  for k in range(draw(st.integers(0, 2)))]
+    for n in range(3):
+        for k in range(draw(st.integers(0, 3))):
+            d[(len(basis), len(basis) + 1)] = F(1)
+            basis += [("x%d_%d" % (n, k), n), ("y%d_%d" % (n + 1, k), n + 1)]
+    space = GradedVectorSpace(basis)
+    g = DgLieAlgebra(ChainComplex(space, GradedMap(space, space, -1, d)), {})
+    return instances.change_basis(g, random.Random(seed)).complex
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes(), st.data())
+def test_contractions_match_the_oracle(C, data):
+    # the adapted-basis loop gives the oracle's contraction onto homology,
+    # and the oracle's extension of every drawn chain-map projection,
+    # or the same refusal
+    con = _contraction_or_refusal(build_contraction, C)
+    assert con == _contraction_or_refusal(
+        contraction_oracle.build_contraction, C)
+    pi = _drawn_projection(data, C, con[2])
+    assert pi.compose(C.d).is_zero()
+    assert (_contraction_or_refusal(contraction_extending_projection, C, pi)
+            == _contraction_or_refusal(
+                contraction_oracle.contraction_extending_projection, C, pi))
+
+
 def test_induced_map_and_quasi_iso():
     C = two_step()
     V2 = GradedVectorSpace([("z", 0)])
@@ -101,10 +212,12 @@ def test_induced_map_and_quasi_iso():
     assert not is_quasi_iso(zero, C, D)
 
 
-def acyclic(n):
-    """y_i -> x_i for i < n: 2n basis vectors in two degrees, no homology."""
+def acyclic(n, top=()):
+    """y_i -> x_i for i < n: 2n basis vectors in two degrees, no homology,
+    and a class of each degree in top."""
     V = GradedVectorSpace([("x%d" % i, 0) for i in range(n)]
-                          + [("y%d" % i, 1) for i in range(n)])
+                          + [("y%d" % i, 1) for i in range(n)]
+                          + [("z%d" % i, k) for i, k in enumerate(top)])
     return ChainComplex(V, GradedMap(V, V, -1,
                                      {(i, n + i): F(1) for i in range(n)}))
 
@@ -130,6 +243,15 @@ def test_build_contraction_eliminations_do_not_grow_with_dimension(
         assert con.small.space.dim == 0
         counts.append(len(calls))
     assert counts == [3 * 2, 3 * 2]
+    # the refusals' checks across a gap (degree 2 missing under the class
+    # in degree 3) and below the lowest degree take no elimination
+    counts = []
+    for n in (10, 40):
+        del calls[:]
+        con = build_contraction(acyclic(n, top=(3,)))
+        assert con.small.space.degrees == [3]
+        counts.append(len(calls))
+    assert counts == [3 * 3, 3 * 3]
 
 
 def test_homotopy_sign_convention():

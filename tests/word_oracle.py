@@ -25,6 +25,7 @@ from itertools import product as iproduct
 
 from hptmaster.graded import GradedMap, ONE
 from hptmaster.words import suspended_coalgebra
+from fraction_oracle import by_column
 from linalg_oracle import dense
 from table_oracle import bilinear
 
@@ -49,7 +50,7 @@ def components(lam, coalg):
     only the arities with a nonzero column, so sorted() of it is the arity
     support."""
     out = {}
-    for s, col in sorted(lam.by_column().items()):
+    for s, col in sorted(by_column(lam).items()):
         out.setdefault(len(coalg.words[s]), {})[coalg.words[s]] = col
     return out
 
