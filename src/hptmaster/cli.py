@@ -2,9 +2,17 @@
 
 Problem files are JSON documents with exact rationals written as strings
 ("3", "-1/2"); reports are JSON with sorted keys so that identical inputs
-produce byte-identical output.  Exit codes: 0 all checks pass, 1 a
-verification failed, 2 the input could not be parsed or was inconsistent.
-Wall-clock timing goes to stderr only, never into the report bytes.
+produce byte-identical output.  _dumps writes them exactly as
+json.dumps(report, sort_keys=True, indent=2) would, for the types reports
+hold.  Exit codes: 0 all checks pass, 1 a verification failed, 2 the
+input could not be parsed or was inconsistent.  Wall-clock timing goes to
+stderr only, never into the report bytes.
+
+An argument list that starts with a subcommand goes to that subparser of
+the one cached parser; anything else, and any argument the subparser
+leaves over, goes through the whole parser, whose usage and error texts
+argparse writes.  A section row's location ("bracket[3]") is formatted
+only when the row is refused.
 
 A coefficient is read as an int pair (p, q).  A dg Lie problem reaches
 the library as int numerators over each section's lcm, and tau and the
@@ -26,6 +34,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 
 from .bv import (BVData, addendum_382_flat_identity, kahler_formality_check,
@@ -121,10 +130,6 @@ def _rows(doc, section):
     return rows
 
 
-def _is_row(entry, length):
-    return isinstance(entry, list) and len(entry) == length
-
-
 def _label(value, where):
     if not isinstance(value, str):
         raise InputError("%s: label must be a string, not %s"
@@ -152,7 +157,8 @@ def load_problem(path):
     basis = []
     for pos, entry in enumerate(_rows(doc, "basis")):
         where = "basis[%d]" % pos
-        if (not _is_row(entry, 2) or not isinstance(entry[1], int)
+        if (not isinstance(entry, list) or len(entry) != 2
+                or not isinstance(entry[1], int)
                 or isinstance(entry[1], bool)):
             raise InputError("%s: expected [label, integer degree]" % where)
         basis.append((_label(entry[0], where), entry[1]))
@@ -173,15 +179,32 @@ def load_problem(path):
 
     def section(name, shape):
         """The rows of a section in file order, each checked, as (label
-        indices, p, q), and the lcm of their q."""
+        indices, p, q), and the lcm of their q.
+
+        A row's location is formatted only when its labels or coefficient
+        fail the lookups below; the row is then read again with it, so
+        that the error names the row.  Each distinct coefficient text is
+        parsed once per section: the memo keeps str texts only, since JSON
+        true equals 1 and must still be refused after a 1."""
         width = shape.count(",") + 1
         rows = []
+        ratios = {}
         for pos, entry in enumerate(_rows(doc, name)):
-            where = "%s[%d]" % (name, pos)
-            if not _is_row(entry, width):
-                raise InputError("%s: expected %s" % (where, shape))
-            at = tuple([look(label, where) for label in entry[:-1]])
-            rows.append((at, *_ratio(entry[-1], where)))
+            if not isinstance(entry, list) or len(entry) != width:
+                raise InputError("%s[%d]: expected %s" % (name, pos, shape))
+            text = entry[-1]
+            try:
+                at = tuple([index[label] for label in entry[:-1]])
+                pq = ratios.get(text)
+                if pq is None:
+                    pq = _ratio(text, name)
+                    if isinstance(text, str):
+                        ratios[text] = pq
+            except (KeyError, TypeError, InputError):
+                where = "%s[%d]" % (name, pos)
+                at = tuple([look(label, where) for label in entry[:-1]])
+                pq = _ratio(text, where)
+            rows.append((at, *pq))
         return rows, lcm(*(q for _, _, q in rows))
 
     def sparse_map(name, degree):
@@ -279,8 +302,43 @@ def serialize_mc(mc):
     }
 
 
+def _dumps(value, indent="\n"):
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, for
+    the types reports hold: dicts with str keys, lists, tuples, str, int,
+    True, False and None (exact types); any other raises TypeError.  json
+    runs its C encoder only without indent, so its indented output comes
+    from a pure-Python generator that this replaces."""
+    t = type(value)
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(key) + ": "
+            + (_quote(item) if type(item) is str else _dumps(item, inner))
+            for key, item in sorted(value.items())]) + indent + "}"
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(item) if type(item) is str else _dumps(item, inner)
+            for item in value]) + indent + "]"
+    if t is str:
+        return _quote(value)
+    if t is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError("a report cannot hold %s" % t.__name__)
+
+
 def _emit(report, args, started):
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    payload = _dumps(report) + "\n"
     out = getattr(args, "output", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -453,6 +511,8 @@ def build_parser():
         prog="hptmaster",
         description="Exact homotopy transfer for dg Lie and BV algebras.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # name -> subparser, which parse_args hands a subcommand's arguments
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("validate", help="check the axioms of a problem file")
     p.add_argument("file")
@@ -486,10 +546,24 @@ def build_parser():
     return parser
 
 
+def parse_args(argv):
+    """build_parser().parse_args(argv), with argv[0] a subcommand handed to
+    its subparser directly.  Anything else, or arguments the subparser
+    leaves over, goes through the whole parser, which raises argparse's
+    own error."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     started = time.monotonic()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args, started)
     except InputError as exc:

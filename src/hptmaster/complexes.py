@@ -204,8 +204,16 @@ def contraction_extending_projection(C, pi):
     for s, col in (GradedMap.identity(space)
                    - nabla.compose(pi)).columns.items():
         by_degree.setdefault(space.degrees[s], []).append(col)
-    return _adapted(C, nabla, {n: [row for _, row in linalg.rref(cols)]
-                               for n, cols in by_degree.items()}, pi)
+    # each rref row as its least int multiple: a candidate's scale changes
+    # neither which candidates are kept nor h, which sends d(a) to -a
+    candidates = {}
+    for n, cols in by_degree.items():
+        rows = candidates[n] = []
+        for _, row in linalg.rref(cols):
+            m = lcm(*(c.denominator for c in row.values()))
+            rows.append({k: c.numerator * (m // c.denominator)
+                         for k, c in row.items()})
+    return _adapted(C, nabla, candidates, pi)
 
 
 def _adapted(C, nabla, candidates=None, pi=None):

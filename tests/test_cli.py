@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_oracle
 from hptmaster import cli
 
 F = Fraction
@@ -44,17 +45,56 @@ def test_validate_dgla_ok(fixture_dir, capsys):
 
 
 def test_cli_calls_share_one_parser(monkeypatch, fixture_dir, capsys):
+    # a subcommand's arguments go straight to its subparser, anything else
+    # through the whole parser: both belong to the one build_parser keeps
     parsers = []
-    parse_args = argparse.ArgumentParser.parse_args
+    parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def recording(self, *args, **kwargs):
         parsers.append(self)
-        return parse_args(self, *args, **kwargs)
+        return parse_known_args(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        recording)
     for _ in range(2):
         assert run(["validate", str(fixture_dir / "l3.json")], capsys)[0] == 0
-    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    validate = cli.build_parser().subcommands["validate"]
+    assert len(parsers) == 2 and all(p is validate for p in parsers)
+    parsers.clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            cli.main(["bogus"])
+    assert len(parsers) == 2 and all(p is cli.build_parser() for p in parsers)
+
+
+def parse_outcome(parse, argv):
+    """vars(Namespace), or the SystemExit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["validate", "-h"], ["massey", "--help"],
+    ["bogus"], ["bogus", "l3.json"], ["validate"],
+    ["validate", "nope.json"], ["validate", "l3.json", "--bogus"],
+    ["transfer", "--bogus", "l3.json"], ["validate", "l3.json", "extra"],
+    ["transfer", "l3.json", "--max-word-length", "x"],
+    ["transfer", "l3.json", "--check", "--max-word-length", "3"],
+    ["validate", "--out", "report.json", "l3.json"],
+    ["bv", "kahler_bv.json", "--pipeline", "bogus"],
+    ["bv", "--pipeline", "flat-unit", "kahler_bv.json"],
+    ["massey", "--seed", "3", "--theta", "zero"], ["massey", "--seed", "3"],
+    ["massey", "--spheres", "3,5", "--order", "6"],
+    ["validate", "--", "l3.json"], ["-h", "validate"],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_direct_dispatch_parses_as_the_whole_parser(argv):
+    assert (parse_outcome(cli.parse_args, argv)
+            == parse_outcome(cli.build_parser().parse_args, argv))
 
 
 def test_validate_broken_jacobi_exit_one(fixture_dir, capsys):
@@ -164,6 +204,46 @@ def test_coefficient_parser_matches_fraction(text):
     assert Fraction(p, q) == want == Fraction(str(text))
 
 
+def test_true_after_one_is_a_bad_rational(tmp_path, capsys):
+    # JSON true equals 1, so a memo of parsed coefficients keyed by any
+    # JSON value would take it after a 1
+    for first in ("1", 1):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "basis": [["x", 0], ["y", 1]],
+            "differential": [["y", "x", first], ["y", "x", True]]}))
+        code, out, err = run(["validate", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: differential[1]: bad rational True ")
+
+
+report_strings = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f\x7f", "\u2028", "\u00e9", "\U0001f600",
+     "a\"b\\c\nd"])
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | report_strings,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(report_strings, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_values)
+def test_report_writer_matches_json(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_values, st.floats() | st.fractions()
+       | st.dictionaries(st.integers() | st.floats() | st.booleans()
+                         | st.none() | st.tuples(st.text()),
+                         report_values, min_size=1))
+def test_report_writer_refuses_other_types(value, other):
+    with pytest.raises(TypeError):
+        cli._dumps({"report": value, "other": [other]})
+
+
 def test_non_utf8_input_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"basis": [["\xff", 0]]}')
@@ -254,6 +334,67 @@ def test_validate_fuzz_exit_code_contract(doc):
     else:
         verdict = report_of(out.getvalue())["verdict"]
         assert verdict["passed"] == (code == 0)
+
+
+def loaded(result):
+    """A loaded problem as comparable data: kind, digest and structure."""
+    kind, obj, digest = result
+    if kind == "dgla":
+        tables = (obj.bracket,)
+        maps = (obj.d,)
+    else:
+        tables = (obj.multiply, obj.bracket)
+        maps = (obj.d, obj.delta, obj.unit_index, obj.bracket_given)
+    return (kind, digest, obj.space, maps,
+            [(t.den, t.numerator_rows()) for t in tables])
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A schema document with at most one row of one section corrupted."""
+    doc = draw(well_formed_documents())
+    names = [name for name in ROW_WIDTHS if doc.get(name)]
+    if not names:
+        return doc
+    rows = doc[draw(st.sampled_from(names))]
+    pos = draw(st.integers(0, len(rows) - 1))
+    row = rows[pos]
+    fault = draw(st.sampled_from(["none", "not a list", "width", "label",
+                                  "bad rational", "number", "true after 1"]))
+    if fault == "not a list":
+        rows[pos] = draw(st.sampled_from(["abc", "ab", 3, None, {"a": 1}]))
+    elif fault == "width":
+        rows[pos] = row[:-1] if draw(st.booleans()) else row + ["1"]
+    elif fault == "label":
+        row[draw(st.integers(0, len(row) - 2))] = draw(st.sampled_from(
+            [["a"], [], 1, 0, 2.5, True, False, None, "zz", "c"]))
+    elif fault == "bad rational":
+        row[-1] = draw(st.sampled_from(
+            ["1/0", "x", "1e3", "", " 1", "1_0", True, False, None, [1],
+             {"a": "1"}, 1e300, float("nan")]))
+    elif fault == "number":
+        row[-1] = draw(st.sampled_from([2, -1, 0, 1.5, -0.25, 10 ** 20]))
+    elif fault == "true after 1":
+        first = draw(st.sampled_from([1, "1"]))
+        rows[pos:pos] = [row[:-1] + [first], row[:-1] + [True]]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_documents())
+def test_loader_matches_the_oracle(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        try:
+            want = loaded(cli_oracle.load_problem(path))
+        except cli.InputError as exc:
+            with pytest.raises(cli.InputError) as refused:
+                cli.load_problem(path)
+            assert str(refused.value) == str(exc)
+            return
+        assert loaded(cli.load_problem(path)) == want
 
 
 def test_parse_error_reports_location(tmp_path, capsys):
