@@ -208,18 +208,23 @@ def ce_coalgebra(g, N):
     return coalg
 
 
-def is_twisting_cochain(t):
+def is_twisting_cochain(t, half_square):
     """Exact check of the Lie master equation Dt = (1/2)[t,t].
 
-    The Hom-differential uses the full source differential (including any
-    perturbation).  Returns a report with the first failing word length.
+    half_square must be (1/2)[t, t], the cup square of t.hom halved, as a
+    GradedMap from t's word space; the check does not form the square
+    itself.  transfer.transfer hands over the sum of the halved length-b
+    pieces its recursion formed.  That sum is (1/2)[t, t] column for
+    column: a splitting of a length-b word that t sees has both words
+    nonempty, so both shorter than b, where t was final when step b ran.
+    A caller holding any other cochain passes cup_bracket(t.hom, t.hom,
+    ...) scaled by 1/2.  The Hom-differential uses the full source
+    differential (including any perturbation).  Returns a report with the
+    first failing word length.
     """
     coalg = t.source
-    target = t.target
-    D_src = coalg.differential
-    Dt = target.d.compose(t.hom) + t.hom.compose(D_src)
-    rhs = cup_bracket(t.hom, t.hom, coalg, target).scale(Fraction(1, 2))
-    diff = Dt - rhs
+    Dt = t.target.d.compose(t.hom) + t.hom.compose(coalg.differential)
+    diff = Dt - half_square
     bad_lengths = sorted({coalg.word_length(s) for s in diff.columns})
     return {
         "passed": not bad_lengths,

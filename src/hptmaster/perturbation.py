@@ -45,8 +45,12 @@ so a letter multiplied on the right moves to the front with one sign,
 These are the invariant parts of the tensor-coalgebra lift with the side
 homotopy sum_k Id^k (x) h (x) (nabla pi)^{rest}: the weight is the share of
 arrangements in which S precedes x.  The perturbation lemma then transfers
-a word-length lowering perturbation of the big differential across any
-contraction, with all series finite by the filtration argument.
+a word-length lowering perturbation delta of the big differential across
+any contraction.  It sums one series, h_p = sum_k (h delta)^k h, finite by
+the filtration argument, and reads the rest off it in closed form:
+
+    nabla_p = nabla + h_p (delta nabla),   pi_p = pi + (pi delta) h_p,
+    delta_small = (pi delta) nabla_p.
 """
 
 from itertools import groupby
@@ -230,20 +234,25 @@ def perturbation_lemma(con, delta):
     lowering perturbations of a word-length preserving homotopy).  Returns
     (perturbed contraction, small perturbation).
 
-    The series are summed on the thin operands, never as endomorphisms:
+    Only the h-series is summed, on the thin operand h, never as an
+    endomorphism; the other three maps are closed forms in it:
 
-        nabla_p = sum_k (h delta)^k nabla,   h_p = sum_k (h delta)^k h,
-        pi_p = sum_k pi (delta h)^k,         delta_small = pi delta nabla_p.
+        h_p = sum_k (h delta)^k h,
+        nabla_p = sum_k (h delta)^k nabla = nabla + h_p (delta nabla),
+        pi_p = sum_k pi (delta h)^k = pi + (pi delta) h_p,
+        delta_small = pi delta sum_k (h delta)^k nabla = (pi delta) nabla_p,
 
-    The nilpotence guard stays exact.  The k-th term of the h-series is
-    (h delta)^k h, and (h delta)^{k+1} = [(h delta)^k h] delta, so some
+    since (h delta)^{k+1} = (h delta)^k h delta and
+    (delta h)^{k+1} = delta (h delta)^k h.
+
+    One guard suffices, and it stays exact.  The k-th term of the h-series
+    is (h delta)^k h, and (h delta)^{k+1} = [(h delta)^k h] delta, so some
     term vanishes exactly when h delta is nilpotent.  A nilpotent
     endomorphism of an n-dimensional space has n-th power zero, so then
-    the term for k = n vanishes.  h delta and delta h are nilpotent
-    together, so the nabla- and pi-series end by k = n as well.  Each
-    series gets n + 1 steps and raises "perturbation series does not
-    terminate" when none of them gives zero, which the h-series does
-    whenever h delta is not nilpotent.
+    the term for k = n vanishes.  So the h-series gets n + 1 steps and
+    raises "perturbation series does not terminate" when none of them
+    gives zero, that is, exactly when h delta is not nilpotent; when it
+    ends, so do the nabla- and pi-series that the closed forms stand for.
 
     Both perturbed complexes come from ChainComplex.perturbed, which
     squares only the cross terms: d^2 = 0 was checked on con's complexes.
@@ -255,14 +264,11 @@ def perturbation_lemma(con, delta):
         raise ValueError(
             "perturbed differential does not square to zero") from exc
     h = con.h
-    max_terms = big.space.dim + 1
-
-    def left(f):
-        return h.compose(delta.compose(f))
-
-    h_p = _series(h, left, max_terms)
-    nabla_p = _series(con.nabla, left, max_terms)
-    pi_p = _series(con.pi, lambda f: f.compose(delta).compose(h), max_terms)
-    delta_small = con.pi.compose(delta.compose(nabla_p))
+    h_p = _series(h, lambda f: h.compose(delta.compose(f)),
+                  big.space.dim + 1)
+    pi_delta = con.pi.compose(delta)
+    nabla_p = con.nabla + h_p.compose(delta.compose(con.nabla))
+    pi_p = con.pi + pi_delta.compose(h_p)
+    delta_small = pi_delta.compose(nabla_p)
     small_p = small.perturbed(delta_small)
     return Contraction(big_p, small_p, nabla_p, pi_p, h_p), delta_small

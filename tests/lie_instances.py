@@ -4,7 +4,8 @@ sl2 and the tensor products g (x) B of a three-dimensional Lie algebra g
 with a three-dimensional dg commutative algebra B: one with nonzero
 differential and brackets and homology g, and one whose homology lifts
 commute although the algebra is not abelian (the degeneration instance of
-Add. 2.8.3 and 2.8.5).
+Add. 2.8.3 and 2.8.5), and a tower whose twisting cochain reaches word
+length three.
 """
 
 from hptmaster.complexes import ChainComplex
@@ -70,3 +71,19 @@ def commuting_lifts_dgla(kind="sl2"):
     zero; lifted brackets zero) hold exactly.
     """
     return _lie_tensor(kind, (("v", "v", "v"), ("u", "v", "u")))
+
+
+def tower_dgla():
+    """Classes x, y, z in degree 0 with [x, y] = v = d(u) and
+    [u, z] = p = d(q): tau^2 lifts sx sy to a multiple of u, and
+    tau^3 lifts sx sy sz to a multiple of q.  Every bracket lands in
+    the boundaries v and p, whose brackets vanish, so Jacobi and the
+    Leibniz rule hold."""
+    space = GradedVectorSpace([("x", 0), ("y", 0), ("z", 0), ("u", 1),
+                               ("v", 0), ("q", 2), ("p", 1)])
+    i = space.index
+    d = GradedMap(space, space, -1, {(i["v"], i["u"]): ONE,
+                                     (i["p"], i["q"]): ONE})
+    return DgLieAlgebra(ChainComplex(space, d),
+                        {(i["x"], i["y"]): {i["v"]: ONE},
+                         (i["z"], i["u"]): {i["p"]: ONE}})

@@ -456,3 +456,22 @@ def test_perturbed_tests_the_cross_terms_together():
     corrupted = delta + GradedMap(V, V, -1, {(3, 1): F(1)})
     with pytest.raises(ValueError, match="d o d != 0"):
         C.perturbed(corrupted)
+
+
+def test_perturbation_lemma_sums_one_series(monkeypatch):
+    # nabla_p, pi_p and delta_small are closed forms in h_p, so one call
+    # sums the h-series and no other
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _series(*args)
+
+    monkeypatch.setattr(perturbation, "_series", counted)
+    g = instances.nonzero_l3_dgla()
+    con = build_contraction(g.complex)
+    ce = ce_coalgebra(g, 3)
+    lifted = symmetric_coalgebra_contraction(
+        con, ce, suspended_coalgebra(con.small.d, 3))
+    perturbation_lemma(lifted, ce.perturbation_operator)
+    assert calls == [lifted.h]

@@ -13,7 +13,8 @@ import word_oracle
 from word_oracle import components, sort_factors, word_degree
 from hptmaster import cli, graded, instances
 from hptmaster.complexes import ChainComplex, Contraction, build_contraction
-from hptmaster.dgla import DgLieAlgebra, ce_coalgebra
+from hptmaster.dgla import (DgLieAlgebra, TwistingCochainHom, ce_coalgebra,
+                            cup_bracket, is_twisting_cochain)
 from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import (check_addendum_283, check_addendum_285,
                                 theorem_29_pipeline, transfer, verify_master)
@@ -21,6 +22,7 @@ from hptmaster import words
 from hptmaster.words import TruncatedSymCoalgebra, splittings, word_label
 
 F = Fraction
+HALF = F(1, 2)
 
 
 def test_transfer_requires_valid_truncation():
@@ -30,6 +32,18 @@ def test_transfer_requires_valid_truncation():
         transfer(g, con, 1)
 
 
+def assert_recursion_square_is_the_cup_square(res, oracle=True):
+    """The half square the recursion hands to the master check is half the
+    cup square of the final tau on every word: cup_bracket's all-lengths
+    mode and, unless oracle is False, the oracle's splittings agree."""
+    hom, coalg, g = res.tau.hom, res.coalg, res.g
+    assert res.half_square == cup_bracket(hom, hom, coalg, g).scale(HALF)
+    if oracle:
+        full = word_oracle.full_cup_bracket(hom, hom, coalg, g)
+        assert res.half_square.entries == {
+            k: c / 2 for k, c in full.entries.items()}
+
+
 def test_lengthwise_recursion_matches_full_cup_oracle(corpus):
     for _, g, con, res4 in corpus:
         for N in (2, 3, 4):
@@ -37,6 +51,7 @@ def test_lengthwise_recursion_matches_full_cup_oracle(corpus):
             tau, D = word_oracle.transfer_tau_and_D(g, con, N)
             assert res.tau.hom.entries == tau.entries
             assert res.coalg.perturbation == D
+            assert_recursion_square_is_the_cup_square(res)
             # the small complex is homology, so d1 = 0 and the sum d1 + D
             # hands back an operand: D itself, or d1 when D = 0 too
             coalg = res.coalg
@@ -97,17 +112,62 @@ def test_bench_counts_the_nonzeros_of_the_perturbation(corpus):
         assert counters["transfer.D_nnz"] == nnz > 0
 
 
+def without_length(res, b):
+    """res.tau with its columns on the words of length b dropped."""
+    coalg = res.coalg
+    columns = {s: col for s, col in res.tau.hom.columns.items()
+               if coalg.word_length(s) != b}
+    return TwistingCochainHom(coalg, res.g, GradedMap.from_columns(
+        coalg.space, res.g.space, -1, columns, res.tau.hom.den))
+
+
 def test_master_fails_when_component_zeroed():
     g = instances.nonzero_l3_dgla()
     con = build_contraction(g.complex)
     res = transfer(g, con, 4)
-    from hptmaster.dgla import TwistingCochainHom
     entries = {(t, s): c for (t, s), c in res.tau.hom.entries.items()
                if res.coalg.word_length(s) == 1}
     stripped = TwistingCochainHom(
         res.coalg, g, GradedMap(res.coalg.space, g.space, -1, entries))
-    from hptmaster.dgla import is_twisting_cochain
-    assert not is_twisting_cochain(stripped)["passed"]
+    half = cup_bracket(stripped.hom, stripped.hom, res.coalg, g).scale(HALF)
+    assert not is_twisting_cochain(stripped, half)["passed"]
+    # one length-b component zeroed at a time: the check reads the same
+    # failing lengths from the library's fresh square as from the oracle's,
+    # and fails first at b exactly when tau has a length-b component
+    for g in (instances.nonzero_l3_dgla(), lie_instances.tower_dgla()):
+        res = transfer(g, build_contraction(g.complex), 4)
+        lengths = {res.coalg.word_length(s) for s in res.tau.hom.columns}
+        assert is_twisting_cochain(res.tau, res.half_square)["passed"]
+        for b in range(2, res.truncation + 1):
+            t = without_length(res, b)
+            report = is_twisting_cochain(t, cup_bracket(
+                t.hom, t.hom, res.coalg, g).scale(HALF))
+            full = word_oracle.full_cup_bracket(t.hom, t.hom, res.coalg, g)
+            assert report == is_twisting_cochain(t, full.scale(HALF))
+            if b in lengths:
+                assert report["first_failure"] == b
+            else:
+                assert report["passed"]
+
+
+def test_recursion_square_matches_the_full_cup_square(fixture_dir):
+    # the lengthwise recursion test compares the corpus; here the four dg
+    # Lie fixtures, broken_jacobi among them, as the length argument does
+    # not use Jacobi, and the tower, whose tau reaches length three
+    for name in ("abelian", "broken_jacobi", "l3", "l3_cubed"):
+        _, g, _ = cli.load_problem(str(fixture_dir / (name + ".json")))
+        assert_recursion_square_is_the_cup_square(
+            transfer(g, build_contraction(g.complex), 4))
+    g = lie_instances.tower_dgla()
+    assert_recursion_square_is_the_cup_square(
+        transfer(g, build_contraction(g.complex), 5))
+    # l3_cubed at depth; the oracle reads every splitting of every word
+    # (10 s at N = 8), so CI compares it at N = 8 and tier-1 up to N = 6
+    _, g, _ = cli.load_problem(str(fixture_dir / "l3_cubed.json"))
+    con = build_contraction(g.complex)
+    for N in (5, 6, 7, 8):
+        assert_recursion_square_is_the_cup_square(transfer(g, con, N),
+                                                  oracle=N <= 6)
 
 
 def test_identity_contraction_reproduces_ce():
