@@ -117,9 +117,13 @@ def _vanishes(terms, unit, dim):
     on a space of dimension dim?  f and g are int columns, source ->
     {target: value}, as GradedMap.columns holds them.  The sum is formed
     one column of g at a time, so a column that no term reaches is zero,
-    and every other column is tested exactly."""
+    and every other column is tested exactly.  A term whose g hits no
+    column of f, no target index of g being a source index of f, is the
+    zero map, f g = 0, and is skipped without a walk over g."""
     res = {s: {s: unit} for s in range(dim)}
     for scale, f, g in terms:
+        if set().union(*g.values()).isdisjoint(f):
+            continue
         for s, col in g.items():
             acc = res.get(s)
             if acc is None:

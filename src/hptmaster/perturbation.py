@@ -7,18 +7,21 @@ a . b for the graded-commutative product of words: the sorted merge with
 its Koszul sign, zero when an odd letter repeats.  A prefix of a
 canonical word is canonical, so every column below is built from the
 column of a shorter word, the word without its last letter, which the
-coalgebra already holds.  Each product there is one of a letter with a
-word, v_t . e_u, which the coalgebra memoises by word index
-(TruncatedSymCoalgebra.letter_products, filled by words.merge_words), so
-the columns are kept by target word index.  Each column is homogeneous,
-so a letter multiplied on the right moves to the front with one sign,
-(-1)^{|t| deg u}, for the whole column.
+coalgebra already holds, and which it indexes (TruncatedSymCoalgebra.
+parent).  Each product there is one of a letter with a word, v_t . e_u,
+which the coalgebra memoises by word index (TruncatedSymCoalgebra.
+letter_products, filled by a recurrence on the prefix of u, without a
+sort), so the columns are kept by target word index.  Each column is
+homogeneous, so a letter multiplied on the right moves to the front with
+one sign, (-1)^{|t| deg u}, for the whole column.
 
   * nabla_c and pi_c are multiplicative: f_c(e_w) is acc(w) read with
     mult(target) / mult(w) on each target word, where acc(w) is the
     product f(v_{w_1}) . ... . f(v_{w_n}); so, with g = w[-1] and f of
     degree 0, acc(w) = acc(w[:-1]) . f(v_g) = (-1)^{|g| deg w[:-1]}
-    f(v_g) . acc(w[:-1]).
+    f(v_g) . acc(w[:-1]).  The walk goes by word index, and a word whose
+    prefix has a zero acc, or whose last letter f sends to zero, has a
+    zero acc itself, so it makes no product.
   * h_c(e_w), with n = |w|, is in closed form the sum over a position x
     and a subset S of the other positions: letters in S are kept, x goes
     to h and the rest R to nabla pi.  A term carries the Koszul sign of
@@ -94,21 +97,33 @@ def _lift_multiplicative(f, src, tgt):
 
     acc(w) = (-1)^{|g| deg w[:-1]} f(v_g) . acc(w[:-1]), g = w[-1], on
     the numerators of f, so a word of length n gathers f.den^n; with the
-    1 / mult(w) of the closed form, its column is over f.den^n mult(w)."""
+    1 / mult(w) of the closed form, its column is over f.den^n mult(w).
+    acc is kept by word index and read at src.parent; a word whose prefix
+    has a zero acc, or whose last letter f sends to zero, is skipped."""
     cols = f.columns
+    words, parent = src.words, src.parent
     odd, degs, mult = src.odd, src.space.degrees, src.mult
-    accs = {EMPTY: {tgt.windex[EMPTY]: 1}}
-    columns = []
-    for wi, w in enumerate(src.words):
-        if w:
-            g = w[-1]
-            terms = cols.get(g, {}).items()
-            # w[:-1] is odd when an odd g leaves an even w
-            if odd[g] and not degs[wi] % 2:
-                terms = [(t, -y) for t, y in terms]
-            accs[w] = _times({}, terms, accs[w[:-1]], tgt)
-        if accs[w]:
-            columns.append((wi, accs[w], f.den ** len(w) * mult[wi]))
+    # words[0] is the empty word
+    accs = [None] * len(words)
+    accs[0] = {tgt.windex[EMPTY]: 1}
+    columns = [(0, accs[0], 1)]
+    for wi in range(1, len(words)):
+        prev = accs[parent[wi]]
+        if prev is None:
+            continue
+        w = words[wi]
+        g = w[-1]
+        col = cols.get(g)
+        if col is None:
+            continue
+        terms = col.items()
+        # w[:-1] is odd when an odd g leaves an even w
+        if odd[g] and not degs[wi] % 2:
+            terms = [(t, -y) for t, y in terms]
+        acc = _times({}, terms, prev, tgt)
+        if any(acc.values()):
+            accs[wi] = acc
+            columns.append((wi, acc, f.den ** len(w) * mult[wi]))
     return _lifted_map(src, tgt, 0, columns)
 
 
@@ -256,8 +271,15 @@ def perturbation_lemma(con, delta):
 
     Both perturbed complexes come from ChainComplex.perturbed, which
     squares only the cross terms: d^2 = 0 was checked on con's complexes.
+    A zero delta leaves every map as it is, so con itself comes back with
+    the zero small perturbation, once con's identities hold.
     """
     big, small = con.big, con.small
+    if delta.is_zero():
+        errs = con.identity_failures()
+        if errs:
+            raise ValueError("invalid contraction: " + ", ".join(errs))
+        return con, GradedMap.zero(small.space, small.space, -1)
     try:
         big_p = big.perturbed(delta)
     except ValueError as exc:

@@ -131,21 +131,77 @@ def merge_words(A, B, coalg):
 
 class _LetterProducts(dict):
     """(g, word index) -> (index of v_g . e_w, sign of putting g first),
-    the index None when the product is zero or longer than the truncation;
-    merge_words makes each on its first read.  It holds the coalgebra's
-    tables, not the coalgebra, so that it makes no reference cycle."""
+    the index None when the product is zero or longer than the truncation,
+    and the sign 0 when it is zero, as merge_words((g,), w) gives them.
 
-    __slots__ = ("words", "windex", "rank", "odd")
+    Each is made on its first read, without a sort, from the last letter l
+    of w = p + (l,) and, in the third case, from the product with p:
+    - g sorts after l, or g = l is even: the product is w + (g,), and
+      putting g first moves it past every letter of w.  For odd g that
+      sign is (-1)^k, k the number of odd letters of w, and k = deg w
+      mod 2; for even g it is +1.
+    - g = l is odd: an odd letter repeats, (None, 0).
+    - g sorts before l: with (y, sign) = v_g . e_p, the product is
+      words[y] + (l,), with that sign.  l sorts after g and after every
+      letter of p, so the merge puts it last, moving it past nothing, and
+      the odd letters that g passes are those of p.  g is not l, so g
+      repeats in w exactly when it repeats in p, and the product is zero
+      or too long exactly when v_g . e_p is.
+    The third case reads its prefix's index on demand, so a coalgebra that
+    is never lifted builds no prefix table.  A read walks down the prefixes
+    whose products are unknown and of the third case, and fills them
+    shortest first, without recursion, so a long word needs no deep stack.
+
+    It holds the coalgebra's tables, not the coalgebra, so that it makes
+    no reference cycle."""
+
+    __slots__ = ("words", "windex", "rank", "odd", "degrees")
 
     def __init__(self, coalg):
         super().__init__()
         self.words, self.windex = coalg.words, coalg.windex
         self.rank, self.odd = coalg.rank, coalg.odd
+        self.degrees = coalg.space.degrees
 
     def __missing__(self, key):
         g, wi = key
-        word, sign = merge_words((g,), self.words[wi], self)
-        out = self[key] = (self.windex.get(word), sign)
+        words, windex = self.words, self.windex
+        w = words[wi]
+        if w and self.rank[g] < self.rank[w[-1]]:
+            p = windex[w[:-1]]
+            y, sign = self.get((g, p)) or self._fill(g, p)
+            if y is not None:
+                y = windex.get(words[y] + w[-1:])
+            out = y, sign
+        elif w and g == w[-1] and self.odd[g]:
+            out = None, 0
+        else:
+            out = (windex.get(w + (g,)),
+                   -1 if self.odd[g] and self.degrees[wi] % 2 else 1)
+        self[key] = out
+        return out
+
+    def _fill(self, g, wi):
+        """v_g . e_w for a w whose product is unknown: walk down the
+        prefixes whose products are unknown and of the third case, then
+        fill them shortest first, so that no read recurses."""
+        words, windex, rank = self.words, self.windex, self.rank
+        chain = []
+        w = words[wi]
+        while w and rank[g] < rank[w[-1]]:
+            chain.append(wi)
+            wi = windex[w[:-1]]
+            out = self.get((g, wi))
+            if out is not None:
+                break
+            w = words[wi]
+        else:
+            out = self[g, wi]   # the first or second case
+        for wi in reversed(chain):
+            y, sign = out
+            if y is not None:
+                y = windex.get(words[y] + words[wi][-1:])
+            out = self[g, wi] = y, sign
         return out
 
 
@@ -197,7 +253,7 @@ class TruncatedSymCoalgebra:
         self.gen_differential = gen_differential
         self.perturbation = None
         self._d1 = None
-        self._mult = None
+        self._parent = self._mult = None
         self.letter_products = _LetterProducts(self)
 
     def word_length(self, index):
@@ -210,14 +266,24 @@ class TruncatedSymCoalgebra:
                           bisect_right(self.words, hi, key=len)]
 
     @property
+    def parent(self):
+        """parent[i], the index of words[i] without its last letter (the
+        empty word's own index for the empty word), built on first read."""
+        if self._parent is None:
+            windex = self.windex
+            self._parent = [windex[w[:-1]] for w in self.words]
+        return self._parent
+
+    @property
     def mult(self):
         """mult(w) for each word index, the product of the factorials of
         its repeat counts, built on first read from the prefixes: the last
         letter's run, w.count(w[-1]), is one longer in w than in w[:-1]."""
         if self._mult is None:
-            windex, mult = self.windex, []
-            for w in self.words:
-                mult.append(mult[windex[w[:-1]]] * w.count(w[-1]) if w else 1)
+            words, parent, mult = self.words, self.parent, [1]
+            for i in range(1, len(words)):
+                w = words[i]
+                mult.append(mult[parent[i]] * w.count(w[-1]))
             self._mult = mult
         return self._mult
 
@@ -288,7 +354,12 @@ def coderivation_operator(lam, coalg):
     so it is built by merging each word A of the column support of lam
     with every word B of length <= N - |A|, on lam's int numerators over
     lam.den.  The products of one letter with B, lam(e_A) . e_B and, for
-    |A| = 1, A . B, are read from the coalgebra's letter products.
+    |A| = 1, A . B, are read from the coalgebra's letter products.  A
+    word A = (a, a') of length 2 takes two reads, a . (a' . B): a' does
+    not sort before a, and equals it only when even, so putting a first
+    passes no odd letter of A, and the two signs multiply to that of
+    putting A before B.  Longer words are merged by merge_words: one merge
+    costs less than |A| reads that are mostly first ones.
     """
     cols = {}
     windex = coalg.windex
@@ -306,6 +377,12 @@ def coderivation_operator(lam, coalg):
         for bi, B in enumerate(shorts):
             if b == 1:
                 wi, sign = products[A[0], bi]
+            elif b == 2:
+                ai, sign = products[A[1], bi]
+                if ai is None:
+                    continue
+                wi, first = products[A[0], ai]
+                sign *= first
             else:
                 w, sign = merge_words(A, B, coalg)
                 wi = windex.get(w)

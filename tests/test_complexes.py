@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hptmaster import graded, instances, linalg
-from hptmaster.complexes import (ChainComplex, Contraction, build_contraction,
+from hptmaster.complexes import (ChainComplex, Contraction, _vanishes,
+                                 build_contraction,
                                  contraction_extending_projection, homology,
                                  induced_map_on_homology, is_quasi_iso)
 from hptmaster.dgla import DgLieAlgebra
@@ -369,3 +370,20 @@ def test_identity_failures_match_oracle_on_corrupted_corpus(corpus):
             bad = Contraction(con.big, con.small, check=False, **maps)
             assert (bad.identity_failures()
                     == contraction_oracle.identity_failures(bad)), seed
+
+
+def test_vanishes_skips_a_term_whose_g_hits_no_column_of_f():
+    # f g = 0 when no target of g is a source of f: the term is skipped
+    # without a walk over the columns of g
+    class Walked(dict):
+        walks = 0
+
+        def items(self):
+            Walked.walks += 1
+            return super().items()
+
+    g = Walked({0: {1: 1}, 2: {3: 5}})
+    assert _vanishes([(1, {0: {0: 1}, 2: {1: 1}}, g)], 0, 0)
+    assert Walked.walks == 0
+    assert not _vanishes([(1, {3: {0: 1}}, g)], 0, 0)
+    assert Walked.walks == 1

@@ -475,3 +475,65 @@ def test_perturbation_lemma_sums_one_series(monkeypatch):
         con, ce, suspended_coalgebra(con.small.d, 3))
     perturbation_lemma(lifted, ce.perturbation_operator)
     assert calls == [lifted.h]
+
+
+def test_zero_perturbation_returns_the_contraction(corpus):
+    # an abelian algebra has a zero CE perturbation: the extension is the
+    # lift itself, with the zero small perturbation
+    abelian = [result for _, g, _, result in corpus if g.is_abelian()]
+    assert abelian
+    for result in abelian:
+        assert result.big_coalg.perturbation_operator.is_zero()
+        assert result.extended is result.lift
+        _, delta_small = perturbation_lemma(
+            result.lift, result.big_coalg.perturbation_operator)
+        assert delta_small == GradedMap.zero(
+            result.lift.small.space, result.lift.small.space, -1)
+
+
+def test_zero_perturbation_of_a_crooked_contraction_raises():
+    # the message the perturbed contraction's constructor gave before the
+    # zero shortcut, and the oracle's
+    crooked = [c for _, c, _ in crooked_contractions(60)
+               if c.identity_failures()]
+    assert crooked
+    for con in crooked[:5]:
+        zero = GradedMap.zero(con.big.space, con.big.space, -1)
+        message = "invalid contraction: " + ", ".join(con.identity_failures())
+        with pytest.raises(ValueError) as new:
+            perturbation_lemma(con, zero)
+        with pytest.raises(ValueError) as old:
+            contraction_oracle.perturbation_lemma(con, zero)
+        assert str(new.value) == str(old.value) == message
+
+
+def test_multiplicative_lift_makes_no_product_for_a_zero_column(
+        monkeypatch):
+    # a six-dimensional non-abelian corpus algebra, where most columns of
+    # pi_c are zero: a word whose prefix column is zero, or whose last
+    # letter pi sends to zero, calls no _times and reads no letter product
+    g = instances.random_dgla(5)
+    assert g.space.dim == 6 and not g.is_abelian()
+    con = build_contraction(g.complex)
+    big_sym = suspended_coalgebra(con.big.d, 4)
+    small_sym = suspended_coalgebra(con.small.d, 4)
+    pi_s = suspend_map(con.pi)
+    products = small_sym.letter_products
+    reads = []
+
+    class Reading:
+        def __getitem__(self, key):
+            reads.append(key)
+            return products[key]
+
+    small_sym.letter_products = Reading()
+    calls = count_calls(monkeypatch, {"_times": perturbation._times})
+    pi_c = _lift_multiplicative(pi_s, big_sym, small_sym)
+    assert pi_c == lift_oracle.lift(con, big_sym, small_sym)[1]
+    words, parent = big_sym.words, big_sym.parent
+    live = [wi for wi in range(1, len(words))
+            if parent[wi] in pi_c.columns and words[wi][-1] in pi_s.columns]
+    assert calls["_times"] == len(live)
+    assert len(pi_c.columns) < len(words) // 2
+    assert len(reads) == sum(len(pi_s.columns[words[wi][-1]])
+                             * len(pi_c.columns[parent[wi]]) for wi in live)

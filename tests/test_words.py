@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -532,44 +533,72 @@ def test_assigning_a_perturbation_rebuilds_the_operators():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-       st.integers(1, 5))
-def test_letter_products_and_mult_match_merge_words(degrees, N):
-    # every letter times every word, over generators of mixed parity: the
-    # words of length N, whose products leave the truncation, and the odd
-    # letters a word already holds are among them
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+       st.integers(1, 6), st.randoms(use_true_random=False))
+def test_letter_products_and_mult_match_merge_words(degrees, N, rng):
+    # every letter times every word, over generators of mixed parity and
+    # in shuffled order, so that the prefix recurrence meets cold
+    # prefixes: the words of length N, whose products leave the
+    # truncation, and the odd letters a word already holds are among them
     gen_space = GradedVectorSpace([("g%d" % i, deg)
                                    for i, deg in enumerate(degrees)])
     coalg = TruncatedSymCoalgebra(gen_space, N)
     assert coalg.mult == [lift_oracle._multiplicity(w) for w in coalg.words]
-    for wi, w in enumerate(coalg.words):
-        for g in range(gen_space.dim):
-            word, sign = merge_words((g,), w, coalg)
-            assert coalg.letter_products[g, wi] == (coalg.windex.get(word),
-                                                    sign)
+    assert coalg.parent == [coalg.windex[w[:-1]] for w in coalg.words]
+    pairs = [(g, wi) for wi in range(len(coalg.words))
+             for g in range(gen_space.dim)]
+    rng.shuffle(pairs)
+    for g, wi in pairs:
+        word, sign = merge_words((g,), coalg.words[wi], coalg)
+        assert coalg.letter_products[g, wi] == (coalg.windex.get(word), sign)
 
 
-def test_lift_and_coderivations_merge_each_letter_and_word_once(
+def test_letter_products_walk_long_words_without_recursion():
+    # u (degree -1) sorts before a (degree 0), so v_u . e_{a^n} is of the
+    # third case down to the empty word: a chain of n cold prefixes in a
+    # coalgebra of only 2N + 1 words, longer than the interpreter's stack
+    # allows a recursion to be
+    N = sys.getrecursionlimit() + 100
+    coalg = TruncatedSymCoalgebra(
+        GradedVectorSpace([("u", -1), ("a", 0)]), N)
+    u, a = coalg.gen_space.index["u"], coalg.gen_space.index["a"]
+    assert len(coalg.words) == 2 * N + 1
+    for n in (N - 1, N):
+        word, sign = merge_words((u,), (a,) * n, coalg)
+        assert (coalg.letter_products[u, coalg.windex[(a,) * n]]
+                == (coalg.windex.get(word), sign))
+    assert len(coalg.letter_products) == N + 1
+
+
+def test_lift_and_coderivations_merge_no_letter_and_no_short_word(
         monkeypatch, corpus):
-    # the lift and coderivation_operator read every product of a letter
-    # with a word from the coalgebra's memo, so merge_words sees each such
-    # pair of a coalgebra at most once however many columns and operators
-    # meet it; the letter comes first in every merge the memo makes
+    # letter products come from the prefix recurrence, so no merge has a
+    # one-letter left word, and coderivation_operator reads the letter
+    # products for the corestriction words of length 2 as well
     _, g, con, _ = corpus[5]
-    merged = collections.Counter()
+    merged = []   # (inside coderivation_operator, |A|) for each merge
+    depth = [0]
 
     def spy(A, B, coalg):
-        if len(A) == 1:
-            merged[id(coalg), A[0], B] += 1
+        merged.append((depth[0] > 0, len(A)))
         return merge_words(A, B, coalg)
 
+    def counted(lam, coalg):
+        depth[0] += 1
+        try:
+            return coderivation_operator(lam, coalg)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr("hptmaster.words.merge_words", spy)
+    monkeypatch.setattr("hptmaster.words.coderivation_operator", counted)
     result = transfer(g, con, 4)
     assert result.lift.identity_failures() == []
     for coalg in (result.big_coalg, result.coalg):
         assert not coalg.perturbation_operator.is_zero()
-    # 346 pairs of the two coalgebras; merged pair by pair, the same
-    # calls met 315 pairs up to 16 times each
-    assert len({coalg for coalg, _, _ in merged}) == 2
-    assert len(merged) > 300
-    assert max(merged.values()) == 1
+    # the bracket's length-2 words are read, and lambda_3 of the small
+    # coalgebra is merged
+    big = result.big_coalg
+    assert {len(big.words[s]) for s in big.perturbation.columns} == {2}
+    assert all(n > 1 for _, n in merged)
+    assert {n for inside, n in merged if inside} == {3}
