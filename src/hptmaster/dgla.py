@@ -6,8 +6,6 @@ antisymmetry, so inconsistent input cannot be represented.  All degrees
 are homological.
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .complexes import ChainComplex
 from .graded import GradedMap, GradedVectorSpace, StructureTable
@@ -195,16 +193,34 @@ def ce_coalgebra(g, N):
     """The generalized Chevalley-Eilenberg coalgebra C[g], truncated at N.
 
     Sigma^c[s g] with the differential induced by d plus the coderivation
-    whose quadratic component is pinned by requiring the universal twisting
-    cochain to satisfy the Lie master equation at word length two.
+    whose quadratic component lambda_2 is pinned by requiring the universal
+    twisting cochain tau^1 to satisfy the Lie master equation at word
+    length two: lambda_2 = (1/2)[tau^1, tau^1] on the length-2 words, read
+    off the bracket table in closed form.  On the word (i, j), i before j
+    in the canonical order, the cup square has the one splitting
+    ((i,), (j,)) with sign(A, B) = +1, counted twice for i != j, and the
+    sign (-1)^{|tau^1| |s e_i|} = (-1)^{|e_i| + 1}, so
+
+        lambda_2(e_(i,j)) = (-1)^{|e_i| + 1} [e_i, e_j],
+
+    halved when i = j (a word only for odd e_i).  Target indices coincide
+    under s.
     """
     coalg = suspended_coalgebra(g.d, N)
-    tau1 = universal_cochain(coalg, g.space)
-    half = cup_bracket(tau1, tau1, coalg, g, length=2).scale(Fraction(1, 2))
-    # (1/2)[tau^1, tau^1] on the length-2 words; target indices coincide
-    # under s
+    table, windex = g.bracket, coalg.windex
+    degs = g.space.degrees
+    cols = {}
+    for i, partners in enumerate(table.partners):
+        for j in partners:
+            # (i, j) is a word when i comes before j, or i = j is odd
+            wi = windex.get((i, j))
+            if wi is not None:
+                c = (1 if i == j else 2) * (1 if degs[i] % 2 else -1)
+                cols[wi] = {k: c * n for k, n in
+                            sorted(table.numerators(i, j).items())}
     coalg.perturbation = GradedMap.from_columns(
-        coalg.space, coalg.gen_space, -1, half.columns, half.den)
+        coalg.space, coalg.gen_space, -1, dict(sorted(cols.items())),
+        2 * table.den)
     return coalg
 
 

@@ -45,6 +45,13 @@ one sign, (-1)^{|t| deg u}, for the whole column.
     repeats only when it is even, where the sign is +1: each distinct
     letter g counts count(g) times.
 
+    So the sum is walked by pairs (x, u) of a letter x with an h column
+    and a word u one letter shorter, in u's index range: the letter
+    product v_x . e_u is e_w with the sign (-1)^{|x| deg(before x)} (zero
+    when an odd x is in u), and x counts u.count(x) + 1 times in w.  Each
+    pair is one read of the letter products, no word is sliced out of a
+    longer one, and sum_k weight(k) M_k(u) is formed once per u.
+
 These are the invariant parts of the tensor-coalgebra lift with the side
 homotopy sum_k Id^k (x) h (x) (nabla pi)^{rest}: the weight is the share of
 arrangements in which S precedes x.  The perturbation lemma then transfers
@@ -56,7 +63,6 @@ the filtration argument, and reads the rest off it in closed form:
     delta_small = (pi delta) nabla_p.
 """
 
-from itertools import groupby
 from math import factorial, lcm
 
 from .complexes import ChainComplex, Contraction
@@ -130,62 +136,62 @@ def _lift_multiplicative(f, src, tgt):
 def _lift_homotopy(h, nabla_pi, sym):
     """The symmetrized side homotopy built from h and nabla o pi.
 
-    M(u) is kept as k -> {word index: coefficient}, k the number of kept
-    letters, and is built one word length at a time from the previous
-    length's M only.  On numerators a kept letter counts 1 and a nabla pi
-    letter its numerator, so the weight k! (n-1-k)! / (n! mult(w)) and the
-    missing k factors nabla_pi.den bring a term over the column's scale
+    M(u) is kept by word index as k -> {word index: coefficient}, k the
+    number of kept letters, and is built one word length at a time over
+    that length's index range from the previous length's M only, at
+    sym.parent.  The h terms of the words of length n walk the pairs
+    (x, u) of the module docstring, u of length n - 1.  On numerators a
+    kept letter counts 1 and a nabla pi letter its numerator, so the
+    weight k! (n-1-k)! / (n! mult(w)) and the missing k factors
+    nabla_pi.den bring a term over the column's scale
     n! mult(w) h.den nabla_pi.den^(n-1).  Every term holds one h letter,
     so an h without columns (d = 0) lifts to zero."""
     h_cols, np_cols = h.columns, nabla_pi.columns
     if not h_cols:
         return GradedMap.zero(sym.space, sym.space, 1)
     m_np = nabla_pi.den
-    odd, mult, windex = sym.odd, sym.mult, sym.windex
+    words, parent, products = sym.words, sym.parent, sym.letter_products
+    odd, degs, mult = sym.odd, sym.space.degrees, sym.mult
     columns = []
-    prev = {EMPTY: {0: {windex[EMPTY]: 1}}}
+    # words[0] is the empty word, and M(()) = e_()
+    prev = {0: {0: {0: 1}}}
     for n in range(1, sym.N + 1):
         weights = [factorial(k) * factorial(n - 1 - k) * m_np ** k
                    for k in range(n)]
-        weighted = {}  # u -> sum_k weights[k] M_k(u), on first use
-        cur = {}
-        for w in sym.words_of_length(n, n):
-            acc = {}
-            pos = 0
-            odd_before = False
-            for g, run in groupby(w):
-                count = len(list(run))
-                col = h_cols.get(g)
-                if col:
-                    u = w[:pos] + w[pos + 1:]
-                    wu = weighted.get(u)
-                    if wu is None:
-                        wu = weighted[u] = {}
-                        for k, part in prev[u].items():
-                            for word, c in part.items():
-                                wu[word] = wu.get(word, 0) + weights[k] * c
-                    # (-1)^{|g| deg(letters before g)}
-                    scale = -count if odd[g] and odd_before else count
-                    _times(acc, [(t, scale * y) for t, y in col.items()], wu,
-                           sym)
-                pos += count
-                if odd[g]:
-                    odd_before = not odd_before
-            wi = windex[w]
-            if acc:
-                columns.append((wi, acc, factorial(n) * mult[wi] * h.den
+        accs = {}
+        for ui, m_u in prev.items():
+            wu = None   # sum_k weights[k] M_k(u), on first use
+            for x, col in h_cols.items():
+                wi, sign = products[x, ui]
+                if wi is None:
+                    continue
+                if wu is None:
+                    wu = {}
+                    for k, part in m_u.items():
+                        for word, c in part.items():
+                            wu[word] = wu.get(word, 0) + weights[k] * c
+                if not odd[x]:
+                    sign *= words[ui].count(x) + 1
+                acc = accs.get(wi)
+                if acc is None:
+                    acc = accs[wi] = {}
+                _times(acc, [(t, sign * y) for t, y in col.items()], wu, sym)
+        for wi in sorted(accs):
+            if accs[wi]:
+                columns.append((wi, accs[wi], factorial(n) * mult[wi] * h.den
                                 * m_np ** (n - 1)))
-            if n < sym.N:
-                # odd_before is now the parity of w, and w[:-1] is odd
-                # when an odd g = w[-1] leaves an even w
-                g = w[-1]
-                sign = -1 if odd[g] and not odd_before else 1
+        if n < sym.N:
+            cur = {}
+            for wi in sym.length_range(n, n):
+                # w[:-1] is odd when an odd g = w[-1] leaves an even w
+                g = words[wi][-1]
+                sign = -1 if odd[g] and not degs[wi] % 2 else 1
                 terms = [(t, sign * y) for t, y in np_cols.get(g, {}).items()]
-                m = cur[w] = {}
-                for k, part in prev[w[:-1]].items():
+                m = cur[wi] = {}
+                for k, part in prev[parent[wi]].items():
                     _times(m.setdefault(k + 1, {}), ((g, sign),), part, sym)
                     _times(m.setdefault(k, {}), terms, part, sym)
-        prev = cur
+            prev = cur
     return _lifted_map(sym, sym, 1, columns)
 
 

@@ -198,7 +198,7 @@ def extend_contraction(result):
         result.lift, result.big_coalg.perturbation_operator)
     # the recursion's coderivation D is the perturbation of result.coalg
     recursion_delta = result.coalg.perturbation_operator
-    if not (delta_small - recursion_delta).is_zero():
+    if delta_small != recursion_delta:
         raise AssertionError(
             "perturbation lemma disagrees with the recursion")
     return pcon

@@ -147,19 +147,20 @@ class _LetterProducts(dict):
       the odd letters that g passes are those of p.  g is not l, so g
       repeats in w exactly when it repeats in p, and the product is zero
       or too long exactly when v_g . e_p is.
-    The third case reads its prefix's index on demand, so a coalgebra that
-    is never lifted builds no prefix table.  A read walks down the prefixes
-    whose products are unknown and of the third case, and fills them
-    shortest first, without recursion, so a long word needs no deep stack.
+    The third case reads its prefix's index from the coalgebra's parent
+    table.  A read walks down the prefixes whose products are unknown and
+    of the third case, and fills them shortest first, without recursion, so
+    a long word needs no deep stack.
 
     It holds the coalgebra's tables, not the coalgebra, so that it makes
     no reference cycle."""
 
-    __slots__ = ("words", "windex", "rank", "odd", "degrees")
+    __slots__ = ("words", "windex", "parent", "rank", "odd", "degrees")
 
     def __init__(self, coalg):
         super().__init__()
         self.words, self.windex = coalg.words, coalg.windex
+        self.parent = coalg.parent
         self.rank, self.odd = coalg.rank, coalg.odd
         self.degrees = coalg.space.degrees
 
@@ -168,7 +169,7 @@ class _LetterProducts(dict):
         words, windex = self.words, self.windex
         w = words[wi]
         if w and self.rank[g] < self.rank[w[-1]]:
-            p = windex[w[:-1]]
+            p = self.parent[wi]
             y, sign = self.get((g, p)) or self._fill(g, p)
             if y is not None:
                 y = windex.get(words[y] + w[-1:])
@@ -186,11 +187,12 @@ class _LetterProducts(dict):
         prefixes whose products are unknown and of the third case, then
         fill them shortest first, so that no read recurses."""
         words, windex, rank = self.words, self.windex, self.rank
+        parent = self.parent
         chain = []
         w = words[wi]
         while w and rank[g] < rank[w[-1]]:
             chain.append(wi)
-            wi = windex[w[:-1]]
+            wi = parent[wi]
             out = self.get((g, wi))
             if out is not None:
                 break
@@ -208,16 +210,31 @@ class _LetterProducts(dict):
 def enumerate_words(gen_space, max_len):
     """All canonical words of length <= max_len, in deterministic order:
     by length, then lexicographically in the canonical order."""
+    return _word_tree(gen_space, max_len)[0]
+
+
+def _word_tree(gen_space, max_len):
+    """(words, parent, degrees): enumerate_words's words, each built from
+    its prefix, with the index of that prefix (the empty word's own index
+    for the empty word) and the word's degree, deg(w[:-1]) + |w[-1]|."""
     gens = _canonical_order(gen_space)
+    degs = gen_space.degrees
     # the letters that may follow g: g itself when even, and the later ones
-    after = {g: gens[r + gen_space.degrees[g] % 2:] for r, g in enumerate(gens)}
-    words = [EMPTY]
-    layer = [EMPTY]
+    after = {g: gens[r + degs[g] % 2:] for r, g in enumerate(gens)}
+    words, parent, word_degs = [EMPTY], [0], [0]
+    layer, layer_degs, start = [EMPTY], [0], 0
     for _ in range(max_len):
-        layer = [w + (g,) for w in layer
-                 for g in (after[w[-1]] if w else gens)]
-        words.extend(layer)
-    return words
+        nexts = [after[w[-1]] if w else gens for w in layer]
+        parent += [p for p, letters in enumerate(nexts, start)
+                   for _ in letters]
+        layer_degs = [deg + degs[g] for deg, letters in zip(layer_degs, nexts)
+                      for g in letters]
+        layer = [w + (g,) for w, letters in zip(layer, nexts)
+                 for g in letters]
+        start = len(words)
+        words += layer
+        word_degs += layer_degs
+    return words, parent, word_degs
 
 
 class TruncatedSymCoalgebra:
@@ -233,46 +250,37 @@ class TruncatedSymCoalgebra:
     def __init__(self, gen_space, max_word_length, gen_differential=None):
         self.gen_space = gen_space
         self.N = int(max_word_length)
-        self.words = enumerate_words(gen_space, self.N)
-        self.windex = {w: i for i, w in enumerate(self.words)}
+        # parent[i], the index of words[i] without its last letter (the
+        # empty word's own index for the empty word)
+        words, self.parent, word_degs = _word_tree(gen_space, self.N)
+        self.words = words
+        self.windex = {w: i for i, w in enumerate(words)}
         # per generator: position in the canonical order, and odd degree
         self.rank = [0] * gen_space.dim
         for r, g in enumerate(_canonical_order(gen_space)):
             self.rank[g] = r
         self.odd = [deg % 2 == 1 for deg in gen_space.degrees]
-        # deg(w) = deg(w[:-1]) + |w[-1]|: a prefix of a canonical word is
-        # canonical and comes before it
-        degs = gen_space.degrees
-        word_degs = []
-        for w in self.words:
-            word_degs.append(word_degs[self.windex[w[:-1]]] + degs[w[-1]]
-                             if w else 0)
-        words = self.words
         self.space = GradedVectorSpace.derived(word_degs, lambda: [
             "(%s)" % word_label(w, gen_space) if w else "1" for w in words])
         self.gen_differential = gen_differential
         self.perturbation = None
         self._d1 = None
-        self._parent = self._mult = None
+        self._mult = None
         self.letter_products = _LetterProducts(self)
 
     def word_length(self, index):
         return len(self.words[index])
 
-    def words_of_length(self, lo, hi):
-        """The words w with lo <= len(w) <= hi, in order (words come in
-        order of length)."""
-        return self.words[bisect_left(self.words, lo, key=len):
-                          bisect_right(self.words, hi, key=len)]
+    def length_range(self, lo, hi):
+        """The range of the indices of the words w with lo <= len(w) <= hi
+        (words come in order of length)."""
+        return range(bisect_left(self.words, lo, key=len),
+                     bisect_right(self.words, hi, key=len))
 
-    @property
-    def parent(self):
-        """parent[i], the index of words[i] without its last letter (the
-        empty word's own index for the empty word), built on first read."""
-        if self._parent is None:
-            windex = self.windex
-            self._parent = [windex[w[:-1]] for w in self.words]
-        return self._parent
+    def words_of_length(self, lo, hi):
+        """The words w with lo <= len(w) <= hi, in order."""
+        span = self.length_range(lo, hi)
+        return self.words[span.start:span.stop]
 
     @property
     def mult(self):

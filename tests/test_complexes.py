@@ -1,11 +1,11 @@
 """Chain complexes, homology, and contraction synthesis."""
 
+import functools
+import random
 from fractions import Fraction
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hptmaster import graded, instances, linalg
 from hptmaster.complexes import (ChainComplex, Contraction, _vanishes,
@@ -14,6 +14,7 @@ from hptmaster.complexes import (ChainComplex, Contraction, _vanishes,
                                  induced_map_on_homology, is_quasi_iso)
 from hptmaster.dgla import DgLieAlgebra
 from hptmaster.graded import GradedMap, GradedVectorSpace
+from hptmaster.transfer import transfer
 
 import contraction_oracle
 from contraction_oracle import normalize_homotopy
@@ -353,23 +354,132 @@ def test_identity_failures_match_oracle_when_broken(name):
     assert contraction_oracle.identity_failures(con) == expected
 
 
+def _corrupted(con, field, s, t, value):
+    """con with value added to the (t, s) entry of one of nabla, pi and h,
+    or of the small differential for field "d_small" (ValueError when the
+    sum does not square to zero), by the one builder that skips the
+    degree check: the bump may be inhomogeneous."""
+    small = con.small
+    maps = {"nabla": con.nabla, "pi": con.pi, "h": con.h}
+    f = small.d if field == "d_small" else maps[field]
+    bump = graded._built(f.source, f.target, f.degree, {s: {t: value}}, 1)
+    if field == "d_small":
+        small = ChainComplex(small.space, f + bump)
+    else:
+        maps[field] = f + bump
+    return Contraction(con.big, small, check=False, **maps)
+
+
 def test_identity_failures_match_oracle_on_corrupted_corpus(corpus):
     rng = random.Random(0)
     for seed, _, con, _ in corpus[:20]:
         for _ in range(5):
             field = rng.choice(["nabla", "pi", "h"])
             f = getattr(con, field)
-            s = rng.randrange(f.source.dim)
-            t = rng.randrange(f.target.dim)
-            # the one builder that skips the degree check: the bump may
-            # be inhomogeneous
-            bump = graded._built(f.source, f.target, f.degree,
-                                 {s: {t: rng.choice([-1, 1, 2])}}, 1)
-            maps = {"nabla": con.nabla, "pi": con.pi, "h": con.h}
-            maps[field] = f + bump
-            bad = Contraction(con.big, con.small, check=False, **maps)
+            bad = _corrupted(con, field, rng.randrange(f.source.dim),
+                             rng.randrange(f.target.dim),
+                             rng.choice([-1, 1, 2]))
             assert (bad.identity_failures()
                     == contraction_oracle.identity_failures(bad)), seed
+
+
+@functools.lru_cache(maxsize=None)
+def verdict_pool():
+    """Valid contractions of three kinds, from the first non-abelian
+    random_dgla seeds of dimension <= 5 with d != 0: build_contraction's,
+    its lift to the coalgebras at N = 3, and the perturbation-lemma
+    extension of that lift, whose small differential is perturbed."""
+    pool = []
+    seed = 0
+    while len(pool) < 12:
+        g = instances.random_dgla(seed)
+        seed += 1
+        if g.is_abelian() or g.d.is_zero() or g.space.dim > 5:
+            continue
+        con = build_contraction(g.complex)
+        result = transfer(g, con, 3)
+        pool += [con, result.lift, result.extended]
+    return pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_identity_failures_match_the_seven_product_oracle(data):
+    # one-entry corruptions of nabla, pi, h and the small differential:
+    # the verdict, with its one small-space residual for the chain-map
+    # identities when the first two hold, lists what the seven whole-map
+    # products list
+    con = data.draw(st.sampled_from(verdict_pool()))
+    field = data.draw(st.sampled_from(["nabla", "pi", "h", "d_small"]))
+    f = con.small.d if field == "d_small" else getattr(con, field)
+    assume(f.source.dim and f.target.dim)
+    entry = (data.draw(st.integers(0, f.source.dim - 1)),
+             data.draw(st.integers(0, f.target.dim - 1)),
+             data.draw(st.sampled_from([-1, 1, 2])))
+    try:
+        bad = _corrupted(con, field, *entry)
+    except ValueError:
+        assume(False)   # the corrupted small differential squares to nonzero
+    assert bad.identity_failures() == contraction_oracle.identity_failures(bad)
+
+
+def _counted_residuals(monkeypatch):
+    """Record the terms of every residual _vanishes evaluates."""
+    terms = []
+
+    def counting(*args):
+        terms.append(args[0])
+        return _vanishes(*args)
+
+    monkeypatch.setattr("hptmaster.complexes._vanishes", counting)
+    return terms
+
+
+def test_corrupted_verdicts_take_both_paths(monkeypatch):
+    # six residuals when pi nabla = Id and D h = nabla pi - Id hold (a
+    # corruption of h at a cycle target and a source d does not reach
+    # keeps both, and so does one of the small differential), seven
+    # otherwise; failing verdicts come from both, and the one residual
+    # fails the chain-map identities
+    terms = _counted_residuals(monkeypatch)
+    rng = random.Random(0)
+    seen = set()
+    for con in verdict_pool():
+        for field in ("nabla", "pi", "h", "h", "h", "d_small"):
+            f = con.small.d if field == "d_small" else getattr(con, field)
+            if not (f.source.dim and f.target.dim):
+                continue
+            try:
+                bad = _corrupted(con, field, rng.randrange(f.source.dim),
+                                 rng.randrange(f.target.dim), 1)
+            except ValueError:
+                continue
+            terms.clear()
+            got = bad.identity_failures()
+            assert got == contraction_oracle.identity_failures(bad)
+            seen.add((len(terms), bool(got), "pi not a chain map" in got))
+    assert {(6, True, False), (6, True, True), (7, True, False)} <= seen
+
+
+def test_a_passing_verdict_evaluates_six_residuals(monkeypatch):
+    # pi d nabla = d_small decides both chain-map identities once the
+    # first two hold, with d nabla formed on the columns of nabla: a
+    # passing verdict evaluates six residuals and forms neither pi d nor
+    # nabla d_small
+    pool = verdict_pool()
+    assert any(not con.small.d.is_zero() for con in pool)
+    terms = _counted_residuals(monkeypatch)
+    for con in pool:
+        fresh = Contraction(con.big, con.small, con.nabla, con.pi, con.h,
+                            check=False)
+        terms.clear()
+        assert fresh.identity_failures() == []
+        assert len(terms) == 6
+        pairs = [(f, g) for res in terms for _, f, g in res]
+        d, d_small = fresh.big.d.columns, fresh.small.d.columns
+        assert not any(f is fresh.pi.columns and g is d
+                       or f is fresh.nabla.columns and g is d_small
+                       for f, g in pairs)
 
 
 def test_vanishes_skips_a_term_whose_g_hits_no_column_of_f():

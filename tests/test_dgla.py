@@ -137,6 +137,29 @@ def test_ce_quadratic_component_anchor():
     assert comp[parse_word("se*sf", coalg.gen_space)] == {1: F(-1)}
 
 
+def odd_squares():
+    """Odd x, x' with [x, x] = y, [x, x'] = y / 3 and [x', x'] = -2 y, the
+    only brackets: the words sx*sx and sx'*sx' carry halved terms of
+    lambda_2, which no random_dgla and no fixture has."""
+    V = GradedVectorSpace([("x", 1), ("x'", 1), ("y", 2)])
+    return DgLieAlgebra(ChainComplex(V), {
+        (0, 0): {2: 1}, (0, 1): {2: F(1, 3)}, (1, 1): {2: -2}})
+
+
+def test_ce_quadratic_term_equals_the_cup_square(fixture_dir):
+    # ce_coalgebra reads lambda_2 off the bracket table in closed form;
+    # the oracle halves the cup square of the universal cochain
+    fixtures = [cli.load_problem(str(fixture_dir / name))[1]
+                for name in ("abelian.json", "broken_jacobi.json", "l3.json",
+                             "l3_cubed.json")]
+    algebras = [instances.random_dgla(seed) for seed in range(500)]
+    for g in algebras + fixtures + [odd_squares()]:
+        for N in range(2, 6):
+            coalg = ce_coalgebra(g, N)
+            assert (coalg.perturbation
+                    == word_oracle.ce_quadratic_term(g, coalg)), N
+
+
 def universal_twisting_cochain(g, coalg):
     """tau_g: C[g] -> g, the desuspension on word length 1 and zero else."""
     return TwistingCochainHom(coalg, g, universal_cochain(coalg, g.space))

@@ -537,3 +537,43 @@ def test_multiplicative_lift_makes_no_product_for_a_zero_column(
     assert len(pi_c.columns) < len(words) // 2
     assert len(reads) == sum(len(pi_s.columns[words[wi][-1]])
                              * len(pi_c.columns[parent[wi]]) for wi in live)
+
+
+def test_homotopy_lift_reads_products_only_at_h_letter_pairs(monkeypatch):
+    # the h terms of the words of length n come from the pairs (x, u) of
+    # a letter x with an h column and a word u of length n - 1: outside
+    # _times, the homotopy lift reads each such letter product once and
+    # no other, and slices no word out of a longer one
+    g = instances.random_dgla(5)
+    assert g.space.dim == 6 and not g.is_abelian()
+    con = build_contraction(g.complex)
+    big_sym = suspended_coalgebra(con.big.d, 4)
+    small_sym = suspended_coalgebra(con.small.d, 4)
+    h_s = suspend_map(con.h)
+    assert 0 < len(h_s.columns) < g.space.dim
+    nabla_pi = suspend_map(con.nabla).compose(suspend_map(con.pi))
+    products = big_sym.letter_products
+    inside = []
+    reads = []
+
+    class Reading:
+        def __getitem__(self, key):
+            if not inside:
+                reads.append(key)
+            return products[key]
+
+    def times(*args):
+        inside.append(True)
+        try:
+            return _times(*args)
+        finally:
+            inside.pop()
+
+    _times = perturbation._times
+    monkeypatch.setattr(perturbation, "_times", times)
+    big_sym.letter_products = Reading()
+    h_c = _lift_homotopy(h_s, nabla_pi, big_sym)
+    assert h_c == lift_oracle.lift(con, big_sym, small_sym)[2]
+    shorter = big_sym.length_range(0, big_sym.N - 1)
+    assert sorted(reads) == sorted((x, ui) for x in h_s.columns
+                                   for ui in shorter)

@@ -13,6 +13,9 @@ coderivation and compatibility check that enumerate every splitting of
 every word.  It also keeps koszul_sign, the sign of a permutation of
 graded factors, and sort_factors, the signed sort of a sequence of
 letters; the library reads theta words with a sort that needs no sign.
+The library reads the quadratic term of the Chevalley-Eilenberg coalgebra
+off the bracket table in closed form; ce_quadratic_term keeps it as half
+the cup square of the universal twisting cochain.
 A coderivation is given, as in the library, by its corestriction: a
 degree -1 GradedMap from the word space to the generators, which
 corestriction builds from a table word -> {generator: value} and
@@ -23,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
+from hptmaster import dgla
 from hptmaster.graded import GradedMap, ONE
 from hptmaster.words import suspended_coalgebra
 from fraction_oracle import by_column
@@ -257,6 +261,17 @@ def cup_bracket(a, b, coalg, target, length=None):
             if acc[t] != 0:
                 ent[(t, wi)] = acc[t]
     return GradedMap(coalg.space, a.target, a.degree + b.degree, ent)
+
+
+def ce_quadratic_term(g, coalg):
+    """lambda_2 of the Chevalley-Eilenberg coalgebra coalg of g:
+    (1/2)[tau^1, tau^1] on the words of length two, tau^1 the universal
+    twisting cochain, as a map to the generators (target indices coincide
+    under s)."""
+    tau1 = dgla.universal_cochain(coalg, g.space)
+    half = dgla.cup_bracket(tau1, tau1, coalg, g, length=2).scale(HALF)
+    return GradedMap.from_columns(coalg.space, coalg.gen_space, -1,
+                                  half.columns, half.den)
 
 
 def coderivation_operator(lam, coalg):
