@@ -26,6 +26,7 @@ Sign conventions used everywhere (single point of truth):
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 ONE = Fraction(1)
@@ -315,7 +316,12 @@ class StructureTable:
     so ints are tested), in lexicographic order, skipping only the pairs
     or triples on which every term vanishes and the cases their swap rule
     decides, where the defect is identically zero or +- that of a case
-    visited earlier: the witness is the first failing one.
+    visited earlier: the witness is the first failing one.  Jacobi tests
+    each Jacobiator as one int, its values packed into slots of w bits,
+    one slot per basis vector of a degree: with L the longest value and
+    M the largest |numerator|, each coefficient is at most 3 L M^2 <
+    2^w, and a sum of c_t 2^(w p_t) with every |c_t| < 2^w is zero only
+    if every c_t is (first_non_jacobi).
     """
 
     def __init__(self, space, rows=(), degree=0, symmetric=False, den=1):
@@ -510,28 +516,82 @@ class StructureTable:
         skipped for an even e_i and k = j for an even e_j.  Every other
         sorted triple the supports leave is evaluated.  A table of another
         degree or symmetry obeys neither identity and skips neither.
+
+        Each triple's Jacobiator is one int.  Every value rows[x][m] is
+        packed once, as sum_t n_t 2^(w p_t) for its numerators n_t, with
+        p_t the position of e_t among the basis vectors of its degree, and
+
+            J = sum_m [e_j,e_k]_m P_i[m] - sum_m [e_i,e_j]_m P_m[k]
+                - (-1)^{|i||j|} sum_m [e_i,e_k]_m P_j[m]
+
+        for P_x[m] the packed rows[x][m] and [.,.]_m the numerators; the
+        triple fails exactly when J != 0.  This is exact:
+
+          * every term of J(e_i, e_j, e_k) lies in degree
+            |i| + |j| + |k| + 2 degree, so distinct targets get distinct
+            slots;
+          * a coefficient c_t of J is a sum of at most 3 L products of two
+            numerators, at most L from each term, for L the longest value
+            and M the largest |numerator|, so |c_t| <= 3 L M^2 < 2^w with
+            w the bit length of 3 L M^2;
+          * a sum of c_t 2^(w p_t) with every |c_t| < 2^w is zero only if
+            every c_t is: at the lowest slot with c_t != 0 the sum is
+            2^(w p_t) (c_t + 2^w r) for an int r, and 2^w does not divide
+            c_t.
+
+        L and M come from one scan of the table at C speed; the packing is
+        one pass over its numerators.
         """
         rows = self.rows
         degs = self.space.degrees
         dim = len(rows)
         lie = self.degree == 0 and not self.symmetric
+        values = list(chain.from_iterable(map(dict.values, rows)))
+        if not values:
+            return None
+        longest = max(map(len, values))
+        largest = max(map(abs, chain.from_iterable(map(dict.values, values))))
+        width = (3 * longest * largest * largest).bit_length()
+        shift, seen = [], {}
+        for deg in degs:
+            p = seen.get(deg, 0)
+            seen[deg] = p + 1
+            shift.append(width * p)
+        packed = []
+        for row in rows:
+            pack = {}
+            for m, val in row.items():
+                p = 0
+                for t, n in val.items():
+                    p += n << shift[t]
+                pack[m] = p
+            packed.append(pack)
         none = {}
         for i, row_i in enumerate(rows):
             if not row_i:
                 continue
+            pack_i = packed[i]
             for j in range(i + 1 if lie and degs[i] % 2 == 0 else i, dim):
                 row_j = rows[j]
+                pack_j = packed[j]
                 val_ij = row_i.get(j, none)
+                right = ([(n, packed[m]) for m, n in val_ij.items()]
+                         if val_ij else ())
                 first = j + 1 if lie and degs[j] % 2 == 0 else j
                 ks = range(first, dim) if val_ij else sorted(
                     k for k in row_i.keys() | row_j.keys() if k >= first)
-                sign = 1 if degs[i] % 2 and degs[j] % 2 else -1
+                odd = degs[i] % 2 and degs[j] % 2
                 for k in ks:
                     # [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
-                    bad = _add_left({}, 1, row_i, row_j.get(k, none))
-                    _add_right(bad, -1, val_ij, rows, k)
-                    _add_left(bad, sign, row_j, row_i.get(k, none))
-                    if any(bad.values()):
+                    bad = 0
+                    for m, n in row_j.get(k, none).items():
+                        bad += n * pack_i.get(m, 0)
+                    for n, pack_m in right:
+                        bad -= n * pack_m.get(k, 0)
+                    third = 0
+                    for m, n in row_i.get(k, none).items():
+                        third += n * pack_j.get(m, 0)
+                    if (bad + third) if odd else (bad - third):
                         return i, j, k
         return None
 

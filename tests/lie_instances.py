@@ -4,9 +4,11 @@ sl2 and the tensor products g (x) B of a three-dimensional Lie algebra g
 with a three-dimensional dg commutative algebra B: one with nonzero
 differential and brackets and homology g, and one whose homology lifts
 commute although the algebra is not abelian (the degeneration instance of
-Add. 2.8.3 and 2.8.5), and a tower whose twisting cochain reaches word
-length three.
+Add. 2.8.3 and 2.8.5), a tower whose twisting cochain reaches word
+length three, and an algebra that brackets odd elements with themselves.
 """
+
+from fractions import Fraction
 
 from hptmaster.complexes import ChainComplex
 from hptmaster.dgla import DgLieAlgebra
@@ -87,3 +89,14 @@ def tower_dgla():
     return DgLieAlgebra(ChainComplex(space, d),
                         {(i["x"], i["y"]): {i["v"]: ONE},
                          (i["z"], i["u"]): {i["p"]: ONE}})
+
+
+def odd_squares():
+    """Odd x, x' with [x, x] = y, [x, x'] = y / 3 and [x', x'] = -2 y, the
+    only brackets: the one test input whose bracket of two odd elements is
+    nonzero, which no random_dgla and no other fixture has, so the words
+    sx*sx and sx'*sx' carry halved terms of lambda_2 and Jacobi's sorted
+    triples with j = i on an odd letter meet a nonzero [e_i, e_i]."""
+    V = GradedVectorSpace([("x", 1), ("x'", 1), ("y", 2)])
+    return DgLieAlgebra(ChainComplex(V), {
+        (0, 0): {2: 1}, (0, 1): {2: Fraction(1, 3)}, (1, 1): {2: -2}})

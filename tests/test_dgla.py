@@ -137,15 +137,6 @@ def test_ce_quadratic_component_anchor():
     assert comp[parse_word("se*sf", coalg.gen_space)] == {1: F(-1)}
 
 
-def odd_squares():
-    """Odd x, x' with [x, x] = y, [x, x'] = y / 3 and [x', x'] = -2 y, the
-    only brackets: the words sx*sx and sx'*sx' carry halved terms of
-    lambda_2, which no random_dgla and no fixture has."""
-    V = GradedVectorSpace([("x", 1), ("x'", 1), ("y", 2)])
-    return DgLieAlgebra(ChainComplex(V), {
-        (0, 0): {2: 1}, (0, 1): {2: F(1, 3)}, (1, 1): {2: -2}})
-
-
 def test_ce_quadratic_term_equals_the_cup_square(fixture_dir):
     # ce_coalgebra reads lambda_2 off the bracket table in closed form;
     # the oracle halves the cup square of the universal cochain
@@ -153,7 +144,7 @@ def test_ce_quadratic_term_equals_the_cup_square(fixture_dir):
                 for name in ("abelian.json", "broken_jacobi.json", "l3.json",
                              "l3_cubed.json")]
     algebras = [instances.random_dgla(seed) for seed in range(500)]
-    for g in algebras + fixtures + [odd_squares()]:
+    for g in algebras + fixtures + [lie_instances.odd_squares()]:
         for N in range(2, 6):
             coalg = ce_coalgebra(g, N)
             assert (coalg.perturbation

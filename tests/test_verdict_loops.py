@@ -4,6 +4,7 @@ and the dense Leibniz check (tests/bv_oracle.py), on sparse tables whose
 pruning matters, and count guards: their work follows the nonzeros of d
 rather than dim^2, and they skip the cases their swap rule decides."""
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -28,14 +29,18 @@ NONZERO = [Fraction(c) for c in ("1", "-1", "2", "1/2", "-2/3", "3")]
 TABLE_KINDS = [(0, False), (0, True), (-1, False)]
 
 
+# genuine dgLas; odd_squares brackets odd letters with themselves
+LIE_SOURCES = ([lie_instances.sl2(), instances.nonzero_l3_dgla(),
+                lie_instances.lie_tensor_dgla(),
+                lie_instances.commuting_lifts_dgla(),
+                lie_instances.odd_squares()]
+               + [instances.random_dgla(seed) for seed in range(12)])
+
+
 def _valid_sources():
     """(table, op) pairs of genuine dgLas and BV algebras: each op derives
     its table, and each dgLa bracket satisfies Jacobi."""
-    out = []
-    for g in ([lie_instances.sl2(), instances.nonzero_l3_dgla(),
-               lie_instances.lie_tensor_dgla(), lie_instances.commuting_lifts_dgla()]
-              + [instances.random_dgla(seed) for seed in range(12)]):
-        out.append((g.bracket, g.d))
+    out = [(g.bracket, g.d) for g in LIE_SOURCES]
     bv = kahler_bv()
     out += [(bv.multiply, bv.d), (bv.bracket, bv.d), (bv.bracket, bv.delta)]
     return out
@@ -178,8 +183,8 @@ def test_verdict_loops_match_the_oracles_on_sparse_tables(case):
 
 
 def test_every_one_entry_corruption_of_a_valid_source_matches_the_oracles():
-    # 729 tables and operators; the first failure sits on a repeated index
-    # for 36 Leibniz and 63 Jacobi witnesses
+    # 734 tables and operators; the first failure sits on a repeated index
+    # for 38 Leibniz and 63 Jacobi witnesses
     repeated = {"Leibniz": 0, "Jacobi": 0}
     for table, op in VALID:
         degs = table.space.degrees
@@ -218,6 +223,72 @@ def test_valid_sources_pass_their_checks():
             assert table.first_non_jacobi() is None
         if table.symmetric:
             assert table.first_non_associative() is None
+
+
+# -- Jacobi on packed ints ---------------------------------------------------
+
+BIG = 2 ** 80
+
+
+@st.composite
+def large_dense_tables(draw):
+    """A dense degree-0 bracket with numerators of 80 bits or more: a genuine
+    dgLa's bracket after a random basis change (small or large
+    denominators), times a drawn int up to 2^80, or every slot of a random
+    degree pattern filled with an int up to 2^80; with or without one slot
+    changed by such an int."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    big = st.builds(int.__mul__, st.integers(1, BIG), st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        g = instances.change_basis(draw(st.sampled_from(LIE_SOURCES)), rng,
+                                   draw(st.sampled_from([(1, 1, 2, 3),
+                                                         (1, 97, 101, 103)])))
+        scale = draw(big)
+        degs = g.space.degrees
+        rows = {ij: {k: scale * n for k, n in num.items()}
+                for ij, num in g.bracket.numerator_rows().items()}
+    else:
+        degs = [rng.randint(-1, 2) for _ in range(rng.randint(1, 8))]
+        rows = {}
+        for ij, k in _slots(degs, 0, False, 0)[0]:
+            rows.setdefault(ij, {})[k] = rng.randint(-BIG, BIG)
+    slots = _slots(degs, 0, False, 0)[0]
+    if slots and draw(st.booleans()):
+        ij, k = rng.choice(slots)
+        val = rows.setdefault(ij, {})
+        val[k] = val.get(k, 0) + draw(big)
+    space = GradedVectorSpace([("x%d" % i, d) for i, d in enumerate(degs)])
+    return StructureTable(space, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_dense_tables())
+def test_packed_jacobi_matches_the_oracle_on_large_dense_tables(table):
+    witness = table.first_non_jacobi()
+    assert witness == verdict_oracle.first_non_jacobi(table)
+    event("witness %s" % ("none" if witness is None else "found"))
+
+
+def test_packed_jacobi_slots_are_just_wide_enough():
+    # J(x, y, z) = -2 M^2 b + a on one table with L = 1: its packed slots
+    # have w = bit_length(3 M^2) bits, and 2 M^2 = 2^(w - 1), so a slot one
+    # bit narrower reads -2^(w - 1) at b and 1 at the next slot a as zero
+    M = 2 ** 40
+    space = GradedVectorSpace([(lab, 0) for lab in "xyzuvsba"])
+    x, y, z, u, v, s, b, a = range(8)
+    table = StructureTable(space, {
+        (y, z): {u: M}, (x, u): {b: -M}, (x, y): {v: M}, (v, z): {b: M},
+        (x, z): {s: 1}, (y, s): {a: -1}})
+    jacobiator = table.add_product({}, {x: 1}, table.numerators(y, z))
+    table.add_product(jacobiator, table.numerators(x, y), {z: 1}, -1)
+    table.add_product(jacobiator, {y: 1}, table.numerators(x, z), -1)
+    width = (3 * M * M).bit_length()
+    assert {t: c for t, c in jacobiator.items() if c} == {
+        b: -2 ** (width - 1), a: 1}
+    # every basis vector has degree 0, so its slot is its index
+    assert sum(c << ((width - 1) * t) for t, c in jacobiator.items()) == 0
+    assert table.first_non_jacobi() == (x, y, z)
+    assert verdict_oracle.first_non_jacobi(table) == (x, y, z)
 
 
 # -- the count guard ---------------------------------------------------------
@@ -331,6 +402,35 @@ def evaluated_cases(f, names):
         return f(), cases
 
 
+def jacobi_evaluated_triples(table):
+    """(table.first_non_jacobi(), the triples it evaluates, in order): the
+    loop evaluates a triple's packed Jacobiator from the line `bad = 0`
+    on, which runs once per triple, and its indices i, j, k are read
+    there."""
+    method = StructureTable.first_non_jacobi
+    lines, start = inspect.getsourcelines(method)
+    marks = [start + n for n, line in enumerate(lines)
+             if line.strip() == "bad = 0"]
+    assert len(marks) == 1, marks
+    cases = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == marks[0]:
+            loop = frame.f_locals
+            cases.append((loop["i"], loop["j"], loop["k"]))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is method.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        return table.first_non_jacobi(), cases
+    finally:
+        sys.settrace(previous)
+
+
 def test_verdict_loops_skip_the_cases_their_swap_rule_decides():
     l3 = instances.nonzero_l3_dgla()
     g = instances.change_basis(direct_sum([l3, l3]), random.Random(1))
@@ -341,7 +441,7 @@ def test_verdict_loops_skip_the_cases_their_swap_rule_decides():
     # L(j, i) = sign(i, j) L(i, j): no j < i, no (i, i) with sign -1
     assert all(i < j or (i == j and table._swap_sign(i, i) > 0)
                for i, j in pairs)
-    verdict, triples = evaluated_cases(table.first_non_jacobi, "ijk")
+    verdict, triples = jacobi_evaluated_triples(table)
     assert verdict is None and len(set(triples)) == len(triples)
     # J(x, x, z) = J(x, y, y) = 0 for even x, y
     assert all(i <= j <= k for i, j, k in triples)
