@@ -352,7 +352,7 @@ def theorem_38_pipeline(bv, N):
 
     tau_in_A = incl.compose(result.tau.hom)
     # (i) Delta o tau = 0 in A coordinates
-    delta_tau_zero = not any(bv.delta(col)
+    delta_tau_zero = not any(any(bv.delta.add_image({}, col).values())
                              for col in tau_in_A.columns.values())
     # (iii) tau_k values in im Delta for k >= 2
     values_in_im = linalg.in_span(

@@ -71,17 +71,19 @@ def mc_equations(space, brackets, N):
 
 # -- free graded Lie algebras on even generators -----------------------------
 
-def _mobius(n):
-    """The Moebius function mu(n)."""
-    result, p = 1, 2
+def _mobius_terms(n):
+    """[(k, mu(k))] for the squarefree divisors k of n > 0, mu the Moebius
+    function: the nonzero terms of a Moebius sum over the divisors of n."""
+    terms, p = [(1, 1)], 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
+            while n % p == 0:
+                n //= p
+            terms += [(k * p, -mu) for k, mu in terms]
         p += 1
-    return -result if n > 1 else result
+    if n > 1:
+        terms += [(k * n, -mu) for k, mu in terms]
+    return terms
 
 
 class FreeGradedLie:
@@ -108,6 +110,24 @@ class FreeGradedLie:
             raise ValueError("bracket-length cap too small")
         degrees = [d for _, d in generators]
         self.experimental = any(d % 2 for d in degrees)
+        # refuse a table estimated above 256 MB before building it: a length
+        # takes 1 KB and each degree 256 bytes and its count's bits; length
+        # m has at most min(m (hi - lo) / g + 1, C(m + k - 1, k - 1))
+        # degrees, k distinct degrees, and W(m, e) <= len(degrees)^m.
+        # tracemalloc peaks stay below the estimate (227 MB at 256 MB for
+        # spheres 3,5 at order 1,221, the largest admitted); order 2,500
+        # asks for 1,387 MB
+        lo, hi = min(degrees, default=0), max(degrees, default=0)
+        g, k = gcd(*(d - lo for d in degrees)) or 1, len(set(degrees))
+        bits = (len(degrees) - 1).bit_length()
+        size, multisets = 0, 1
+        for m in range(1, cap + 1):
+            multisets = multisets * (m + k - 1) // m
+            cells = min(m * (hi - lo) // g + 1, multisets)
+            size += 1024 + cells * (256 + (m * bits + 1) // 8)
+            if size > 256 << 20:
+                raise ValueError("--order too large for --spheres: the "
+                                 "free Lie table exceeds 256 MB")
         words = [{0: 1}]  # words[m][e] = W(m, e)
         for _ in range(cap):
             nxt = {}
@@ -118,10 +138,10 @@ class FreeGradedLie:
         self.counts = {}
         for n in range(1, cap + 1):
             row = {}
+            terms = _mobius_terms(n)
             for e in words[n]:
-                g = gcd(n, e)
-                total = sum(_mobius(k) * words[n // k].get(e // k, 0)
-                            for k in range(1, g + 1) if g % k == 0)
+                total = sum(mu * words[n // k].get(e // k, 0)
+                            for k, mu in terms if e % k == 0)
                 if total:
                     row[e] = total // n
             self.counts[n] = row
@@ -153,8 +173,8 @@ def wedge_of_spheres(dims, cap):
 
 def necklace_count(rank, length):
     """Moebius necklace formula for free-Lie dimensions, as an oracle."""
-    return sum(_mobius(k) * rank ** (length // k)
-               for k in range(1, length + 1) if length % k == 0) // length
+    return sum(mu * rank ** (length // k)
+               for k, mu in _mobius_terms(length)) // length
 
 
 # -- the S^3 v S^3 v S^12 example --------------------------------------------

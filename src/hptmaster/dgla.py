@@ -6,6 +6,8 @@ antisymmetry, so inconsistent input cannot be represented.  All degrees
 are homological.
 """
 
+from fractions import Fraction
+
 from . import linalg
 from .complexes import ChainComplex
 from .graded import GradedMap, GradedVectorSpace, StructureTable
@@ -53,7 +55,9 @@ class DgLieAlgebra:
         basis_vecs = []
         basis_degs = []
         for deg in sorted(by_deg):
-            rows = [row for _, row in linalg.rref(by_deg[deg])]
+            # pivot-1 rows: the bv report's tau is read in this basis
+            rows = [{k: Fraction(c, row[p]) for k, c in row.items()}
+                    for p, row in linalg.rref(by_deg[deg])]
             basis_vecs.extend(rows)
             basis_degs.extend([deg] * len(rows))
         sub_space = GradedVectorSpace(

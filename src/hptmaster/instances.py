@@ -106,19 +106,21 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
     """Conjugate a dg Lie algebra by a random degreewise basis change S.
 
     Each degree block of S is drawn as int numerators over the lcm L of
-    the pool until it is invertible: its inverse is the rank test, so a
-    block takes one elimination and the whole space none.  Conjugating by
-    L S instead of S gives the same differential and L times each bracket,
-    so neither S nor its inverse needs a Fraction per entry.
+    the pool until every unit vector has a solution over its columns, one
+    solve that is both the rank test and the inverse: a block takes one
+    elimination and the whole space none.  Conjugating by L S instead of S
+    gives the same differential and L times each bracket, and the blocks'
+    inverses share the lcm of their dens, so no entry needs a Fraction.
     """
     space = g.space
     dim = space.dim
     L = lcm(*denominator_pool)
-    # L S and (L S)^{-1}, block by block
-    ls_cols, ls_inv = {}, {}
+    # L S, and (L S)^{-1} block by block
+    ls_cols, blocks = {}, []
     for deg in sorted(set(space.degrees)):
         idx = space.indices_in_degree(deg)
         n = len(idx)
+        units = [{a: 1} for a in range(n)]
         while True:
             # the rows of the block are drawn, a zero row made e_a
             cols = [{} for _ in range(n)]
@@ -131,17 +133,17 @@ def change_basis(g, rng, denominator_pool=(1, 1, 2, 3)):
                         row[b] = c
                 for b, c in (row or {a: L}).items():
                     cols[b][a] = c
-            try:
-                inv = linalg.inverse(cols)
-            except ValueError:
-                continue
-            break
+            inv, den = linalg.solve(cols, units)
+            if None not in inv:
+                break
         for b, col in enumerate(cols):
             ls_cols[idx[b]] = {idx[a]: c for a, c in col.items()}
-        for t, col in enumerate(inv):
-            ls_inv[idx[t]] = {idx[b]: c for b, c in col.items()}
+        blocks.append((idx, inv, den))
+    den = lcm(*(m for _, _, m in blocks))
+    ls_inv = {idx[t]: {idx[b]: c * (den // m) for b, c in col.items()}
+              for idx, inv, m in blocks for t, col in enumerate(inv)}
     basis = GradedMap.from_columns(space, space, 0, ls_cols)
-    to_new = GradedMap.from_columns(space, space, 0, ls_inv)
+    to_new = GradedMap.from_columns(space, space, 0, ls_inv, den)
     new_space = GradedVectorSpace(
         [("b%d" % i, space.degrees[i]) for i in range(dim)])
     d = to_new.compose(g.d).compose(basis)

@@ -5,12 +5,11 @@ Fraction values: the int numerator columns of a map (GradedMap.columns),
 read as they are where only their span counts, or Fraction vectors.  A
 matrix is a list of vectors: its rows for rref and rank, its columns
 everywhere else.  Every elimination runs in one kernel, _echelon, on int
-rows: a row given is multiplied by the lcm of its denominators.
+rows: a row given is multiplied by the lcm of its denominators.  Every
+answer is in ints: rref's rows are int multiples of the reduced rows, and
 kernel_basis, solve, coordinates and remainders hand back int numerators
 (a den, or the entry at a free column, says what to divide by), which
-GradedMap.from_columns takes as they are; only rref and inverse build
-Fractions, for the callers that keep Fraction vectors (dgla.sub_algebra,
-bv and contraction_extending_projection).  A finished echelon row is a
+GradedMap.from_columns takes as they are.  A finished echelon row is a
 multiple of the reduced row with its pivot, so dividing it by the gcd of
 its entries leaves the least int multiple: the entries stay bounded by
 the reduced echelon form of the rows taken so far, not by the steps that
@@ -20,7 +19,6 @@ reduced row echelon form, the results are the ones dense Gauss-Jordan
 elimination gives.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -95,14 +93,14 @@ def _rows(columns):
 
 
 def rref(rows):
-    """Reduced row echelon form of the matrix with the given rows.
+    """Reduced row echelon form of the matrix with the given rows, on ints.
 
     Returns [(pivot, row)] in increasing pivot order, without zero rows:
-    each row is 1 at its pivot, which is its first index, and 0 at the
-    pivot of every other row.  It is the int echelon of _echelon with each
-    row divided by its pivot entry.  The rows given are not modified.
+    each row is the least positive int multiple of the reduced row with
+    that pivot, its first index (the int row of _echelon, negated when it
+    is negative there).  The rows given are not modified.
     """
-    return [(p, {k: Fraction(c, row[p]) for k, c in row.items()})
+    return [(p, row if row[p] > 0 else {k: -c for k, c in row.items()})
             for p, row in sorted(_echelon(rows).items())]
 
 
@@ -162,26 +160,6 @@ def solve(columns, rhs):
             for k in row:
                 out[k - n] = None
     return out, den
-
-
-def inverse(columns):
-    """The inverse of the matrix with the given columns: for each row index
-    t in increasing order, the coordinates of the unit vector e_t over the
-    columns, as Fractions.  Raises ValueError when the matrix is not
-    invertible.
-
-    It is one solve for all the e_t.  A square matrix is singular exactly
-    when its columns span less than the whole space, and then some e_t
-    lies outside the span: so the matrix is invertible exactly when every
-    e_t has a solution, which is then the only one.
-    """
-    keys = sorted(set().union(*columns))
-    if len(keys) != len(columns):
-        raise ValueError("matrix not invertible")
-    out, den = solve(columns, [{t: 1} for t in keys])
-    if None in out:
-        raise ValueError("matrix not invertible")
-    return [{k: Fraction(c, den) for k, c in x.items()} for x in out]
 
 
 def remainders(vectors, rows):

@@ -240,8 +240,9 @@ def theorem_29_pipeline(m, con, N, inclusion=None):
         from . import linalg
         cols = [inclusion.apply_basis(s) for s in range(m.space.dim)]
         taus = result.tau.hom.columns.values()
+        images = (inclusion.add_image({}, col) for col in taus)
         report["values_in_subalgebra"] = linalg.in_span(
-            cols, [inclusion(col) for col in taus])
+            cols, [{k: c for k, c in v.items() if c} for v in images])
     report["passed"] = (master["passed"] and report["pi_tau_universal"]
                         and report["D_zero"]
                         and report.get("values_in_subalgebra", True))

@@ -183,14 +183,16 @@ def contraction_extending_projection(C, pi):
         raise ValueError("projection admits no cycle-valued section")
     nabla = GradedMap.from_columns(small.space, space, 0, nabla_cols, den)
 
-    # the complement ker pi, the image of Id - nabla pi, on an echelon
-    # basis in each degree
+    # the complement ker pi, the image of Id - nabla pi, on the reduced
+    # echelon basis in each degree (each row 1 at its pivot)
     proj = GradedMap.identity(space) - nabla.compose(pi)
     proj_cols = by_column(proj)
     sub_basis = []
     for deg in sorted({space.degrees[s] for s in proj_cols}):
-        sub_basis.extend(row for _, row in linalg.rref(
-            col for s, col in proj_cols.items() if space.degrees[s] == deg))
+        echelon = linalg.rref(col for s, col in proj_cols.items()
+                              if space.degrees[s] == deg)
+        sub_basis.extend({k: Fraction(c, row[p]) for k, c in row.items()}
+                         for p, row in echelon)
     sub_space = GradedVectorSpace(
         [("c%d" % i, space.vector_degree(v)) for i, v in enumerate(sub_basis)])
     # d on the complement and the coordinates of the columns of

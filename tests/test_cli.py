@@ -9,9 +9,11 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -620,6 +622,27 @@ def test_massey_wedge_rejects_order_below_one(capsys, order):
     doc = report_of(out)
     assert doc["order"] == 1
     assert doc["free_lie"]["dimensions_by_length"] == {"1": 2}
+
+
+def test_massey_wedge_refuses_a_table_beyond_its_budget():
+    # spheres 3,5 at order 2,500 once ended in a MemoryError traceback
+    # under an 800 MB address-space cap; the size of the free Lie table is
+    # bounded before it is built, so the call exits 2 at once
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    cap = 800 << 20
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hptmaster.cli", "massey", "--spheres", "3,5",
+         "--order", "2500"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60)
+    seconds = time.monotonic() - started
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert b"error: --order too large for --spheres" in proc.stderr
+    assert seconds < 1
 
 
 def test_bv_file_without_a_unit_exits_two(tmp_path, capsys):

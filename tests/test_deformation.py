@@ -10,7 +10,7 @@ import lie_instances
 import lyndon_oracle
 from hptmaster import instances
 from hptmaster.complexes import ChainComplex, build_contraction
-from hptmaster.deformation import (FreeGradedLie, MCVariety,
+from hptmaster.deformation import (FreeGradedLie, MCVariety, _mobius_terms,
                                    massey_parameters, mc_equations,
                                    morgan_example, necklace_count,
                                    wedge_of_spheres)
@@ -171,6 +171,33 @@ def test_witt_counts_match_the_lyndon_enumeration(dims, cap):
         for d, c in row.items():
             degs[d] = degs.get(d, 0) + c
     assert lie.dimensions_by_degree() == dict(sorted(degs.items()))
+
+
+def test_moebius_terms_are_the_squarefree_divisors():
+    # (k, mu(k)) for each divisor k of n with mu(k) != 0, against mu from
+    # the prime factors found by trial division
+    def mu(k):
+        primes = [p for p in range(2, k + 1)
+                  if k % p == 0 and all(p % q for q in range(2, p))]
+        if any(k % (p * p) == 0 for p in primes):
+            return 0
+        return (-1) ** len(primes)
+
+    mus = [None] + [mu(k) for k in range(1, 300)]
+    for n in range(1, 300):
+        want = {k: mus[k] for k in range(1, n + 1) if n % k == 0 and mus[k]}
+        assert dict(_mobius_terms(n)) == want
+
+
+def test_free_lie_table_is_bounded_before_it_is_built():
+    # the estimate admits spheres 3,5 up to order 1,221; beyond it, and at
+    # a huge order for one sphere or for many, it refuses before any table
+    # is built
+    for dims, cap in (([3, 5], 1222), ([3, 5], 2500), ([2], 10 ** 9),
+                      ([2] * 50, 10 ** 6), (list(range(2, 60)), 400)):
+        with pytest.raises(ValueError,
+                           match="--order too large for --spheres"):
+            wedge_of_spheres(dims, cap)
 
 
 def test_wedge_of_spheres_basic():

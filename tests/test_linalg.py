@@ -3,8 +3,8 @@ solving, and parity with the dense oracle."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import linalg_oracle
@@ -46,10 +46,40 @@ def over(x, den):
     return None if x is None else {k: Fraction(c, den) for k, c in x.items()}
 
 
+def unit_vectors(n):
+    """The unit vectors e_0, ..., e_{n-1}, sparse."""
+    return [{t: 1} for t in range(n)]
+
+
+def assert_int_echelon(echelon, R, pivots, n_cols):
+    """rref's answer against the oracle's reduced rows R with their pivots:
+    the same pivots, and each row an int row, primitive, positive at its
+    pivot (its first index) and zero at the other pivots, that equals the
+    reduced row times the lcm of its denominators."""
+    assert [p for p, _ in echelon] == pivots
+    assert len(R) == len(echelon)
+    for (p, row), want in zip(echelon, R):
+        assert all(type(c) is int and c for c in row.values())
+        assert gcd(*row.values()) == 1
+        assert min(row) == p and row[p] > 0
+        assert all(q not in row for q in pivots if q != p)
+        m = lcm(*(c.denominator for c in want))
+        assert dense(row, n_cols) == [c * m for c in want]
+
+
 def test_rref_hand():
     M = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(2)}]
-    assert linalg.rref(M) == [(0, {0: Fraction(1), 1: Fraction(2)})]
+    assert linalg.rref(M) == [(0, {0: 1, 1: 2})]
     assert M[0] == {0: Fraction(2), 1: Fraction(4)}
+    # the reduced rows (1, 0, -2/3) and (0, 1, 1/2) times 3 and 2; a
+    # negative pivot entry is made positive
+    M = [{0: Fraction(-1, 2), 2: Fraction(1, 3)},
+         {1: Fraction(-2), 2: Fraction(-1)}]
+    echelon = linalg.rref(M)
+    assert echelon == [(0, {0: 3, 2: -2}), (1, {1: 2, 2: 1})]
+    assert all(type(c) is int for _, row in echelon for c in row.values())
+    assert_int_echelon(echelon, [[1, 0, Fraction(-2, 3)],
+                                 [0, 1, Fraction(1, 2)]], [0, 1], 3)
 
 
 def test_kernel_hand():
@@ -72,11 +102,14 @@ def test_solve_hand():
 @settings(max_examples=60, deadline=None)
 @given(dense_matrix(3, 4))
 def test_rref_pivots_are_unit_columns(M):
+    # each pivot column is nonzero in its own row only, and positive there
     echelon = linalg.rref(sparse_rows(M))
     for r, (c, row) in enumerate(echelon):
-        assert min(row) == c and row[c] == 1
+        assert min(row) == c and row[c] > 0
         assert all(c not in other for i, (_, other) in enumerate(echelon)
                    if i != r)
+    R, pivots = linalg_oracle.rref(M)
+    assert_int_echelon(echelon, R[:len(pivots)], pivots, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,12 +153,16 @@ def test_rref_deterministic():
 
 
 def test_inverse_hand():
-    # columns (1, 1) and (0, 2): the inverse has columns (1, -1/2), (0, 1/2)
+    # the inverse is the solutions for the unit vectors: columns (1, 1) and
+    # (0, 2) have the inverse with columns (1, -1/2), (0, 1/2)
     cols = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(2)}]
-    assert linalg.inverse(cols) == [{0: Fraction(1), 1: Fraction(-1, 2)},
-                                    {1: Fraction(1, 2)}]
-    with pytest.raises(ValueError):
-        linalg.inverse([{0: Fraction(1)}, {0: Fraction(2)}])
+    xs, den = linalg.solve(cols, unit_vectors(2))
+    assert (xs, den) == ([{0: 2, 1: -1}, {1: 1}], 2)
+    assert [over(x, den) for x in xs] == [
+        {0: Fraction(1), 1: Fraction(-1, 2)}, {1: Fraction(1, 2)}]
+    # a singular matrix leaves some unit vector without a solution
+    xs, _ = linalg.solve([{0: Fraction(1)}, {0: Fraction(2)}], unit_vectors(2))
+    assert xs[1] is None
 
 
 # -- parity with the dense oracle ---------------------------------------------
@@ -157,16 +194,15 @@ def test_inverse_matches_the_oracle_solve(case):
     n = len(M)
     cols = [{keys[i]: row[j] for i, row in enumerate(M) if row[j]}
             for j in range(n)]
+    xs, den = linalg.solve(cols, [{k: 1} for k in keys])
+    assert len(xs) == n
     if linalg_oracle.rank(M) < n:
-        with pytest.raises(ValueError):
-            linalg.inverse(cols)
+        assert None in xs
         return
-    inv = linalg.inverse(cols)
-    assert len(inv) == n
-    for t, x in enumerate(inv):
-        assert all(c for c in x.values())
+    for t, x in enumerate(xs):
+        assert all(type(c) is int and c for c in x.values())
         e = [Fraction(int(i == t)) for i in range(n)]
-        assert dense(x, n) == linalg_oracle.solve(M, e)
+        assert dense(over(x, den), n) == linalg_oracle.solve(M, e)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,11 +211,11 @@ def test_sparse_elimination_matches_the_dense_oracle(case, data):
     M, n_cols = case
     rows, cols = sparse_rows(M), sparse_columns(M, n_cols)
 
-    # rref: the same pivots and rows; the oracle keeps its zero rows
+    # rref: the same pivots, and the rows as least positive int
+    # multiples; the oracle keeps its zero rows
     R, pivots = linalg_oracle.rref(M)
     echelon = linalg.rref(rows)
-    assert [p for p, _ in echelon] == pivots
-    assert [dense(row, n_cols) for _, row in echelon] == R[:len(pivots)]
+    assert_int_echelon(echelon, R[:len(pivots)], pivots, n_cols)
     assert all(x == 0 for row in R[len(pivots):] for x in row)
     assert linalg.rank(rows) == linalg_oracle.rank(M)
 
@@ -220,16 +256,16 @@ def test_sparse_elimination_matches_the_dense_oracle(case, data):
         if want is not None:
             span.append(want)
 
-    # inverse: the oracle's solutions for the unit vectors
+    # inverse: the solutions for the unit vectors are the oracle's, and
+    # some unit vector has none when the matrix is singular
     if n_rows == n_cols:
+        xs, den = linalg.solve(cols, unit_vectors(n_cols))
         if len(pivots) == n_cols:
-            inv = linalg.inverse(cols)
-            for t in range(n_cols):
+            for t, x in enumerate(xs):
                 e = [Fraction(int(i == t)) for i in range(n_cols)]
-                assert dense(inv[t], n_cols) == linalg_oracle.solve(M, e)
+                assert dense(over(x, den), n_cols) == linalg_oracle.solve(M, e)
         else:
-            with pytest.raises(ValueError):
-                linalg.inverse(cols)
+            assert None in xs
 
 
 @st.composite
@@ -307,8 +343,10 @@ FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 
 def test_eliminations_run_no_fraction_arithmetic(monkeypatch):
-    # the oracle's answers first, then rref, solve and inverse with every
-    # Fraction operator raising: Fractions are only built, from ints
+    # the oracle's answers first, then rref and solve (the inverse of a
+    # square matrix too, as the solutions for the unit vectors) with every
+    # Fraction operator raising: Fraction input is only read, and no
+    # answer holds a Fraction
     cases = []
     for seed in range(150):
         M = seeded_matrices(seed)
@@ -332,12 +370,7 @@ def test_eliminations_run_no_fraction_arithmetic(monkeypatch):
         for M, b, *_ in cases:
             n = len(M[0])
             cols = sparse_columns(M, n)
-            inv = None
-            if len(M) == n:
-                try:
-                    inv = linalg.inverse(cols)
-                except ValueError:
-                    pass
+            inv = linalg.solve(cols, unit_vectors(n)) if len(M) == n else None
             [x], den = linalg.solve(cols, [sparse(b)])
             got.append((linalg.rref(sparse_rows(M)), (x, den), inv))
 
@@ -347,9 +380,15 @@ def test_eliminations_run_no_fraction_arithmetic(monkeypatch):
     for (M, _, R, pivots, want_x, want_inv), (echelon, x, inv) in zip(
             cases, got):
         n = len(M[0])
-        assert [p for p, _ in echelon] == pivots
-        assert [dense(row, n) for _, row in echelon] == R
+        answers = [row for _, row in echelon] + [x[0]]
+        if inv is not None:
+            answers += inv[0]
+        assert not any(type(c) is not int for v in answers if v
+                       for c in v.values())
+        assert_int_echelon(echelon, R, pivots, n)
         x = over(*x)
         assert (None if x is None else dense(x, n)) == want_x
-        assert (None if inv is None
-                else [dense(col, n) for col in inv]) == want_inv
+        if inv is not None:
+            xs, den = inv
+            assert (None if None in xs
+                    else [dense(over(col, den), n) for col in xs]) == want_inv

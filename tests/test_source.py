@@ -176,6 +176,38 @@ def test_no_library_module_allocates_dense_vectors():
     assert {name: f for name, f in found.items() if f} == {}
 
 
+def fraction_uses(source):
+    """[line] of the places that import the fractions module or name
+    Fraction: an import, a name or an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "fractions" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module == "fractions"
+                   or any(a.name == "Fraction" for a in node.names))
+        else:
+            hit = ((isinstance(node, ast.Name) and node.id == "Fraction")
+                   or (isinstance(node, ast.Attribute)
+                       and node.attr == "Fraction"))
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_fraction_uses_are_found():
+    source = ("import fractions\nfrom fractions import Fraction as F\n"
+              "x = fractions.Fraction(1, 2)\ny = [Fraction]\n"
+              "z = 'Fraction', c.denominator\n")
+    assert fraction_uses(source) == [1, 2, 3, 4]
+
+
+def test_linalg_builds_no_fraction():
+    # linalg reads Fraction input through numerator and denominator only,
+    # and every answer it gives is in ints
+    assert fraction_uses((SRC / "linalg.py").read_text()) == []
+
+
 # the library-only checks of numbered results that README lists: the
 # tier-1 tests call them, no library or benchmark module does
 LIBRARY_ONLY = {("bv", "koszul_identity_check"),
