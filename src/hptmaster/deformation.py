@@ -6,6 +6,7 @@ three-sphere example family whose five-fold Massey products produce a
 positive-dimensional family of structures.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -116,24 +117,35 @@ class FreeGradedLie:
         # degrees, k distinct degrees, and W(m, e) <= len(degrees)^m.
         # tracemalloc peaks stay below the estimate (227 MB at 256 MB for
         # spheres 3,5 at order 1,221, the largest admitted); order 2,500
-        # asks for 1,387 MB
+        # asks for 1,387 MB.  Refuse one whose build takes over 2,000,000
+        # dict updates too: length m takes one per degree of length m - 1
+        # and distinct generator degree.  On a 2-CPU x86 box, spheres 3,5
+        # at order 1,221 take 1.5M (1.7-2.7 s, its counts being long
+        # ints) and 2 to 10 at order 236 take 2.0M (1.1 s); 2 to 200 at
+        # order 80 ask for 124M, and took 18 s when they were built
         lo, hi = min(degrees, default=0), max(degrees, default=0)
         g, k = gcd(*(d - lo for d in degrees)) or 1, len(set(degrees))
         bits = (len(degrees) - 1).bit_length()
-        size, multisets = 0, 1
+        size, updates, cells, multisets = 0, 0, 1, 1
         for m in range(1, cap + 1):
+            updates += cells * k
             multisets = multisets * (m + k - 1) // m
             cells = min(m * (hi - lo) // g + 1, multisets)
             size += 1024 + cells * (256 + (m * bits + 1) // 8)
             if size > 256 << 20:
                 raise ValueError("--order too large for --spheres: the "
                                  "free Lie table exceeds 256 MB")
+            if updates > 2_000_000:
+                raise ValueError("--order too large for --spheres: the "
+                                 "free Lie table takes over 2,000,000 "
+                                 "steps to build")
+        mults = Counter(degrees).items()
         words = [{0: 1}]  # words[m][e] = W(m, e)
         for _ in range(cap):
             nxt = {}
             for e, w in words[-1].items():
-                for d in degrees:
-                    nxt[e + d] = nxt.get(e + d, 0) + w
+                for d, n in mults:
+                    nxt[e + d] = nxt.get(e + d, 0) + n * w
             words.append(nxt)
         self.counts = {}
         for n in range(1, cap + 1):

@@ -15,8 +15,9 @@ this normalization the diagonal takes the form
     Delta(e_w) = sum over ordered multiset splittings (A, B) of
                  sign(A, B) e_A (x) e_B,
 
-each splitting counted once (`splittings`; the coderivation check,
-`coderivation_defects`, keeps only those with a one-letter left factor).
+each splitting counted once.  The coderivation check,
+`coderivation_defects`, reads only the splittings with a one-letter left
+factor, which `splittings` walks letter by letter.
 A repeated odd-degree factor makes a word zero; this is enforced at
 construction.
 
@@ -39,7 +40,6 @@ lambda_b, whose extension lowers word length by b - 1.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .graded import GradedMap, GradedVectorSpace, suspend_map
 
@@ -75,39 +75,24 @@ def _canonical_order(gen_space):
 
 
 def splittings(word, gen_space):
-    """Ordered multiset splittings (A, B) of a word, with Koszul signs.
+    """The splittings of a word with a one-letter left factor, with Koszul
+    signs: (g, word without one g, sign) once per distinct letter g, the
+    last letter first (the order of the full splitting list in which the
+    left factor has length one), sign an int +-1.
 
-    Yields (word_A, word_B, sign), sign an int +-1.  Each unordered split
-    appears in both orders; within equal factors only the leftmost copies
-    are chosen, so each splitting is produced exactly once (the
-    divided-power diagonal).
-
-    The sign is that of moving the letters of A in front of those of B:
-    (-1)^k, where k counts the pairs of odd letters with the B letter
-    before the A letter in the word.  Within a run the A copies come
-    first, so k is counted run by run while the split is built: each odd
-    A letter pairs with every odd B letter of the earlier runs.
+    The sign is that of moving g to the front: (-1)^k for odd g, k the
+    number of odd letters before it, and +1 for even g.  A repeated
+    letter is even, so its copies give one term (the divided-power
+    diagonal counts each splitting once).
     """
-    runs = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        runs.append((word[i], j - i, gen_space.degrees[word[i]] % 2))
-        i = j
-    for take in iproduct(*[range(cnt + 1) for _, cnt, _ in runs]):
-        a_word = []
-        b_word = []
-        odd_b = 0
-        inversions = 0
-        for (g, cnt, odd), t in zip(runs, take):
-            a_word.extend((g,) * t)
-            b_word.extend((g,) * (cnt - t))
-            if odd:
-                inversions += t * odd_b
-                odd_b += cnt - t
-        yield tuple(a_word), tuple(b_word), -1 if inversions % 2 else 1
+    odd = [gen_space.degrees[g] % 2 for g in word]
+    k = sum(odd)
+    for j in range(len(word) - 1, -1, -1):
+        g = word[j]
+        k -= odd[j]
+        if j and word[j - 1] == g:
+            continue
+        yield g, word[:j] + word[j + 1:], -1 if odd[j] and k % 2 else 1
 
 
 def merge_words(A, B, coalg):
@@ -444,8 +429,8 @@ def coderivation_defects(op, coalg):
     The one-letter part is built on the int numerators of op, keyed per
     source word w by g * W + b for e_g (x) e_B, b the index of B among
     the W words, from three sides, each driven by op's supports:
-    - Delta D e_w: each distinct target t of op is split once, and its
-      splittings with a one-letter left factor are kept;
+    - Delta D e_w: for each distinct target t of op, `splittings` walks
+      the distinct letters g of t once, giving e_g (x) e_{t without g};
     - (D (x) Id) Delta e_w: D e_X has one-letter terms only on the columns
       X with length-one targets, which are merged with every word Y of
       length <= N - |X|;
@@ -480,10 +465,8 @@ def coderivation_defects(op, coalg):
             ones.append((words[s], one))
     # Delta D e_w
     for t, entries in uses.items():
-        for A, B, sign in splittings(words[t], coalg.gen_space):
-            if len(A) != 1:
-                continue
-            key = A[0] * W + windex[B]
+        for g, B, sign in splittings(words[t], coalg.gen_space):
+            key = g * W + windex[B]
             for acc, c in entries:
                 acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
     # (D (x) Id) Delta e_w, the splittings (X, Y) of w

@@ -624,16 +624,15 @@ def test_massey_wedge_rejects_order_below_one(capsys, order):
     assert doc["free_lie"]["dimensions_by_length"] == {"1": 2}
 
 
-def test_massey_wedge_refuses_a_table_beyond_its_budget():
-    # spheres 3,5 at order 2,500 once ended in a MemoryError traceback
-    # under an 800 MB address-space cap; the size of the free Lie table is
-    # bounded before it is built, so the call exits 2 at once
+def _massey_refused_at_once(spheres, order):
+    """Run massey in a child capped at 800 MB of address space, and check
+    that it exits 2 in under a second with the free Lie table's error."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     cap = 800 << 20
     started = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "hptmaster.cli", "massey", "--spheres", "3,5",
-         "--order", "2500"],
+        [sys.executable, "-m", "hptmaster.cli", "massey", "--spheres",
+         spheres, "--order", order],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         timeout=60)
@@ -643,6 +642,20 @@ def test_massey_wedge_refuses_a_table_beyond_its_budget():
     assert b"Traceback" not in proc.stderr
     assert b"error: --order too large for --spheres" in proc.stderr
     assert seconds < 1
+
+
+def test_massey_wedge_refuses_a_table_beyond_its_budget():
+    # spheres 3,5 at order 2,500 once ended in a MemoryError traceback
+    # under an 800 MB address-space cap; the size of the free Lie table is
+    # bounded before it is built, so the call exits 2 at once
+    _massey_refused_at_once("3,5", "2500")
+
+
+def test_massey_wedge_refuses_a_table_beyond_its_time_budget():
+    # 199 spheres of distinct dimensions at order 80 fit the memory
+    # estimate but once took 18 s to build; the build's dict updates are
+    # bounded too
+    _massey_refused_at_once(",".join(map(str, range(2, 201))), "80")
 
 
 def test_bv_file_without_a_unit_exits_two(tmp_path, capsys):

@@ -190,11 +190,13 @@ def test_moebius_terms_are_the_squarefree_divisors():
 
 
 def test_free_lie_table_is_bounded_before_it_is_built():
-    # the estimate admits spheres 3,5 up to order 1,221; beyond it, and at
-    # a huge order for one sphere or for many, it refuses before any table
+    # the estimate admits spheres 3,5 up to order 1,221; beyond it, at a
+    # huge order for one sphere or for many, and for many distinct spheres
+    # whose table is small but slow to build, it refuses before any table
     # is built
     for dims, cap in (([3, 5], 1222), ([3, 5], 2500), ([2], 10 ** 9),
-                      ([2] * 50, 10 ** 6), (list(range(2, 60)), 400)):
+                      ([2] * 50, 10 ** 6), (list(range(2, 60)), 400),
+                      (list(range(2, 201)), 80), (list(range(2, 11)), 237)):
         with pytest.raises(ValueError,
                            match="--order too large for --spheres"):
             wedge_of_spheres(dims, cap)

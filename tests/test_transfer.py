@@ -19,7 +19,7 @@ from hptmaster.graded import GradedMap, GradedVectorSpace
 from hptmaster.transfer import (check_addendum_283, check_addendum_285,
                                 theorem_29_pipeline, transfer, verify_master)
 from hptmaster import words
-from hptmaster.words import TruncatedSymCoalgebra, splittings, word_label
+from hptmaster.words import TruncatedSymCoalgebra, word_label
 
 F = Fraction
 HALF = F(1, 2)
@@ -229,9 +229,10 @@ def adjoint_report(result):
         # Delta F e_w - (F (x) F) Delta e_w
         diff = {}
         for t, c in F.apply_basis(wi).items():
-            for A, B, sign in splittings(big.words[t], big.gen_space):
+            for A, B, sign in word_oracle.splittings(big.words[t],
+                                                     big.gen_space):
                 diff[(A, B)] = diff.get((A, B), 0) + sign * c
-        for A, B, sign in splittings(w, small.gen_space):
+        for A, B, sign in word_oracle.splittings(w, small.gen_space):
             fa = F.apply_basis(small.windex[A])
             fb = F.apply_basis(small.windex[B])
             for ta, ca in fa.items():

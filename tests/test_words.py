@@ -89,7 +89,7 @@ def test_word_labels_round_trip_on_labels_that_begin_with_s():
 
 def test_splittings_distinct_letters_subsets():
     word = (P, Q, W)
-    outs = list(splittings(word, MIXED))
+    outs = list(word_oracle.splittings(word, MIXED))
     assert len(outs) == 2 ** 3
     # all even letters: every sign is +1
     assert all(sign == 1 for _, _, sign in outs)
@@ -97,7 +97,7 @@ def test_splittings_distinct_letters_subsets():
 
 def test_splittings_repeated_letters_leftmost_copy():
     word = (P, P, W, W)
-    outs = list(splittings(word, MIXED))
+    outs = list(word_oracle.splittings(word, MIXED))
     # multiplicities (2, 2): (2+1) * (2+1) splittings
     assert len(outs) == 9
     assert len(set((A, B) for A, B, _ in outs)) == 9
@@ -105,7 +105,8 @@ def test_splittings_repeated_letters_leftmost_copy():
 
 def test_splittings_odd_letter_sign():
     word = (U, V)
-    got = {(A, B): sign for A, B, sign in splittings(word, MIXED)}
+    got = {(A, B): sign
+           for A, B, sign in word_oracle.splittings(word, MIXED)}
     assert got[((U,), (V,))] == 1
     assert got[((V,), (U,))] == -1
 
@@ -123,12 +124,54 @@ def spaces_and_sequences(draw):
 @settings(max_examples=60, deadline=None)
 @given(spaces_and_sequences())
 def test_splittings_match_koszul_oracle(case):
-    # every canonical word of length <= 5, plus unsorted sequences in which
-    # an odd letter may repeat or recur after other letters
+    # the full list signs a splitting (A, B) of a canonical word of length
+    # <= 5 by the Koszul sign of sorting A + B back into it; on unsorted
+    # sequences, in which an odd letter may repeat or recur after other
+    # letters, the one-letter walk is still the full list's one-letter part
     space, sequences = case
-    for word in enumerate_words(space, 5) + sequences:
-        assert (list(splittings(word, space)) ==
-                list(word_oracle.splittings(word, space)))
+    for word in enumerate_words(space, 5):
+        for A, B, sign in word_oracle.splittings(word, space):
+            assert sort_factors(A + B, space) == (word, sign)
+    for word in sequences:
+        assert list(splittings(word, space)) == _one_letter_part(word, space)
+
+
+def _one_letter_part(word, space):
+    """The full list's splittings with a one-letter left factor, in its
+    order, written as splittings writes them."""
+    return [(A[0], B, sign) for A, B, sign
+            in word_oracle.splittings(word, space, left_size=1)]
+
+
+@st.composite
+def spaces_and_words(draw):
+    # a canonical word of length 0 to 8 over generators of both parities,
+    # in which even letters may repeat
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=5))
+    space = GradedVectorSpace(
+        [("g%d" % i, d) for i, d in enumerate(degrees)])
+    counts = [draw(st.integers(0, 1 if d % 2 else 4)) for d in degrees]
+    letters = [g for g, n in enumerate(counts) for _ in range(n)][:8]
+    return space, tuple(
+        sorted(letters, key=lambda g: (degrees[g], space.labels[g])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_and_words())
+def test_splittings_walk_the_one_letter_part_of_the_oracle(case):
+    space, word = case
+    assert list(splittings(word, space)) == _one_letter_part(word, space)
+
+
+def test_splittings_hand_cases():
+    assert list(splittings((), MIXED)) == []
+    # one term per distinct letter, not (2 + 1) * (1 + 1) splittings
+    assert list(splittings((P, P, Q), MIXED)) == [
+        (Q, (P, P), 1), (P, (P, Q), 1)]
+    # an odd letter passes the odd letters before it
+    assert list(splittings((P, U, V, W), MIXED)) == [
+        (W, (P, U, V), 1), (V, (P, U, W), -1), (U, (P, V, W), 1),
+        (P, (U, V, W), 1)]
 
 
 def test_diagonal_coassociative():
@@ -136,12 +179,12 @@ def test_diagonal_coassociative():
     for w in coalg.words:
         left = {}
         right = {}
-        for A, B, s1 in splittings(w, MIXED):
-            for A1, A2, s2 in splittings(A, MIXED):
+        for A, B, s1 in word_oracle.splittings(w, MIXED):
+            for A1, A2, s2 in word_oracle.splittings(A, MIXED):
                 key = (A1, A2, B)
                 left[key] = left.get(key, 0) + s1 * s2
-        for A, B, s1 in splittings(w, MIXED):
-            for B1, B2, s2 in splittings(B, MIXED):
+        for A, B, s1 in word_oracle.splittings(w, MIXED):
+            for B1, B2, s2 in word_oracle.splittings(B, MIXED):
                 key = (A, B1, B2)
                 right[key] = right.get(key, 0) + s1 * s2
         assert {k: v for k, v in left.items() if v} == \
@@ -471,15 +514,27 @@ def test_check_sh_lie_lists_words_only_when_its_verdict_fails(
 
 
 def _counting_splittings(monkeypatch):
-    """Count the words that hptmaster.words.splittings is called on."""
+    """Count the words that hptmaster.words.splittings is called on, and
+    the terms it yields on each."""
     split = collections.Counter()
+    steps = collections.Counter()
 
     def counting(word, gen_space):
         split[word] += 1
-        return splittings(word, gen_space)
+        for term in splittings(word, gen_space):
+            steps[word] += 1
+            yield term
 
     monkeypatch.setattr("hptmaster.words.splittings", counting)
-    return split
+    return split, steps
+
+
+def _one_step_per_distinct_letter(split, steps):
+    # the walk yields once per distinct letter of each target it is
+    # called on, at most |t| steps, where the full list of the target's
+    # splittings has prod(count + 1)
+    assert sum(steps.values())
+    assert all(steps[t] == len(set(t)) <= len(t) for t in split)
 
 
 def test_coderivation_defects_split_each_target_once_and_merge_components(
@@ -489,7 +544,7 @@ def test_coderivation_defects_split_each_target_once_and_merge_components(
     coalg = _basis_changed_l3_cubed(fixture_dir, 4)
     op = coalg.perturbation_operator
     words = coalg.words
-    split = _counting_splittings(monkeypatch)
+    split, steps = _counting_splittings(monkeypatch)
     merged = set()
 
     def spy(A, B, coalg):
@@ -500,6 +555,8 @@ def test_coderivation_defects_split_each_target_once_and_merge_components(
     assert coderivation_defects(op, coalg) == []
     targets = {words[t] for col in op.columns.values() for t in col}
     assert set(split) <= targets and max(split.values()) == 1
+    _one_step_per_distinct_letter(split, steps)
+    assert any(len(set(t)) < len(t) for t in split)
     components = {words[s] for s, col in op.columns.items()
                   if any(len(words[t]) == 1 for t in col)}
     assert merged and merged <= components
@@ -512,11 +569,12 @@ def test_check_sh_lie_splits_each_target_once_on_a_failing_coalgebra(
     # the verdict does: at most one splitting per distinct target word
     coalg = _basis_changed_l3_cubed(fixture_dir, 4)
     bad = _corrupted_perturbation(coalg, 5)
-    split = _counting_splittings(monkeypatch)
+    split, steps = _counting_splittings(monkeypatch)
     report = check_sh_lie(coalg)
     assert report["incompatible_words"] and not report["passed"]
     targets = {coalg.words[t] for col in bad.columns.values() for t in col}
     assert split and set(split) <= targets and max(split.values()) == 1
+    _one_step_per_distinct_letter(split, steps)
 
 
 def test_assigning_a_perturbation_rebuilds_the_operators():
